@@ -130,11 +130,6 @@ def read_counts(path):
         raise FormatError(f"{path}: {exc}") from None
 
 
-def write_distribution(P, path):
-    values = [str(v) if P.is_exact else repr(float(v)) for v in P.values]
-    _dump({"order": STATE_ORDER, "values": values}, path)
-
-
 def basis_payload(basis, names):
     return {
         "order": basis.order.name(),

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .models import Distribution
 from .orders import TermOrder
 from .polynomials import (Binomial, NotTriangular, Polynomial, buchberger,
-                          eliminate_to_triangular)
+                          eliminate_to_triangular, reduce_groebner_basis)
 from .polynomials import reduce as poly_reduce
 from .toric import compute_toric_basis
 
@@ -212,7 +212,7 @@ def solve_mle_exact(sys, budget=None):
         core_basis = _fglm_to_lex(core_grev, grev, order, free)
     else:
         core_basis = []
-    combined = _reduce_basis(linear + core_basis, order)
+    combined = reduce_groebner_basis(linear + core_basis, order)
     triangular = eliminate_to_triangular(combined, tuple(range(nvars)))
     psi_poly = triangular[0]
     psi_vars = sorted(psi_poly.variables())
@@ -372,15 +372,6 @@ def _substitution_point(linear, pivots, nvars):
     for p, c in zip(linear, pivots):
         point[c] = Polynomial.variable(nvars, c) - p
     return point
-
-
-def _reduce_basis(basis, order):
-    """Minimalize and tail-reduce a known Groebner basis."""
-    from .polynomials import _finalize
-    basis = [p for p in basis if not p.is_zero()]
-    if not basis:
-        return []
-    return _finalize([p.monic(order) for p in basis], order, basis[0].nvars)
 
 
 def _univariate_coeffs(p, var):

@@ -254,9 +254,6 @@ class Distribution:
     def scaled(self, factor):
         return Distribution(tuple(x * factor for x in self.values))
 
-    def as_floats(self):
-        return tuple(float(x) for x in self.values)
-
     def __eq__(self, other):
         return isinstance(other, Distribution) and self.values == other.values
 

@@ -1,11 +1,13 @@
 """Term orders on exponent-vector monomials.
 
 Three kinds: lexicographic, graded reverse lexicographic, and "cheapest"
-orders that give one variable weight zero (grevlex tiebreak).  Cheapest
-orders are what the lattice-ideal saturation passes run under: for a
-homogeneous binomial, if the cheap variable divides the leading monomial
-it divides the trailing one too, which is exactly what dividing out that
-variable needs.
+orders that give one variable weight zero (grevlex tiebreak).  Each step
+of the single lattice-ideal saturation pass runs under the cheapest order
+of its variable.  Model matrices have equal column sums, so every binomial
+there is homogeneous, and then if the cheap variable divides the leading
+monomial it divides the trailing one too.  That is what dividing out the
+variable needs: the stripped reduced basis generates I : x_i^inf (Sturmfels,
+Groebner Bases and Convex Polytopes, Lemma 12.1).
 
 Orders are exposed through sort keys: key(u) < key(v) iff x^u < x^v.
 All three are total, multiplicative and well-orders on nonnegative
@@ -56,9 +58,6 @@ class TermOrder:
             return (sum(m), *(-m[p] for p in self._rev))
         deg = sum(m)
         return (deg - m[self.cheap_index], deg, *(-m[p] for p in self._rev))
-
-    def greater(self, a, b):
-        return self.key(a) > self.key(b)
 
     def max(self, monomials):
         return max(monomials, key=self.key)

@@ -433,7 +433,6 @@ def buchberger(F, order, budget=None):
             polys.append(f)
     if not polys:
         return []
-    nvars = polys[0].nvars
     diffs = [p.monic(order).as_pure_difference() for p in polys]
     if all(d is not None for d in diffs):
         binomials = buchberger_binomials([Binomial(u, v) for u, v in diffs],
@@ -480,11 +479,11 @@ def buchberger(F, order, budget=None):
         for k in range(new):
             heapq.heappush(pairs,
                            (order.key(monomial_lcm(leads[k], leads[new])), k, new))
-    return _finalize(basis, order, nvars)
+    return reduce_groebner_basis(basis, order)
 
 
-def _finalize(basis, order, nvars):
-    """Minimalize and auto-reduce a Groebner basis; sort ascending."""
+def reduce_groebner_basis(basis, order):
+    """Minimalize and auto-reduce a Groebner basis: monic, sorted ascending."""
     entries = [(p.leading_term(order)[0], p) for p in basis if not p.is_zero()]
     keep = []
     for idx, (lm, p) in enumerate(entries):
@@ -517,14 +516,16 @@ def _support_mask(m):
     return mask
 
 
-class _BinomialBasis:
-    """Mutable rewriting system x^lead -> x^tail used inside the engine.
+class BinomialRewriter:
+    """Mutable rewriting system x^lead -> x^tail with cached normal forms.
 
-    Elements are indexed by a bucket on the smallest support variable of
-    the lead, with a bitmask prefilter, so normal forms stay cheap even on
-    bases with a few hundred elements.  Dead elements (lead divisible by a
-    newer lead) stay in the arrays for S-pair processing but stop acting
-    as reducers, mirroring the classic update procedure.
+    The binomial engine builds its basis in one; a finished basis loaded
+    into one gives normal forms of monomials.  Elements are indexed by a
+    bucket on the smallest support variable of the lead, with a bitmask
+    prefilter, so normal forms stay cheap even on bases with a few hundred
+    elements.  Dead elements (lead divisible by a newer lead) stay in the
+    arrays for S-pair processing but stop acting as reducers, mirroring the
+    classic update procedure.
     """
 
     __slots__ = ("leads", "tails", "masks", "keys", "alive", "buckets",
@@ -619,7 +620,7 @@ def buchberger_binomials(inputs, order, budget=None):
         return []
     start.sort(key=lambda uv: (order.key(uv[0]), uv[1]))
 
-    system = _BinomialBasis(order)
+    system = BinomialRewriter(order)
     leads = system.leads
     masks = system.masks
     pairs = {}  # (i, j) -> lcm of the leading monomials

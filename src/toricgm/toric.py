@@ -4,9 +4,14 @@ saturation, plus membership and evaluation services for binomials.
 The basis computation starts from a lattice basis of the integer kernel
 (optionally seeded with known kernel binomials), then saturates variable
 by variable: a Groebner basis in an order making x_i cheapest lets every
-generator be divided by its maximal x_i power.  Full passes repeat until
-nothing changes, and a final reduced basis is produced under the requested
-order.  Every output binomial satisfies A u = A v exactly.
+generator be divided by its maximal x_i power.  One pass over the
+variables is exact.  Saturating by x_1, then x_2, ..., then x_n gives
+I : (x_1 ... x_n)^inf, which is the toric ideal (Sturmfels, Groebner Bases
+and Convex Polytopes, ch. 12, Lemma 12.1).  Each step is exact because
+ModelMatrix requires equal column sums, so every ideal here is homogeneous
+and the cheap variable divides a trailing term whenever it divides the
+leading one.  A final reduced basis is produced under the requested order.
+Every output binomial satisfies A u = A v exactly.
 """
 
 from dataclasses import dataclass
@@ -14,9 +19,8 @@ from dataclasses import dataclass
 from .linalg import integer_kernel_lattice
 from .models import ModelMatrix
 from .orders import TermOrder
-from .polynomials import Binomial, buchberger_binomials, monomial_div
-
-MAX_SATURATION_PASSES = 64
+from .polynomials import (Binomial, BinomialRewriter, buchberger_binomials,
+                          monomial_div)
 
 
 @dataclass(frozen=True)
@@ -62,15 +66,13 @@ def _strip_variable(b, i):
     return Binomial(monomial_div(b.u, e), monomial_div(b.v, e))
 
 
-def _sign_free_set(binomials):
-    return frozenset(b.sign_free() for b in binomials)
-
-
 def compute_toric_basis(A, order=None, seed=None, budget=None):
     """Reduced Groebner basis of the toric ideal of A under the given order.
 
     Seed binomials must satisfy the kernel condition (validated).  The
-    default order is grevlex; lex is useful for elimination work.
+    default order is grevlex; lex is useful for elimination work.  The
+    work is A.ncols + 1 Buchberger runs (one saturation step per column,
+    then the final basis); `budget` bounds the S-pairs of each run.
     """
     m = A.ncols
     if order is None:
@@ -86,16 +88,9 @@ def compute_toric_basis(A, order=None, seed=None, budget=None):
     if not gens:
         return ToricBasis(A, (), order)
 
-    for _ in range(MAX_SATURATION_PASSES):
-        before = _sign_free_set(gens)
-        for i in range(m):
-            cheap = TermOrder.cheapest(i, m)
-            basis = buchberger_binomials(gens, cheap, budget)
-            gens = [_strip_variable(b, i).strip_common() for b in basis]
-        if _sign_free_set(gens) == before:
-            break
-    else:
-        raise RuntimeError("saturation did not stabilize")
+    for i in range(m):
+        basis = buchberger_binomials(gens, TermOrder.cheapest(i, m), budget)
+        gens = [_strip_variable(b, i).strip_common() for b in basis]
 
     final = buchberger_binomials(gens, order, budget)
     return ToricBasis(A, tuple(b.canonical(order) for b in final), order)
@@ -124,9 +119,7 @@ def binomial_in_ideal(b, basis):
 
 
 def _rewriting_system(basis):
-    from .polynomials import _BinomialBasis
-
-    system = _BinomialBasis(basis.order)
+    system = BinomialRewriter(basis.order)
     for b in basis.binomials:
         system.add(b.u, b.v)
     return system.normal_form

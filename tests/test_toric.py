@@ -5,9 +5,10 @@ from itertools import combinations_with_replacement
 import pytest
 
 from toricgm.graphs import build_graph_matrix
-from toricgm.models import Distribution, ModelMatrix, monomial_map
+from toricgm.models import (Distribution, ModelMatrix, StateSpace,
+                            VariableSpec, build_loglinear_matrix, monomial_map)
 from toricgm.orders import TermOrder
-from toricgm.polynomials import Binomial, ideal_equal
+from toricgm.polynomials import Binomial, buchberger_binomials, ideal_equal
 from toricgm.toric import (binomial_in_ideal, binomial_in_kernel,
                            compute_toric_basis, evaluate_binomial,
                            is_quadratic_basis)
@@ -182,3 +183,54 @@ def test_saturation_completeness_loglinear():
             assert binomial_in_ideal(b, basis)
             checked += 1
     assert checked >= 2  # at least the two degree-2 basis elements themselves
+
+
+def _saturation_models():
+    models = {}
+    for seed in (2, 5, 8, 13):
+        rng = random.Random(seed)
+        models[f"random-{seed}"] = random_model(
+            rng, rng.randint(2, 4), rng.randint(3, 6))
+    models["four-cycle"] = four_cycle_matrix()
+    space = StateSpace([VariableSpec("X1", 2), VariableSpec("X2", 3),
+                        VariableSpec("X3", 3)])
+    models["no-three-way-2x3x3"] = build_loglinear_matrix(
+        space, [("X1", "X2"), ("X2", "X3"), ("X1", "X3")])
+    return models
+
+
+SATURATION_MODELS = _saturation_models()
+
+
+@pytest.mark.parametrize("name", sorted(SATURATION_MODELS))
+def test_one_saturation_pass_is_a_fixed_point(name):
+    # a second pass would change nothing: saturating the result by any
+    # single variable and re-reducing gives back the same basis
+    A = SATURATION_MODELS[name]
+    basis = compute_toric_basis(A)
+    m = A.ncols
+    assert len(basis) > 0
+    for i in range(m):
+        stripped = []
+        for b in buchberger_binomials(basis.binomials, TermOrder.cheapest(i, m)):
+            shift = min(b.u[i], b.v[i])
+            u = tuple(e - shift if j == i else e for j, e in enumerate(b.u))
+            v = tuple(e - shift if j == i else e for j, e in enumerate(b.v))
+            stripped.append(Binomial(u, v).strip_common())
+        again = buchberger_binomials(stripped, basis.order)
+        assert set(b.canonical(basis.order) for b in again) \
+            == set(basis.binomials), (name, i)
+
+
+@pytest.mark.parametrize("name", sorted(SATURATION_MODELS))
+def test_basis_costs_ncols_plus_one_buchberger_runs(name, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return buchberger_binomials(*args, **kwargs)
+
+    monkeypatch.setattr("toricgm.toric.buchberger_binomials", counting)
+    A = SATURATION_MODELS[name]
+    compute_toric_basis(A)
+    assert len(calls) == A.ncols + 1
