@@ -151,16 +151,21 @@ def in_variety_kernel_oracle(A, P):
         return False
     if not F:
         return True
-    sub = A.restrict(F)
-    for w in integer_kernel_lattice(sub.rows):
+    return _kernel_balances(A, P, F)
+
+
+def _kernel_balances(A, P, F):
+    """Every generator w of ker_Z(A_F) balances at P on the sorted support F:
+    the product of P_j ** w_j over w_j > 0 equals that of P_j ** -w_j over
+    w_j < 0."""
+    for w in integer_kernel_lattice(A.restrict(F).rows):
         lhs = Fraction(1)
         rhs = Fraction(1)
-        for pos, e in enumerate(w):
-            pj = P.values[F[pos]]
+        for j, e in zip(F, w):
             if e > 0:
-                lhs *= pj ** e
+                lhs *= P.values[j] ** e
             elif e < 0:
-                rhs *= pj ** (-e)
+                rhs *= P.values[j] ** (-e)
         if lhs != rhs:
             return False
     return True
@@ -200,17 +205,8 @@ def limit_sequence(A, P, epsilon):
     facial, cert = is_facial_lp(A, F)
     if not facial:
         raise ValueError("not in variety: support is not facial")
-    sub = A.restrict(F)
-    for w in integer_kernel_lattice(sub.rows):
-        lhs = Fraction(1)
-        rhs = Fraction(1)
-        for pos, e in enumerate(w):
-            if e > 0:
-                lhs *= P.values[F[pos]] ** e
-            elif e < 0:
-                rhs *= P.values[F[pos]] ** (-e)
-        if lhs != rhs:
-            raise ValueError("not in variety: kernel relation fails on support")
+    if not _kernel_balances(A, P, F):
+        raise ValueError("not in variety: kernel relation fails on support")
     rows_touched = sorted(covered_rows(A, F))
     design = [[A.rows[i][j] for i in rows_touched] for j in F]
     logs = [math.log(float(P.values[j])) for j in F]

@@ -4,7 +4,7 @@ parametrization map.
 States are enumerated in mixed-radix order with the last variable varying
 fastest, so binary states read 000, 001, 010, ... and match the usual
 probability-subscript convention.  Model matrices are validated on
-construction: nonnegative integer entries and equal column sums.
+construction: nonnegative integer entries and equal, positive column sums.
 """
 
 from dataclasses import dataclass
@@ -102,7 +102,9 @@ def validate_generators(space, generators):
 
 
 class ModelMatrix:
-    """Nonnegative integer matrix with labeled rows/columns, equal column sums."""
+    """Nonnegative integer matrix with labeled rows/columns and equal,
+    positive column sums (the column degree), so its toric ideal is
+    homogeneous."""
 
     __slots__ = ("rows", "row_labels", "col_labels", "provenance", "space",
                  "column_degree")
@@ -120,6 +122,8 @@ class ModelMatrix:
         sums = [sum(rows[i][j] for i in range(len(rows))) for j in range(ncols)]
         if len(set(sums)) > 1:
             raise ValueError("column sums differ")
+        if sums and sums[0] == 0:
+            raise ValueError("column degree 0: every column sums to 0")
         if row_labels is None:
             row_labels = tuple(f"r{i}" for i in range(len(rows)))
         if col_labels is None:

@@ -1,116 +1,128 @@
-"""Exact phase-1 simplex over the rationals, specialized to facial-set
-certificates.
+"""Exact phase-1 simplex on integers, specialized to facial-set certificates.
 
-A support F of a model matrix is facial when some vector c has c . a_i = 0
-for columns i in F and c . a_i >= 1 elsewhere.  Feasibility is decided by
-a textbook phase-1 simplex with rational pivoting and Bland's rule, which
-terminates and never rounds; the certificate must be exact because the
-limit-sequence construction exponentiates it.
+A support F of a model matrix is facial when some vector c has c . a_j = 0
+for the columns j in F and c . a_j >= 1 for every other column.  The
+equalities are solved once, not by the LP: c = N y, where the columns of N
+are an integer basis of {c : c . a_j = 0 for j in F} (the integer kernel
+lattice of the support columns).  What is left is one inequality per
+column off the support,
+
+    G y - s = 1,   s >= 0,   row j of G is a_j^T N,
+
+with y free (split as p - q).  The LP has |off F| rows and
+2 dim N + |off F| columns; a full support leaves no rows and c = 0.
+
+Feasibility is decided by a textbook phase-1 simplex with Bland's rule
+(smallest eligible index), which terminates.  The tableau stays integral
+through fraction-free pivoting (Edmonds 1967, Bareiss 1968): each entry is
+the true entry times the current basis determinant D, and a pivot on entry
+piv turns x into (piv x - f y) / D, an exact division because the result is
+an entry of the adjugate of the new basis times the starting matrix.  Every
+pivot is positive, so D stays positive: sign tests read the stored entries
+directly and ratio tests compare by cross-multiplication.  Nothing rounds;
+the certificate must be exact because the limit-sequence construction
+exponentiates it, and it is checked on the integer vector D c before it is
+returned.
 """
 
 from fractions import Fraction
 
+from .linalg import integer_kernel_lattice
+
+
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
 
 def _phase_one(rows, rhs):
-    """Solve rows . x = rhs, x >= 0; return a solution list or None.
+    """Solve rows . x = rhs, x >= 0 for integer rows and an integer rhs >= 0.
 
-    Tableau simplex minimizing the sum of one artificial variable per row;
-    Bland's rule (smallest eligible index) guarantees termination.
+    Returns (D, {column: numerator}): x_j is numerator / D on the basic
+    columns and 0 on every other column.  Returns None when infeasible.
+    Minimizes the sum of one artificial variable per row.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    # canonical tableau: [A | I | b] with artificial basis
+    width = ncols + nrows + 1
+    # integer tableau [A | I | b] with the artificial basis
     tab = []
     for i in range(nrows):
-        row = [Fraction(x) for x in rows[i]]
-        row += [Fraction(1) if j == i else Fraction(0) for j in range(nrows)]
-        row.append(Fraction(rhs[i]))
-        if row[-1] < 0:
-            row = [-x for x in row]
+        row = list(rows[i]) + [0] * nrows + [rhs[i]]
+        row[ncols + i] = 1
         tab.append(row)
-    width = ncols + nrows + 1
     basis = [ncols + i for i in range(nrows)]
-    # objective row: minimize sum of artificials; reduced costs
-    obj = [Fraction(0)] * width
-    for i in range(nrows):
-        for j in range(width):
-            obj[j] -= tab[i][j]
-    for i in range(nrows):
-        obj[ncols + i] += Fraction(1)
+    # reduced costs of the sum of artificials (zero on the artificials)
+    obj = [-sum(row[j] for row in tab) for j in range(width)]
+    obj[ncols:ncols + nrows] = [0] * nrows
+    den = 1
 
     while True:
-        entering = -1
-        for j in range(ncols + nrows):
-            if obj[j] < 0:
-                entering = j
-                break
+        entering = next((j for j in range(ncols + nrows) if obj[j] < 0), -1)
         if entering < 0:
             break
         leaving = -1
-        best = None
         for i in range(nrows):
             a = tab[i][entering]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
+            if a <= 0:
+                continue
+            if leaving < 0:
+                leaving = i
+                continue
+            # tab[i][-1] / a against the best ratio, cross-multiplied
+            lhs = tab[i][-1] * tab[leaving][entering]
+            rhs_best = tab[leaving][-1] * a
+            if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leaving]):
+                leaving = i
         if leaving < 0:
             return None  # unbounded phase-1 cannot happen, defensive
-        piv = tab[leaving][entering]
-        tab[leaving] = [x / piv for x in tab[leaving]]
+        prow = tab[leaving]
+        piv = prow[entering]
         for i in range(nrows):
-            if i != leaving and tab[i][entering] != 0:
+            if i != leaving:
                 f = tab[i][entering]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leaving])]
+                tab[i] = [(piv * x - f * y) // den for x, y in zip(tab[i], prow)]
         f = obj[entering]
-        if f != 0:
-            obj = [x - f * y for x, y in zip(obj, tab[leaving])]
+        obj = [(piv * x - f * y) // den for x, y in zip(obj, prow)]
+        den = piv
         basis[leaving] = entering
 
-    total = sum(tab[i][-1] for i in range(nrows) if basis[i] >= ncols)
-    if total != 0:
+    if any(tab[i][-1] for i in range(nrows) if basis[i] >= ncols):
         return None
-    solution = [Fraction(0)] * ncols
-    for i in range(nrows):
-        if basis[i] < ncols:
-            solution[basis[i]] = tab[i][-1]
-    return solution
+    return den, {basis[i]: tab[i][-1] for i in range(nrows) if basis[i] < ncols}
 
 
 def find_facial_certificate(A, F):
     """An exact certificate c for a facial support, or None.
 
-    Free coordinates are split c = p - q; off-support constraints get
-    surplus variables: A_F^T c = 0 and A_notF^T c - s = 1, everything
-    nonnegative except c itself.
+    Solves G y - s = 1, s >= 0 over c = N y (see the module docstring) and
+    checks the result against every column of A in integers.
     """
     F = set(F)
     d = A.nrows
-    m = A.ncols
-    off = [j for j in range(m) if j not in F]
-    nsurplus = len(off)
+    off = [A.column(j) for j in range(A.ncols) if j not in F]
+    if not off:
+        null = []  # no LP rows: c = 0 is the certificate
+    elif F:
+        null = integer_kernel_lattice([A.column(j) for j in sorted(F)])
+    else:
+        # no equalities; the kernel of an empty row set is all of Z^d
+        null = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    dim = len(null)
     rows = []
-    rhs = []
-    for j in range(m):
-        col = A.column(j)
-        row = [Fraction(x) for x in col] + [Fraction(-x) for x in col]
-        row += [Fraction(0)] * nsurplus
-        if j in F:
-            rhs.append(Fraction(0))
-        else:
-            row[2 * d + off.index(j)] = Fraction(-1)
-            rhs.append(Fraction(1))
+    for r, col in enumerate(off):
+        g = [_dot(col, n) for n in null]
+        row = g + [-x for x in g] + [0] * len(off)
+        row[2 * dim + r] = -1
         rows.append(row)
-    solution = _phase_one(rows, rhs)
+    solution = _phase_one(rows, [1] * len(off))
     if solution is None:
         return None
-    c = tuple(solution[i] - solution[d + i] for i in range(d))
-    for j in range(m):
-        dot = sum(ci * ai for ci, ai in zip(c, A.column(j)))
-        if j in F:
-            assert dot == 0, "certificate fails an on-support column"
-        else:
-            assert dot >= 1, "certificate fails an off-support column"
-    return c
+    den, basic = solution
+    y = [basic.get(k, 0) - basic.get(dim + k, 0) for k in range(dim)]
+    c = [_dot(y, [n[i] for n in null]) for i in range(d)]  # den * certificate
+    for j in range(A.ncols):
+        dot = _dot(c, A.column(j))
+        if (dot != 0) if j in F else (dot < den):
+            raise ArithmeticError(f"certificate fails column {j} for the "
+                                  f"support {sorted(F)}")
+    return tuple(Fraction(x, den) for x in c)

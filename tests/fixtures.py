@@ -3,12 +3,24 @@
 from itertools import product
 
 from toricgm.graphs import binary_graph, build_graph_matrix
+from toricgm.models import ModelMatrix
 from toricgm.polynomials import Binomial
 
 BIN3 = ["".join(map(str, s)) for s in product((0, 1), repeat=3)]
 BIN4 = ["".join(map(str, s)) for s in product((0, 1), repeat=4)]
 IDX4 = {s: i for i, s in enumerate(BIN4)}
 IDX3 = {s: i for i, s in enumerate(BIN3)}
+
+
+def random_model(rng, d, m):
+    """Random d x m nonnegative matrix adjusted to equal column sums (the
+    oracle-equivalence models of acceptance criterion 9)."""
+    rows = [[rng.randint(0, 3) for _ in range(m)] for _ in range(d)]
+    sums = [sum(rows[i][j] for i in range(d)) for j in range(m)]
+    target = max(sums) if max(sums) > 0 else 1
+    for j in range(m):
+        rows[rng.randrange(d)][j] += target - sums[j]
+    return ModelMatrix(rows)
 
 
 def three_chain():

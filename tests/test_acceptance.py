@@ -22,7 +22,7 @@ from toricgm.independence import (exponential_degree_witness, global_ideal,
 from toricgm.mle import (CountTable, assemble_mle_system, ips_fit,
                          rational_root_check, reduce_zero_cells,
                          solve_mle_exact)
-from toricgm.models import Distribution, ModelMatrix, monomial_map
+from toricgm.models import Distribution, monomial_map
 from toricgm.orders import TermOrder
 from toricgm.polynomials import ideal_equal
 from toricgm.toric import (binomial_in_kernel, compute_toric_basis,
@@ -32,7 +32,8 @@ from fixtures import (FOUR_CHAIN_PAIRWISE, FOUR_CYCLE_COUNTS,
                       FOUR_CYCLE_QUARTICS, FOUR_CYCLE_SIXTEEN, IDX4,
                       MOUSSOURIS_SUPPORT, OCTAHEDRON_U, OCTAHEDRON_V,
                       THREE_CHAIN_BINOMIALS, binomial4, four_chain,
-                      four_cycle, four_cycle_matrix, three_chain)
+                      four_cycle, four_cycle_matrix, random_model,
+                      three_chain)
 
 
 def report(num, elapsed, budget, detail=""):
@@ -242,15 +243,6 @@ def test_criterion_08_integer_span_fact():
     report(8, elapsed, 10, "all basis moves in the pairwise integer span")
 
 
-def _random_model(rng, d, m):
-    rows = [[rng.randint(0, 3) for _ in range(m)] for _ in range(d)]
-    sums = [sum(rows[i][j] for i in range(d)) for j in range(m)]
-    target = max(sums) if max(sums) > 0 else 1
-    for j in range(m):
-        rows[rng.randrange(d)][j] += target - sums[j]
-    return ModelMatrix(rows)
-
-
 def test_criterion_09_oracle_equivalence_suite():
     start = time.perf_counter()
     rng = random.Random(2026)
@@ -259,7 +251,7 @@ def test_criterion_09_oracle_equivalence_suite():
     while models < 200:
         d = rng.randint(1, 5)
         m = rng.randint(2, 8)
-        A = _random_model(rng, d, m)
+        A = random_model(rng, d, m)
         basis = compute_toric_basis(A)
         points = []
         t_pos = [Fraction(rng.randint(1, 9), rng.randint(1, 9))

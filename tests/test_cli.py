@@ -71,6 +71,21 @@ def test_model_rejects_unequal_column_sums(tmp_path, capsys):
     assert "column sums differ" in err
 
 
+def test_model_and_basis_reject_column_degree_zero(tmp_path, capsys):
+    bad = write_json(tmp_path / "zero.json", {
+        "rows": [{"label": "r0", "entries": [0, 0, 0]}],
+        "columns": ["0", "1", "2"],
+    })
+    code = main(["model", "--matrix", bad, "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    assert "column degree 0" in capsys.readouterr().err
+    code = main(["basis", "--model", bad, "--out", str(tmp_path / "b.json")])
+    assert code == 2
+    assert "column degree 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+    assert not (tmp_path / "b.json").exists()
+
+
 def test_basis_three_chain(tmp_path, capsys, three_chain_graph_file):
     model = str(tmp_path / "model.json")
     run(capsys, "model", "--graph", three_chain_graph_file, "--out", model)

@@ -4,16 +4,19 @@ from itertools import combinations
 
 import pytest
 
-from toricgm.factorization import (FACTORS, LIMIT_ONLY, OUTSIDE, classify,
+from toricgm.factorization import (FACTORS, LIMIT_ONLY, OUTSIDE,
+                                   FacialCertificate, classify,
                                    in_variety_kernel_oracle,
                                    in_variety_via_basis, is_A_feasible,
                                    is_facial_lp, is_facial_via_basis,
                                    limit_sequence)
-from toricgm.models import Distribution, monomial_map
+from toricgm.linalg import integer_kernel_lattice
+from toricgm.models import Distribution, ModelMatrix, monomial_map
+from toricgm.simplex import _phase_one
 from toricgm.toric import compute_toric_basis
 
 from fixtures import (FOUR_CYCLE_QUARTICS, FOUR_CYCLE_SIXTEEN, IDX4,
-                      MOUSSOURIS_SUPPORT, four_cycle_matrix)
+                      MOUSSOURIS_SUPPORT, four_cycle_matrix, random_model)
 
 
 def moussouris_distribution():
@@ -135,6 +138,68 @@ def test_facial_routes_agree_exhaustively_small():
         for F in combinations(range(8), r):
             lp, _ = is_facial_lp(A, F)
             assert lp == is_facial_via_basis(basis, F)
+
+
+def test_facial_lp_agrees_with_basis_on_random_models():
+    rng = random.Random(909)
+    verdicts = []
+    for _ in range(30):
+        A = random_model(rng, rng.randint(1, 5), rng.randint(2, 6))
+        basis = compute_toric_basis(A)
+        for _ in range(8):
+            F = [j for j in range(A.ncols) if rng.random() < 0.6]
+            lp, _ = is_facial_lp(A, F)
+            assert lp == is_facial_via_basis(basis, F), (A.rows, F)
+            verdicts.append(lp)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_fractional_certificate_validated_exactly():
+    # c . a_j = 0 on column 2 forces c_3 = 0; then 2 c_1 >= 1, 2 c_2 >= 1
+    # and c_1 + c_2 >= 1 put the certificate at (1/2, 1/2, 0)
+    A = ModelMatrix([[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, 0]])
+    facial, cert = is_facial_lp(A, [2])
+    assert facial
+    assert cert.c == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
+    assert [sum(c * a for c, a in zip(cert.c, A.column(j)))
+            for j in range(4)] == [1, 1, 0, 1]
+    assert FacialCertificate.validated(A, [2], cert.c) == cert
+    assert is_facial_via_basis(compute_toric_basis(A), [2])
+
+
+@pytest.fixture
+def lp_shapes(monkeypatch):
+    """(rows, columns) of every phase-1 LP solved while the test runs."""
+    shapes = []
+
+    def probe(rows, rhs):
+        shapes.append((len(rows), len(rows[0]) if rows else None))
+        return _phase_one(rows, rhs)
+
+    monkeypatch.setattr("toricgm.simplex._phase_one", probe)
+    return shapes
+
+
+def test_full_support_certificate_solves_no_lp_rows(lp_shapes):
+    A = four_cycle_matrix()
+    facial, cert = is_facial_lp(A, range(16))
+    assert facial and cert.c == (0,) * A.nrows
+    assert lp_shapes == [(0, None)]
+
+
+@pytest.mark.parametrize("support", [
+    [IDX4[s] for s in MOUSSOURIS_SUPPORT],
+    [IDX4[s] for s in ("0100", "0111", "1001", "1010")],
+    [0],
+    [],
+])
+def test_lp_has_one_row_per_column_off_the_support(support, lp_shapes):
+    A = four_cycle_matrix()
+    is_facial_lp(A, support)
+    off = A.ncols - len(support)
+    dim = len(integer_kernel_lattice([A.column(j) for j in support])) \
+        if support else A.nrows
+    assert lp_shapes == [(off, 2 * dim + off)]
 
 
 def test_feasible_implies_facial_on_image_supports():

@@ -63,6 +63,14 @@ def test_column_sum_validation():
     ModelMatrix([[1, 0], [0, 1]])  # fine
 
 
+def test_column_degree_zero_rejected():
+    # equal column sums of 0 would give a non-homogeneous lattice ideal
+    with pytest.raises(ValueError, match="column degree 0"):
+        ModelMatrix([[0, 0, 0]])
+    with pytest.raises(ValueError, match="column degree 0"):
+        ModelMatrix([[0, 0], [0, 0]])
+
+
 def test_monomial_map_symbolic_products():
     # no-three-way interaction: image coordinates are the printed triple products
     space = binary_space(3)

@@ -5,8 +5,8 @@ from itertools import combinations_with_replacement
 import pytest
 
 from toricgm.graphs import build_graph_matrix
-from toricgm.models import (Distribution, ModelMatrix, StateSpace,
-                            VariableSpec, build_loglinear_matrix, monomial_map)
+from toricgm.models import (Distribution, StateSpace, VariableSpec,
+                            build_loglinear_matrix, monomial_map)
 from toricgm.orders import TermOrder
 from toricgm.polynomials import Binomial, buchberger_binomials, ideal_equal
 from toricgm.toric import (binomial_in_ideal, binomial_in_kernel,
@@ -15,18 +15,7 @@ from toricgm.toric import (binomial_in_ideal, binomial_in_kernel,
 
 from fixtures import (FOUR_CYCLE_SIXTEEN, IDX4, THREE_CHAIN_BINOMIALS,
                       binomial4, four_chain, four_cycle, four_cycle_matrix,
-                      three_chain)
-
-
-def random_model(rng, d, m):
-    """Random nonnegative matrix adjusted to equal column sums."""
-    rows = [[rng.randint(0, 3) for _ in range(m)] for _ in range(d)]
-    sums = [sum(rows[i][j] for i in range(d)) for j in range(m)]
-    target = max(sums) if max(sums) > 0 else 1
-    for j in range(m):
-        deficit = target - sums[j]
-        rows[rng.randrange(d)][j] += deficit
-    return ModelMatrix(rows)
+                      random_model, three_chain)
 
 
 def test_three_chain_exact_basis():
