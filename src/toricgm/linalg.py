@@ -16,11 +16,14 @@ def rat_kernel_basis(rows):
     Gaussian elimination with the first nonzero entry in a row-major scan
     as pivot.  Each free column contributes one basis vector (with a 1 in
     the free coordinate), so the output is deterministic and its span is
-    the full kernel.  Returns [] for a trivial kernel.
+    the full kernel.  Returns [] for a trivial kernel.  Raises ValueError
+    for an empty row set, whose column count is unknown.
     """
+    if not rows:
+        raise ValueError("no rows: the column count is unknown")
     mat = [[Fraction(x) for x in row] for row in rows]
     nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
+    ncols = len(mat[0])
     pivot_cols = []
     r = 0
     for c in range(ncols):
@@ -79,10 +82,13 @@ def integer_kernel_lattice(rows):
     basis.  Unlike clearing denominators of a rational basis, this yields
     the saturated lattice (every integer vector of the rational kernel is
     an integer combination of the output rows).  Rows are content-reduced,
-    sign-normalized and sorted.
+    sign-normalized and sorted.  Raises ValueError for an empty row set,
+    whose column count is unknown.
     """
+    if not rows:
+        raise ValueError("no rows: the column count is unknown")
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    ncols = len(rows[0])
     if ncols == 0:
         return []
     # Work on B = M^T (ncols x nrows); U tracks row ops, starts as identity.

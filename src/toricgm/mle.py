@@ -5,9 +5,19 @@ cycling through the sufficient-statistic rows.  Exact route: the cell
 parametrization of the MLE as a polynomial system (toric binomials of the
 reduced matrix plus all marginal-matching linear equations), eliminated by
 a lexicographic Groebner basis whose triangular form ends in a univariate
-polynomial; its positive real roots are isolated by exact Sturm-sequence
-bisection, and back-substitution produces the cell profile.  Rational MLEs
-(linear univariate part) are reported exactly.
+polynomial psi; back-substitution from its positive root produces the cell
+profile.  Rational MLEs (linear univariate part) are reported exactly.
+
+The root layer works in integers.  psi is scaled once to a content-free
+integer polynomial p, reduced to its squarefree part q = p / gcd(p, p').
+Its positive roots are isolated by bisecting (0, Cauchy bound] with Sturm
+counts (a chain built with positive scalings only) and refined by the sign
+of q alone.  Every sign read is the sign of the integer d^deg q(a / d),
+computed by homogeneous Horner, so no comparison rests on rounding: the
+intervals are exact.  Rational roots need no search over divisors: a root
+a / d in lowest terms of the integer q has d dividing lc(q), so once an
+interval is narrower than 1 / lc(q) it holds at most one candidate, and
+that one is tested exactly.
 """
 
 import math
@@ -422,255 +432,198 @@ def _back_substitute(triangular, psi_var, root_value, nvars):
 
 
 # --- exact univariate real-root machinery ----------------------------------
+#
+# Polynomials here are lists of Python ints in ascending degree.  A point
+# of the line is a pair (a, d) with d > 0 standing for a / d, and an
+# interval (a, b, d) is the half-open (a / d, b / d].
+
+# Width to which isolate_positive_roots refines its intervals.
+ISOLATION_WIDTH = Fraction(1, 10 ** 12)
 
 
-def _uni_trim(p):
+def _primitive(p):
+    """p divided by its (positive) content; trailing zeros dropped."""
     while p and p[-1] == 0:
         p.pop()
-    return p
+    g = math.gcd(*p)
+    return [c // g for c in p]
 
 
-def _uni_eval(p, x):
-    out = 0
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _value(p, a, d):
+    """d ** deg(p) * p(a / d): an integer with the sign of p at a / d."""
+    v, dk = 0, 1
     for c in reversed(p):
-        out = out * x + c
+        v = v * a + c * dk
+        dk *= d
+    return v
+
+
+def _neg_rem(a, b):
+    """A positive multiple of -rem(a, b), content-free.
+
+    Each elimination step scales the dividend by |lc(b)| / g > 0, so the
+    remainder keeps its sign at every point: what a Sturm chain needs.
+    """
+    a = list(a)
+    lb = b[-1]
+    while len(a) >= len(b):
+        g = math.gcd(lb, a[-1])
+        m, f = abs(lb) // g, a[-1] // g if lb > 0 else -a[-1] // g
+        shift = len(a) - len(b)
+        a = [x * m for x in a]
+        for i, c in enumerate(b):
+            a[i + shift] -= f * c
+        a.pop()
+    return _primitive([-x for x in a])
+
+
+def _exact_quotient(p, g):
+    """p / g for an integer g dividing p; integral by Gauss's lemma."""
+    p = list(p)
+    q = [0] * (len(p) - len(g) + 1)
+    for k in reversed(range(len(q))):
+        q[k], r = divmod(p[k + len(g) - 1], g[-1])
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        for i, c in enumerate(g):
+            p[k + i] -= q[k] * c
+    if any(p):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _squarefree_part(coeffs):
+    """Content-free squarefree integer polynomial q with the nonzero roots
+    of coeffs and q(0) != 0.
+
+    q is p / gcd(p, p') for p, a positive rational multiple of coeffs with
+    integer coefficients, after its factors of x are divided out.
+    """
+    p = [Fraction(c) for c in coeffs]
+    while p and p[-1] == 0:
+        p.pop()
+    if not p:
+        raise ValueError("zero polynomial")
+    den = math.lcm(*(c.denominator for c in p))
+    p = _primitive([c.numerator * (den // c.denominator) for c in p])
+    p = p[next(i for i, c in enumerate(p) if c):]
+    a, b = p, _primitive(_derivative(p))
+    while b:
+        a, b = b, _neg_rem(a, b)
+    return p if len(a) == 1 else _exact_quotient(p, a)
+
+
+def _sturm_chain(q):
+    chain = [q, _primitive(_derivative(q))]
+    while len(chain[-1]) > 1:
+        chain.append(_neg_rem(chain[-2], chain[-1]))
+    return chain
+
+
+def _variations(chain, a, d):
+    """Sign changes along the chain at a / d, zeros dropped."""
+    signs = [v > 0 for v in (_value(p, a, d) for p in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _isolate(q):
+    """One interval per positive root of a squarefree q with q(0) != 0.
+
+    Bisects (0, B], B the Cauchy bound, by Sturm counts: V(x) - V(y) is
+    the number of roots in (x, y], also when y is itself a root, so a
+    midpoint root stays the right end of its left half.  The counts at
+    both ends ride on the stack, so a split costs one chain evaluation.
+    """
+    chain = _sturm_chain(q)
+    bound = 1 + math.ceil(Fraction(max(map(abs, q[:-1])), abs(q[-1])))
+    stack = [(0, bound, 1, _variations(chain, 0, 1),
+              _variations(chain, bound, 1))]
+    out = []
+    while stack:
+        a, b, d, va, vb = stack.pop()
+        if va - vb == 1:
+            out.append((a, b, d))
+        elif va - vb > 1:
+            m = a + b
+            vm = _variations(chain, m, 2 * d)
+            stack.append((2 * a, m, 2 * d, va, vm))
+            stack.append((m, 2 * b, 2 * d, vm, vb))
     return out
 
 
-def _uni_derivative(p):
-    return [c * i for i, c in enumerate(p)][1:]
+def _refine(q, a, b, d, width):
+    """Shrink an interval holding one simple root of q to at most width.
 
-
-def _uni_deflate(p, root):
-    """Exact synthetic division of p by (x - root)."""
-    out = []
-    carry = Fraction(0)
-    for c in reversed(p):
-        carry = c + carry * root
-        out.append(carry)
-    out.reverse()
-    if out[0] != 0:
-        raise ValueError("not a root, cannot deflate")
-    return out[1:]
-
-
-def _uni_rem(a, b):
-    a = list(a)
-    while len(a) >= len(b) and _uni_trim(a):
-        if not a:
-            break
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        a.pop()
-        _uni_trim(a)
-    return a
-
-
-def _positive_normalize(p):
-    """Scale by a positive rational: integer coefficients, content one."""
-    if not p:
-        return p
-    denom = 1
-    for c in p:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    return [Fraction(c, g) for c in ints] if g > 1 else \
-        [Fraction(c) for c in ints]
-
-
-def sturm_chain(p):
-    chain = [_positive_normalize(list(p))]
-    chain.append(_positive_normalize(_uni_derivative(chain[0])))
-    while _uni_trim(chain[-1]):
-        nxt = [-c for c in _uni_rem(chain[-2], chain[-1])]
-        if not _uni_trim(nxt):
-            break
-        chain.append(_positive_normalize(nxt))
-    return [c for c in chain if c]
-
-
-def _sign_changes(chain, x):
-    signs = []
-    for p in chain:
-        v = _uni_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots(chain, lo, hi):
-    """Distinct real roots in the half-open interval (lo, hi]."""
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
-
-
-def isolate_positive_roots(coeffs, width=Fraction(1, 10 ** 12)):
-    """Disjoint rational intervals, one per distinct positive real root.
-
-    Intervals are refined to the requested width (pass None to skip
-    refinement); a degenerate (r, r) interval marks an exact rational hit.
+    Only the sign of q is read: the root lies on the side where q changes
+    sign.  A root found exactly at a / d returns the interval (r, r),
+    that is, a == b.
     """
-    p = _uni_trim([Fraction(c) for c in coeffs])
-    if not p:
-        raise ValueError("zero polynomial")
-    shift = 0
-    while p and p[0] == 0:
-        p.pop(0)
-        shift += 1
+    vb = _value(q, b, d)
+    if vb == 0:
+        return b, b, d
+    while (b - a) * width.denominator > width.numerator * d:
+        m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        vm = _value(q, m, d)
+        if vm == 0:
+            return m, m, d
+        if (vm > 0) == (vb > 0):
+            b = m
+        else:
+            a = m
+    return a, b, d
+
+
+def isolate_positive_roots(coeffs):
+    """Disjoint rational intervals (lo, hi], one per distinct positive root.
+
+    coeffs are rational, in ascending degree.  Every sign is that of an
+    integer, d ** deg * q(a / d) for the squarefree integer part q, so the
+    Sturm counts that isolate the roots and the sign bisection that
+    refines each interval to ISOLATION_WIDTH are exact.  A degenerate
+    (r, r) interval marks a root hit exactly.
+    """
+    q = _squarefree_part(coeffs)
+    if len(q) < 2:
+        return []
     out = []
-    if not p:
-        return out
-    chain = sturm_chain(p)
-    bound = 1 + max(abs(c) for c in p[:-1]) / abs(p[-1]) if len(p) > 1 \
-        else Fraction(1)
-    stack = [(Fraction(0), Fraction(bound))]
-    intervals = []
-    while stack:
-        lo, hi = stack.pop()
-        k = count_roots(chain, lo, hi)
-        if k == 0:
-            continue
-        if k == 1:
-            intervals.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if _uni_eval(p, mid) == 0:
-            # exact rational hit: record it, deflate, start over
-            quotient = p
-            while _uni_eval(quotient, mid) == 0 and len(quotient) > 1:
-                quotient = _uni_deflate(quotient, mid)
-            rest = isolate_positive_roots(quotient, width)
-            return sorted(rest + [(mid, mid)])
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-    refined = []
-    for lo, hi in intervals:
-        if width is not None:
-            while hi - lo > width:
-                mid = (lo + hi) / 2
-                if count_roots(chain, lo, mid) == 1:
-                    hi = mid
-                else:
-                    lo = mid
-        refined.append((lo, hi))
-    refined.sort()
-    return refined
-
-
-_TRIAL_DIVISION_LIMIT = 10 ** 12
+    for a, b, d in _isolate(q):
+        a, b, d = _refine(q, a, b, d, ISOLATION_WIDTH)
+        out.append((Fraction(a, d), Fraction(b, d)))
+    return sorted(out)
 
 
 def rational_root_check(psi):
-    """All rational roots of a rational-coefficient univariate polynomial.
+    """All rational roots of a rational-coefficient univariate, sorted.
 
-    Candidates come from the rational root theorem (divisors of the
-    trailing and leading integer coefficients) when those are small enough
-    to factor by trial division; otherwise each isolated real root is
-    tested against the simplest rational in its interval, shrinking the
-    interval until a denominator bound rules rationals out.  Either way
-    every reported root is verified by exact evaluation.
+    Let q be the squarefree integer part of psi.  If a / d in lowest terms
+    is a root of q, then d divides lc(q) (rational root theorem), so every
+    rational root is a multiple of 1 / lc(q).  The roots of q(x) and of
+    q(-x) are isolated and each interval is narrowed by sign bisection
+    below 1 / lc(q); it then holds at most one such multiple, and that
+    multiple is tested exactly.  Zero is handled up front.  Every reported
+    root is verified by exact evaluation of psi itself.
     """
-    p = _uni_trim([Fraction(c) for c in psi])
-    if not p:
-        raise ValueError("zero polynomial")
-    roots = []
-    shift = 0
-    while p and p[0] == 0:
-        p.pop(0)
-        shift += 1
-    if shift:
-        roots.append(Fraction(0))
-    if len(p) <= 1:
-        return sorted(roots)
-    denom_lcm = 1
-    for c in p:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm,
-                                                          c.denominator)
-    ints = [int(c * denom_lcm) for c in p]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    if a0 <= _TRIAL_DIVISION_LIMIT and an <= _TRIAL_DIVISION_LIMIT:
-        for num in _divisors(a0):
-            for den in _divisors(an):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if _uni_eval(p, cand) == 0 and cand not in roots:
-                        roots.append(cand)
-        return sorted(roots)
-    roots.extend(_rational_roots_by_isolation(p, an))
-    return sorted(set(roots))
-
-
-def _rational_roots_by_isolation(p, denominator_bound):
-    """Rational roots via real-root isolation and simplest-rational probes."""
-    out = []
+    q = _squarefree_part(psi)
+    roots = [Fraction(0)] if psi[0] == 0 else []
+    if len(q) < 2:
+        return roots
+    lc = abs(q[-1])
+    width = Fraction(1, 2 * lc)
     for sign in (1, -1):
-        q = p if sign == 1 else [c * (-1) ** i for i, c in enumerate(p)]
-        for lo, hi in isolate_positive_roots(q, width=None):
-            if lo == hi:
-                out.append(sign * lo)
-                continue
-            root = _rational_in_interval(q, lo, hi, denominator_bound)
-            if root is not None:
-                out.append(sign * root)
-    return out
-
-
-def _rational_in_interval(p, lo, hi, qmax):
-    """The rational root inside an isolating interval, if one exists.
-
-    Shrinks the interval until two distinct rationals with denominator at
-    most qmax cannot both fit; at each stage the simplest rational in the
-    interval (Stern-Brocot) is tested exactly.
-    """
-    chain = sturm_chain(p)
-    floor = Fraction(1, 2 * qmax * qmax)
-    while True:
-        for endpoint in (lo, hi):
-            if _uni_eval(p, endpoint) == 0:
-                return endpoint
-        cand = _simplest_rational(lo, hi)
-        if _uni_eval(p, cand) == 0:
-            return cand
-        if hi - lo < floor:
-            return None
-        mid = (lo + hi) / 2
-        if _uni_eval(p, mid) == 0:
-            return mid
-        if count_roots(chain, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-
-
-def _simplest_rational(lo, hi):
-    """A smallest-denominator rational strictly inside (lo, hi), 0 <= lo."""
-    if not 0 <= lo < hi:
-        raise ValueError("need 0 <= lo < hi")
-    a = lo.numerator // lo.denominator
-    if lo == a:
-        if a + 1 < hi:
-            return Fraction(a + 1)
-        # interval sits inside (a, a+1): pick a + 1/n for the least valid n
-        gap = hi - a
-        n = (Fraction(1) / gap).numerator // (Fraction(1) / gap).denominator + 1
-        return a + Fraction(1, n)
-    if a + 1 < hi:
-        return Fraction(a + 1)
-    return a + 1 / _simplest_rational(
-        Fraction(1) / (hi - a), Fraction(1) / (lo - a))
-
-
-def _divisors(n):
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+        qs = [c * sign ** i for i, c in enumerate(q)]
+        for a, b, d in _isolate(qs):
+            a, b, d = _refine(qs, a, b, d, width)
+            if a != b:
+                k = b * lc // d  # the largest multiple of 1 / lc up to b / d
+                if k * d <= a * lc or _value(qs, k, lc) != 0:
+                    continue
+                b, d = k, lc
+            roots.append(Fraction(sign * b, d))
+    for r in roots:
+        if sum(Fraction(c) * r ** i for i, c in enumerate(psi)) != 0:
+            raise ArithmeticError(f"rational root {r} does not annihilate psi")
+    return sorted(roots)

@@ -59,9 +59,6 @@ class TermOrder:
         deg = sum(m)
         return (deg - m[self.cheap_index], deg, *(-m[p] for p in self._rev))
 
-    def max(self, monomials):
-        return max(monomials, key=self.key)
-
     def name(self):
         if self.kind == "cheapest":
             return f"cheapest({self.cheap_index})"

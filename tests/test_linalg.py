@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from toricgm.linalg import (integer_kernel_lattice, integer_span_member,
                             mat_vec, rat_kernel_basis)
 
@@ -18,6 +20,17 @@ def test_one_one_matrix():
 
 def test_scaled_row_integer_kernel():
     assert integer_kernel_lattice([[2, -2]]) == [(1, 1)]
+
+
+def test_rat_kernel_rejects_empty_row_set():
+    # with no rows the column count, hence the kernel, is unknown
+    with pytest.raises(ValueError):
+        rat_kernel_basis([])
+
+
+def test_integer_kernel_rejects_empty_row_set():
+    with pytest.raises(ValueError):
+        integer_kernel_lattice([])
 
 
 def test_identity_integer_kernel():

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from toricgm.graphs import build_graph_matrix
-from toricgm.mle import (CountTable, assemble_mle_system, ips_fit,
-                         isolate_positive_roots, rational_root_check,
+from toricgm.mle import (ISOLATION_WIDTH, CountTable, assemble_mle_system,
+                         ips_fit, isolate_positive_roots, rational_root_check,
                          reduce_zero_cells, solve_mle_exact, sufficient_stats)
 from toricgm.models import monomial_map
 from toricgm.orders import TermOrder
@@ -342,3 +342,93 @@ def test_isolate_positive_roots():
     assert len(roots) == 2
     vals = sorted(float(lo + hi) / 2 for lo, hi in roots)
     assert abs(vals[0] - 1) < 1e-9 and abs(vals[1] - 2) < 1e-9
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _planted_polynomial(rng):
+    """A rational multiple of a product of planted rational roots (some
+    repeated, some negative, sometimes 0, some near 1e9) and irreducible
+    quadratics x^2 + b x + c with b^2 < 4c; returns (coefficients, the
+    distinct planted roots, sorted)."""
+    roots = []
+    for _ in range(rng.randint(1, 4)):
+        num = rng.choice((rng.randint(1, 20), rng.randint(10 ** 6, 10 ** 9)))
+        r = Fraction(rng.choice((1, -1)) * num, rng.randint(1, 12))
+        roots += [r] * rng.choice((1, 1, 2, 3))
+    if rng.random() < 0.3:
+        roots.append(Fraction(0))
+    coeffs = [Fraction(rng.randint(1, 9), rng.randint(1, 9))]
+    for r in roots:
+        coeffs = _poly_mul(coeffs, [-r, 1])
+    for _ in range(rng.randint(0, 2)):
+        b = rng.randint(-20, 20)
+        coeffs = _poly_mul(coeffs, [b * b // 4 + rng.randint(1, 30), b, 1])
+    return coeffs, sorted(set(roots))
+
+
+def test_root_layer_finds_planted_roots():
+    rng = random.Random(2024)
+    large = 0
+    for _ in range(200):
+        coeffs, roots = _planted_polynomial(rng)
+        large += max(abs(c) for c in coeffs) > 10 ** 12
+        assert rational_root_check(coeffs) == roots
+        positive = [r for r in roots if r > 0]
+        intervals = isolate_positive_roots(coeffs)
+        assert len(intervals) == len(positive)
+        for (lo, hi), r in zip(intervals, positive):
+            assert lo < r <= hi or lo == r == hi
+            assert hi - lo <= ISOLATION_WIDTH
+    assert large >= 50
+
+
+def test_root_at_first_bisection_midpoint():
+    # 2x^2 - 5x + 2 = (2x - 1)(x - 2): the Cauchy bound is 1 + ceil(5/2) = 4,
+    # so bisecting (0, 4] hits the root 2 exactly, then the root 1/2 while
+    # refining (0, 1]; both come back as degenerate intervals
+    p = [2, -5, 2]
+    assert isolate_positive_roots(p) == [(Fraction(1, 2), Fraction(1, 2)),
+                                         (Fraction(2), Fraction(2))]
+    assert rational_root_check(p) == [Fraction(1, 2), Fraction(2)]
+
+
+def test_sturm_chain_with_degree_gap():
+    # -x^4 + 7x - 3: its Sturm chain has degrees 4, 3, 1, 0, and dividing
+    # the cubic by the linear element (leading coefficient -7) takes three
+    # elimination steps, so a signed scaling would flip that remainder and
+    # the counts; two positive roots, near 0.43 and 1.74
+    p = [-3, 7, 0, 0, -1]
+    intervals = isolate_positive_roots(p)
+    assert len(intervals) == 2
+    for lo, hi in intervals:
+        at_lo = sum(c * lo ** k for k, c in enumerate(p))
+        at_hi = sum(c * hi ** k for k, c in enumerate(p))
+        assert at_lo * at_hi < 0
+    assert rational_root_check(p) == []
+
+
+def test_rational_root_next_to_an_irrational_one():
+    # (x - 1)(7x^2 - 77x + 71): the irrational root near 1.0157 lies within
+    # 1/lc = 1/7 of the rational root 1, which must be reported once
+    p = _poly_mul([-1, 1], [71, -77, 7])
+    assert rational_root_check(p) == [Fraction(1)]
+    assert len(isolate_positive_roots(p)) == 3
+
+
+def test_heavy_table_root_layer():
+    # counts 1-9 with one zeroed margin: the univariate's constant and
+    # leading coefficients have many divisors
+    counts = CountTable([5, 9, 0, 2, 4, 6, 0, 9, 2, 1, 0, 8, 9, 7, 0, 8])
+    A = four_cycle_matrix()
+    res = solve_mle_exact(assemble_mle_system(A, counts))
+    fit = ips_fit(A, counts, tol=1e-10)
+    active, _ = reduce_zero_cells(A, counts)
+    assert abs(float(res.root) - fit.values[active[res.psi_variable]]) <= 1e-6
+    assert rational_root_check(res.psi) == []
