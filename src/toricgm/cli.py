@@ -105,7 +105,9 @@ def cmd_basis(args):
     write_basis(basis, A.indeterminate_names(), args.out)
     _report("basis", [args.model or args.graph], {
         "size": len(basis), "max_degree": basis.max_degree(),
-        "order": args.order, "out": args.out}, started)
+        "order": args.order,
+        "saturated": [A.col_labels[i] for i in basis.saturated],
+        "out": args.out}, started)
     return EXIT_OK
 
 

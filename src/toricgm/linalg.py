@@ -7,7 +7,6 @@ are Python ints or Fractions, which gives arbitrary precision for free.
 """
 
 from fractions import Fraction
-from math import gcd
 
 
 def rat_kernel_basis(rows):
@@ -58,13 +57,6 @@ def rat_kernel_basis(rows):
     return basis
 
 
-def _content(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    return g
-
-
 def _sign_normalize(vec):
     for x in vec:
         if x > 0:
@@ -81,9 +73,9 @@ def integer_kernel_lattice(rows):
     transform rows matching zero rows of the echelon form are a lattice
     basis.  Unlike clearing denominators of a rational basis, this yields
     the saturated lattice (every integer vector of the rational kernel is
-    an integer combination of the output rows).  Rows are content-reduced,
-    sign-normalized and sorted.  Raises ValueError for an empty row set,
-    whose column count is unknown.
+    an integer combination of the output rows).  Rows of a unimodular
+    transform already have content 1; they are sign-normalized and sorted.
+    Raises ValueError for an empty row set, whose column count is unknown.
     """
     if not rows:
         raise ValueError("no rows: the column count is unknown")
@@ -123,11 +115,7 @@ def integer_kernel_lattice(rows):
     kernel = []
     for i in range(ncols):
         if all(x == 0 for x in b[i]):
-            vec = u[i]
-            g = _content(vec)
-            if g > 1:
-                vec = [x // g for x in vec]
-            kernel.append(_sign_normalize(vec))
+            kernel.append(_sign_normalize(u[i]))
     kernel.sort()
     return kernel
 

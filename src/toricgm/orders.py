@@ -1,13 +1,14 @@
 """Term orders on exponent-vector monomials.
 
 Three kinds: lexicographic, graded reverse lexicographic, and "cheapest"
-orders that give one variable weight zero (grevlex tiebreak).  Each step
-of the single lattice-ideal saturation pass runs under the cheapest order
-of its variable.  Model matrices have equal column sums, so every binomial
-there is homogeneous, and then if the cheap variable divides the leading
-monomial it divides the trailing one too.  That is what dividing out the
-variable needs: the stripped reduced basis generates I : x_i^inf (Sturmfels,
-Groebner Bases and Convex Polytopes, Lemma 12.1).
+orders that give one variable weight zero (grevlex tiebreak).  Each step of
+the lattice-ideal saturation in `toric`, one per planned variable, runs
+under the cheapest order of its variable.  Model matrices have equal column
+sums, so every binomial there is homogeneous, and then if the cheap
+variable divides the leading monomial it divides the trailing one too.
+That is what dividing out the variable needs: the stripped reduced basis
+generates I : x_i^inf (Sturmfels, Groebner Bases and Convex Polytopes,
+Lemma 12.1).
 
 Orders are exposed through sort keys: key(u) < key(v) iff x^u < x^v.
 All three are total, multiplicative and well-orders on nonnegative

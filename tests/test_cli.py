@@ -107,7 +107,21 @@ def test_basis_saturated_model_empty(tmp_path, capsys):
     code, report = run(capsys, "basis", "--graph", graph, "--out", out)
     assert code == 0
     assert report["results"]["size"] == 0
+    assert report["results"]["saturated"] == []
     assert json.loads(open(out).read())["binomials"] == []
+
+
+def test_basis_reports_saturated_columns(tmp_path, capsys,
+                                         four_cycle_graph_file):
+    model = str(tmp_path / "model.json")
+    run(capsys, "model", "--graph", four_cycle_graph_file, "--out", model)
+    for source in (("--graph", four_cycle_graph_file), ("--model", model)):
+        code, report = run(capsys, "basis", *source,
+                           "--out", str(tmp_path / "b.json"))
+        assert code == 0
+        assert report["results"]["size"] == 28
+        assert report["results"]["saturated"] == [
+            "0011", "0110", "1001", "1100", "1111"]
 
 
 def test_basis_budget_exit_code(tmp_path, capsys, four_cycle_graph_file):

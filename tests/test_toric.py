@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from toricgm.graphs import build_graph_matrix
+from toricgm.linalg import integer_kernel_lattice
 from toricgm.models import (Distribution, StateSpace, VariableSpec,
                             build_loglinear_matrix, monomial_map)
 from toricgm.orders import TermOrder
@@ -211,8 +212,13 @@ def test_one_saturation_pass_is_a_fixed_point(name):
             == set(basis.binomials), (name, i)
 
 
+# Buchberger runs per basis: one per saturated column, then the final one.
+EXPECTED_RUNS = {"four-cycle": 6, "no-three-way-2x3x3": 10, "random-13": 2,
+                 "random-2": 2, "random-5": 3, "random-8": 3}
+
+
 @pytest.mark.parametrize("name", sorted(SATURATION_MODELS))
-def test_basis_costs_ncols_plus_one_buchberger_runs(name, monkeypatch):
+def test_basis_costs_one_run_per_saturated_column_plus_one(name, monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
@@ -221,5 +227,93 @@ def test_basis_costs_ncols_plus_one_buchberger_runs(name, monkeypatch):
 
     monkeypatch.setattr("toricgm.toric.buchberger_binomials", counting)
     A = SATURATION_MODELS[name]
-    compute_toric_basis(A)
-    assert len(calls) == A.ncols + 1
+    basis = compute_toric_basis(A)
+    assert len(calls) == len(basis.saturated) + 1 == EXPECTED_RUNS[name]
+    assert len(calls) < A.ncols + 1
+
+
+def _lattice_binomials(A):
+    return [Binomial(tuple(max(x, 0) for x in w), tuple(max(-x, 0) for x in w))
+            for w in integer_kernel_lattice(A.rows)]
+
+
+def _divide_out(b, i):
+    shift = min(b.u[i], b.v[i])
+    u = tuple(e - shift if j == i else e for j, e in enumerate(b.u))
+    v = tuple(e - shift if j == i else e for j, e in enumerate(b.v))
+    return Binomial(u, v).strip_common()
+
+
+def saturate_by_every_column(A, order=None, seed=None):
+    """Reference: saturate the lattice ideal by every column in turn."""
+    m = A.ncols
+    order = order or TermOrder.grevlex(m)
+    gens = [b.strip_common() for b in _lattice_binomials(A) + list(seed or ())]
+    if not gens:
+        return ()
+    for i in range(m):
+        gens = [_divide_out(b, i)
+                for b in buchberger_binomials(gens, TermOrder.cheapest(i, m))]
+    return tuple(b.canonical(order) for b in buchberger_binomials(gens, order))
+
+
+def _agreement_models(count):
+    # criterion-9 models, rows 1-5, columns 2-7; every fourth under lex,
+    # every third seeded with two non-primitive kernel binomials
+    rng = random.Random("toric-agreement")
+    for k in range(count):
+        A = random_model(rng, rng.randint(1, 5), rng.randint(2, 7))
+        order = TermOrder.lex(A.ncols) if k % 4 == 3 else None
+        lattice = _lattice_binomials(A)
+        seed = None
+        if k % 3 == 0 and lattice:
+            b, c = lattice[0], lattice[-1]
+            w = [bu - bv + cu - cv for bu, bv, cu, cv in zip(b.u, b.v, c.u, c.v)]
+            seed = [Binomial(tuple(2 * e for e in b.u), tuple(2 * e for e in b.v)),
+                    Binomial(tuple(max(x, 0) + 1 for x in w),
+                             tuple(max(-x, 0) + 1 for x in w))]
+        yield A, order, seed
+
+
+def test_planned_saturation_agrees_with_every_column():
+    for A, order, seed in _agreement_models(160):
+        basis = compute_toric_basis(A, order=order, seed=seed)
+        assert basis.binomials == saturate_by_every_column(A, order, seed), A.rows
+
+
+def test_planned_saturation_agrees_on_seeded_four_cycle():
+    from toricgm.independence import pairwise_ideal
+    g = four_cycle()
+    A = build_graph_matrix(g)
+    seed = pairwise_ideal(g)
+    assert compute_toric_basis(A, seed=seed).binomials \
+        == saturate_by_every_column(A, seed=seed)
+
+
+def _units_reached(lattice, units):
+    # x^u = x^v: if every variable of one side is a unit, the monomial on
+    # the other side is a unit, and so is each of its variables
+    units = set(units)
+    changed = True
+    while changed:
+        changed = False
+        for b in lattice:
+            sides = ({i for i, e in enumerate(b.u) if e},
+                     {i for i, e in enumerate(b.v) if e})
+            for one, other in (sides, sides[::-1]):
+                if one <= units and not other <= units:
+                    units |= other
+                    changed = True
+    return units
+
+
+def test_saturated_columns_make_every_lattice_variable_a_unit():
+    models = list(SATURATION_MODELS.values())
+    models += [A for A, _, _ in _agreement_models(60)]
+    for A in models:
+        basis = compute_toric_basis(A)
+        lattice = _lattice_binomials(A)
+        support = {i for b in lattice for i in range(A.ncols) if b.u[i] or b.v[i]}
+        assert list(basis.saturated) == sorted(set(basis.saturated))
+        assert set(basis.saturated) <= support
+        assert _units_reached(lattice, basis.saturated) == support, A.rows
