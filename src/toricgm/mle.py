@@ -27,7 +27,7 @@ from fractions import Fraction
 from .models import Distribution
 from .orders import TermOrder
 from .polynomials import (Binomial, NotTriangular, Polynomial, buchberger,
-                          eliminate_to_triangular, reduce_groebner_basis)
+                          eliminate_to_triangular)
 from .polynomials import reduce as poly_reduce
 from .toric import compute_toric_basis
 
@@ -198,10 +198,11 @@ def solve_mle_exact(sys, budget=None):
     linear equations are echelonized first and substituted into the
     binomials; the zero-dimensional core is eliminated by a grevlex
     Groebner basis followed by FGLM order conversion (exact linear algebra
-    on the finite quotient), and the union with the echelon linear part is
-    auto-reduced: the product criterion makes it the reduced lex basis of
-    the whole system.  Raises NotTriangular when the ideal fails to be
-    zero-dimensional.
+    on the finite quotient).  The echelon's leads are its pivot variables
+    and the core's leads lie in the free ones, so by the product criterion
+    their union is a lex basis of the whole system; it is auto-reduced once,
+    in eliminate_to_triangular.  Raises NotTriangular when the ideal fails
+    to be zero-dimensional.
     """
     nvars = len(sys.active)
     order = TermOrder.lex(nvars)
@@ -222,14 +223,10 @@ def solve_mle_exact(sys, budget=None):
         core_basis = _fglm_to_lex(core_grev, grev, order, free)
     else:
         core_basis = []
-    combined = reduce_groebner_basis(linear + core_basis, order)
-    triangular = eliminate_to_triangular(combined, tuple(range(nvars)))
-    psi_poly = triangular[0]
-    psi_vars = sorted(psi_poly.variables())
-    if len(psi_vars) != 1:
-        raise NotTriangular("no univariate polynomial in the basis")
-    var = psi_vars[0]
-    psi = _univariate_coeffs(psi_poly, var)
+    # pivot leads and core leads are coprime: the union is a lex basis
+    triangular = eliminate_to_triangular(linear + core_basis, tuple(range(nvars)))
+    (var,) = triangular[0].variables()
+    psi = _univariate_coeffs(triangular[0], var)
     roots = isolate_positive_roots(psi)
     if not roots:
         raise ArithmeticError("no positive root: extended MLE missing?")

@@ -6,13 +6,14 @@ binomial fast path covers pure differences x^u - x^v (S-polynomials and
 reductions of pure differences stay pure differences, so no coefficient
 bookkeeping is needed).  buchberger() returns the unique reduced Groebner
 basis: monic, fully auto-reduced, sorted by increasing leading monomial.
-S-pair selection is the normal strategy (smallest lcm, ties by index pair)
-with the product and chain criteria, under a configurable S-pair budget
-that fails loudly rather than truncating.
+One S-pair routine serves both engines.  It sees leading monomials only:
+pairs are pruned by the Gebauer-Moeller update (Gebauer and Moeller, On an
+installation of Buchberger's algorithm, JSC 6, 1988) and selected by the
+normal strategy (smallest lcm, ties by index pair).  A budget bounds the
+number of S-pairs treated and fails loudly rather than truncating.
 """
 
 import heapq
-import itertools
 import math
 from fractions import Fraction
 from operator import add as _add, le as _le, sub as _sub
@@ -398,30 +399,16 @@ def s_polynomial(f, g, order):
             - g.shift(monomial_div(lcm, lmg), Fraction(1, 1) / lcg))
 
 
-def _interreduce(polys, order, top=False):
-    """Repeatedly normal-form each polynomial against the others."""
-    polys = [p for p in polys if not p.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(polys)):
-            rest = polys[:i] + polys[i + 1:]
-            r = reduce(polys[i], rest, order, top=top)
-            if r.terms != polys[i].terms:
-                changed = True
-            if r.is_zero():
-                polys = rest
-                break
-            polys[i] = _primitive(r, order) if top else r.monic(order)
-    return polys
-
-
 def buchberger(F, order, budget=None):
     """The unique reduced Groebner basis of <F> under the given order.
 
-    Raises BudgetExceeded when more than `budget` S-pairs would have to be
-    treated (never returns a wrong partial answer).  When every input is a
-    pure difference the computation runs on the binomial fast path.
+    When every input is a pure difference the computation runs on the
+    binomial fast path.  Otherwise each input and each S-polynomial is
+    top-reduced against the live elements and, when nonzero, kept with
+    integer coefficients of content one; the S-pair routine retires the
+    elements whose leads a newer lead divides.  Raises BudgetExceeded when
+    more than `budget` S-pairs would have to be treated (never returns a
+    wrong partial answer).
     """
     if budget is None:
         budget = DEFAULT_SPAIR_BUDGET
@@ -439,47 +426,28 @@ def buchberger(F, order, budget=None):
                                          order, budget)
         return [b.to_polynomial() for b in binomials]
 
-    basis = _interreduce([_primitive(p, order) for p in polys], order, top=True)
-    leads = [p.leading_term(order)[0] for p in basis]
-    pairs = []
-    done = set()
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        heapq.heappush(pairs, (order.key(monomial_lcm(leads[i], leads[j])), i, j))
-    processed = 0
-    while pairs:
-        lcm_key, i, j = heapq.heappop(pairs)
-        if (i, j) in done:
-            continue
-        done.add((i, j))
-        lcm = monomial_lcm(leads[i], leads[j])
-        if monomial_mul(leads[i], leads[j]) == lcm:
-            continue  # coprime leading monomials
-        chained = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if (monomial_divides(leads[k], lcm)
-                    and (min(i, k), max(i, k)) in done
-                    and (min(j, k), max(j, k)) in done):
-                chained = True
-                break
-        if chained:
-            continue
-        processed += 1
-        if processed > budget:
-            raise BudgetExceeded(f"S-pair budget of {budget} exceeded")
-        s = s_polynomial(basis[i], basis[j], order)
-        r = reduce(s, basis, order, top=True)
+    basis = []
+    leads = []
+    masks = []
+    alive = []
+
+    def add(p):
+        r = reduce(p, [g for g, a in zip(basis, alive) if a], order, top=True)
         if r.is_zero():
-            continue
+            return -1
         r = _primitive(r, order)
+        lead = r.leading_term(order)[0]
         basis.append(r)
-        leads.append(r.leading_term(order)[0])
-        new = len(basis) - 1
-        for k in range(new):
-            heapq.heappush(pairs,
-                           (order.key(monomial_lcm(leads[k], leads[new])), k, new))
-    return reduce_groebner_basis(basis, order)
+        leads.append(lead)
+        masks.append(_support_mask(lead))
+        alive.append(True)
+        return len(basis) - 1
+
+    def s_pair(i, j):
+        return s_polynomial(basis[i], basis[j], order)
+
+    _s_pair_loop(polys, add, s_pair, leads, masks, alive, order.key, budget)
+    return reduce_groebner_basis([g for g, a in zip(basis, alive) if a], order)
 
 
 def reduce_groebner_basis(basis, order):
@@ -516,6 +484,86 @@ def _support_mask(m):
     return mask
 
 
+def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget):
+    """Buchberger's S-pair loop, run on leading monomials alone.
+
+    add(item) reduces an input, or the S-polynomial s_pair(i, j) of
+    elements i and j, against the live elements.  A nonzero remainder is
+    appended to the engine's basis and to leads, masks (support bitmasks)
+    and alive, and add returns its index; otherwise add returns -1.  Each
+    new element runs the Gebauer-Moeller update: it opens the pairs with
+    the live elements that the M, F and product criteria keep, closes the
+    open pairs the chain criterion covers, and retires (alive[g] = False)
+    the elements whose lead its lead divides.  A retired element stops
+    reducing, but its open pairs stay.  Open pairs are treated by the
+    normal strategy: smallest lcm under key first, ties by index pair.
+    Raises BudgetExceeded once more than `budget` pairs would be treated.
+    """
+    pairs = {}  # open (i, j), i < j -> (lcm, mask) of the leading monomials
+    heap = []
+
+    def update(new):
+        mh = leads[new]
+        mask_h = masks[new]
+        cands = []
+        for g in range(new):
+            if alive[g]:
+                lcm_hg = tuple(map(max, mh, leads[g]))
+                cands.append((sum(lcm_hg), lcm_hg, g, not (mask_h & masks[g])))
+        # Ascending degree puts every divisor before what it dominates (and
+        # keys are injective), so one pass against the kept list implements
+        # the M and F criteria.
+        cands.sort()
+        kept = []
+        for _, lcm_hg, g, cop in cands:
+            mask_hg = mask_h | masks[g]
+            dominated = False
+            for lcm_hp, mask_hp in kept:
+                if mask_hp & ~mask_hg:
+                    continue
+                if all(map(_le, lcm_hp, lcm_hg)):
+                    dominated = True
+                    break
+            if dominated:
+                continue
+            kept.append((lcm_hg, mask_hg))
+            if cop:
+                continue  # product criterion: never process coprime pairs
+            pairs[(g, new)] = (lcm_hg, mask_hg)
+            heapq.heappush(heap, (key(lcm_hg), g, new))
+        # close old pairs whose lcm the new lead divides (chain criterion)
+        stale = []
+        for pair, (lcm_ij, mask_ij) in pairs.items():
+            i, j = pair
+            if j == new or mask_h & ~mask_ij or not all(map(_le, mh, lcm_ij)):
+                continue
+            if (tuple(map(max, leads[i], mh)) != lcm_ij
+                    and tuple(map(max, leads[j], mh)) != lcm_ij):
+                stale.append(pair)
+        for pair in stale:
+            del pairs[pair]
+        for g in range(new):
+            if alive[g] and not (mask_h & ~masks[g]) \
+                    and all(map(_le, mh, leads[g])):
+                alive[g] = False
+
+    for item in inputs:
+        new = add(item)
+        if new >= 0:
+            update(new)
+    treated = 0
+    while pairs:
+        _, i, j = heapq.heappop(heap)
+        if pairs.pop((i, j), None) is None:
+            continue
+        treated += 1
+        if treated > budget:
+            raise BudgetExceeded(f"S-pair budget of {budget} exceeded")
+        new = add(s_pair(i, j))
+        if new >= 0:
+            update(new)
+
+
 class BinomialRewriter:
     """Mutable rewriting system x^lead -> x^tail with cached normal forms.
 
@@ -523,9 +571,11 @@ class BinomialRewriter:
     into one gives normal forms of monomials.  Elements are indexed by a
     bucket on the smallest support variable of the lead, with a bitmask
     prefilter, so normal forms stay cheap even on bases with a few hundred
-    elements.  Dead elements (lead divisible by a newer lead) stay in the
-    arrays for S-pair processing but stop acting as reducers, mirroring the
-    classic update procedure.
+    elements.  The leads, masks and alive arrays are the ones the S-pair
+    routine reads and writes: a retired element (alive False; its lead is
+    divisible by a newer lead) keeps its open S-pairs but stops reducing.
+    Retiring needs no cache flush, because it happens only right after an
+    add, which flushes the cache.
     """
 
     __slots__ = ("leads", "tails", "masks", "keys", "alive", "buckets",
@@ -552,10 +602,6 @@ class BinomialRewriter:
         self.buckets.setdefault(first, []).append(idx)
         self._nf_cache.clear()
         return idx
-
-    def kill(self, idx):
-        self.alive[idx] = False
-        self._nf_cache.clear()
 
     def active(self):
         return [i for i, a in enumerate(self.alive) if a]
@@ -601,8 +647,8 @@ def buchberger_binomials(inputs, order, budget=None):
 
     Input and output are Binomial values; the output is the reduced basis
     under the given order (canonically oriented, tails in normal form,
-    sorted by increasing leading monomial).  Pair pruning follows the
-    Gebauer-Moeller update, selection is normal strategy.
+    sorted by increasing leading monomial).  S-pairs run through the
+    shared routine on the rewriter's own arrays.
     """
     if budget is None:
         budget = DEFAULT_SPAIR_BUDGET
@@ -622,102 +668,29 @@ def buchberger_binomials(inputs, order, budget=None):
 
     system = BinomialRewriter(order)
     leads = system.leads
-    masks = system.masks
-    pairs = {}  # (i, j) -> lcm of the leading monomials
-    heap = []
+    tails = system.tails
 
-    def update(new):
-        """Gebauer-Moeller update: prune candidate and old pairs, retire leads.
-
-        Candidates are scanned in increasing lcm order, so a single pass
-        against the kept list implements the M/F criteria (a divisor's key
-        is never larger than the dominated lcm's, and keys are injective).
-        """
-        mh = leads[new]
-        mask_h = masks[new]
-        cands = []
-        for g in system.active():
-            if g == new:
-                continue
-            lcm_hg = tuple(map(max, mh, leads[g]))
-            cands.append((sum(lcm_hg), lcm_hg, g, not (mask_h & masks[g])))
-        # ascending degree puts every divisor before what it dominates
-        cands.sort()
-        kept = []
-        for deg_hg, lcm_hg, g, cop in cands:
-            mask_hg = mask_h | masks[g]
-            dominated = False
-            for lcm_hp, mask_hp in kept:
-                if mask_hp & ~mask_hg:
-                    continue
-                if all(map(_le, lcm_hp, lcm_hg)):
-                    dominated = True
-                    break
-            if dominated:
-                continue
-            kept.append((lcm_hg, mask_hg))
-            if cop:
-                continue  # product criterion: never process coprime pairs
-            pair = (g, new) if g < new else (new, g)
-            pairs[pair] = (lcm_hg, mask_hg)
-            heapq.heappush(heap, (order.key(lcm_hg), pair[0], pair[1]))
-        # prune old pairs whose lcm is divisible by the new lead (chain criterion)
-        stale = []
-        for pair, (lcm_ij, mask_ij) in pairs.items():
-            i, j = pair
-            if i == new or j == new:
-                continue
-            if mask_h & ~mask_ij:
-                continue
-            if not all(map(_le, mh, lcm_ij)):
-                continue
-            if (tuple(map(max, leads[i], mh)) != lcm_ij
-                    and tuple(map(max, leads[j], mh)) != lcm_ij):
-                stale.append(pair)
-        for pair in stale:
-            del pairs[pair]
-        for g in system.active():
-            if g != new and not (mask_h & ~masks[g]) \
-                    and all(map(_le, mh, leads[g])):
-                system.kill(g)
-
-    for u, v in start:
-        nf_u = system.normal_form(u)
-        nf_v = system.normal_form(v)
-        if nf_u == nf_v:
-            continue
-        if order.key(nf_u) < order.key(nf_v):
-            nf_u, nf_v = nf_v, nf_u
-        idx = system.add(nf_u, nf_v)
-        update(idx)
-
-    processed = 0
-    while pairs:
-        while heap:
-            _, i, j = heapq.heappop(heap)
-            if (i, j) in pairs:
-                del pairs[(i, j)]
-                break
-        else:
-            break
-        processed += 1
-        if processed > budget:
-            raise BudgetExceeded(f"S-pair budget of {budget} exceeded")
-        li, lj = leads[i], leads[j]
-        lcm = monomial_lcm(li, lj)
-        a = system.normal_form(monomial_mul(monomial_div(lcm, li), system.tails[i]))
-        b = system.normal_form(monomial_mul(monomial_div(lcm, lj), system.tails[j]))
+    def add(uv):
+        a = system.normal_form(uv[0])
+        b = system.normal_form(uv[1])
         if a == b:
-            continue
+            return -1
         if order.key(a) < order.key(b):
             a, b = b, a
-        idx = system.add(a, b)
-        update(idx)
+        return system.add(a, b)
 
+    def s_pair(i, j):
+        li, lj = leads[i], leads[j]
+        lcm = monomial_lcm(li, lj)
+        return (monomial_mul(monomial_div(lcm, li), tails[i]),
+                monomial_mul(monomial_div(lcm, lj), tails[j]))
+
+    _s_pair_loop(start, add, s_pair, leads, system.masks, system.alive,
+                 order.key, budget)
     kept = sorted(system.active(), key=lambda i: system.keys[i])
     out = []
     for idx in kept:
-        tail = system.normal_form(system.tails[idx])
+        tail = system.normal_form(tails[idx])
         lead = leads[idx]
         if tail == lead:
             continue
@@ -729,7 +702,9 @@ def buchberger_binomials(inputs, order, budget=None):
 def eliminate_to_triangular(G, priority):
     """Sort a lex Groebner basis into triangular (back-substitution) shape.
 
-    The output starts with a polynomial univariate in the lowest-priority
+    G must be a Groebner basis under lex with the given priority; it is
+    auto-reduced here, so the output is the reduced lex basis.  The output
+    starts with a polynomial univariate in the lowest-priority
     indeterminate and each later polynomial introduces at most one new
     indeterminate.  Raises NotTriangular when the basis has a
     positive-dimensional tail and no such shape exists.
@@ -742,10 +717,8 @@ def eliminate_to_triangular(G, priority):
             polys.append(g)
     if not polys:
         raise NotTriangular("not triangular: empty basis")
-    nvars = polys[0].nvars
-    order = TermOrder.lex(nvars, priority)
-    polys = _interreduce(polys, order)
-    polys.sort(key=lambda p: order.key(p.leading_term(order)[0]))
+    order = TermOrder.lex(polys[0].nvars, priority)
+    polys = reduce_groebner_basis(polys, order)
     seen = set()
     for p in polys:
         new = p.variables() - seen
@@ -759,17 +732,6 @@ def eliminate_to_triangular(G, priority):
 
 
 def ideal_equal(F, G, order, budget=None):
-    """True iff the two generating sets span the same ideal."""
-    gb_f = buchberger(F, order, budget)
-    gb_g = buchberger(G, order, budget)
-    for f in F:
-        if isinstance(f, Binomial):
-            f = f.to_polynomial()
-        if not reduce(f, gb_g, order).is_zero():
-            return False
-    for g in G:
-        if isinstance(g, Binomial):
-            g = g.to_polynomial()
-        if not reduce(g, gb_f, order).is_zero():
-            return False
-    return True
+    """True iff the two generating sets span the same ideal: reduced
+    Groebner bases are unique, so the ideals are equal iff theirs are."""
+    return buchberger(F, order, budget) == buchberger(G, order, budget)

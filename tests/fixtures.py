@@ -1,5 +1,7 @@
-"""Shared fixtures: standard graphs, printed matrices and binomial sets."""
+"""Shared fixtures: standard graphs, printed matrices and binomial sets, and
+the rational linear algebra the integer kernels are checked against."""
 
+from fractions import Fraction
 from itertools import product
 
 from toricgm.graphs import binary_graph, build_graph_matrix
@@ -177,3 +179,60 @@ FOUR_CYCLE_COUNTS = [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 0, 0, 0, 0]
 
 def four_cycle_matrix():
     return build_graph_matrix(four_cycle())
+
+
+# --- rational linear algebra oracles -----------------------------------------
+
+def rat_kernel_basis(rows):
+    """Basis of the rational kernel {x : M x = 0}, as a list of tuples.
+
+    Gaussian elimination with the first nonzero entry in a row-major scan
+    as pivot.  Each free column contributes one basis vector (with a 1 in
+    the free coordinate), so the output is deterministic and its span is
+    the full kernel.  Returns [] for a trivial kernel.  Raises ValueError
+    for an empty row set, whose column count is unknown.
+    """
+    if not rows:
+        raise ValueError("no rows: the column count is unknown")
+    mat = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0])
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if mat[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    pivot_set = set(pivot_cols)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for i, c in enumerate(pivot_cols):
+            v[c] = -mat[i][free]
+        basis.append(tuple(v))
+    return basis
+
+
+
+
+def mat_vec(rows, x):
+    """Matrix times column vector, exact."""
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in rows)

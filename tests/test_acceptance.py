@@ -2,7 +2,6 @@
 PASS line with its measured time (run with -s to see them on success)."""
 
 import itertools
-import os
 import random
 import time
 from fractions import Fraction
@@ -305,8 +304,6 @@ def test_criterion_10_limit_constructions():
     report(10, elapsed, 10, "limit sequences and potential limits converge")
 
 
-@pytest.mark.skipif(not os.environ.get("TORICGM_FULL_MLE"),
-                    reason="opt-in: set TORICGM_FULL_MLE=1 (up to an hour)")
 def test_criterion_11_full_four_cycle_degree_thirteen():
     start = time.perf_counter()
     A = four_cycle_matrix()
@@ -319,5 +316,5 @@ def test_criterion_11_full_four_cycle_degree_thirteen():
     active, _ = reduce_zero_cells(A, counts)
     assert abs(res.root - fit.values[active[res.psi_variable]]) <= 1e-3
     elapsed = time.perf_counter() - start
-    assert elapsed < 3600.0
-    report(11, elapsed, 3600, "univariate of degree 13 for positive counts")
+    assert elapsed < 60.0
+    report(11, elapsed, 60, "univariate of degree 13 for positive counts")

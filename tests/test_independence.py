@@ -200,7 +200,7 @@ def test_hc_zspan_sixteen_printed_generators():
 
 
 def test_three_chain_kernel_rank():
-    from toricgm.linalg import rat_kernel_basis
+    from fixtures import rat_kernel_basis
     A = build_graph_matrix(three_chain())
     kernel = rat_kernel_basis(A.rows)
     assert len(kernel) == 2  # the 8x8 matrix has rank 6

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from toricgm.linalg import (integer_kernel_lattice, integer_span_member,
-                            mat_vec, rat_kernel_basis)
+from toricgm.linalg import integer_kernel_lattice, integer_span_member
+
+from fixtures import mat_vec, rat_kernel_basis
 
 
 def test_full_rank_kernel_empty():

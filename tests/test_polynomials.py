@@ -24,6 +24,20 @@ def random_poly(rng, nvars, nterms=4):
                               for _ in range(nterms)])
 
 
+def random_system(seed):
+    """Random polynomials of three terms in 2-4 variables, under lex for odd
+    seeds and grevlex for even ones: three of them in three variables when
+    seed % 6 == 4, two otherwise."""
+    rng = random.Random(seed)
+    nvars = 2 + seed % 3
+    order = TermOrder.lex(nvars) if seed % 2 else TermOrder.grevlex(nvars)
+    npolys = 3 if seed % 6 == 4 else 2
+    return [random_poly(rng, nvars, 3) for _ in range(npolys)], order
+
+
+SYSTEM_SEEDS = range(60)
+
+
 # --- term order axioms ------------------------------------------------------
 
 @pytest.mark.parametrize("make", [
@@ -103,20 +117,20 @@ def test_single_generator_fixed():
     assert buchberger([g], order) == [g]
 
 
-def test_reduced_basis_input_permutation_invariant():
-    rng = random.Random(21)
-    order = TermOrder.grevlex(3)
-    F = [random_poly(rng, 3, 3) for _ in range(3)]
+@pytest.mark.parametrize("seed", SYSTEM_SEEDS)
+def test_reduced_basis_input_permutation_invariant(seed):
+    F, order = random_system(seed)
     gb1 = buchberger(F, order)
     gb2 = buchberger(list(reversed(F)), order)
     assert gb1 == gb2
 
 
-def test_buchberger_criterion_on_output():
-    rng = random.Random(33)
-    order = TermOrder.grevlex(3)
-    F = [random_poly(rng, 3, 3) for _ in range(3)]
+@pytest.mark.parametrize("seed", SYSTEM_SEEDS)
+def test_buchberger_criterion_on_output(seed):
+    F, order = random_system(seed)
     gb = buchberger(F, order)
+    for f in F:
+        assert reduce(f, gb, order).is_zero()
     for i in range(len(gb)):
         for j in range(i + 1, len(gb)):
             s = s_polynomial(gb[i], gb[j], order)
@@ -156,6 +170,15 @@ def test_budget_exceeded_is_loud():
     b2 = Binomial((1, 0, 0, 1), (0, 1, 1, 0))
     with pytest.raises(BudgetExceeded):
         buchberger_binomials([b1, b2], order, budget=0)
+
+
+def test_budget_exceeded_is_loud_on_the_generic_engine():
+    order = TermOrder.grevlex(2)
+    f = poly(2, ((2, 0), 1), ((0, 1), 1))            # x^2 + y
+    g = poly(2, ((1, 1), 1), ((0, 0), 1))            # x*y + 1
+    assert buchberger([f, g], order)
+    with pytest.raises(BudgetExceeded):
+        buchberger([f, g], order, budget=0)
 
 
 # --- triangular shape -------------------------------------------------------
