@@ -8,6 +8,20 @@ a lexicographic Groebner basis whose triangular form ends in a univariate
 polynomial psi; back-substitution from its positive root produces the cell
 profile.  Rational MLEs (linear univariate part) are reported exactly.
 
+The linear part is solved over the integers.  The marginal equations are
+brought to reduced echelon form fraction-free: clearing a column from a
+row multiplies the row by the positive pivot entry, subtracts a multiple
+of the pivot row and divides by the row's content.  Each row so stays a
+positive integer multiple of the row rational Gauss-Jordan would hold:
+the same pivots, the same solutions, and entries that cannot grow from
+step to step.  A pivot row reads a_c x_c = L_c, with L_c an integer linear
+form in the free cells.  Each binomial x^u - x^v is multiplied by the
+positive integer prod_c a_c^max(u_c, v_c) before x_c is replaced by
+L_c / a_c, which makes the substituted binomial an integer polynomial;
+scaling a generator by a nonzero constant leaves the ideal and its reduced
+Groebner basis unchanged, so the core is exactly the one rational
+substitution gives.
+
 The root layer works in integers.  psi is scaled once to a content-free
 integer polynomial p, reduced to its squarefree part q = p / gcd(p, p').
 Its positive roots are isolated by bisecting (0, Cauchy bound] with Sturm
@@ -23,11 +37,12 @@ that one is tested exactly.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .models import Distribution
 from .orders import TermOrder
-from .polynomials import (Binomial, NotTriangular, Polynomial, buchberger,
-                          eliminate_to_triangular)
+from .polynomials import (Binomial, NotTriangular, Polynomial, PreparedBasis,
+                          buchberger, eliminate_to_triangular)
 from .polynomials import reduce as poly_reduce
 from .toric import compute_toric_basis
 
@@ -142,16 +157,6 @@ class MleSystem:
             if self.matrix.apply(b.u) != self.matrix.apply(b.v):
                 raise ValueError("system binomial violates the kernel condition")
 
-    def linear_polynomials(self):
-        nvars = len(self.active)
-        out = []
-        for row, rhs in zip(self.matrix.rows, self.margins):
-            terms = [(tuple(1 if k == j else 0 for k in range(nvars)), coeff)
-                     for j, coeff in enumerate(row) if coeff]
-            terms.append(((0,) * nvars, -rhs))
-            out.append(Polynomial(nvars, terms))
-        return out
-
 
 def assemble_mle_system(A, n, basis=None, budget=None):
     """Zero-reduce the table and set up the exact MLE system.
@@ -195,38 +200,55 @@ def solve_mle_exact(sys, budget=None):
     """Lex elimination of the MLE system and its positive solution.
 
     Variable priority is the active cells in ascending state order.  The
-    linear equations are echelonized first and substituted into the
-    binomials; the zero-dimensional core is eliminated by a grevlex
-    Groebner basis followed by FGLM order conversion (exact linear algebra
-    on the finite quotient).  The echelon's leads are its pivot variables
-    and the core's leads lie in the free ones, so by the product criterion
-    their union is a lex basis of the whole system; it is auto-reduced once,
-    in eliminate_to_triangular.  Raises NotTriangular when the ideal fails
-    to be zero-dimensional.
+    marginal equations are echelonized over the integers, which makes each
+    pivot cell a linear form in the free cells, a_c x_c = L_c.  Put into
+    the binomials, these leave a core in the free cells alone, brought to
+    its reduced lex basis by a grevlex Groebner basis and FGLM order
+    conversion (exact linear algebra on the finite quotient).  The
+    echelon's leads are its pivot cells and the core's leads lie in the
+    free ones, so by the product criterion their union is a lex basis of
+    the whole system; it is auto-reduced once, in eliminate_to_triangular,
+    into `triangular`.
+
+    psi is the univariate that starts `triangular`, in the last cell, when
+    that basis is in shape position: every later element linear in the one
+    cell it introduces, so that back-substitution from a root of psi
+    fixes every cell.  When the last cell is a pivot that does not
+    separate the solutions, it is not, and psi is the core's univariate in
+    its last free cell instead: the other free cells follow through the
+    core's basis and the pivot cells from the echelon.  (With the last
+    cell free the two bases agree: the same psi and the same shape.)
+    Raises NotTriangular when the ideal fails to be zero-dimensional or
+    neither basis is in shape position.
     """
     nvars = len(sys.active)
     order = TermOrder.lex(nvars)
-    linear, pivots = _echelonize(sys.linear_polynomials(), nvars)
-    substitution = _substitution_point(linear, pivots, nvars)
-    core = []
-    for b in sys.binomials:
-        p = b.to_polynomial().evaluate(substitution)
-        if p.is_zero():
-            continue
-        if not p.variables():
-            raise ValueError("inconsistent system: margins contradict binomials")
-        core.append(p)
+    rows, pivots = _echelonize(sys.matrix.rows, sys.margins, nvars)
+    free = [i for i in range(nvars) if i not in pivots]
+    core = _core(sys.binomials, rows, pivots, nvars)
     if core:
-        free = [i for i in range(nvars) if i not in pivots]
         grev = TermOrder.grevlex(nvars)
         core_grev = buchberger(core, grev, budget)
         core_basis = _fglm_to_lex(core_grev, grev, order, free)
+    elif free:
+        raise NotTriangular("not triangular: the MLE system is not "
+                            "zero-dimensional")
     else:
         core_basis = []
+    linear = [Polynomial(nvars, _linear_terms(row, nvars)) for row in rows]
     # pivot leads and core leads are coprime: the union is a lex basis
     triangular = eliminate_to_triangular(linear + core_basis, tuple(range(nvars)))
-    (var,) = triangular[0].variables()
-    psi = _univariate_coeffs(triangular[0], var)
+    if _in_shape_position(triangular):
+        shape = triangular
+    elif core_basis and _in_shape_position(core_basis):
+        shape = core_basis
+    else:
+        raise NotTriangular(
+            "not triangular: no lex basis in shape position for the table "
+            f"with margins {list(sys.margins)} on the cells "
+            f"{list(sys.cell_names)}")
+    (var,) = shape[0].variables()
+    psi = _univariate_coeffs(shape[0], var)
     roots = isolate_positive_roots(psi)
     if not roots:
         raise ArithmeticError("no positive root: extended MLE missing?")
@@ -237,7 +259,7 @@ def solve_mle_exact(sys, budget=None):
     for interval in roots:
         value = exact_root if exact_root is not None else \
             float(interval[0] + interval[1]) / 2
-        profile = _back_substitute(triangular, var, value, nvars)
+        profile = _back_substitute(shape, rows, pivots, var, value, nvars)
         if profile is not None and all(
                 (x >= 0 if exact_root is not None else x >= -1e-9)
                 for x in profile):
@@ -260,18 +282,19 @@ def _fglm_to_lex(gb, from_order, lex_order, variables):
     """Reduced lex basis of a zero-dimensional ideal, by FGLM conversion.
 
     Walks monomials of the quotient-supporting variables in increasing lex
-    order; each normal form (against the source basis) that is linearly
-    dependent on the kept ones yields one reduced lex basis element, and
-    independent monomials extend the staircase.  Exact rational linear
-    algebra throughout; the quotient must be finite over the given
-    variables or NotTriangular is raised.
+    order; each normal form (against the source basis, prepared once for
+    the whole walk) that is linearly dependent on the kept ones yields one
+    reduced lex basis element, and independent monomials extend the
+    staircase.  Exact rational linear algebra throughout; the quotient
+    must be finite over the given variables or NotTriangular is raised.
     """
     import heapq
 
     if not gb:
         return []
     nvars = gb[0].nvars
-    leads = [p.leading_term(from_order)[0] for p in gb]
+    prepared = PreparedBasis(gb, from_order)
+    leads = prepared.leads()
     for v in variables:
         if not any(all(e == 0 or i == v for i, e in enumerate(lm)) and lm[v]
                    for lm in leads):
@@ -279,7 +302,7 @@ def _fglm_to_lex(gb, from_order, lex_order, variables):
                 "not triangular: core ideal is not zero-dimensional")
 
     def normal_vector(mono):
-        nf = poly_reduce(Polynomial(nvars, [(mono, 1)]), gb, from_order)
+        nf = poly_reduce(Polynomial(nvars, [(mono, 1)]), prepared, from_order)
         return dict(nf.terms)
 
     one = (0,) * nvars
@@ -335,50 +358,124 @@ def _fglm_to_lex(gb, from_order, lex_order, variables):
                                  key=lambda e: lex_order.key(e[0]))]
 
 
-def _echelonize(linear, nvars):
-    """Gauss-Jordan the linear polynomials: pivot per highest variable."""
-    rows = []
-    for p in linear:
-        vec = [Fraction(0)] * (nvars + 1)
-        for mono, coeff in p.terms:
-            if sum(mono) == 0:
-                vec[nvars] = coeff
-            else:
-                vec[mono.index(1)] = coeff
-        rows.append(vec)
+def _content_free(row):
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _echelonize(matrix_rows, margins, nvars):
+    """Fraction-free Gauss-Jordan on the marginal equations A x = b.
+
+    Each equation is the integer row (A_i, -b_i).  Pivots are taken per
+    column in increasing order.  Clearing column c from another row
+    replaces it by p * row - row[c] * pivot row, with p > 0 the pivot
+    entry, and divides it by its content.  Rows stay integer and content
+    free; every row is a positive multiple of the row that Gauss-Jordan
+    over the rationals would hold, so the pivots are the same.  Returns
+    (rows, pivots), one row per pivot c: a x_c + sum of b_j x_j over the
+    free cells j + e = 0, with a > 0.  Raises ValueError when the
+    equations are inconsistent.
+    """
+    rows = [_content_free([*row, -rhs]) for row, rhs in zip(matrix_rows, margins)]
     pivots = []
     r = 0
     for c in range(nvars):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        piv = rows[pr] if rows[pr][c] > 0 else [-x for x in rows[pr]]
+        rows[pr] = rows[r]
+        rows[r] = piv
+        p = piv[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = _content_free([p * x - f * y for x, y in zip(row, piv)])
         pivots.append(c)
         r += 1
-    for i in range(r, len(rows)):
-        if rows[i][nvars] != 0:
-            raise ValueError("inconsistent marginal equations")
-    out = []
-    for i, c in enumerate(pivots):
-        terms = [(tuple(1 if k == j else 0 for k in range(nvars)), coeff)
-                 for j, coeff in enumerate(rows[i][:nvars]) if coeff]
-        terms.append(((0,) * nvars, rows[i][nvars]))
-        out.append(Polynomial(nvars, terms))
-    return out, pivots
+    if any(row[nvars] for row in rows[r:]):
+        raise ValueError("inconsistent marginal equations")
+    return rows[:r], pivots
 
 
-def _substitution_point(linear, pivots, nvars):
-    """Variable list sending each pivot variable to its tail expression."""
-    point = [Polynomial.variable(nvars, i) for i in range(nvars)]
-    for p, c in zip(linear, pivots):
-        point[c] = Polynomial.variable(nvars, c) - p
-    return point
+def _linear_terms(row, nvars):
+    """Terms of the linear polynomial of an echelon row."""
+    terms = [(tuple(1 if k == j else 0 for k in range(nvars)), coeff)
+             for j, coeff in enumerate(row[:nvars]) if coeff]
+    terms.append(((0,) * nvars, row[nvars]))
+    return terms
+
+
+def _mul(p, q):
+    """Product of two integer polynomials held as monomial -> int maps."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _core(binomials, rows, pivots, nvars):
+    """The binomials with the pivot cells eliminated, over the integers.
+
+    Echelon row k reads a_c x_c = L_c for its pivot c, with L_c an integer
+    linear form in the free cells.  x^u - x^v times the positive integer
+    prod_c a_c^max(u_c, v_c) is, once each x_c is replaced by L_c / a_c,
+    the integer polynomial whose side u is the free part of x^u times
+    prod_c L_c^u_c a_c^(max(u_c, v_c) - u_c), so no fraction arises.  The
+    powers of each L_c are computed once per call.  Zero polynomials are
+    dropped; a nonzero constant means the margins contradict the binomials
+    (ValueError).
+    """
+    one = (0,) * nvars
+    forms = {}  # pivot -> (a_c, [L_c^0, L_c^1, ...])
+    for row, c in zip(rows, pivots):
+        form = {tuple(1 if k == j else 0 for k in range(nvars)): -b
+                for j, b in enumerate(row[:nvars]) if b and j != c}
+        if row[nvars]:
+            form[one] = -row[nvars]
+        forms[c] = (row[c], [{one: 1}, form])
+
+    def power(c, e):
+        powers = forms[c][1]
+        while len(powers) <= e:
+            powers.append(_mul(powers[-1], powers[1]))
+        return powers[e]
+
+    core = []
+    for b in binomials:
+        tops = [(c, max(b.u[c], b.v[c])) for c in pivots if b.u[c] or b.v[c]]
+        p = {}
+        for mono, sign in ((b.u, 1), (b.v, -1)):
+            side = {tuple(0 if j in forms else e for j, e in enumerate(mono)): 1}
+            scale = sign
+            for c, top in tops:
+                side = _mul(side, power(c, mono[c]))
+                scale *= forms[c][0] ** (top - mono[c])
+            for m, x in side.items():
+                p[m] = p.get(m, 0) + scale * x
+        p = {m: x for m, x in p.items() if x}
+        if not p:
+            continue
+        if list(p) == [one]:
+            raise ValueError("inconsistent system: margins contradict binomials")
+        core.append(Polynomial(nvars, p))
+    return core
+
+
+def _in_shape_position(basis):
+    """True iff basis starts with a univariate and every later element is
+    linear in the one variable it introduces, if any."""
+    seen = basis[0].variables()
+    if len(seen) != 1:
+        return False
+    for p in basis[1:]:
+        new = p.variables() - seen
+        if len(new) > 1 or any(m[v] > 1 for v in new for m, _ in p.terms):
+            return False
+        seen |= new
+    return True
 
 
 def _univariate_coeffs(p, var):
@@ -391,27 +488,23 @@ def _univariate_coeffs(p, var):
     return coeffs
 
 
-def _back_substitute(triangular, psi_var, root_value, nvars):
-    """Solve the triangular system given a value for the last variable.
+def _back_substitute(shape, rows, pivots, psi_var, root_value, nvars):
+    """Every cell, given the value of the univariate's variable.
 
-    Every later polynomial must be linear in the single variable it
-    introduces (the shape the reduced lex basis of a zero-dimensional
-    radical-ish system takes); returns None when a division degenerates.
+    Each later element of the shape-position basis is linear in the one
+    variable it introduces, which it fixes; then each pivot cell the basis
+    left open is read off its echelon row.  Exact for a Fraction root.
+    Returns None when a division degenerates.
     """
     exact = isinstance(root_value, Fraction)
+    zero = Fraction(0) if exact else 0.0
     values = {psi_var: root_value}
-    for p in triangular[1:]:
+    for p in shape[1:]:
         new = [v for v in p.variables() if v not in values]
         if not new:
             continue
-        if len(new) > 1:
-            raise NotTriangular("triangular step introduces two variables")
         v = new[0]
-        degree = max(mono[v] for mono, _ in p.terms)
-        if degree != 1:
-            raise NotTriangular("triangular step is nonlinear in its variable")
-        lin = Fraction(0) if exact else 0.0
-        const = Fraction(0) if exact else 0.0
+        lin = const = zero
         for mono, coeff in p.terms:
             term = coeff if exact else float(coeff)
             for i, e in enumerate(mono):
@@ -425,7 +518,15 @@ def _back_substitute(triangular, psi_var, root_value, nvars):
         if lin == 0:
             return None
         values[v] = -const / lin
-    return [values.get(i, Fraction(0) if exact else 0.0) for i in range(nvars)]
+    for row, c in zip(rows, pivots):
+        if c in values:
+            continue
+        rest = zero + row[nvars]
+        for j, b in enumerate(row[:nvars]):
+            if b and j != c:
+                rest += b * values[j]
+        values[c] = -rest / row[c]
+    return [values[i] for i in range(nvars)]
 
 
 # --- exact univariate real-root machinery ----------------------------------

@@ -12,7 +12,10 @@ Lemma 12.1).
 
 Orders are exposed through sort keys: key(u) < key(v) iff x^u < x^v.
 All three are total, multiplicative and well-orders on nonnegative
-exponent vectors.
+exponent vectors.  Every key is linear in the exponent vector: key(u + v)
+is the elementwise sum of key(u) and key(v).  The generic Buchberger
+engine in `polynomials` relies on this to key a shifted term by one
+addition instead of a recomputation.
 """
 
 

@@ -1,8 +1,18 @@
 """Sparse multivariate polynomials over exact rationals and a deterministic
 Buchberger engine.
 
-The generic engine handles arbitrary rational-coefficient polynomials; a
-binomial fast path covers pure differences x^u - x^v (S-polynomials and
+Polynomial is Fraction-valued.  The generic engine scales each input once
+to a content-free integer polynomial and keeps its elements that way:
+integer coefficients of content one and a positive leading coefficient,
+with the lead monomial, lead key and each tail term's key computed once
+per element.  Reduction is pseudo-division, f <- (lc_g / d) f - (c / d)
+x^s g with d = gcd(c, lc_g), so no Fraction is formed per step, and the
+key of a shifted term is the sum of two known keys, since every TermOrder
+key is linear in the exponent vector.  Fractions appear only in public
+results: the monic reduced bases, and the exact normal forms of reduce,
+whose integer remainder is divided once by the product of its multipliers.
+
+A binomial fast path covers pure differences x^u - x^v (S-polynomials and
 reductions of pure differences stay pure differences, so no coefficient
 bookkeeping is needed).  buchberger() returns the unique reduced Groebner
 basis: monic, fully auto-reduced, sorted by increasing leading monomial.
@@ -61,10 +71,13 @@ class Polynomial:
             mono = tuple(mono)
             if len(mono) != nvars:
                 raise ValueError("monomial arity mismatch")
-            c = combined.get(mono, 0) + Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            prev = combined.get(mono)
+            c = coeff if prev is None else prev + coeff
             if c:
                 combined[mono] = c
-            elif mono in combined:
+            elif prev is not None:
                 del combined[mono]
         self.nvars = nvars
         self.terms = tuple(sorted(combined.items()))
@@ -145,21 +158,10 @@ class Polynomial:
             return other
         return Polynomial.constant(self.nvars, other)
 
-    def shift(self, mono, coeff=1):
-        """Multiply by coeff * x^mono."""
-        return Polynomial(self.nvars,
-                          [(monomial_mul(m, mono), c * coeff) for m, c in self.terms])
-
     def leading_term(self, order):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return max(self.terms, key=lambda t: order.key(t[0]))
-
-    def monic(self, order):
-        _, lc = self.leading_term(order)
-        if lc == 1:
-            return self
-        return Polynomial(self.nvars, [(m, c / lc) for m, c in self.terms])
 
     def total_degree(self):
         return max((sum(m) for m, _ in self.terms), default=0)
@@ -309,94 +311,148 @@ def _neg_key(key):
     return tuple(-x for x in key)
 
 
-def reduce(f, G, order, top=False):
-    """Full normal form of f modulo the polynomial list G.
+# --- generic engine: content-free integer polynomials ------------------------
+#
+# A term is a triple (monomial, negated sort key, integer coefficient); keys
+# are negated so that heapq pops the largest monomial first.  An element is
+# a tuple (lead, negated lead key, lead support mask, lead coefficient,
+# tail terms) with content one and a positive lead coefficient.  Every
+# TermOrder key is linear in the exponent vector, so the key of a shifted
+# term is the sum of two known keys and no key is recomputed per step.
 
-    No term of the result is divisible by any leading monomial of G, and
-    f minus the result lies in the ideal generated by G.  Reducers are
-    tried in list order, so the result is deterministic.  With top=True
-    (engine internal) reduction stops once the leading monomial is
-    irreducible, leaving the tail untouched.
+
+def _integer_terms(p, order):
+    """(terms of p times the lcm of its denominators, that lcm)."""
+    den = math.lcm(*(c.denominator for _, c in p.terms))
+    return [(m, _neg_key(order.key(m)), c.numerator * (den // c.denominator))
+            for m, c in p.terms], den
+
+
+def _element(lead_term, tail):
+    """Element from its lead term and tail terms, divided by its content
+    and signed so that the lead coefficient is positive."""
+    lead, nlead, lc = lead_term
+    g = math.gcd(lc, *(c for _, _, c in tail))
+    if lc < 0:
+        g = -g
+    if g != 1:
+        lc //= g
+        tail = [(m, k, c // g) for m, k, c in tail]
+    return lead, nlead, _support_mask(lead), lc, tail
+
+
+def _prepare(p, order):
+    terms, _ = _integer_terms(p, order)
+    i = min(range(len(terms)), key=lambda t: terms[t][1])
+    return _element(terms[i], terms[:i] + terms[i + 1:])
+
+
+def _pseudo_reduce(terms, elements, top=False):
+    """Pseudo-remainder of an integer polynomial modulo prepared elements.
+
+    terms are the polynomial's terms, one per monomial.  Its largest term
+    c x^m whose monomial is divisible by a lead (elements are tried in list
+    order) is cancelled by f <- (lc/d) f - (c/d) x^s g, with d = gcd(c, lc)
+    and x^s = x^m / lead(g); all coefficients stay integers.  Returns
+    (rest, mult): the terms of the remainder, largest first, and the
+    product mult > 0 of the multipliers lc/d, so that rest / mult is the
+    normal form that division over the rationals gives.  With top=True the
+    reduction stops at the first irreducible term, and rest holds that
+    term followed by the unreduced tail (in no particular order).
     """
-    prepared = []
-    masks = []
-    for g in G:
-        if isinstance(g, Binomial):
-            g = g.to_polynomial()
-        if g.is_zero():
-            continue
-        lm, lc = g.leading_term(order)
-        tail = [(m, c) for m, c in g.terms if m != lm]
-        prepared.append((lm, lc, tail))
-        masks.append(_support_mask(lm))
-    if isinstance(f, Binomial):
-        f = f.to_polynomial()
-    coeffs = dict(f.terms)
-    heap = [(_neg_key(order.key(m)), m) for m in coeffs]
+    coeffs = {m: c for m, _, c in terms}
+    heap = [(nk, m) for m, nk, _ in terms]
     heapq.heapify(heap)
-    out = {}
+    rest = []  # (monomial, negated key, coefficient, mult when emitted)
+    mult = 1
     while heap:
-        _, m = heapq.heappop(heap)
-        c = coeffs.pop(m, None)
-        if c is None or c == 0:
+        nk, m = heapq.heappop(heap)
+        c = coeffs.pop(m, 0)
+        if not c:
             continue
-        hit = None
         mmask = _support_mask(m)
-        for idx, (lm, lc, tail) in enumerate(prepared):
-            if masks[idx] & ~mmask:
-                continue
-            if monomial_divides(lm, m):
-                hit = (lm, lc, tail)
+        for lead, nlead, mask, lc, tail in elements:
+            if not mask & ~mmask and all(map(_le, lead, m)):
                 break
-        if hit is None:
-            out[m] = c
+        else:
+            rest.append((m, nk, c, mult))
             if top:
-                out.update((m2, c2) for m2, c2 in coeffs.items() if c2)
+                for nk2, m2 in heap:
+                    c2 = coeffs.pop(m2, 0)
+                    if c2:
+                        rest.append((m2, nk2, c2, mult))
                 break
             continue
-        lm, lc, tail = hit
-        shift = monomial_div(m, lm)
-        factor = c / lc
-        for tm, tc in tail:
-            m2 = monomial_mul(tm, shift)
+        d = math.gcd(c, lc)
+        if d != lc:
+            a = lc // d
+            mult *= a
+            for k in coeffs:
+                coeffs[k] *= a
+        b = c // d
+        shift = tuple(map(_sub, m, lead))
+        nshift = tuple(map(_sub, nk, nlead))
+        for tm, tnk, tc in tail:
+            m2 = tuple(map(_add, tm, shift))
             prev = coeffs.get(m2)
             if prev is None:
-                coeffs[m2] = -factor * tc
-                heapq.heappush(heap, (_neg_key(order.key(m2)), m2))
+                coeffs[m2] = -b * tc
+                heapq.heappush(heap, (tuple(map(_add, tnk, nshift)), m2))
             else:
-                nc = prev - factor * tc
+                nc = prev - b * tc
                 if nc:
                     coeffs[m2] = nc
                 else:
                     del coeffs[m2]
-    return Polynomial(f.nvars, out)
+    return [(m, nk, c * (mult // at)) for m, nk, c, at in rest], mult
 
 
-def _primitive(p, order):
-    """Scale to integer coefficients, content one, positive leading sign."""
-    if p.is_zero():
-        return p
-    denom = 1
-    for _, c in p.terms:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    numer = 0
-    for _, c in p.terms:
-        numer = math.gcd(numer, abs(c.numerator * (denom // c.denominator)))
-    scale = Fraction(denom, numer if numer else 1)
-    _, lc = p.leading_term(order)
-    if lc < 0:
-        scale = -scale
-    if scale == 1:
-        return p
-    return Polynomial(p.nvars, [(m, c * scale) for m, c in p.terms])
+class PreparedBasis:
+    """Polynomials prepared once under one order for repeated `reduce`.
+
+    Each nonzero polynomial is scaled to integer coefficients of content
+    one with a positive leading coefficient; its lead monomial, lead key,
+    and tail terms with their keys are computed here and never again.
+    Scaling a reducer does not change a normal form.
+    """
+
+    __slots__ = ("order", "elements")
+
+    def __init__(self, G, order):
+        self.order = order
+        self.elements = []
+        for g in G:
+            if isinstance(g, Binomial):
+                g = g.to_polynomial()
+            if not g.is_zero():
+                self.elements.append(_prepare(g, order))
+
+    def leads(self):
+        return [e[0] for e in self.elements]
 
 
-def s_polynomial(f, g, order):
-    lmf, lcf = f.leading_term(order)
-    lmg, lcg = g.leading_term(order)
-    lcm = monomial_lcm(lmf, lmg)
-    return (f.shift(monomial_div(lcm, lmf), Fraction(1, 1) / lcf)
-            - g.shift(monomial_div(lcm, lmg), Fraction(1, 1) / lcg))
+def reduce(f, G, order):
+    """Full normal form of f modulo the polynomial list G.
+
+    No term of the result is divisible by any leading monomial of G, and
+    f minus the result lies in the ideal generated by G.  Reducers are
+    tried in list order, so the result is deterministic.  G may be a
+    PreparedBasis under the same order.  The reduction runs on integers;
+    the remainder is divided once by the product of its multipliers, so
+    the result is the exact normal form with Fraction coefficients.
+    """
+    if not isinstance(G, PreparedBasis):
+        G = PreparedBasis(G, order)
+    elif G.order != order:
+        raise ValueError("prepared basis is for another term order")
+    if isinstance(f, Binomial):
+        f = f.to_polynomial()
+    if f.is_zero():
+        return f
+    terms, den = _integer_terms(f, order)
+    rest, mult = _pseudo_reduce(terms, G.elements)
+    scale = den * mult
+    return Polynomial(f.nvars, [(m, Fraction(c, scale)) for m, _, c in rest])
 
 
 def buchberger(F, order, budget=None):
@@ -404,11 +460,11 @@ def buchberger(F, order, budget=None):
 
     When every input is a pure difference the computation runs on the
     binomial fast path.  Otherwise each input and each S-polynomial is
-    top-reduced against the live elements and, when nonzero, kept with
-    integer coefficients of content one; the S-pair routine retires the
-    elements whose leads a newer lead divides.  Raises BudgetExceeded when
-    more than `budget` S-pairs would have to be treated (never returns a
-    wrong partial answer).
+    pseudo-reduced at the top against the live elements and, when nonzero,
+    kept with integer coefficients of content one; the S-pair routine
+    retires the elements whose leads a newer lead divides.  Raises
+    BudgetExceeded when more than `budget` S-pairs would have to be
+    treated (never returns a wrong partial answer).
     """
     if budget is None:
         budget = DEFAULT_SPAIR_BUDGET
@@ -420,57 +476,77 @@ def buchberger(F, order, budget=None):
             polys.append(f)
     if not polys:
         return []
-    diffs = [p.monic(order).as_pure_difference() for p in polys]
+    diffs = [p.as_pure_difference() for p in polys]
     if all(d is not None for d in diffs):
         binomials = buchberger_binomials([Binomial(u, v) for u, v in diffs],
                                          order, budget)
         return [b.to_polynomial() for b in binomials]
 
-    basis = []
+    elements = []
     leads = []
     masks = []
     alive = []
 
-    def add(p):
-        r = reduce(p, [g for g, a in zip(basis, alive) if a], order, top=True)
-        if r.is_zero():
+    def add(terms):
+        live = [e for e, a in zip(elements, alive) if a]
+        rest, _ = _pseudo_reduce(terms, live, top=True)
+        if not rest:
             return -1
-        r = _primitive(r, order)
-        lead = r.leading_term(order)[0]
-        basis.append(r)
-        leads.append(lead)
-        masks.append(_support_mask(lead))
+        e = _element(rest[0], rest[1:])
+        elements.append(e)
+        leads.append(e[0])
+        masks.append(e[2])
         alive.append(True)
-        return len(basis) - 1
+        return len(elements) - 1
 
     def s_pair(i, j):
-        return s_polynomial(basis[i], basis[j], order)
+        # (lc_j / d) x^a f_i - (lc_i / d) x^b f_j: the leads cancel
+        lcm = monomial_lcm(leads[i], leads[j])
+        nlcm = _neg_key(order.key(lcm))
+        d = math.gcd(elements[i][3], elements[j][3])
+        coeffs = {}
+        keys = {}
+        for (lead, nlead, _, _, tail), a in ((elements[i], elements[j][3] // d),
+                                             (elements[j], -elements[i][3] // d)):
+            shift = tuple(map(_sub, lcm, lead))
+            nshift = tuple(map(_sub, nlcm, nlead))
+            for tm, tnk, tc in tail:
+                m = tuple(map(_add, tm, shift))
+                if m in coeffs:
+                    coeffs[m] += a * tc
+                else:
+                    coeffs[m] = a * tc
+                    keys[m] = tuple(map(_add, tnk, nshift))
+        return [(m, keys[m], c) for m, c in coeffs.items() if c]
 
-    _s_pair_loop(polys, add, s_pair, leads, masks, alive, order.key, budget)
-    return reduce_groebner_basis([g for g, a in zip(basis, alive) if a], order)
+    inputs = [_integer_terms(p, order)[0] for p in polys]
+    _s_pair_loop(inputs, add, s_pair, leads, masks, alive, order.key, budget)
+    return _interreduce([e for e, a in zip(elements, alive) if a])
+
+
+def _interreduce(elements):
+    """Minimalize and auto-reduce prepared elements of a Groebner basis:
+    monic Polynomials, sorted by increasing leading monomial."""
+    keep = []
+    for idx, (lm, *_) in enumerate(elements):
+        if not any(jdx != idx and monomial_divides(lm2, lm)
+                   and (lm2 != lm or jdx < idx)
+                   for jdx, (lm2, *_) in enumerate(elements)):
+            keep.append(elements[idx])
+    reduced = []
+    for i, (lead, nlead, _, lc, tail) in enumerate(keep):
+        rest, _ = _pseudo_reduce([(lead, nlead, lc)] + tail,
+                                 keep[:i] + keep[i + 1:])
+        lc = rest[0][2]
+        reduced.append((nlead, Polynomial(
+            len(lead), [(m, Fraction(c, lc)) for m, _, c in rest])))
+    reduced.sort(key=lambda e: e[0], reverse=True)
+    return [p for _, p in reduced]
 
 
 def reduce_groebner_basis(basis, order):
     """Minimalize and auto-reduce a Groebner basis: monic, sorted ascending."""
-    entries = [(p.leading_term(order)[0], p) for p in basis if not p.is_zero()]
-    keep = []
-    for idx, (lm, p) in enumerate(entries):
-        redundant = False
-        for jdx, (lm2, _) in enumerate(entries):
-            if jdx == idx:
-                continue
-            if monomial_divides(lm2, lm) and (lm2 != lm or jdx < idx):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(p)
-    reduced = []
-    for i, p in enumerate(keep):
-        rest = keep[:i] + keep[i + 1:]
-        r = reduce(p, rest, order)
-        reduced.append(r.monic(order))
-    reduced.sort(key=lambda p: order.key(p.leading_term(order)[0]))
-    return reduced
+    return _interreduce(PreparedBasis(basis, order).elements)
 
 
 # --- binomial fast path ---------------------------------------------------

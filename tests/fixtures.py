@@ -1,12 +1,14 @@
-"""Shared fixtures: standard graphs, printed matrices and binomial sets, and
-the rational linear algebra the integer kernels are checked against."""
+"""Shared fixtures: standard graphs, printed matrices and binomial sets, the
+rational linear algebra the integer kernels are checked against, and the
+rational polynomial arithmetic the integer Buchberger engine is checked
+against."""
 
 from fractions import Fraction
 from itertools import product
 
 from toricgm.graphs import binary_graph, build_graph_matrix
 from toricgm.models import ModelMatrix
-from toricgm.polynomials import Binomial
+from toricgm.polynomials import Binomial, Polynomial, monomial_divides
 
 BIN3 = ["".join(map(str, s)) for s in product((0, 1), repeat=3)]
 BIN4 = ["".join(map(str, s)) for s in product((0, 1), repeat=4)]
@@ -231,8 +233,38 @@ def rat_kernel_basis(rows):
     return basis
 
 
-
-
 def mat_vec(rows, x):
     """Matrix times column vector, exact."""
     return tuple(sum(a * b for a, b in zip(row, x)) for row in rows)
+
+
+# --- rational polynomial oracles ---------------------------------------------
+
+def s_polynomial(f, g, order):
+    """The S-polynomial x^a f / lc(f) - x^b g / lc(g), over Fractions."""
+    lmf, lcf = f.leading_term(order)
+    lmg, lcg = g.leading_term(order)
+    lcm = tuple(map(max, lmf, lmg))
+    a = tuple(x - y for x, y in zip(lcm, lmf))
+    b = tuple(x - y for x, y in zip(lcm, lmg))
+    return (f * Polynomial(f.nvars, [(a, 1 / lcf)])
+            - g * Polynomial(g.nvars, [(b, 1 / lcg)]))
+
+
+def fraction_normal_form(f, G, order):
+    """Remainder of f on division by G over Fractions: the largest term of
+    what is left is cancelled by the first g in G whose lead divides it, or
+    moved to the remainder."""
+    leads = [g.leading_term(order) for g in G]
+    rem = {}
+    while f:
+        m, c = f.leading_term(order)
+        for g, (lm, lc) in zip(G, leads):
+            if monomial_divides(lm, m):
+                shift = tuple(x - y for x, y in zip(m, lm))
+                f = f - g * Polynomial(f.nvars, [(shift, c / lc)])
+                break
+        else:
+            rem[m] = c
+            f = f - Polynomial(f.nvars, [(m, c)])
+    return Polynomial(f.nvars, rem)

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from toricgm.graphs import build_graph_matrix
-from toricgm.mle import (ISOLATION_WIDTH, CountTable, assemble_mle_system,
-                         ips_fit, isolate_positive_roots, rational_root_check,
-                         reduce_zero_cells, solve_mle_exact, sufficient_stats)
+from toricgm.mle import (ISOLATION_WIDTH, CountTable, _echelonize,
+                         assemble_mle_system, ips_fit, isolate_positive_roots,
+                         rational_root_check, reduce_zero_cells, solve_mle_exact,
+                         sufficient_stats)
 from toricgm.models import monomial_map
 from toricgm.orders import TermOrder
 from toricgm.polynomials import reduce as poly_reduce
@@ -432,3 +433,74 @@ def test_heavy_table_root_layer():
     active, _ = reduce_zero_cells(A, counts)
     assert abs(float(res.root) - fit.values[active[res.psi_variable]]) <= 1e-6
     assert rational_root_check(res.psi) == []
+
+
+# --- nine active cells: the last cell can be a pivot ---------------------------
+
+def _nine_cell_tables(seed, count):
+    """Distinct four-cycle tables drawn like the benchmark's nine-cell ones:
+    every cell 1 but three cells at 2, then the cells of two random clique
+    margins set to zero, drawn again until nine cells are left."""
+    A = four_cycle_matrix()
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < count:
+        counts = [1] * A.ncols
+        for j in rng.sample(range(A.ncols), 3):
+            counts[j] = 2
+        for r in rng.sample(range(A.nrows), 2):
+            for j in range(A.ncols):
+                if A.rows[r][j]:
+                    counts[j] = 0
+        if sum(c > 0 for c in counts) == 9 and counts not in tables:
+            tables.append(counts)
+    return tables
+
+
+NINE_CELL_TABLES = _nine_cell_tables(7, 12)
+
+
+def _assert_agrees_with_ips(A, counts, res):
+    fit = ips_fit(A, counts, tol=1e-10)
+    active, _ = reduce_zero_cells(A, counts)
+    assert abs(float(res.root) - fit.values[active[res.psi_variable]]) <= 1e-6
+    for pos, j in enumerate(active):
+        assert abs(float(res.profile[pos]) - fit.values[j]) <= 1e-6
+
+
+def test_nine_cell_table_with_a_pivot_as_last_cell():
+    # x8 is a pivot of the echelon and takes the value 1 at both solutions
+    # of the core, so the whole system's basis is not in shape position;
+    # psi comes from the core's univariate in its last free cell, x7
+    A = four_cycle_matrix()
+    counts = CountTable([1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0])
+    sys_ = assemble_mle_system(A, counts)
+    nvars = len(sys_.active)
+    _, pivots = _echelonize(sys_.matrix.rows, sys_.margins, nvars)
+    assert pivots == [0, 1, 2, 3, 4, 6, 8]
+    res = solve_mle_exact(sys_)
+    assert res.psi == (-4, 3, 1)
+    assert res.psi_variable == 7
+    names = [f"x{i}" for i in range(nvars)]
+    rendered = [p.render(names, TermOrder.lex(nvars)) for p in res.triangular]
+    assert rendered[0] == "x8 - 1"
+    assert {"x7^2 + 3*x7 - 4", "x5 + x7 - 2"} <= set(rendered)
+    _assert_agrees_with_ips(A, counts, res)
+
+
+@pytest.mark.parametrize("counts", NINE_CELL_TABLES)
+def test_nine_cell_tables_agree_with_ips(counts):
+    A = four_cycle_matrix()
+    counts = CountTable(counts)
+    res = solve_mle_exact(assemble_mle_system(A, counts))
+    _assert_agrees_with_ips(A, counts, res)
+
+
+def test_nine_cell_sample_has_both_kinds_of_last_cell():
+    A = four_cycle_matrix()
+    kinds = set()
+    for counts in NINE_CELL_TABLES:
+        sys_ = assemble_mle_system(A, CountTable(counts))
+        _, pivots = _echelonize(sys_.matrix.rows, sys_.margins, 9)
+        kinds.add(8 in pivots)
+    assert kinds == {True, False}

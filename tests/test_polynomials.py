@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from toricgm.orders import TermOrder
 from toricgm.polynomials import (Binomial, BudgetExceeded, NotTriangular,
-                                 Polynomial, buchberger, buchberger_binomials,
-                                 eliminate_to_triangular, ideal_equal,
-                                 monomial_divides, reduce, s_polynomial)
+                                 Polynomial, PreparedBasis, buchberger,
+                                 buchberger_binomials, eliminate_to_triangular,
+                                 ideal_equal, monomial_divides, reduce)
+from fixtures import fraction_normal_form, s_polynomial
 
 
 def poly(nvars, *terms):
@@ -63,6 +65,22 @@ def test_term_order_axioms(make):
         assert (order.key(u) < order.key(v)) == (order.key(uw) < order.key(vw))
 
 
+@pytest.mark.parametrize("order", [
+    TermOrder.lex(4, (2, 0, 3, 1)),
+    TermOrder.grevlex(4, (3, 1, 0, 2)),
+    TermOrder.cheapest(2, 4, (1, 3, 2, 0)),
+    TermOrder.cheapest(0, 4),
+])
+def test_term_order_keys_are_linear(order):
+    # the generic engine adds keys to shift terms instead of recomputing them
+    rng = random.Random(43)
+    for _ in range(200):
+        u = random_monomial(rng, 4)
+        v = random_monomial(rng, 4)
+        uv = tuple(map(add, u, v))
+        assert order.key(uv) == tuple(map(add, order.key(u), order.key(v)))
+
+
 def test_cheapest_order_makes_variable_cheap():
     order = TermOrder.cheapest(0, 2)
     # x0^5 is still cheaper than x1
@@ -107,6 +125,43 @@ def test_division_reexpansion():
         r = reduce(f, G, order)
         gb = buchberger(G, order)
         assert reduce(f - r, gb, order).is_zero()
+
+
+def random_fraction(rng):
+    """A nonzero rational that is not an integer."""
+    while True:
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9))
+        if c.denominator > 1:
+            return c
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reduce_is_the_exact_normal_form(seed):
+    # modulo a Groebner basis the normal form is unique, so the integer
+    # pseudo-division, once divided by its multipliers, must give what
+    # division over the rationals gives, whatever the reducers' scaling
+    rng = random.Random(seed)
+    nvars = 2 + seed % 2
+    order = TermOrder.grevlex(nvars) if seed % 3 else TermOrder.lex(nvars)
+    F = [Polynomial(nvars, [(random_monomial(rng, nvars, 2), random_fraction(rng))
+                            for _ in range(3)]) for _ in range(2)]
+    F = [f for f in F if f]
+    gb = buchberger(F, order)
+    scaled = [g * random_fraction(rng) for g in gb]
+    f = Polynomial(nvars, [(random_monomial(rng, nvars), random_fraction(rng))
+                           for _ in range(6)])
+    want = fraction_normal_form(f, gb, order)
+    assert reduce(f, gb, order) == want
+    assert reduce(f, scaled, order) == want
+    assert reduce(f, PreparedBasis(scaled, order), order) == want
+    assert reduce(f - want, scaled, order).is_zero()
+
+
+def test_reduce_rejects_a_basis_prepared_for_another_order():
+    g = poly(2, ((1, 0), 2), ((0, 1), -1))
+    prepared = PreparedBasis([g], TermOrder.lex(2))
+    with pytest.raises(ValueError):
+        reduce(g, prepared, TermOrder.grevlex(2))
 
 
 # --- buchberger -------------------------------------------------------------
