@@ -6,7 +6,8 @@ parametrization of the MLE as a polynomial system (toric binomials of the
 reduced matrix plus all marginal-matching linear equations), eliminated by
 a lexicographic Groebner basis whose triangular form ends in a univariate
 polynomial psi; back-substitution from its positive root produces the cell
-profile.  Rational MLEs (linear univariate part) are reported exactly.
+profile.  Every rational MLE, whatever the degree of psi, is reported
+exactly, with the profile back-substituted from the exact root.
 
 The linear part is solved over the integers.  The marginal equations are
 brought to reduced echelon form fraction-free: clearing a column from a
@@ -31,7 +32,9 @@ computed by homogeneous Horner, so no comparison rests on rounding: the
 intervals are exact.  Rational roots need no search over divisors: a root
 a / d in lowest terms of the integer q has d dividing lc(q), so once an
 interval is narrower than 1 / lc(q) it holds at most one candidate, and
-that one is tested exactly.
+that one is tested exactly where the root is isolated.  A rational root
+so comes back as the degenerate interval (r, r), and any other interval
+holds an irrational root.
 """
 
 import math
@@ -44,7 +47,7 @@ from .orders import TermOrder
 from .polynomials import (Binomial, NotTriangular, Polynomial, PreparedBasis,
                           buchberger, eliminate_to_triangular)
 from .polynomials import reduce as poly_reduce
-from .toric import compute_toric_basis
+from .toric import ToricBasis, compute_toric_basis
 
 
 class CountTable:
@@ -81,24 +84,14 @@ def reduce_zero_cells(A, n):
 
     Every cell touching a zero sufficient statistic is forced to zero in
     the extended MLE and dropped; rows with zero margins are dropped too.
-    Margins never change during the iteration (dropped cells carry zero
-    counts), but the pass repeats to a fixpoint anyway.
+    The test reads only the observed margins, which dropping a cell (with
+    its zero count) cannot change, so one pass is already the fixpoint.
     """
     stats = sufficient_stats(A, n)
-    active = set(range(A.ncols))
-    while True:
-        dropped = set()
-        for j in list(active):
-            for i in range(A.nrows):
-                if A.rows[i][j] > 0 and stats[i] == 0:
-                    dropped.add(j)
-                    break
-        if not dropped & active:
-            break
-        active -= dropped
+    active = [j for j in range(A.ncols)
+              if not any(row[j] > 0 and x == 0 for row, x in zip(A.rows, stats))]
     if not active:
         raise ValueError("all cells dropped: empty extended model")
-    active = sorted(active)
     keep_rows = [i for i in range(A.nrows) if stats[i] > 0]
     return active, A.restrict(active, keep_rows)
 
@@ -146,16 +139,21 @@ class MleSystem:
     """Cell parametrization of the MLE: binomials plus marginal equations."""
     active: tuple              # original column indices that stay
     matrix: object             # reduced ModelMatrix (kept rows x active cols)
-    binomials: tuple           # toric basis of the reduced matrix
+    basis: ToricBasis          # toric basis of the reduced matrix
     margins: tuple             # observed sufficient statistics, kept rows
     cell_names: tuple
 
     def __post_init__(self):
         if any(x <= 0 for x in self.margins):
             raise ValueError("kept rows must have positive margins")
-        for b in self.binomials:
-            if self.matrix.apply(b.u) != self.matrix.apply(b.v):
-                raise ValueError("system binomial violates the kernel condition")
+        # ToricBasis has checked its binomials against its own matrix
+        if not isinstance(self.basis, ToricBasis) or \
+                self.basis.matrix.rows != self.matrix.rows:
+            raise ValueError("basis is not a toric basis of the reduced matrix")
+
+    @property
+    def binomials(self):
+        return self.basis.binomials
 
 
 def assemble_mle_system(A, n, basis=None, budget=None):
@@ -177,10 +175,10 @@ def assemble_mle_system(A, n, basis=None, budget=None):
                 seed.append(Binomial(
                     tuple(b.u[j] for j in active),
                     tuple(b.v[j] for j in active)))
-    reduced_basis = compute_toric_basis(red, seed=seed or None, budget=budget)
     margins = red.apply([n.values[j] for j in active])
     return MleSystem(active=tuple(active), matrix=red,
-                     binomials=tuple(reduced_basis.binomials),
+                     basis=compute_toric_basis(red, seed=seed or None,
+                                               budget=budget),
                      margins=tuple(margins),
                      cell_names=tuple(red.col_labels))
 
@@ -190,10 +188,12 @@ class MleExactResult:
     triangular: tuple          # reduced lex basis in back-substitution order
     psi: tuple                 # univariate coefficients, ascending degree
     psi_variable: int          # active-cell index the univariate lives in
-    positive_roots: tuple      # floats, isolated to 1e-12
-    root: object               # the statistically valid root (Fraction if rational)
+    positive_roots: tuple      # floats: midpoints of the isolating intervals
+                               # (width <= 1e-12), float(r) for a rational r
+    root: object               # the statistically valid root: a Fraction iff
+                               # its interval was the degenerate (r, r)
     profile: tuple             # cell values at that root, in active order
-    rational: bool
+    rational: bool             # root rational; root and profile then exact
 
 
 def solve_mle_exact(sys, budget=None):
@@ -252,17 +252,13 @@ def solve_mle_exact(sys, budget=None):
     roots = isolate_positive_roots(psi)
     if not roots:
         raise ArithmeticError("no positive root: extended MLE missing?")
-    exact_root = None
-    if len(psi) == 2:  # degree one: rational solution
-        exact_root = -psi[0] / psi[1]
     candidates = []
-    for interval in roots:
-        value = exact_root if exact_root is not None else \
-            float(interval[0] + interval[1]) / 2
+    for lo, hi in roots:
+        # a degenerate interval is a rational root, substituted exactly
+        value = lo if lo == hi else float(lo + hi) / 2
         profile = _back_substitute(shape, rows, pivots, var, value, nvars)
         if profile is not None and all(
-                (x >= 0 if exact_root is not None else x >= -1e-9)
-                for x in profile):
+                x >= (0 if lo == hi else -1e-9) for x in profile):
             candidates.append((value, profile))
     if not candidates:
         raise ArithmeticError("no nonnegative solution among the roots")
@@ -275,7 +271,7 @@ def solve_mle_exact(sys, budget=None):
         triangular=tuple(triangular), psi=tuple(psi), psi_variable=var,
         positive_roots=tuple(float(lo + hi) / 2 for lo, hi in roots),
         root=value, profile=tuple(profile),
-        rational=exact_root is not None)
+        rational=isinstance(value, Fraction))
 
 
 def _fglm_to_lex(gb, from_order, lex_order, variables):
@@ -653,26 +649,38 @@ def _isolate(q):
     return out
 
 
-def _refine(q, a, b, d, width):
-    """Shrink an interval holding one simple root of q to at most width.
+def _positive_roots(q, width):
+    """One interval (lo, hi] per positive root of a squarefree integer q
+    with q(0) != 0, at most min(width, 1 / (2 lc(q))) wide; a rational
+    root r comes back as (r, r).
 
-    Only the sign of q is read: the root lies on the side where q changes
-    sign.  A root found exactly at a / d returns the interval (r, r),
-    that is, a == b.
+    Each isolating interval is bisected by the sign of q alone: the root
+    lies on the side where q changes sign, and a midpoint where q vanishes
+    ends the bisection as the right end.  By the rational root theorem a
+    rational root lies on the grid of multiples of 1 / lc(q), and an
+    interval narrower than half that step holds at most one of them,
+    k / lc(q) with k = floor(lc(q) hi): the root is rational iff k / lc(q)
+    lies inside and q(k / lc(q)) == 0.
     """
-    vb = _value(q, b, d)
-    if vb == 0:
-        return b, b, d
-    while (b - a) * width.denominator > width.numerator * d:
-        m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
-        vm = _value(q, m, d)
-        if vm == 0:
-            return m, m, d
-        if (vm > 0) == (vb > 0):
-            b = m
-        else:
-            a = m
-    return a, b, d
+    if len(q) < 2:
+        return []
+    lc = abs(q[-1])
+    width = min(width, Fraction(1, 2 * lc))
+    out = []
+    for a, b, d in _isolate(q):
+        vb = _value(q, b, d)
+        while vb and (b - a) * width.denominator > width.numerator * d:
+            m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+            vm = _value(q, m, d)
+            if vm == 0 or (vm > 0) == (vb > 0):
+                b, vb = m, vm
+            else:
+                a = m
+        k = b * lc // d
+        if k * d > a * lc and _value(q, k, lc) == 0:
+            a, b, d = k, k, lc
+        out.append((Fraction(a, d), Fraction(b, d)))
+    return out
 
 
 def isolate_positive_roots(coeffs):
@@ -681,46 +689,27 @@ def isolate_positive_roots(coeffs):
     coeffs are rational, in ascending degree.  Every sign is that of an
     integer, d ** deg * q(a / d) for the squarefree integer part q, so the
     Sturm counts that isolate the roots and the sign bisection that
-    refines each interval to ISOLATION_WIDTH are exact.  A degenerate
-    (r, r) interval marks a root hit exactly.
+    refines each interval to ISOLATION_WIDTH are exact.  An interval is
+    the degenerate (r, r) iff its root r is rational; every other interval
+    holds an irrational root.
     """
-    q = _squarefree_part(coeffs)
-    if len(q) < 2:
-        return []
-    out = []
-    for a, b, d in _isolate(q):
-        a, b, d = _refine(q, a, b, d, ISOLATION_WIDTH)
-        out.append((Fraction(a, d), Fraction(b, d)))
-    return sorted(out)
+    return sorted(_positive_roots(_squarefree_part(coeffs), ISOLATION_WIDTH))
 
 
 def rational_root_check(psi):
     """All rational roots of a rational-coefficient univariate, sorted.
 
-    Let q be the squarefree integer part of psi.  If a / d in lowest terms
-    is a root of q, then d divides lc(q) (rational root theorem), so every
-    rational root is a multiple of 1 / lc(q).  The roots of q(x) and of
-    q(-x) are isolated and each interval is narrowed by sign bisection
-    below 1 / lc(q); it then holds at most one such multiple, and that
-    multiple is tested exactly.  Zero is handled up front.  Every reported
-    root is verified by exact evaluation of psi itself.
+    Zero is handled up front; the other rational roots are the degenerate
+    intervals of the positive roots of q(x) and q(-x), q the squarefree
+    integer part of psi, each narrowed only as far as the rational test
+    needs.  Every reported root is verified by exact evaluation of psi
+    itself.
     """
     q = _squarefree_part(psi)
     roots = [Fraction(0)] if psi[0] == 0 else []
-    if len(q) < 2:
-        return roots
-    lc = abs(q[-1])
-    width = Fraction(1, 2 * lc)
     for sign in (1, -1):
         qs = [c * sign ** i for i, c in enumerate(q)]
-        for a, b, d in _isolate(qs):
-            a, b, d = _refine(qs, a, b, d, width)
-            if a != b:
-                k = b * lc // d  # the largest multiple of 1 / lc up to b / d
-                if k * d <= a * lc or _value(qs, k, lc) != 0:
-                    continue
-                b, d = k, lc
-            roots.append(Fraction(sign * b, d))
+        roots += [sign * lo for lo, hi in _positive_roots(qs, 1) if lo == hi]
     for r in roots:
         if sum(Fraction(c) * r ** i for i, c in enumerate(psi)) != 0:
             raise ArithmeticError(f"rational root {r} does not annihilate psi")

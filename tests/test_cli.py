@@ -189,6 +189,26 @@ def test_ips_and_mle_reports(tmp_path, capsys, four_cycle_graph_file):
     assert abs(float(res["profile"]["1011"]) - 1.76) <= 0.01
 
 
+def test_mle_exact_rational_root_of_a_quadratic(tmp_path, capsys,
+                                                four_cycle_graph_file):
+    # psi = (x - 1)(x + 4) on the nine active cells; the MLE is 1 everywhere
+    model = str(tmp_path / "model.json")
+    run(capsys, "model", "--graph", four_cycle_graph_file, "--out", model)
+    counts = write_json(tmp_path / "n.json", {
+        "order": "lex-last-fastest",
+        "values": [str(x) for x in (1, 1, 1, 0, 0, 0, 0, 0,
+                                    1, 1, 1, 0, 1, 1, 1, 0)]})
+    code, report = run(capsys, "mle-exact", "--model", model,
+                       "--counts", counts)
+    assert code == 0
+    res = report["results"]
+    assert res["psi"] == ["1", "3", "-4"]
+    assert res["rational_mle"] is True
+    assert res["root"] == "1"
+    assert set(res["profile"].values()) == {"1"}
+    assert res["rational_roots_of_psi"] == ["-4", "1"]
+
+
 def test_mle_rational_for_decomposable(tmp_path, capsys, three_chain_graph_file):
     model = str(tmp_path / "model.json")
     run(capsys, "model", "--graph", three_chain_graph_file, "--out", model)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,9 +10,10 @@ from toricgm.mle import (ISOLATION_WIDTH, CountTable, _echelonize,
                          assemble_mle_system, ips_fit, isolate_positive_roots,
                          rational_root_check, reduce_zero_cells, solve_mle_exact,
                          sufficient_stats)
-from toricgm.models import monomial_map
+from toricgm.models import ModelMatrix, monomial_map
 from toricgm.orders import TermOrder
 from toricgm.polynomials import reduce as poly_reduce
+from toricgm.toric import compute_toric_basis
 from fixtures import (FOUR_CYCLE_COUNTS, IDX4, five_cycle,
                       four_cycle_matrix, three_chain)
 
@@ -104,6 +106,22 @@ def test_reduce_zero_cells_lifted_five_cycle():
         assert state[3] == state[4]
 
 
+def test_reduce_zero_cells_one_pass_is_the_fixpoint():
+    # a dropped cell has count 0, so the kept margins are unchanged and
+    # reducing the reduced table again drops nothing
+    A = four_cycle_matrix()
+    rng = random.Random(11)
+    for _ in range(40):
+        counts = [rng.choice((0, 0, 1, 2)) for _ in range(16)]
+        if not any(counts):
+            continue
+        active, red = reduce_zero_cells(A, CountTable(counts))
+        kept = CountTable([counts[j] for j in active])
+        again, red2 = reduce_zero_cells(red, kept)
+        assert again == list(range(len(active)))
+        assert red2.rows == red.rows
+
+
 def test_ips_matches_printed_table():
     A = four_cycle_matrix()
     fit = ips_fit(A, CountTable(FOUR_CYCLE_COUNTS), tol=1e-9)
@@ -132,6 +150,17 @@ def test_ips_margins_and_binomials_at_convergence():
         pu = math.prod(sub[j] ** e for j, e in enumerate(b.u) if e)
         pv = math.prod(sub[j] ** e for j, e in enumerate(b.v) if e)
         assert abs(pu - pv) <= 10 * tol * max(pu, pv, 1.0)
+
+
+def test_mle_system_rejects_a_basis_of_another_matrix():
+    A = four_cycle_matrix()
+    sys_ = assemble_mle_system(A, CountTable(FOUR_CYCLE_COUNTS))
+    assert sys_.binomials == sys_.basis.binomials
+    other = ModelMatrix([[1] * sys_.matrix.ncols])
+    with pytest.raises(ValueError):
+        dataclasses.replace(sys_, basis=compute_toric_basis(other))
+    with pytest.raises(ValueError):
+        dataclasses.replace(sys_, basis=sys_.binomials)
 
 
 def test_ips_loglikelihood_monotone():
@@ -385,8 +414,8 @@ def test_root_layer_finds_planted_roots():
         intervals = isolate_positive_roots(coeffs)
         assert len(intervals) == len(positive)
         for (lo, hi), r in zip(intervals, positive):
-            assert lo < r <= hi or lo == r == hi
-            assert hi - lo <= ISOLATION_WIDTH
+            # every planted root is rational: it comes back exactly
+            assert lo == r == hi
     assert large >= 50
 
 
@@ -420,7 +449,11 @@ def test_rational_root_next_to_an_irrational_one():
     # 1/lc = 1/7 of the rational root 1, which must be reported once
     p = _poly_mul([-1, 1], [71, -77, 7])
     assert rational_root_check(p) == [Fraction(1)]
-    assert len(isolate_positive_roots(p)) == 3
+    intervals = isolate_positive_roots(p)
+    assert len(intervals) == 3
+    assert [(lo, hi) for lo, hi in intervals if lo == hi] == [(1, 1)]
+    for lo, hi in intervals:
+        assert hi - lo <= ISOLATION_WIDTH
 
 
 def test_heavy_table_root_layer():
@@ -486,6 +519,10 @@ def test_nine_cell_table_with_a_pivot_as_last_cell():
     assert rendered[0] == "x8 - 1"
     assert {"x7^2 + 3*x7 - 4", "x5 + x7 - 2"} <= set(rendered)
     _assert_agrees_with_ips(A, counts, res)
+    # psi = (x7 - 1)(x7 + 4): the MLE is rational, exactly 1 in every cell
+    assert res.rational
+    assert res.root == Fraction(1) and isinstance(res.root, Fraction)
+    assert all(isinstance(x, Fraction) and x == 1 for x in res.profile)
 
 
 @pytest.mark.parametrize("counts", NINE_CELL_TABLES)
