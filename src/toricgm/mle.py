@@ -35,17 +35,28 @@ interval is narrower than 1 / lc(q) it holds at most one candidate, and
 that one is tested exactly where the root is isolated.  A rational root
 so comes back as the degenerate interval (r, r), and any other interval
 holds an irrational root.
+
+The toric basis of a reduced matrix is computed once per matrix (and
+budget) and memoised process-wide, in a bounded least-recently-used memo:
+many tables share their zero cells, hence their reduced matrix, and the
+basis belongs to the matrix, not to the counts.  The memo is exact for
+three reasons.  A `ToricBasis` is fixed by its matrix and order: the
+reduced Groebner basis is unique, and `saturated` is planned from the
+matrix's own lattice basis.  A `BudgetExceeded` is not stored, so a later
+call computes the basis afresh.  Entries are immutable, and `MleSystem`
+still checks the basis against the reduced matrix it is built with.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 
 from .models import Distribution
 from .orders import TermOrder
-from .polynomials import (Binomial, NotTriangular, Polynomial, PreparedBasis,
-                          buchberger, eliminate_to_triangular)
+from .polynomials import (NotTriangular, Polynomial, PreparedBasis, buchberger,
+                          eliminate_to_triangular)
 from .polynomials import reduce as poly_reduce
 from .toric import ToricBasis, compute_toric_basis
 
@@ -156,29 +167,29 @@ class MleSystem:
         return self.basis.binomials
 
 
-def assemble_mle_system(A, n, basis=None, budget=None):
+@lru_cache(maxsize=256)
+def _reduced_basis(red, budget):
+    """Toric basis of the reduced matrix `red`, memoised (module docstring).
+
+    A miss calls `compute_toric_basis` as bound in this module at call
+    time, so a wrapper installed on that name sees every miss.
+    """
+    return compute_toric_basis(red, budget=budget)
+
+
+def assemble_mle_system(A, n, budget=None):
     """Zero-reduce the table and set up the exact MLE system.
 
-    The binomial part is the toric basis of the reduced matrix (optionally
-    seeded by restricting a full-model basis to the surviving cells); the
+    The binomial part is the toric basis of the reduced matrix, computed
+    once per reduced matrix and budget (see the module docstring); the
     linear part keeps every reduced row's marginal equation, redundancy
     included.
     """
     n = n if isinstance(n, CountTable) else CountTable(n)
     active, red = reduce_zero_cells(A, n)
-    seed = []
-    if basis is not None:
-        keep = set(active)
-        for b in basis:
-            if all(e == 0 or j in keep for j, e in enumerate(b.u)) and \
-                    all(e == 0 or j in keep for j, e in enumerate(b.v)):
-                seed.append(Binomial(
-                    tuple(b.u[j] for j in active),
-                    tuple(b.v[j] for j in active)))
     margins = red.apply([n.values[j] for j in active])
     return MleSystem(active=tuple(active), matrix=red,
-                     basis=compute_toric_basis(red, seed=seed or None,
-                                               budget=budget),
+                     basis=_reduced_basis(red, budget),
                      margins=tuple(margins),
                      cell_names=tuple(red.col_labels))
 

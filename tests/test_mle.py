@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from toricgm import mle
 from toricgm.graphs import build_graph_matrix
 from toricgm.mle import (ISOLATION_WIDTH, CountTable, _echelonize,
-                         assemble_mle_system, ips_fit, isolate_positive_roots,
-                         rational_root_check, reduce_zero_cells, solve_mle_exact,
-                         sufficient_stats)
+                         _reduced_basis, assemble_mle_system, ips_fit,
+                         isolate_positive_roots, rational_root_check,
+                         reduce_zero_cells, solve_mle_exact, sufficient_stats)
 from toricgm.models import ModelMatrix, monomial_map
 from toricgm.orders import TermOrder
+from toricgm.polynomials import BudgetExceeded
 from toricgm.polynomials import reduce as poly_reduce
 from toricgm.toric import compute_toric_basis
 from fixtures import (FOUR_CYCLE_COUNTS, IDX4, five_cycle,
@@ -161,6 +163,54 @@ def test_mle_system_rejects_a_basis_of_another_matrix():
         dataclasses.replace(sys_, basis=compute_toric_basis(other))
     with pytest.raises(ValueError):
         dataclasses.replace(sys_, basis=sys_.binomials)
+
+
+@pytest.fixture
+def basis_misses(monkeypatch):
+    """Clear the reduced-basis memo; list the matrices of its misses."""
+    _reduced_basis.cache_clear()
+    misses = []
+
+    def counting(red, **kwargs):
+        misses.append(red)
+        return compute_toric_basis(red, **kwargs)
+
+    monkeypatch.setattr(mle, "compute_toric_basis", counting)
+    yield misses
+    _reduced_basis.cache_clear()
+
+
+def test_tables_with_the_same_zero_cells_share_one_basis(basis_misses):
+    A = four_cycle_matrix()
+    sys1 = assemble_mle_system(A, CountTable(FOUR_CYCLE_COUNTS))
+    sys2 = assemble_mle_system(A, CountTable([3 * c for c in FOUR_CYCLE_COUNTS]))
+    assert sys1.margins != sys2.margins
+    assert len(basis_misses) == 1
+    assert sys1.basis is sys2.basis
+    assert sys2.basis.matrix == sys2.matrix
+
+
+def test_tables_with_other_zero_cells_get_their_own_basis(basis_misses):
+    A = four_cycle_matrix()
+    sys1 = assemble_mle_system(A, CountTable(FOUR_CYCLE_COUNTS))
+    sys2 = assemble_mle_system(A, CountTable([1] * A.ncols))
+    assert len(basis_misses) == 2
+    assert sys1.basis is not sys2.basis
+    assert sys2.basis.matrix == sys2.matrix == A
+
+
+def test_budget_exceeded_on_a_miss_is_not_memoised(basis_misses):
+    A = four_cycle_matrix()
+    full = CountTable([1] * A.ncols)
+    with pytest.raises(BudgetExceeded):
+        assemble_mle_system(A, full, budget=1)
+    assert _reduced_basis.cache_info().currsize == 0
+    sys_ = assemble_mle_system(A, full)
+    assert len(basis_misses) == 2
+    assert len(sys_.basis) == 28
+    assert sys_.basis.binomials == compute_toric_basis(A).binomials
+    assemble_mle_system(A, full)
+    assert len(basis_misses) == 2
 
 
 def test_ips_loglikelihood_monotone():
@@ -527,10 +577,15 @@ def test_nine_cell_table_with_a_pivot_as_last_cell():
 
 @pytest.mark.parametrize("counts", NINE_CELL_TABLES)
 def test_nine_cell_tables_agree_with_ips(counts):
+    # solved once with a cleared basis memo and once from the memo
     A = four_cycle_matrix()
     counts = CountTable(counts)
-    res = solve_mle_exact(assemble_mle_system(A, counts))
-    _assert_agrees_with_ips(A, counts, res)
+    _reduced_basis.cache_clear()
+    cold = solve_mle_exact(assemble_mle_system(A, counts))
+    warm = solve_mle_exact(assemble_mle_system(A, counts))
+    assert _reduced_basis.cache_info().hits == 1
+    assert warm == cold
+    _assert_agrees_with_ips(A, counts, cold)
 
 
 def test_nine_cell_sample_has_both_kinds_of_last_cell():
