@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import integer_kernel_lattice
-from .models import Distribution
+from .models import monomial_map
 from .simplex import find_facial_certificate
 
 FACTORS = "factors"
@@ -224,12 +224,4 @@ def limit_sequence(A, P, epsilon):
             t_eps.append(eps ** float(cert.c[i]) * math.exp(tau[pos[i]]))
         else:
             t_eps.append(0.0)
-    values = []
-    for j in range(A.ncols):
-        val = 1.0
-        for i in range(A.nrows):
-            e = A.rows[i][j]
-            if e:
-                val *= t_eps[i] ** e
-        values.append(val)
-    return tuple(t_eps), Distribution(values)
+    return tuple(t_eps), monomial_map(A, t_eps)

@@ -9,7 +9,7 @@ determinism over asymptotic cleverness.
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .models import ModelMatrix, StateSpace, VariableSpec, build_loglinear_matrix
+from .models import StateSpace, VariableSpec, build_loglinear_matrix
 
 
 class UndirectedGraph:
@@ -93,10 +93,7 @@ def cliques(g):
 
 def build_graph_matrix(g):
     """Model matrix of the undirected graphical model (clique generators)."""
-    mat = build_loglinear_matrix(g.space(), cliques(g))
-    return ModelMatrix(mat.rows, row_labels=mat.row_labels,
-                       col_labels=mat.col_labels, provenance="graph",
-                       space=mat.space)
+    return build_loglinear_matrix(g.space(), cliques(g))
 
 
 def separates(g, X, Y, Z):

@@ -166,40 +166,35 @@ def saturated_cpd_binomials(stmt, space, order=None):
     return out
 
 
-def pairwise_ideal(g):
-    """Generators from the nonedge statements X_i indep X_j given the rest."""
-    space = g.space()
+def _saturated_binomials(statements, space):
+    """Saturated CPD binomials of the statements, in statement order,
+    deduplicated by `sign_free`."""
     order = TermOrder.grevlex(space.size)
-    names = g.names
     seen = set()
     out = []
-    for a, b in combinations(names, 2):
-        if g.has_edge(a, b):
-            continue
-        rest = tuple(n for n in names if n not in (a, b))
-        stmt = CIStatement((a,), (b,), rest)
+    for stmt in statements:
         for binom in saturated_cpd_binomials(stmt, space, order):
-            if binom.sign_free() in seen:
-                continue
-            seen.add(binom.sign_free())
-            out.append(binom)
+            key = binom.sign_free()
+            if key not in seen:
+                seen.add(key)
+                out.append(binom)
     return out
+
+
+def pairwise_ideal(g):
+    """Generators from the nonedge statements X_i indep X_j given the rest."""
+    names = g.names
+    return _saturated_binomials(
+        (CIStatement((a,), (b,), tuple(n for n in names if n not in (a, b)))
+         for a, b in combinations(names, 2) if not g.has_edge(a, b)),
+        g.space())
 
 
 def global_ideal(g, cap=12):
     """Generators from all saturated separation statements of the graph."""
-    space = g.space()
-    order = TermOrder.grevlex(space.size)
-    seen = set()
-    out = []
-    for sep in saturated_separations(g, cap):
-        stmt = CIStatement(sep.X, sep.Y, sep.Z)
-        for binom in saturated_cpd_binomials(stmt, space, order):
-            if binom.sign_free() in seen:
-                continue
-            seen.add(binom.sign_free())
-            out.append(binom)
-    return out
+    return _saturated_binomials(
+        (CIStatement(sep.X, sep.Y, sep.Z) for sep in saturated_separations(g, cap)),
+        g.space())
 
 
 def cpr(P, spec, space):

@@ -72,8 +72,7 @@ def read_matrix(path):
         return ModelMatrix(
             [row["entries"] for row in rows],
             row_labels=[str(row["label"]) for row in rows],
-            col_labels=[str(c) for c in columns],
-            provenance="raw")
+            col_labels=[str(c) for c in columns])
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: bad matrix entry: {exc}") from None
     except ValueError as exc:

@@ -21,7 +21,9 @@ positive integer prod_c a_c^max(u_c, v_c) before x_c is replaced by
 L_c / a_c, which makes the substituted binomial an integer polynomial;
 scaling a generator by a nonzero constant leaves the ideal and its reduced
 Groebner basis unchanged, so the core is exactly the one rational
-substitution gives.
+substitution gives.  FGLM converts the core's grevlex basis to lex by the
+same fraction-free elimination: each monomial of its walk is one integer
+row, the normal form cleared of denominators and tagged with the monomial.
 
 The root layer works in integers.  psi is scaled once to a content-free
 integer polynomial p, reduced to its squarefree part q = p / gcd(p, p').
@@ -215,7 +217,7 @@ def solve_mle_exact(sys, budget=None):
     pivot cell a linear form in the free cells, a_c x_c = L_c.  Put into
     the binomials, these leave a core in the free cells alone, brought to
     its reduced lex basis by a grevlex Groebner basis and FGLM order
-    conversion (exact linear algebra on the finite quotient).  The
+    conversion (fraction-free linear algebra on the finite quotient).  The
     echelon's leads are its pivot cells and the core's leads lie in the
     free ones, so by the product criterion their union is a lex basis of
     the whole system; it is auto-reduced once, in eliminate_to_triangular,
@@ -286,14 +288,17 @@ def solve_mle_exact(sys, budget=None):
 
 
 def _fglm_to_lex(gb, from_order, lex_order, variables):
-    """Reduced lex basis of a zero-dimensional ideal, by FGLM conversion.
+    """Reduced lex basis of a zero-dimensional ideal, by fraction-free FGLM.
 
-    Walks monomials of the quotient-supporting variables in increasing lex
-    order; each normal form (against the source basis, prepared once for
-    the whole walk) that is linearly dependent on the kept ones yields one
-    reduced lex basis element, and independent monomials extend the
-    staircase.  Exact rational linear algebra throughout; the quotient
-    must be finite over the given variables or NotTriangular is raised.
+    Walks monomials m of the quotient-supporting variables in increasing
+    lex order.  Each m gives one integer row: coordinates (0, s) hold its
+    normal form against the source basis (prepared once), cleared of
+    denominators, and the tag (1, m) holds m itself.  The row is reduced
+    against the echelon as in `_echelonize` (p * row - f * pivot row, over
+    its content).  If its normal-form part vanishes, the tag part over its
+    coefficient of m is the reduced lex basis element with lead m; else the
+    row joins the echelon on any normal-form pivot (the reduced basis is
+    unique).  NotTriangular unless the quotient is finite over variables.
     """
     import heapq
 
@@ -308,54 +313,45 @@ def _fglm_to_lex(gb, from_order, lex_order, variables):
             raise NotTriangular(
                 "not triangular: core ideal is not zero-dimensional")
 
-    def normal_vector(mono):
+    def augmented_row(mono):
         nf = poly_reduce(Polynomial(nvars, [(mono, 1)]), prepared, from_order)
-        return dict(nf.terms)
+        den = math.lcm(*(c.denominator for _, c in nf.terms))
+        row = {(0, s): c.numerator * (den // c.denominator) for s, c in nf.terms}
+        row[1, mono] = den
+        return row
 
     one = (0,) * nvars
     heap = [(lex_order.key(one), one)]
     seen = {one}
     emitted = []        # (lead monomial, polynomial)
-    kept = []           # lex-standard monomials, increasing
-    echelon = []        # (pivot monomial, vector dict, combo dict over kept)
+    echelon = []        # (pivot coordinate, row)
     while heap:
         _, mono = heapq.heappop(heap)
         if any(all(a <= b for a, b in zip(lead, mono)) for lead, _ in emitted):
             continue
-        vec = normal_vector(mono)
-        # reduce against the echelon; combo expresses the eliminated part
-        # over the raw normal forms of the kept monomials
-        combo = {}
-        for pivot, row_vec, row_combo in echelon:
-            c = vec.get(pivot)
-            if not c:
+        row = augmented_row(mono)
+        for pivot, prow in echelon:
+            f = row.get(pivot)
+            if not f:
                 continue
-            factor = c / row_vec[pivot]
-            for m2, c2 in row_vec.items():
-                nc = vec.get(m2, 0) - factor * c2
+            p = prow[pivot]
+            row = {k: p * c for k, c in row.items()}
+            for k, c in prow.items():
+                nc = row.get(k, 0) - f * c
                 if nc:
-                    vec[m2] = nc
+                    row[k] = nc
                 else:
-                    vec.pop(m2, None)
-            for k, c2 in row_combo.items():
-                nc = combo.get(k, 0) + factor * c2
-                if nc:
-                    combo[k] = nc
-                else:
-                    combo.pop(k, None)
-        if not vec:
-            # dependent: mono - sum combo[k] * kept[k] is a lex basis element
-            terms = [(mono, Fraction(1))]
-            terms += [(kept[k], -c) for k, c in combo.items()]
-            emitted.append((mono, Polynomial(nvars, terms)))
+                    del row[k]
+            g = math.gcd(*row.values())
+            if g > 1:
+                row = {k: c // g for k, c in row.items()}
+        pivot = next((k for k in row if not k[0]), None)
+        if pivot is None:
+            lc = row[1, mono]
+            emitted.append((mono, Polynomial(
+                nvars, [(m, Fraction(c, lc)) for (_, m), c in row.items()])))
             continue
-        # independent: new staircase monomial; vec = raw - sum combo[k] raw_k
-        idx = len(kept)
-        kept.append(mono)
-        pivot = max(vec, key=lambda m: from_order.key(m))
-        row_combo = {k: -c for k, c in combo.items()}
-        row_combo[idx] = Fraction(1)
-        echelon.append((pivot, vec, row_combo))
+        echelon.append((pivot, row))
         for v in variables:
             child = tuple(e + 1 if i == v else e for i, e in enumerate(mono))
             if child not in seen:

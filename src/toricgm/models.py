@@ -69,9 +69,6 @@ class StateSpace:
     def column_labels(self):
         return tuple(self.state_label(s) for s in self._states)
 
-    def indeterminate_names(self):
-        return tuple("p" + lbl for lbl in self.column_labels())
-
     def __eq__(self, other):
         return isinstance(other, StateSpace) and self.variables == other.variables
 
@@ -106,11 +103,9 @@ class ModelMatrix:
     positive column sums (the column degree), so its toric ideal is
     homogeneous."""
 
-    __slots__ = ("rows", "row_labels", "col_labels", "provenance", "space",
-                 "column_degree")
+    __slots__ = ("rows", "row_labels", "col_labels", "column_degree")
 
-    def __init__(self, rows, row_labels=None, col_labels=None,
-                 provenance="raw", space=None):
+    def __init__(self, rows, row_labels=None, col_labels=None):
         rows = tuple(tuple(int(x) for x in row) for row in rows)
         if not rows:
             raise ValueError("model matrix needs at least one row")
@@ -133,8 +128,6 @@ class ModelMatrix:
         self.rows = rows
         self.row_labels = tuple(row_labels)
         self.col_labels = tuple(col_labels)
-        self.provenance = provenance
-        self.space = space
         self.column_degree = sums[0] if sums else 0
 
     @property
@@ -167,12 +160,9 @@ class ModelMatrix:
                      for i in row_indices)
         return ModelMatrix(rows,
                            row_labels=tuple(self.row_labels[i] for i in row_indices),
-                           col_labels=tuple(self.col_labels[j] for j in col_indices),
-                           provenance=self.provenance, space=None)
+                           col_labels=tuple(self.col_labels[j] for j in col_indices))
 
     def indeterminate_names(self):
-        if self.space is not None:
-            return self.space.indeterminate_names()
         return tuple("p" + lbl for lbl in self.col_labels)
 
     def __eq__(self, other):
@@ -184,8 +174,7 @@ class ModelMatrix:
         return hash((self.rows, self.row_labels, self.col_labels))
 
     def __repr__(self):
-        return (f"ModelMatrix({self.nrows}x{self.ncols}, "
-                f"provenance={self.provenance!r})")
+        return f"ModelMatrix({self.nrows}x{self.ncols})"
 
 
 def _level_tuples(variables):
@@ -213,8 +202,7 @@ def build_loglinear_matrix(space, generators):
             labels.append("{%s}(%s)" % (",".join(gen),
                                         "".join(str(x) for x in level)))
     return ModelMatrix(rows, row_labels=labels,
-                       col_labels=space.column_labels(),
-                       provenance="loglinear", space=space)
+                       col_labels=space.column_labels())
 
 
 class Distribution:

@@ -252,9 +252,6 @@ class Binomial:
     def exponent_diff(self):
         return tuple(a - b for a, b in zip(self.u, self.v))
 
-    def degrees(self):
-        return (sum(self.u), sum(self.v))
-
     def strip_common(self):
         """Divide out the common monomial factor (coprime form)."""
         common = tuple(min(a, b) for a, b in zip(self.u, self.v))

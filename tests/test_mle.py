@@ -8,12 +8,13 @@ import pytest
 from toricgm import mle
 from toricgm.graphs import build_graph_matrix
 from toricgm.mle import (ISOLATION_WIDTH, CountTable, _echelonize,
-                         _reduced_basis, assemble_mle_system, ips_fit,
-                         isolate_positive_roots, rational_root_check,
+                         _fglm_to_lex, _reduced_basis, assemble_mle_system,
+                         ips_fit, isolate_positive_roots, rational_root_check,
                          reduce_zero_cells, solve_mle_exact, sufficient_stats)
 from toricgm.models import ModelMatrix, monomial_map
 from toricgm.orders import TermOrder
-from toricgm.polynomials import BudgetExceeded
+from toricgm.polynomials import (BudgetExceeded, NotTriangular, Polynomial,
+                                 buchberger)
 from toricgm.polynomials import reduce as poly_reduce
 from toricgm.toric import compute_toric_basis
 from fixtures import (FOUR_CYCLE_COUNTS, IDX4, five_cycle,
@@ -278,7 +279,7 @@ def test_assemble_system_contains_printed_generators():
         (("0100", "0111", "1001", "1010"), ("0101", "0110", "1000", "1011")),
     ]
     order = TermOrder.grevlex(12)
-    from toricgm.polynomials import Binomial, buchberger
+    from toricgm.polynomials import Binomial
     gb = buchberger([b.to_polynomial() for b in sys_.binomials], order)
     names = sys_.matrix.col_labels
     pos = {s: i for i, s in enumerate(names)}
@@ -356,7 +357,6 @@ def test_saturated_model_mle_is_data():
 def test_direct_buchberger_on_thirteen_polynomial_system():
     # the 5 binomials + 8 independent marginal equations, eliminated directly:
     # 12 polynomials, the first being the quintic in the last cell
-    from toricgm.polynomials import Polynomial, buchberger
     A = four_cycle_matrix()
     n = CountTable(FOUR_CYCLE_COUNTS)
     sys_ = assemble_mle_system(A, n)
@@ -520,10 +520,10 @@ def test_heavy_table_root_layer():
 
 # --- nine active cells: the last cell can be a pivot ---------------------------
 
-def _nine_cell_tables(seed, count):
-    """Distinct four-cycle tables drawn like the benchmark's nine-cell ones:
-    every cell 1 but three cells at 2, then the cells of two random clique
-    margins set to zero, drawn again until nine cells are left."""
+def _zeroed_tables(seed, active, count):
+    """Distinct four-cycle tables drawn like the benchmark's: every cell 1
+    but three cells at 2, then the cells of two random clique margins set
+    to zero, drawn again until `active` cells are left."""
     A = four_cycle_matrix()
     rng = random.Random(seed)
     tables = []
@@ -535,12 +535,12 @@ def _nine_cell_tables(seed, count):
             for j in range(A.ncols):
                 if A.rows[r][j]:
                     counts[j] = 0
-        if sum(c > 0 for c in counts) == 9 and counts not in tables:
+        if sum(c > 0 for c in counts) == active and counts not in tables:
             tables.append(counts)
     return tables
 
 
-NINE_CELL_TABLES = _nine_cell_tables(7, 12)
+NINE_CELL_TABLES = _zeroed_tables(7, 9, 12)
 
 
 def _assert_agrees_with_ips(A, counts, res):
@@ -596,3 +596,35 @@ def test_nine_cell_sample_has_both_kinds_of_last_cell():
         _, pivots = _echelonize(sys_.matrix.rows, sys_.margins, 9)
         kinds.add(8 in pivots)
     assert kinds == {True, False}
+
+
+# --- FGLM against a direct lex Groebner basis ---------------------------------
+
+def _whole_system(sys_):
+    """The binomials and every marginal equation, as polynomials."""
+    nvars = len(sys_.active)
+    unit = [tuple(int(k == j) for k in range(nvars)) for j in range(nvars)]
+    linear = [Polynomial(nvars, [(unit[j], c) for j, c in enumerate(row)]
+                         + [((0,) * nvars, -b)])
+              for row, b in zip(sys_.matrix.rows, sys_.margins)]
+    return [b.to_polynomial() for b in sys_.binomials] + linear
+
+
+@pytest.mark.parametrize("counts", _zeroed_tables(11, 8, 7)
+                         + _zeroed_tables(11, 9, 7) + _zeroed_tables(11, 10, 6))
+def test_triangular_is_the_direct_lex_basis_of_the_whole_system(counts):
+    # the echelon, the integer core and its FGLM conversion reach the
+    # reduced lex basis that lex Buchberger reaches on the whole system
+    sys_ = assemble_mle_system(four_cycle_matrix(), CountTable(counts))
+    res = solve_mle_exact(sys_)
+    direct = buchberger(_whole_system(sys_), TermOrder.lex(len(sys_.active)))
+    assert list(res.triangular) == direct
+
+
+def test_fglm_rejects_a_basis_that_is_not_zero_dimensional():
+    # <x0^2 - x1> has no lead that is a pure power of x1: the quotient is
+    # infinite over x1
+    grev = TermOrder.grevlex(2)
+    gb = [Polynomial(2, [((2, 0), 1), ((0, 1), -1)])]
+    with pytest.raises(NotTriangular, match="not zero-dimensional"):
+        _fglm_to_lex(gb, grev, TermOrder.lex(2), [0, 1])

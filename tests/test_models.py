@@ -39,7 +39,6 @@ def test_four_cycle_matrix_matches_print():
     A = four_cycle_matrix()
     assert [list(r) for r in A.rows] == FOUR_CYCLE_MATRIX
     assert A.nrows == 16 and A.ncols == 16
-    assert A.provenance == "graph"
 
 
 def test_single_full_generator_identity_pattern():

@@ -1,10 +1,13 @@
 """The benchmark tracer's wrapping sites exist in the library.
 
 `perfbench/tracing.py` wraps module attributes by name; a renamed function
-or import would only show up when a traced benchmark run fails.  This test
-loads that file by path and resolves every site.
+or import would only show up when a traced benchmark run fails.  These
+tests load that file by path, resolve every site, and require each call
+site to be called in its module: a name that is imported but no longer
+called would leave its per-layer metric silently at zero.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -31,3 +34,13 @@ def test_every_tracing_site_is_a_callable_of_its_module():
         layer, function = span.split(".")
         assert getattr(importlib.import_module(f"toricgm.{layer}"),
                        function, None) is fn, f"{span} is not {module_name}.{attr}"
+
+
+def test_every_call_site_is_called_in_its_module():
+    tracing = _load_tracing()
+    for module_name, attr, span in tracing.CALL_SITES:
+        module = importlib.import_module(module_name)
+        tree = ast.parse(Path(module.__file__).read_text())
+        called = {node.func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert attr in called, f"{module_name} never calls {attr} ({span})"
