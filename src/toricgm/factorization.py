@@ -7,11 +7,24 @@ additionally needs a feasible support.  Two independent membership routes
 are provided (basis evaluation versus an LP-certificate plus kernel
 products on the support) and must agree; the limit-sequence construction
 realizes closure points as explicit images.
+
+Every exact check runs on integers.  An exact P is written once over the
+least common denominator den of its values, P_j = N_j / den with integer
+numerators N_j.  A binomial x^u - x^v vanishes at P iff
+
+    N^u * den^|v| = N^v * den^|u|,
+
+which is P^u = P^v multiplied by den^(|u| + |v|) > 0, so it holds for
+|u| != |v| too; a kernel generator w balances iff the same identity holds
+for u = w+ and v = w-.  A certificate c is checked as the integer vector
+L c, with L the least common denominator of c: c . a_j = 0 iff
+(L c) . a_j = 0, and c . a_j >= 1 iff (L c) . a_j >= L.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .linalg import integer_kernel_lattice
 from .models import monomial_map
@@ -30,13 +43,34 @@ class FacialCertificate:
     @staticmethod
     def validated(A, F, c):
         F = set(F)
-        for j in range(A.ncols):
-            dot = sum(ci * ai for ci, ai in zip(c, A.column(j)))
+        c = tuple(map(Fraction, c))
+        L, scaled = _common_denominator(c)
+        for j, col in enumerate(zip(*A.rows)):
+            dot = sum(map(mul, scaled, col))
             if j in F and dot != 0:
                 raise ValueError("certificate not orthogonal on the support")
-            if j not in F and dot < 1:
+            if j not in F and dot < L:
                 raise ValueError("certificate below 1 off the support")
-        return FacialCertificate(tuple(Fraction(x) for x in c))
+        return FacialCertificate(c)
+
+
+def _common_denominator(values):
+    """(den, numerators): the least common denominator of exact rationals
+    and the integers x * den, in order."""
+    den = math.lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def _balanced(N, den, u, v):
+    """N^u * den^|v| == N^v * den^|u| for integer numerators N over den."""
+    lhs = math.prod(n ** e for n, e in zip(N, u) if e)
+    rhs = math.prod(n ** e for n, e in zip(N, v) if e)
+    shift = sum(u) - sum(v)
+    if shift > 0:
+        rhs *= den ** shift
+    elif shift < 0:
+        lhs *= den ** -shift
+    return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -63,9 +97,7 @@ def is_A_feasible(A, F):
     the union of the supports of F's columns.
     """
     F = set(F)
-    covered = set()
-    for j in F:
-        covered |= A.column_support(j)
+    covered = covered_rows(A, F)
     for j in range(A.ncols):
         if j in F:
             continue
@@ -111,14 +143,20 @@ def _binomials(basis):
 def in_variety_via_basis(P, basis, tol=None):
     """(membership, first failing binomial) at P.
 
-    Exact zero test for rational distributions; for numeric ones a failure
-    means |P^u - P^v| > tol * max(P^u, P^v).
+    Exact zero test for rational distributions, on integer numerators over
+    one common denominator; for numeric ones a failure means
+    |P^u - P^v| > tol * max(P^u, P^v), or P^u != P^v when tol is None.
     """
-    exact = getattr(P, "is_exact", True)
+    if getattr(P, "is_exact", True):
+        den, N = _common_denominator(P.values)
+        for b in _binomials(basis):
+            if not _balanced(N, den, b.u, b.v):
+                return False, b
+        return True, None
     for b in _binomials(basis):
         pu = _monomial_value(P, b.u)
         pv = _monomial_value(P, b.v)
-        if exact or tol is None:
+        if tol is None:
             if pu != pv:
                 return False, b
         else:
@@ -145,28 +183,30 @@ def in_variety_kernel_oracle(A, P):
     """
     if not P.is_exact:
         raise ValueError("kernel oracle needs an exact rational distribution")
-    F = sorted(P.support)
-    facial, _ = is_facial_lp(A, F)
+    _, balanced = _facial_and_balanced(A, P, sorted(P.support))
+    return balanced
+
+
+def _facial_and_balanced(A, P, F):
+    """(certificate, balanced) for the sorted support F of an exact P.
+
+    The certificate is None when F is not facial, and then balanced is
+    False; otherwise balanced says whether the kernel products hold on F
+    (vacuously on an empty F).
+    """
+    facial, cert = is_facial_lp(A, F)
     if not facial:
-        return False
-    if not F:
-        return True
-    return _kernel_balances(A, P, F)
+        return None, False
+    return cert, not F or _kernel_balances(A, P, F)
 
 
 def _kernel_balances(A, P, F):
     """Every generator w of ker_Z(A_F) balances at P on the sorted support F:
     the product of P_j ** w_j over w_j > 0 equals that of P_j ** -w_j over
-    w_j < 0."""
-    for w in integer_kernel_lattice(A.restrict(F).rows):
-        lhs = Fraction(1)
-        rhs = Fraction(1)
-        for j, e in zip(F, w):
-            if e > 0:
-                lhs *= P.values[j] ** e
-            elif e < 0:
-                rhs *= P.values[j] ** (-e)
-        if lhs != rhs:
+    w_j < 0, compared on integer numerators."""
+    den, N = _common_denominator([P.values[j] for j in F])
+    for w in integer_kernel_lattice([[row[j] for j in F] for row in A.rows]):
+        if not _balanced(N, den, [max(e, 0) for e in w], [max(-e, 0) for e in w]):
             return False
     return True
 
@@ -202,10 +242,10 @@ def limit_sequence(A, P, epsilon):
     F = sorted(P.support)
     if not F:
         raise ValueError("cannot build a limit sequence for the zero vector")
-    facial, cert = is_facial_lp(A, F)
-    if not facial:
+    cert, balanced = _facial_and_balanced(A, P, F)
+    if cert is None:
         raise ValueError("not in variety: support is not facial")
-    if not _kernel_balances(A, P, F):
+    if not balanced:
         raise ValueError("not in variety: kernel relation fails on support")
     rows_touched = sorted(covered_rows(A, F))
     design = [[A.rows[i][j] for i in rows_touched] for j in F]

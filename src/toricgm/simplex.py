@@ -26,12 +26,13 @@ returned.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .linalg import integer_kernel_lattice
 
 
 def _dot(x, y):
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def _phase_one(rows, rhs):
@@ -99,11 +100,12 @@ def find_facial_certificate(A, F):
     """
     F = set(F)
     d = A.nrows
-    off = [A.column(j) for j in range(A.ncols) if j not in F]
+    cols = list(zip(*A.rows))
+    off = [col for j, col in enumerate(cols) if j not in F]
     if not off:
         null = []  # no LP rows: c = 0 is the certificate
     elif F:
-        null = integer_kernel_lattice([A.column(j) for j in sorted(F)])
+        null = integer_kernel_lattice([cols[j] for j in sorted(F)])
     else:
         # no equalities; the kernel of an empty row set is all of Z^d
         null = [tuple(int(i == k) for i in range(d)) for k in range(d)]
@@ -120,8 +122,8 @@ def find_facial_certificate(A, F):
     den, basic = solution
     y = [basic.get(k, 0) - basic.get(dim + k, 0) for k in range(dim)]
     c = [_dot(y, [n[i] for n in null]) for i in range(d)]  # den * certificate
-    for j in range(A.ncols):
-        dot = _dot(c, A.column(j))
+    for j, col in enumerate(cols):
+        dot = _dot(c, col)
         if (dot != 0) if j in F else (dot < den):
             raise ArithmeticError(f"certificate fails column {j} for the "
                                   f"support {sorted(F)}")

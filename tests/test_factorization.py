@@ -10,8 +10,10 @@ from toricgm.factorization import (FACTORS, LIMIT_ONLY, OUTSIDE,
                                    in_variety_via_basis, is_A_feasible,
                                    is_facial_lp, is_facial_via_basis,
                                    limit_sequence)
+from toricgm.factorization import _kernel_balances
 from toricgm.linalg import integer_kernel_lattice
 from toricgm.models import Distribution, ModelMatrix, monomial_map
+from toricgm.polynomials import Binomial
 from toricgm.simplex import _phase_one
 from toricgm.toric import compute_toric_basis
 
@@ -270,3 +272,181 @@ def test_empty_support_convention():
     basis = FOUR_CYCLE_SIXTEEN
     member, _ = in_variety_via_basis(zero, basis)
     assert member
+
+
+# --- the integer route against the Fraction definition -----------------------
+
+def _fraction_membership(P, binomials):
+    """(member, first failing binomial) from P^u == P^v in Fraction."""
+    for b in binomials:
+        pu = pv = Fraction(1)
+        for x, eu, ev in zip(P.values, b.u, b.v):
+            pu *= x ** eu
+            pv *= x ** ev
+        if pu != pv:
+            return False, b
+    return True, None
+
+
+def _fraction_kernel_balances(A, P, F):
+    for w in integer_kernel_lattice(A.restrict(F).rows):
+        lhs = rhs = Fraction(1)
+        for j, e in zip(F, w):
+            if e > 0:
+                lhs *= P.values[j] ** e
+            else:
+                rhs *= P.values[j] ** -e
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _random_exact_point(rng, n):
+    """Zero cells, ones and mixed denominators."""
+    return Distribution([rng.choice([Fraction(0), Fraction(1),
+                                     Fraction(rng.randint(1, 40),
+                                              rng.choice([1, 2, 3, 7, 9, 25, 64]))])
+                         for _ in range(n)])
+
+
+def _random_binomials(rng, P, count):
+    """Random binomials, homogeneous or not, some of them vanishing at P
+    with |u| != |v| (through a unit cell or zero cells on both sides)."""
+    n = len(P)
+    ones = [j for j, x in enumerate(P.values) if x == 1]
+    zeros = [j for j, x in enumerate(P.values) if x == 0]
+    out = []
+    while len(out) < count:
+        u = [rng.choice([0, 0, 0, 1, 2]) for _ in range(n)]
+        v = [rng.choice([0, 0, 0, 1, 2]) for _ in range(n)]
+        kind = rng.randrange(3)
+        if kind == 0 and ones:
+            v = list(u)
+            v[rng.choice(ones)] += rng.randint(1, 3)
+        elif kind == 1 and zeros:
+            u[rng.choice(zeros)] += 1
+            v[rng.choice(zeros)] += rng.randint(2, 3)
+        if u != v:
+            out.append(Binomial(u, v) if rng.random() < 0.5 else Binomial(v, u))
+    return out
+
+
+def test_integer_membership_matches_fraction_definition(four_cycle_basis):
+    A = four_cycle_matrix()
+    rng = random.Random(2024)
+    basis = list(four_cycle_basis)
+    inhomogeneous = outcomes = 0
+    for trial in range(60):
+        if trial % 3 == 0:
+            t = [Fraction(rng.randint(0, 5), rng.randint(1, 7)) for _ in range(16)]
+            P = monomial_map(A, t)
+        else:
+            P = _random_exact_point(rng, 16)
+        binomials = _random_binomials(rng, P, 6)
+        rng.shuffle(binomials)
+        inhomogeneous += sum(sum(b.u) != sum(b.v) for b in binomials)
+        for Q in (P, P.scaled(Fraction(7, 3))):
+            for bs in (basis, binomials, basis + binomials):
+                expect = _fraction_membership(Q, bs)
+                assert in_variety_via_basis(Q, bs) == expect, (Q, bs)
+                outcomes |= 1 << expect[0]
+    assert inhomogeneous and outcomes == 3  # both verdicts were reached
+
+
+def test_integer_kernel_balances_match_fraction_definition():
+    rng = random.Random(77)
+    matrices = [four_cycle_matrix()] + [random_model(rng, rng.randint(1, 4),
+                                                     rng.randint(2, 7))
+                                        for _ in range(20)]
+    verdicts = set()
+    for A in matrices:
+        for _ in range(6):
+            t = [Fraction(rng.randint(1, 6), rng.randint(1, 6))
+                 for _ in range(A.nrows)]
+            values = list(monomial_map(A, t).values)
+            if rng.random() < 0.5:
+                values[rng.randrange(A.ncols)] *= Fraction(rng.randint(2, 5), 3)
+            P = Distribution(values)
+            F = sorted(j for j in range(A.ncols) if rng.random() < 0.7)
+            if not F:
+                continue
+            expect = _fraction_kernel_balances(A, P, F)
+            assert _kernel_balances(A, P, F) == expect, (A.rows, P, F)
+            verdicts.add(expect)
+    assert verdicts == {True, False}
+
+
+def test_float_point_takes_the_float_path(four_cycle_basis, monkeypatch):
+    A = four_cycle_matrix()
+    rng = random.Random(5)
+    P = monomial_map(A, [rng.uniform(0.5, 2.0) for _ in range(16)])
+    assert not P.is_exact
+
+    def no_integers(values):
+        raise AssertionError("a float point reached the integer route")
+
+    monkeypatch.setattr("toricgm.factorization._common_denominator", no_integers)
+    assert in_variety_via_basis(P, four_cycle_basis, tol=1e-9) == (True, None)
+    vals = list(P.values)
+    vals[5] *= 1 + 1e-6
+    member, failed = in_variety_via_basis(Distribution(vals), four_cycle_basis,
+                                          tol=1e-9)
+    assert not member and (failed.u[5] or failed.v[5])
+
+
+# --- the certificate check is exact ------------------------------------------
+
+@pytest.mark.parametrize("c, message", [
+    # column 0 gets 2 c_1 = 1 - 10^-12 off the support
+    ((Fraction(1, 2) - Fraction(1, 2 * 10**12), Fraction(1, 2), Fraction(0)),
+     "certificate below 1 off the support"),
+    # column 2 gets 2 c_3 = 10^-12 on the support
+    ((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2 * 10**12)),
+     "certificate not orthogonal on the support"),
+])
+def test_certificate_near_misses_rejected(c, message):
+    A = ModelMatrix([[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, 0]])
+    assert FacialCertificate.validated(A, [2], (Fraction(1, 2), Fraction(1, 2), 0))
+    with pytest.raises(ValueError, match=message):
+        FacialCertificate.validated(A, [2], c)
+
+
+def test_certificate_exactly_one_with_thirds_accepted():
+    A = ModelMatrix([[3, 0, 0, 1], [0, 3, 0, 2], [0, 0, 3, 0]])
+    c = (Fraction(1, 3), Fraction(1, 3), Fraction(0))
+    assert FacialCertificate.validated(A, [2], c).c == c
+
+
+# --- exact work per call ----------------------------------------------------
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Calls of the facial LP and of the kernel lattice made by factorization."""
+    import toricgm.factorization as fz
+    counts = {"lp": 0, "kernel": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(fz, "find_facial_certificate",
+                        counted("lp", fz.find_facial_certificate))
+    monkeypatch.setattr(fz, "integer_kernel_lattice",
+                        counted("kernel", fz.integer_kernel_lattice))
+    return counts
+
+
+def test_work_counts_per_call(four_cycle_basis, work_counts):
+    A = four_cycle_matrix()
+    P = moussouris_distribution()
+    assert classify(A, four_cycle_basis, P).kind == LIMIT_ONLY
+    assert work_counts == {"lp": 0, "kernel": 0}
+    assert in_variety_kernel_oracle(A, P)
+    assert work_counts == {"lp": 1, "kernel": 1}
+    limit_sequence(A, P, Fraction(1, 10))
+    assert work_counts == {"lp": 2, "kernel": 2}
+    # a support that is not facial stops after the LP
+    assert not in_variety_kernel_oracle(A, swap_support_distribution())
+    assert work_counts == {"lp": 3, "kernel": 2}
