@@ -97,20 +97,22 @@ def is_A_feasible(A, F):
     the union of the supports of F's columns.
     """
     F = set(F)
-    covered = covered_rows(A, F)
-    for j in range(A.ncols):
-        if j in F:
-            continue
-        if A.column_support(j) <= covered:
-            return False, j
-    return True, None
+    witness = _hidden_column(A, F, covered_rows(A, F))
+    return witness is None, witness
+
+
+def _hidden_column(A, F, covered):
+    """First column outside F whose support lies inside the covered rows,
+    i.e. whose entries vanish on every uncovered row; None if there is none."""
+    uncovered = [row for i, row in enumerate(A.rows) if i not in covered]
+    return next((j for j in range(A.ncols)
+                 if j not in F and not any(row[j] for row in uncovered)), None)
 
 
 def covered_rows(A, F):
-    out = set()
-    for j in F:
-        out |= A.column_support(j)
-    return frozenset(out)
+    """Rows on which some column of F is nonzero."""
+    F = tuple(F)
+    return frozenset(i for i, row in enumerate(A.rows) if any(row[j] for j in F))
 
 
 def is_facial_lp(A, F):
@@ -216,11 +218,12 @@ def classify(A, basis, P):
     member, failed = in_variety_via_basis(P, basis)
     if not member:
         return Verdict(OUTSIDE, failed_binomial=failed)
-    feasible, witness = is_A_feasible(A, P.support)
-    if feasible:
+    F = P.support
+    covered = covered_rows(A, F)
+    witness = _hidden_column(A, F, covered)
+    if witness is None:
         return Verdict(FACTORS)
-    return Verdict(LIMIT_ONLY, infeasible_column=witness,
-                   covered_rows=covered_rows(A, P.support))
+    return Verdict(LIMIT_ONLY, infeasible_column=witness, covered_rows=covered)
 
 
 def limit_sequence(A, P, epsilon):

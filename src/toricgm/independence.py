@@ -7,9 +7,19 @@ the lifted counterexample constructions that transport the four-cycle
 phenomena to arbitrary non-chordal graphs.
 
 A CPD for the statement "X independent of Y given Z" picks two joint
-levels of X, two of Y and one of Z and equates the cross products of the
-four marginal probabilities.  Saturated statements (X, Y, Z covering all
-variables) need no marginalization, so their CPDs are binomials.
+levels x < x2 of X, two y < y2 of Y and one z of Z and equates the cross
+products of four marginal probabilities,
+
+    p(x,y,z) p(x2,y2,z) - p(x2,y,z) p(x,y2,z).
+
+Each marginal is the sum over one cell of `StateSpace.marginal_cells` on
+the names X, Y, Z: the states that agree with that joint level, read from
+one cell map per statement.  The four cells are pairwise distinct, so no
+CPD is zero, and distinct instances of one statement have distinct cell
+pairs, so no two of them agree up to sign; nothing is deduplicated within
+a statement.  A saturated statement (X, Y, Z covering all variables) has
+cells of exactly one state each, so its CPDs are the binomials
+p_a p_b - p_c p_d, built directly from the four state indices.
 """
 
 from dataclasses import dataclass
@@ -56,114 +66,84 @@ class CpdSpec:
     z: tuple
 
 
-def cpd_instances(stmt, space):
-    """All CPD instances: unordered level pairs for X and for Y, every z."""
-    xlevels = _joint_levels(space, stmt.X)
-    ylevels = _joint_levels(space, stmt.Y)
-    zlevels = _joint_levels(space, stmt.Z)
-    out = []
+def _statement_cells(stmt, space):
+    return space.marginal_cells((*stmt.X, *stmt.Y, *stmt.Z))
+
+
+def _spec_cells(cells, spec):
+    """The cells (x,y,z), (x2,y2,z), (x2,y,z) and (x,y2,z) of an instance."""
+    x, x2, y, y2, z = spec.x, spec.x2, spec.y, spec.y2, spec.z
+    return (cells[(*x, *y, *z)], cells[(*x2, *y2, *z)],
+            cells[(*x2, *y, *z)], cells[(*x, *y2, *z)])
+
+
+def _instances_with_cells(stmt, space):
+    """(spec, its four cells) per CPD instance, from one cell map: unordered
+    level pairs for X and for Y, every z."""
+    cells = _statement_cells(stmt, space)
+    nx = len(stmt.X)
+    nxy = nx + len(stmt.Y)
+    xlevels = dict.fromkeys(level[:nx] for level in cells)
+    ylevels = dict.fromkeys(level[nx:nxy] for level in cells)
+    zlevels = dict.fromkeys(level[nxy:] for level in cells)
     for x, x2 in combinations(xlevels, 2):
         for y, y2 in combinations(ylevels, 2):
             for z in zlevels:
-                out.append(CpdSpec(stmt, x, x2, y, y2, z))
-    return out
+                spec = CpdSpec(stmt, x, x2, y, y2, z)
+                yield spec, _spec_cells(cells, spec)
 
 
-def _joint_levels(space, names):
-    variables = [space.variables[space.var_index(n)] for n in names]
-    return list(product(*[range(v.levels) for v in variables]))
+def cpd_instances(stmt, space):
+    """All CPD instances: unordered level pairs for X and for Y, every z."""
+    return [spec for spec, _ in _instances_with_cells(stmt, space)]
 
 
-def _marginal_states(space, assignment):
-    """Indices of states agreeing with a partial {name: level} assignment."""
-    positions = {space.var_index(n): lvl for n, lvl in assignment.items()}
-    hits = []
-    for idx, state in enumerate(space.states()):
-        if all(state[p] == lvl for p, lvl in positions.items()):
-            hits.append(idx)
-    return hits
+def _cpd_from_cells(m, cells):
+    """p(x,y,z) p(x2,y2,z) - p(x2,y,z) p(x,y2,z) in marginal sums over the
+    four cells; they are disjoint, so no two terms meet."""
+    xy, x2y2, x2y, xy2 = cells
+    return Polynomial(m, [(_pair(m, a, b), 1) for a in xy for b in x2y2]
+                      + [(_pair(m, c, d), -1) for c in x2y for d in xy2])
 
 
-def _marginal_polynomial(space, assignment):
-    m = space.size
-    unit = [0] * m
-    terms = []
-    for idx in _marginal_states(space, assignment):
-        mono = list(unit)
-        mono[idx] = 1
-        terms.append((tuple(mono), 1))
-    return Polynomial(m, terms)
-
-
-def _assignment(stmt, x, y, z):
-    out = {}
-    for name, lvl in zip(stmt.X, x):
-        out[name] = lvl
-    for name, lvl in zip(stmt.Y, y):
-        out[name] = lvl
-    for name, lvl in zip(stmt.Z, z):
-        out[name] = lvl
-    return out
+def _pair(m, a, b):
+    """Exponent vector of the monomial p_a p_b."""
+    mono = [0] * m
+    mono[a] += 1
+    mono[b] += 1
+    return tuple(mono)
 
 
 def cpd_polynomial(spec, space):
     """The quadratic polynomial of one CPD instance."""
-    stmt = spec.statement
-    p_xy = _marginal_polynomial(space, _assignment(stmt, spec.x, spec.y, spec.z))
-    p_x2y2 = _marginal_polynomial(space, _assignment(stmt, spec.x2, spec.y2, spec.z))
-    p_x2y = _marginal_polynomial(space, _assignment(stmt, spec.x2, spec.y, spec.z))
-    p_xy2 = _marginal_polynomial(space, _assignment(stmt, spec.x, spec.y2, spec.z))
-    return p_xy * p_x2y2 - p_x2y * p_xy2
-
-
-def _poly_signature(p):
-    """Sign-normalized term tuple, for deduplication."""
-    if not p.terms:
-        return ()
-    first = p.terms[0][1]
-    if first < 0:
-        p = -p
-    return p.terms
+    return _cpd_from_cells(
+        space.size, _spec_cells(_statement_cells(spec.statement, space), spec))
 
 
 def cpd_polynomials(stmt, space):
-    """All CPD polynomials of a statement, deduplicated up to sign.
+    """The CPD polynomials of a statement, one per instance, in instance
+    order; no two agree up to sign and none is zero.
 
     Saturated statements yield pure-difference quadratic binomials, the
     rest quadratic polynomials in marginal sums.
     """
-    seen = set()
-    out = []
-    for spec in cpd_instances(stmt, space):
-        p = cpd_polynomial(spec, space)
-        if p.is_zero():
-            continue
-        sig = _poly_signature(p)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        out.append(p)
-    return out
+    return [_cpd_from_cells(space.size, cells)
+            for _, cells in _instances_with_cells(stmt, space)]
 
 
 def saturated_cpd_binomials(stmt, space, order=None):
-    """CPD binomials of a saturated statement, canonical and deduplicated."""
+    """CPD binomials of a saturated statement, canonical, one per instance.
+
+    Every cell of a saturated statement holds a single state a, so the CPD
+    is the binomial p_a p_b - p_c p_d.
+    """
     if not stmt.is_saturated(space):
         raise ValueError("statement is not saturated")
     if order is None:
         order = TermOrder.grevlex(space.size)
-    seen = set()
-    out = []
-    for p in cpd_polynomials(stmt, space):
-        diff = p.as_pure_difference()
-        if diff is None:
-            raise AssertionError("saturated CPD did not come out binomial")
-        b = Binomial(*diff).canonical(order)
-        if b.sign_free() in seen:
-            continue
-        seen.add(b.sign_free())
-        out.append(b)
-    return out
+    m = space.size
+    return [Binomial(_pair(m, a, b), _pair(m, c, d)).canonical(order)
+            for _, ((a,), (b,), (c,), (d,)) in _instances_with_cells(stmt, space)]
 
 
 def _saturated_binomials(statements, space):
@@ -199,16 +179,10 @@ def global_ideal(g, cap=12):
 
 def cpr(P, spec, space):
     """Cross-product ratio of a CPD instance; None when the denominator is 0."""
-    stmt = spec.statement
-
-    def prob(x, y):
-        total = 0
-        for idx in _marginal_states(space, _assignment(stmt, x, y, spec.z)):
-            total += P[idx]
-        return total
-
-    num = prob(spec.x, spec.y) * prob(spec.x2, spec.y2)
-    den = prob(spec.x2, spec.y) * prob(spec.x, spec.y2)
+    xy, x2y2, x2y, xy2 = (sum((P[idx] for idx in cell), 0) for cell in
+                          _spec_cells(_statement_cells(spec.statement, space), spec))
+    num = xy * x2y2
+    den = x2y * xy2
     if den == 0:
         return None
     return num / den

@@ -362,6 +362,7 @@ def _fglm_to_lex(gb, from_order, lex_order, variables):
 
 
 def _content_free(row):
+    """row divided by its content, the (positive) gcd of its entries."""
     g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
@@ -546,8 +547,7 @@ def _primitive(p):
     """p divided by its (positive) content; trailing zeros dropped."""
     while p and p[-1] == 0:
         p.pop()
-    g = math.gcd(*p)
-    return [c // g for c in p]
+    return _content_free(p)
 
 
 def _derivative(p):

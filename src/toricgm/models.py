@@ -1,5 +1,5 @@
-"""State spaces, log-linear generator sets, model matrices and the monomial
-parametrization map.
+"""State spaces and their marginal cells, log-linear generator sets, model
+matrices and the monomial parametrization map.
 
 States are enumerated in mixed-radix order with the last variable varying
 fastest, so binary states read 000, 001, 010, ... and match the usual
@@ -60,6 +60,17 @@ class StateSpace:
                 raise ValueError(f"level {value} out of range for {var.name}")
             idx = idx * var.levels + value
         return idx
+
+    def marginal_cells(self, names):
+        """{level tuple: indices of the states that agree with it} for the
+        ordered variable names, level tuples in product order with the last
+        name fastest, indices increasing; one pass over the states."""
+        positions = [self.var_index(n) for n in names]
+        cells = {level: [] for level in product(
+            *[range(self.variables[p].levels) for p in positions])}
+        for idx, state in enumerate(self._states):
+            cells[tuple(state[p] for p in positions)].append(idx)
+        return {level: tuple(cell) for level, cell in cells.items()}
 
     def state_label(self, state):
         if all(v.levels <= 10 for v in self.variables):
@@ -141,9 +152,6 @@ class ModelMatrix:
     def column(self, j):
         return tuple(row[j] for row in self.rows)
 
-    def column_support(self, j):
-        return frozenset(i for i, row in enumerate(self.rows) if row[j])
-
     def apply(self, x):
         """A times a length-ncols vector, exact."""
         if len(x) != self.ncols:
@@ -177,10 +185,6 @@ class ModelMatrix:
         return f"ModelMatrix({self.nrows}x{self.ncols})"
 
 
-def _level_tuples(variables):
-    return tuple(product(*[range(v.levels) for v in variables]))
-
-
 def build_loglinear_matrix(space, generators):
     """0/1 model matrix of a log-linear model.
 
@@ -188,16 +192,13 @@ def build_loglinear_matrix(space, generators):
     tuples with the last coordinate fastest.  Entry (i, j) is 1 iff state j
     projects onto row i's level tuple.
     """
-    gens = validate_generators(space, generators)
-    positions = [tuple(space.var_index(n) for n in gen) for gen in gens]
     rows = []
     labels = []
-    states = space.states()
-    for gen, pos in zip(gens, positions):
-        gen_vars = [space.variables[p] for p in pos]
-        for level in _level_tuples(gen_vars):
-            row = tuple(1 if tuple(s[p] for p in pos) == level else 0
-                        for s in states)
+    for gen in validate_generators(space, generators):
+        for level, cell in space.marginal_cells(gen).items():
+            row = [0] * space.size
+            for j in cell:
+                row[j] = 1
             rows.append(row)
             labels.append("{%s}(%s)" % (",".join(gen),
                                         "".join(str(x) for x in level)))

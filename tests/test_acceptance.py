@@ -187,8 +187,9 @@ def test_criterion_06_decomposable_characterization():
     assert len(graphs) == 44  # 1 + 2 + 4 + 10 + 27 isomorphism classes
     for g in graphs:
         A = build_graph_matrix(g)
-        global_cpds = set(b.sign_free() for b in global_ideal(g))
-        basis = compute_toric_basis(A, seed=global_ideal(g))
+        cpds = global_ideal(g)
+        global_cpds = set(b.sign_free() for b in cpds)
+        basis = compute_toric_basis(A, seed=cpds)
         assert is_quadratic_basis(basis), g
         for b in basis:
             assert b.sign_free() in global_cpds, (g, b)

@@ -1,18 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from toricgm.graphs import binary_graph, build_graph_matrix, cliques, \
-    nondecomposable_partition
-from toricgm.independence import (CIStatement, cpd_instances, cpd_polynomial,
+from toricgm.graphs import UndirectedGraph, binary_graph, build_graph_matrix, \
+    cliques, nondecomposable_partition, saturated_separations
+from toricgm.independence import (CIStatement, CpdSpec, cpd_instances,
+                                  cpd_polynomial,
                                   cpd_polynomials, cpr,
                                   exponential_degree_witness, global_ideal,
                                   hc_zspan_check, lift_ci_counterexample,
                                   lift_limit_potentials, pairwise_ideal,
                                   saturated_cpd_binomials)
-from toricgm.models import Distribution, monomial_map
+from toricgm.models import Distribution, VariableSpec, monomial_map
 from toricgm.orders import TermOrder
+from toricgm.polynomials import Binomial, Polynomial
 from toricgm.polynomials import reduce as poly_reduce
 from toricgm.toric import binomial_in_kernel, compute_toric_basis
 
@@ -165,6 +168,181 @@ def test_image_cpr_ratios_tied_across_conditioning():
     by_z = {spec.z: cpr(P, spec, space) for spec in cpd_instances(stmt, space)}
     assert by_z[(0, 1)] == by_z[(1, 0)]
     assert by_z[(0, 0)] == by_z[(1, 1)]
+
+
+# Reference construction: one scan of every state per marginal, CPDs as
+# products of Polynomial marginal sums, then zero and sign deduplication.
+# The cell-map construction must give the same lists in the same order.
+
+def _ref_joint_levels(space, names):
+    return list(product(*[range(space.variables[space.var_index(n)].levels)
+                          for n in names]))
+
+
+def _ref_marginal_states(space, stmt, x, y, z):
+    assignment = dict(zip((*stmt.X, *stmt.Y, *stmt.Z), (*x, *y, *z)))
+    positions = {space.var_index(n): lvl for n, lvl in assignment.items()}
+    return [idx for idx, state in enumerate(space.states())
+            if all(state[p] == lvl for p, lvl in positions.items())]
+
+
+def ref_cpd_instances(stmt, space):
+    return [CpdSpec(stmt, x, x2, y, y2, z)
+            for x, x2 in combinations(_ref_joint_levels(space, stmt.X), 2)
+            for y, y2 in combinations(_ref_joint_levels(space, stmt.Y), 2)
+            for z in _ref_joint_levels(space, stmt.Z)]
+
+
+def ref_cpd_polynomial(spec, space):
+    m = space.size
+
+    def marginal(x, y):
+        return Polynomial(m, [(tuple(int(j == idx) for j in range(m)), 1)
+                              for idx in _ref_marginal_states(
+                                  space, spec.statement, x, y, spec.z)])
+
+    return (marginal(spec.x, spec.y) * marginal(spec.x2, spec.y2)
+            - marginal(spec.x2, spec.y) * marginal(spec.x, spec.y2))
+
+
+def ref_cpd_polynomials(stmt, space):
+    seen = set()
+    out = []
+    for spec in ref_cpd_instances(stmt, space):
+        p = ref_cpd_polynomial(spec, space)
+        if p.is_zero():
+            continue
+        sig = (-p if p.terms[0][1] < 0 else p).terms
+        if sig not in seen:
+            seen.add(sig)
+            out.append(p)
+    return out
+
+
+def ref_saturated_cpd_binomials(stmt, space, order):
+    seen = set()
+    out = []
+    for p in ref_cpd_polynomials(stmt, space):
+        diff = p.as_pure_difference()
+        assert diff is not None
+        b = Binomial(*diff).canonical(order)
+        if b.sign_free() not in seen:
+            seen.add(b.sign_free())
+            out.append(b)
+    return out
+
+
+def ref_cpr(P, spec, space):
+    def prob(x, y):
+        total = 0
+        for idx in _ref_marginal_states(space, spec.statement, x, y, spec.z):
+            total += P[idx]
+        return total
+
+    den = prob(spec.x2, spec.y) * prob(spec.x, spec.y2)
+    if den == 0:
+        return None
+    return prob(spec.x, spec.y) * prob(spec.x2, spec.y2) / den
+
+
+def ref_saturated_ideal(statements, space):
+    order = TermOrder.grevlex(space.size)
+    seen = set()
+    out = []
+    for stmt in statements:
+        for b in ref_saturated_cpd_binomials(stmt, space, order):
+            if b.sign_free() not in seen:
+                seen.add(b.sign_free())
+                out.append(b)
+    return out
+
+
+def ref_pairwise_ideal(g):
+    names = g.names
+    return ref_saturated_ideal(
+        [CIStatement((a,), (b,), tuple(n for n in names if n not in (a, b)))
+         for a, b in combinations(names, 2) if not g.has_edge(a, b)], g.space())
+
+
+def ref_global_ideal(g):
+    return ref_saturated_ideal(
+        [CIStatement(s.X, s.Y, s.Z) for s in saturated_separations(g)], g.space())
+
+
+def three_level_chain():
+    return UndirectedGraph([VariableSpec(n, 3) for n in ("X1", "X2", "X3")],
+                           [("X1", "X2"), ("X2", "X3")])
+
+
+def mixed_level_four_cycle():
+    levels = {"X1": 3, "X2": 2, "X3": 2, "X4": 2}
+    return UndirectedGraph([VariableSpec(n, k) for n, k in levels.items()],
+                           four_cycle().edges)
+
+
+CELL_MAP_GRAPHS = (three_chain, four_chain, four_cycle, five_cycle,
+                   three_level_chain, mixed_level_four_cycle)
+
+
+def _statements(g):
+    """Every saturated separation of g, each also with its blocks reversed
+    (names out of variable order) and with X and Y swapped, plus unsaturated
+    statements: marginal ones (empty Z) and ones that leave variables out."""
+    names = g.names
+    out = []
+    for sep in saturated_separations(g):
+        out.append(CIStatement(sep.X, sep.Y, sep.Z))
+        out.append(CIStatement(sep.Y[::-1], sep.X[::-1], sep.Z[::-1]))
+    for a, b in combinations(names, 2):
+        out.append(CIStatement((b,), (a,), ()))
+        rest = [n for n in names if n not in (a, b)]
+        out.append(CIStatement((a,), (b,), tuple(rest[:1])))
+        if len(rest) > 1:
+            out.append(CIStatement((b, rest[-1]), (a,), ()))
+    return out
+
+
+@pytest.mark.parametrize("make", CELL_MAP_GRAPHS, ids=lambda f: f.__name__)
+def test_cell_map_cpds_match_state_scan(make):
+    g = make()
+    space = g.space()
+    order = TermOrder.grevlex(space.size)
+    rng = random.Random(len(space.names) * 7 + space.size)
+    for stmt in _statements(g):
+        specs = cpd_instances(stmt, space)
+        assert specs == ref_cpd_instances(stmt, space), stmt
+        assert cpd_polynomials(stmt, space) == ref_cpd_polynomials(stmt, space)
+        if stmt.is_saturated(space):
+            assert (saturated_cpd_binomials(stmt, space, order)
+                    == ref_saturated_cpd_binomials(stmt, space, order))
+        exact = Distribution([Fraction(rng.randint(0, 3), rng.randint(1, 3))
+                              for _ in range(space.size)])
+        numeric = [rng.random() for _ in range(space.size)]
+        for spec in specs[:6]:
+            assert cpd_polynomial(spec, space) == ref_cpd_polynomial(spec, space)
+            assert cpr(exact, spec, space) == ref_cpr(exact, spec, space)
+            assert cpr(numeric, spec, space) == ref_cpr(numeric, spec, space)
+
+
+@pytest.mark.parametrize("make", CELL_MAP_GRAPHS, ids=lambda f: f.__name__)
+def test_cell_map_ideals_match_state_scan(make):
+    g = make()
+    assert pairwise_ideal(g) == ref_pairwise_ideal(g)
+    assert global_ideal(g) == ref_global_ideal(g)
+
+
+def test_cpd_instances_give_distinct_nonzero_polynomials():
+    for make in CELL_MAP_GRAPHS:
+        g = make()
+        space = g.space()
+        for stmt in _statements(g):
+            signatures = set()
+            for spec in cpd_instances(stmt, space):
+                p = cpd_polynomial(spec, space)
+                assert not p.is_zero()
+                signatures.add(p.terms)
+                signatures.add((-p).terms)
+            assert len(signatures) == 2 * len(cpd_instances(stmt, space))
 
 
 def test_hc_zspan_four_cycle_and_chain():

@@ -1,10 +1,15 @@
+import importlib.util
 import random
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+from toricgm.graphs import build_graph_matrix, cliques
 from toricgm.models import (Distribution, ModelMatrix, StateSpace, VariableSpec,
-                            build_loglinear_matrix, monomial_map)
+                            build_loglinear_matrix, monomial_map,
+                            validate_generators)
 
 from fixtures import FOUR_CYCLE_MATRIX, NO_THREE_WAY_MATRIX, four_cycle_matrix
 
@@ -114,3 +119,68 @@ def test_homogeneity_column_degree():
         gens = list(dict.fromkeys(gens))
         A = build_loglinear_matrix(space, gens)
         assert A.column_degree == len(gens)
+
+
+def reference_loglinear_matrix(space, generators):
+    """The model matrix by a scan of every state for each row."""
+    rows = []
+    labels = []
+    states = space.states()
+    for gen in validate_generators(space, generators):
+        pos = [space.var_index(n) for n in gen]
+        for level in product(*[range(space.variables[p].levels) for p in pos]):
+            rows.append([1 if tuple(s[p] for p in pos) == level else 0
+                         for s in states])
+            labels.append("{%s}(%s)" % (",".join(gen),
+                                        "".join(str(x) for x in level)))
+    return ModelMatrix(rows, row_labels=labels, col_labels=space.column_labels())
+
+
+def _named_model_specs():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [spec for _, spec, *_ in module.NAMED_MODELS]
+
+
+def test_marginal_cells_partition_states_in_product_order():
+    space = StateSpace([VariableSpec("A", 2), VariableSpec("B", 3),
+                        VariableSpec("C", 2)])
+    cells = space.marginal_cells(("C", "A"))
+    assert list(cells) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for (c, a), cell in cells.items():
+        assert cell == tuple(i for i, s in enumerate(space.states())
+                             if s[2] == c and s[0] == a)
+    assert space.marginal_cells(()) == {(): tuple(range(space.size))}
+    with pytest.raises(ValueError):
+        space.marginal_cells(("D",))
+
+
+def test_matrix_matches_state_scan_on_named_models():
+    for kind, *args in _named_model_specs():
+        if kind == "graph":
+            g, = args
+            got = build_graph_matrix(g)
+            want = reference_loglinear_matrix(g.space(), cliques(g))
+        else:
+            space, gens = args
+            got = build_loglinear_matrix(space, gens)
+            want = reference_loglinear_matrix(space, gens)
+        assert got == want  # rows, row labels and column labels
+
+
+def test_matrix_matches_state_scan_on_random_generators():
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        space = StateSpace([VariableSpec(f"V{i}", rng.randint(2, 4))
+                            for i in range(n)])
+        gens = list(dict.fromkeys(
+            tuple(rng.sample(space.names, rng.randint(1, n)))
+            for _ in range(rng.randint(1, 4))))
+        if len(set(map(frozenset, gens))) != len(gens):
+            continue  # the same generator in two name orders
+        got = build_loglinear_matrix(space, gens)
+        want = reference_loglinear_matrix(space, gens)
+        assert got == want  # rows, row labels and column labels
