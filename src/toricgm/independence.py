@@ -135,15 +135,20 @@ def saturated_cpd_binomials(stmt, space, order=None):
     """CPD binomials of a saturated statement, canonical, one per instance.
 
     Every cell of a saturated statement holds a single state a, so the CPD
-    is the binomial p_a p_b - p_c p_d.
+    is the binomial p_a p_b - p_c p_d.  The four states are distinct, so
+    both sides are coprime as built; only the orientation is chosen.
     """
     if not stmt.is_saturated(space):
         raise ValueError("statement is not saturated")
     if order is None:
         order = TermOrder.grevlex(space.size)
     m = space.size
-    return [Binomial(_pair(m, a, b), _pair(m, c, d)).canonical(order)
-            for _, ((a,), (b,), (c,), (d,)) in _instances_with_cells(stmt, space)]
+    key = order.key
+    out = []
+    for _, ((a,), (b,), (c,), (d,)) in _instances_with_cells(stmt, space):
+        u, v = _pair(m, a, b), _pair(m, c, d)
+        out.append(Binomial(u, v) if key(u) > key(v) else Binomial(v, u))
+    return out
 
 
 def _saturated_binomials(statements, space):

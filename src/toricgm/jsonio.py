@@ -36,23 +36,39 @@ def _require(data, key, path):
     return data[key]
 
 
-def _variables(data, path):
+def _each(data, key, parse, path):
+    """parse(entry) for each entry of the list under key; a malformed list
+    or entry is a FormatError naming the file."""
+    items = _require(data, key, path)
+    if not isinstance(items, list):
+        raise FormatError(f"{path}: {key!r} must be a list")
     out = []
-    for entry in _require(data, "variables", path):
+    for entry in items:
         try:
-            out.append(VariableSpec(str(entry["name"]), int(entry["levels"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: bad variable entry {entry!r}: {exc}") \
+            out.append(parse(entry))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"{path}: bad {key!r} entry {entry!r}: {exc}") \
                 from None
     return out
+
+
+def _names(entry):
+    if not isinstance(entry, list):
+        raise TypeError("expected a list of names")
+    return tuple(map(str, entry))
+
+
+def _variables(data, path):
+    return _each(data, "variables",
+                 lambda e: VariableSpec(str(e["name"]), int(e["levels"])), path)
 
 
 def read_graph(path):
     data = _load(path)
     variables = _variables(data, path)
-    edges = _require(data, "edges", path)
+    edges = _each(data, "edges", _names, path)
     try:
-        return UndirectedGraph(variables, [tuple(map(str, e)) for e in edges])
+        return UndirectedGraph(variables, edges)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -60,8 +76,8 @@ def read_graph(path):
 def read_generators(path):
     data = _load(path)
     variables = _variables(data, path)
-    gens = _require(data, "generators", path)
-    return StateSpace(variables), [tuple(map(str, g)) for g in gens]
+    gens = _each(data, "generators", _names, path)
+    return StateSpace(variables), gens
 
 
 def read_matrix(path):
@@ -94,11 +110,19 @@ def parse_value(text):
         return Fraction(text) if isinstance(text, int) else float(text)
     try:
         return Fraction(text)
-    except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            raise FormatError(f"unreadable numeric value {text!r}") from None
+    except (TypeError, ValueError):
+        pass
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        raise FormatError(f"unreadable numeric value {text!r}") from None
+
+
+def _count(text):
+    x = parse_value(text)
+    if x != int(x):
+        raise ValueError("counts must be integers")
+    return int(x)
 
 
 def read_distribution(path):
@@ -106,7 +130,7 @@ def read_distribution(path):
     order = _require(data, "order", path)
     if order != STATE_ORDER:
         raise FormatError(f"{path}: unsupported state order {order!r}")
-    values = [parse_value(v) for v in _require(data, "values", path)]
+    values = _each(data, "values", parse_value, path)
     try:
         return Distribution(values)
     except ValueError as exc:
@@ -120,11 +144,9 @@ def read_counts(path):
     order = _require(data, "order", path)
     if order != STATE_ORDER:
         raise FormatError(f"{path}: unsupported state order {order!r}")
-    raw = [parse_value(v) for v in _require(data, "values", path)]
-    if any(x != int(x) for x in raw):
-        raise FormatError(f"{path}: counts must be integers")
+    counts = _each(data, "values", _count, path)
     try:
-        return CountTable([int(x) for x in raw])
+        return CountTable(counts)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -143,14 +165,13 @@ def write_basis(basis, names, path):
 
 def read_basis(path, ncols=None):
     data = _load(path)
-    out = []
-    for entry in _require(data, "binomials", path):
-        u = tuple(int(x) for x in entry["u"])
-        v = tuple(int(x) for x in entry["v"])
-        if ncols is not None and len(u) != ncols:
-            raise FormatError(f"{path}: binomial arity {len(u)} does not "
+    out = _each(data, "binomials",
+                lambda e: Binomial([int(x) for x in e["u"]],
+                                   [int(x) for x in e["v"]]), path)
+    for b in out:
+        if ncols is not None and b.nvars != ncols:
+            raise FormatError(f"{path}: binomial arity {b.nvars} does not "
                               f"match the model ({ncols} cells)")
-        out.append(Binomial(u, v))
     return data.get("order", "grevlex"), out
 
 

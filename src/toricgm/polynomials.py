@@ -262,13 +262,6 @@ class Binomial:
     def is_coprime(self):
         return all(min(a, b) == 0 for a, b in zip(self.u, self.v))
 
-    def canonical(self, order):
-        """Coprime form with the larger monomial (under order) first."""
-        b = self.strip_common()
-        if order.key(b.u) >= order.key(b.v):
-            return b
-        return Binomial(b.v, b.u)
-
     def sign_free(self):
         """Orientation-independent key, for set comparisons."""
         return (self.u, self.v) if self.u >= self.v else (self.v, self.u)
@@ -761,15 +754,7 @@ def buchberger_binomials(inputs, order, budget=None):
     _s_pair_loop(start, add, s_pair, leads, system.masks, system.alive,
                  order.key, budget)
     kept = sorted(system.active(), key=lambda i: system.keys[i])
-    out = []
-    for idx in kept:
-        tail = system.normal_form(tails[idx])
-        lead = leads[idx]
-        if tail == lead:
-            continue
-        out.append(Binomial(lead, tail))
-    out.sort(key=lambda bb: (order.key(bb.u), bb.v))
-    return out
+    return [Binomial(leads[i], system.normal_form(tails[i])) for i in kept]
 
 
 def eliminate_to_triangular(G, priority):

@@ -24,15 +24,17 @@ lies in I_A, because I_A is prime and contains no monomial.  So
 I_A = J : x_sigma^inf.
 
 Saturating by the variables of sigma one at a time, in increasing index
-order, gives J : x_sigma^inf (Lemma 12.1): a Groebner basis in an order
-making x_i cheapest lets every generator be divided by its maximal x_i
-power.  Each step is exact because ModelMatrix requires equal column sums,
-so every ideal here is homogeneous and the cheap variable divides a
-trailing term whenever it divides the leading one.  Cutting the number of
-saturations this way follows Hosten-Sturmfels (GRIN, IPCO 1995) and
-Bigatti-La Scala-Robbiano (Computing toric ideals, JSC 1999).  A final
-reduced basis is produced under the requested order.  Every output
-binomial satisfies A u = A v exactly.
+order, gives J : x_sigma^inf (Lemma 12.1, after Bayer-Stillman): take the
+reduced Groebner basis under grevlex with x_i last in the priority list,
+and divide every element by its largest x_i power.  This is exact because
+ModelMatrix requires equal column sums, so every ideal here is homogeneous,
+and in that order x_i divides a homogeneous binomial iff it divides its
+leading term.  Dividing out the common part of both sides covers the x_i
+power.  Cutting the number of saturations this way follows Hosten-Sturmfels
+(GRIN, IPCO 1995) and Bigatti-La Scala-Robbiano (Computing toric ideals,
+JSC 1999).  A final reduced basis is produced under the requested order;
+the reduced basis of the prime ideal I_A is coprime and oriented as it
+comes.  Every output binomial satisfies A u = A v exactly.
 """
 
 from dataclasses import dataclass
@@ -40,8 +42,7 @@ from dataclasses import dataclass
 from .linalg import integer_kernel_lattice
 from .models import ModelMatrix
 from .orders import TermOrder
-from .polynomials import (Binomial, BinomialRewriter, buchberger_binomials,
-                          monomial_div)
+from .polynomials import Binomial, BinomialRewriter, buchberger_binomials
 
 
 @dataclass(frozen=True)
@@ -93,14 +94,6 @@ def _saturation_plan(lattice):
     return tuple(sorted(sigma))
 
 
-def _strip_variable(b, i):
-    shift = min(b.u[i], b.v[i])
-    if shift == 0:
-        return b
-    e = tuple(shift if j == i else 0 for j in range(b.nvars))
-    return Binomial(monomial_div(b.u, e), monomial_div(b.v, e))
-
-
 def compute_toric_basis(A, order=None, seed=None, budget=None):
     """Reduced Groebner basis of the toric ideal of A under the given order.
 
@@ -126,12 +119,12 @@ def compute_toric_basis(A, order=None, seed=None, budget=None):
         return ToricBasis(A, (), order)
 
     for i in sigma:
-        basis = buchberger_binomials(gens, TermOrder.cheapest(i, m), budget)
-        gens = [_strip_variable(b, i).strip_common() for b in basis]
+        last = TermOrder.grevlex(m, [j for j in range(m) if j != i] + [i])
+        gens = [b.strip_common()
+                for b in buchberger_binomials(gens, last, budget)]
 
     final = buchberger_binomials(gens, order, budget)
-    return ToricBasis(A, tuple(b.canonical(order) for b in final), order,
-                      sigma)
+    return ToricBasis(A, tuple(final), order, sigma)
 
 
 def binomial_in_kernel(b, A):

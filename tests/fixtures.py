@@ -183,6 +183,29 @@ def four_cycle_matrix():
     return build_graph_matrix(four_cycle())
 
 
+# --- the saturation order before grevlex-with-x_i-last ------------------------
+
+class CheapestOrder:
+    """Key-only term order giving x_i weight zero, ties broken by grevlex
+    on the other variables: the order each toric saturation step once ran
+    under.  Enough for `buchberger_binomials`, which only reads `key`."""
+
+    def __init__(self, i, nvars):
+        self.i = i
+        self.nvars = nvars
+
+    def key(self, m):
+        deg = sum(m)
+        return (deg - m[self.i], deg,
+                *(-m[p] for p in reversed(range(self.nvars))))
+
+
+def canonical(b, order):
+    """Coprime form of a binomial with the larger monomial under order first."""
+    b = b.strip_common()
+    return b if order.key(b.u) >= order.key(b.v) else Binomial(b.v, b.u)
+
+
 # --- rational linear algebra oracles -----------------------------------------
 
 def rat_kernel_basis(rows):

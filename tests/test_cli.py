@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +41,7 @@ def test_model_from_graph_matches_print(tmp_path, capsys, four_cycle_graph_file)
     code, report = run(capsys, "model", "--graph", four_cycle_graph_file,
                        "--out", out)
     assert code == 0
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     assert [row["entries"] for row in data["rows"]] == FOUR_CYCLE_MATRIX
     assert data["columns"][0] == "0000"
     assert report["results"]["column_degree"] == 4
@@ -55,7 +56,7 @@ def test_model_from_generators(tmp_path, capsys):
     code, _ = run(capsys, "model", "--generators", gen_file, "--out", out)
     assert code == 0
     from fixtures import NO_THREE_WAY_MATRIX
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     assert [row["entries"] for row in data["rows"]] == NO_THREE_WAY_MATRIX
 
 
@@ -92,7 +93,7 @@ def test_basis_three_chain(tmp_path, capsys, three_chain_graph_file):
     out = str(tmp_path / "basis.json")
     code, report = run(capsys, "basis", "--model", model, "--out", out)
     assert code == 0
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     texts = {b["text"] for b in data["binomials"]}
     assert texts == {"p001*p100 - p000*p101", "p011*p110 - p010*p111"}
     assert report["results"]["size"] == 2
@@ -108,7 +109,7 @@ def test_basis_saturated_model_empty(tmp_path, capsys):
     assert code == 0
     assert report["results"]["size"] == 0
     assert report["results"]["saturated"] == []
-    assert json.loads(open(out).read())["binomials"] == []
+    assert json.loads(Path(out).read_text())["binomials"] == []
 
 
 def test_basis_reports_saturated_columns(tmp_path, capsys,
@@ -260,11 +261,11 @@ def test_roundtrip_and_determinism(tmp_path, capsys, three_chain_graph_file):
     model2 = str(tmp_path / "m2.json")
     run(capsys, "model", "--graph", three_chain_graph_file, "--out", model1)
     run(capsys, "model", "--graph", three_chain_graph_file, "--out", model2)
-    assert open(model1).read() == open(model2).read()
+    assert Path(model1).read_text() == Path(model2).read_text()
     from toricgm.jsonio import read_matrix, write_matrix
     A = read_matrix(model1)
     write_matrix(A, str(tmp_path / "m3.json"))
-    assert open(model1).read() == open(str(tmp_path / "m3.json")).read()
+    assert Path(model1).read_text() == (tmp_path / "m3.json").read_text()
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -273,3 +274,65 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code = main(["graph", "--graph", str(bad)])
     assert code == 2
     assert "line" in capsys.readouterr().err
+
+
+# --- malformed files: exit 2 with an error naming the file, no traceback -----
+
+VARS3 = [{"name": f"X{i}", "levels": 2} for i in range(1, 4)]
+
+
+def assert_format_error(capsys, argv, bad):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and str(bad) in err
+
+
+@pytest.fixture
+def three_chain_files(tmp_path, capsys, three_chain_graph_file):
+    model = str(tmp_path / "model.json")
+    basis = str(tmp_path / "basis.json")
+    run(capsys, "model", "--graph", three_chain_graph_file, "--out", model)
+    run(capsys, "basis", "--model", model, "--out", basis)
+    dist = write_json(tmp_path / "d.json", {"order": "lex-last-fastest",
+                                            "values": ["1/8"] * 8})
+    return model, basis, dist
+
+
+@pytest.mark.parametrize("payload", [
+    {"variables": VARS3, "edges": [["X1", "X2"], 5]},
+    {"variables": 7, "edges": []},
+])
+def test_read_graph_malformed(tmp_path, capsys, payload):
+    bad = write_json(tmp_path / "bad.json", payload)
+    assert_format_error(capsys, ["graph", "--graph", bad], bad)
+
+
+def test_read_generators_malformed(tmp_path, capsys):
+    bad = write_json(tmp_path / "bad.json",
+                     {"variables": VARS3, "generators": [["X1", "X2"], 3]})
+    assert_format_error(capsys, ["model", "--generators", bad,
+                                 "--out", str(tmp_path / "m.json")], bad)
+
+
+@pytest.mark.parametrize("entry", [{"v": [0] * 8}, [[1] + [0] * 7, [0] * 8]])
+def test_read_basis_malformed(tmp_path, capsys, three_chain_files, entry):
+    model, _, dist = three_chain_files
+    bad = write_json(tmp_path / "bad.json", {"binomials": [entry]})
+    assert_format_error(capsys, ["check", "--model", model, "--basis", bad,
+                                 "--dist", dist], bad)
+
+
+def test_read_distribution_null_value(tmp_path, capsys, three_chain_files):
+    model, basis, _ = three_chain_files
+    bad = write_json(tmp_path / "bad.json", {"order": "lex-last-fastest",
+                                             "values": ["1/8"] * 7 + [None]})
+    assert_format_error(capsys, ["check", "--model", model, "--basis", basis,
+                                 "--dist", bad], bad)
+
+
+def test_read_counts_null_value(tmp_path, capsys, three_chain_files):
+    model, _, _ = three_chain_files
+    bad = write_json(tmp_path / "bad.json", {"order": "lex-last-fastest",
+                                             "values": [1] * 7 + [None]})
+    assert_format_error(capsys, ["ips", "--model", model, "--counts", bad], bad)

@@ -21,8 +21,8 @@ from toricgm.toric import binomial_in_kernel, compute_toric_basis
 
 from fixtures import (FOUR_CHAIN_PAIRWISE, FOUR_CYCLE_PAIRWISE, IDX4,
                       MOUSSOURIS_SUPPORT, OCTAHEDRON_U, OCTAHEDRON_V,
-                      binomial4, five_cycle, four_chain, four_cycle,
-                      three_chain)
+                      binomial4, canonical, five_cycle, four_chain,
+                      four_cycle, three_chain)
 
 
 def signfree(bs):
@@ -225,7 +225,7 @@ def ref_saturated_cpd_binomials(stmt, space, order):
     for p in ref_cpd_polynomials(stmt, space):
         diff = p.as_pure_difference()
         assert diff is not None
-        b = Binomial(*diff).canonical(order)
+        b = canonical(Binomial(*diff), order)
         if b.sign_free() not in seen:
             seen.add(b.sign_free())
             out.append(b)

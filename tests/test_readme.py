@@ -1,0 +1,23 @@
+"""The README's library tour runs and prints what its comments say."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_tour_prints_its_comments():
+    text = README.read_text()
+    block = re.search(r"## Library tour\n\n```python\n(.*?)```", text,
+                      re.S).group(1)
+    lines = block.splitlines()
+    # each print is followed by a comment line holding its exact output
+    expected = [lines[k + 1].removeprefix("# ")
+                for k, line in enumerate(lines) if line.startswith("print(")]
+    assert len(expected) == 2
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected

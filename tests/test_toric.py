@@ -15,8 +15,8 @@ from toricgm.toric import (binomial_in_ideal, binomial_in_kernel,
                            is_quadratic_basis)
 
 from fixtures import (FOUR_CYCLE_SIXTEEN, IDX4, THREE_CHAIN_BINOMIALS,
-                      binomial4, four_chain, four_cycle, four_cycle_matrix,
-                      random_model, three_chain)
+                      CheapestOrder, binomial4, canonical, four_chain,
+                      four_cycle, four_cycle_matrix, random_model, three_chain)
 
 
 def test_three_chain_exact_basis():
@@ -201,14 +201,10 @@ def test_one_saturation_pass_is_a_fixed_point(name):
     m = A.ncols
     assert len(basis) > 0
     for i in range(m):
-        stripped = []
-        for b in buchberger_binomials(basis.binomials, TermOrder.cheapest(i, m)):
-            shift = min(b.u[i], b.v[i])
-            u = tuple(e - shift if j == i else e for j, e in enumerate(b.u))
-            v = tuple(e - shift if j == i else e for j, e in enumerate(b.v))
-            stripped.append(Binomial(u, v).strip_common())
+        stripped = [_divide_out(b, i) for b in
+                    buchberger_binomials(basis.binomials, CheapestOrder(i, m))]
         again = buchberger_binomials(stripped, basis.order)
-        assert set(b.canonical(basis.order) for b in again) \
+        assert set(canonical(b, basis.order) for b in again) \
             == set(basis.binomials), (name, i)
 
 
@@ -253,8 +249,8 @@ def saturate_by_every_column(A, order=None, seed=None):
         return ()
     for i in range(m):
         gens = [_divide_out(b, i)
-                for b in buchberger_binomials(gens, TermOrder.cheapest(i, m))]
-    return tuple(b.canonical(order) for b in buchberger_binomials(gens, order))
+                for b in buchberger_binomials(gens, CheapestOrder(i, m))]
+    return tuple(canonical(b, order) for b in buchberger_binomials(gens, order))
 
 
 def _agreement_models(count):
