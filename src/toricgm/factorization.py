@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .linalg import integer_kernel_lattice
+from .linalg import integer_kernel_lattice, reduced_echelon
 from .models import monomial_map
 from .simplex import find_facial_certificate
 
@@ -226,18 +226,39 @@ def classify(A, basis, P):
     return Verdict(LIMIT_ONLY, infeasible_column=witness, covered_rows=covered)
 
 
+def _least_norm(design, rhs):
+    """The least-norm solution tau of design . tau = rhs, for an integer
+    matrix and a float right-hand side in its column space.
+
+    tau = D^T w for any solution w of (D D^T) w = rhs: since D^T w = 0
+    exactly when D D^T w = 0, every such w gives the same D^T w, the
+    solution orthogonal to ker D (Penrose 1955).  The integer Gram matrix
+    D D^T, augmented with the identity, is brought to reduced echelon form
+    exactly.  Pivot row k is u_k [D D^T | I] for a rational u_k, so it reads
+    g w_c + (terms in the free w) = u_k . rhs: w_c = u_k . rhs / g with every
+    free w at 0.  Floats enter only in this last step.
+    """
+    n = len(design)
+    gram = [[sum(map(mul, a, b)) for b in design] + [int(i == k) for i in range(n)]
+            for k, a in enumerate(design)]
+    rows, pivots = reduced_echelon(gram, n)
+    w = [0.0] * n
+    for row, c in zip(rows, pivots):
+        w[c] = math.fsum(map(mul, row[n:], rhs)) / row[c]
+    return [math.fsum(map(mul, w, col)) for col in zip(*design)]
+
+
 def limit_sequence(A, P, epsilon):
     """Parameters t(eps) and the image point P(eps) approaching P.
 
-    Solves the log-linear system on the support by least squares (numeric;
-    membership is decided exactly upstream), scales each parameter by
-    epsilon to the power of the facial certificate, and zeroes the
-    parameters of rows untouched by the support.  The image is a genuine
-    model point for every positive epsilon, exactly zero off the support
-    whenever the support is feasible, and converges to P as eps -> 0.
+    Takes the least-norm solution of the log-linear system on the support,
+    by exact elimination with floats only in the last step (membership is
+    decided exactly upstream), scales each parameter by epsilon to the
+    power of the facial certificate, and zeroes the parameters of rows
+    untouched by the support.  The image is a genuine model point for every
+    positive epsilon, exactly zero off the support whenever the support is
+    feasible, and converges to P as eps -> 0.
     """
-    import numpy
-
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if not P.is_exact:
@@ -253,11 +274,10 @@ def limit_sequence(A, P, epsilon):
     rows_touched = sorted(covered_rows(A, F))
     design = [[A.rows[i][j] for i in rows_touched] for j in F]
     logs = [math.log(float(P.values[j])) for j in F]
-    mat = numpy.array(design, dtype=float)
-    tau, *_ = numpy.linalg.lstsq(mat, numpy.array(logs), rcond=None)
-    residual = mat @ tau - numpy.array(logs)
+    tau = _least_norm(design, logs)
+    residual = max(abs(sum(map(mul, row, tau)) - x) for row, x in zip(design, logs))
     scale = max(1.0, max(abs(x) for x in logs))
-    if max(abs(residual)) > 1e-8 * scale:
+    if residual > 1e-8 * scale:
         raise ValueError("log system did not solve; point not in variety")
     eps = float(epsilon)
     t_eps = []

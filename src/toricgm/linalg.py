@@ -1,11 +1,19 @@
 """Exact dense integer linear algebra.
 
-Integer kernel lattices and lattice-membership tests, both from one
-Hermite-style row echelon loop.  All pivoting follows a fixed row-major
-scan so repeated runs return identical bases.  Matrices are plain
+Two row-reduction loops, one per kind of answer.  A Hermite-style row
+echelon loop (unimodular row operations only) gives integer kernel
+lattices and lattice-membership tests: these ask about the integer span,
+which a rational elimination does not preserve.  A fraction-free
+Gauss-Jordan loop gives the reduced echelon form, the one rational
+elimination would reach, scaled to integers: it solves linear systems
+over the rationals (the MLE's marginal equations, the Gram system of the
+limit sequence's log-linear equations).  All pivoting follows a fixed
+scan so repeated runs return identical results.  Matrices are plain
 sequences of rows; vectors are tuples.  Entries are Python ints, which
 gives arbitrary precision for free.
 """
+
+import math
 
 
 def _sign_normalize(vec):
@@ -99,3 +107,43 @@ def integer_span_member(v, rows):
         q = v[c] // mat[r][c]
         v = [x - q * y for x, y in zip(v, mat[r])]
     return all(x == 0 for x in v)
+
+
+def _content_free(row):
+    """row divided by its content, the (positive) gcd of its entries."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def reduced_echelon(rows, npivot):
+    """Fraction-free Gauss-Jordan: (rows, pivots) of the reduced echelon form.
+
+    Pivots are sought in the first npivot columns, column by column in
+    increasing order; the other columns only follow the row operations.
+    Every row is first divided by its content.  The pivot row is negated
+    if need be so that its pivot p is positive; clearing column c from
+    another row replaces it by p * row - row[c] * pivot row and divides it
+    by its content.  Rows stay integer and content free, and every row is a
+    positive multiple of the row that Gauss-Jordan over the rationals would
+    hold, so the pivots are the same and entries cannot grow from step to
+    step.  Returns all rows, the pivot row of pivots[k] at position k and
+    after them the rows that are zero in the first npivot columns.
+    """
+    rows = [_content_free(list(row)) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(npivot):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        piv = rows[pr] if rows[pr][c] > 0 else [-x for x in rows[pr]]
+        rows[pr] = rows[r]
+        rows[r] = piv
+        p = piv[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = _content_free([p * x - f * y for x, y in zip(row, piv)])
+        pivots.append(c)
+        r += 1
+    return rows, pivots

@@ -10,9 +10,10 @@ profile.  Every rational MLE, whatever the degree of psi, is reported
 exactly, with the profile back-substituted from the exact root.
 
 The linear part is solved over the integers.  The marginal equations are
-brought to reduced echelon form fraction-free: clearing a column from a
-row multiplies the row by the positive pivot entry, subtracts a multiple
-of the pivot row and divides by the row's content.  Each row so stays a
+brought to reduced echelon form fraction-free (`linalg.reduced_echelon`,
+shared with the limit-sequence solve): clearing a column from a row
+multiplies the row by the positive pivot entry, subtracts a multiple of
+the pivot row and divides by the row's content.  Each row so stays a
 positive integer multiple of the row rational Gauss-Jordan would hold:
 the same pivots, the same solutions, and entries that cannot grow from
 step to step.  A pivot row reads a_c x_c = L_c, with L_c an integer linear
@@ -55,6 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
+from .linalg import _content_free, reduced_echelon
 from .models import Distribution
 from .orders import TermOrder
 from .polynomials import (NotTriangular, Polynomial, PreparedBasis, buchberger,
@@ -232,7 +234,8 @@ def solve_mle_exact(sys, budget=None):
     core's basis and the pivot cells from the echelon.  (With the last
     cell free the two bases agree: the same psi and the same shape.)
     Raises NotTriangular when the ideal fails to be zero-dimensional or
-    neither basis is in shape position.
+    neither basis is in shape position, and ArithmeticError unless exactly
+    one positive root of psi back-substitutes to a nonnegative profile.
     """
     nvars = len(sys.active)
     order = TermOrder.lex(nvars)
@@ -263,8 +266,6 @@ def solve_mle_exact(sys, budget=None):
     (var,) = shape[0].variables()
     psi = _univariate_coeffs(shape[0], var)
     roots = isolate_positive_roots(psi)
-    if not roots:
-        raise ArithmeticError("no positive root: extended MLE missing?")
     candidates = []
     for lo, hi in roots:
         # a degenerate interval is a rational root, substituted exactly
@@ -273,13 +274,13 @@ def solve_mle_exact(sys, budget=None):
         if profile is not None and all(
                 x >= (0 if lo == hi else -1e-9) for x in profile):
             candidates.append((value, profile))
-    if not candidates:
-        raise ArithmeticError("no nonnegative solution among the roots")
-    if len(candidates) > 1:
-        # the nonnegative solution is unique; numerically prefer the most
-        # interior profile if a spurious near-boundary root sneaks through
-        candidates.sort(key=lambda c: -min(c[1]))
-    value, profile = candidates[0]
+    if len(candidates) != 1:
+        # Birch's theorem: the MLE is the one nonnegative solution
+        raise ArithmeticError(
+            f"{len(candidates)} of {len(roots)} positive roots of psi give a "
+            "nonnegative profile, not exactly one, for the table with margins "
+            f"{list(sys.margins)} on the cells {list(sys.cell_names)}")
+    ((value, profile),) = candidates
     return MleExactResult(
         triangular=tuple(triangular), psi=tuple(psi), psi_variable=var,
         positive_roots=tuple(float(lo + hi) / 2 for lo, hi in roots),
@@ -294,7 +295,7 @@ def _fglm_to_lex(gb, from_order, lex_order, variables):
     lex order.  Each m gives one integer row: coordinates (0, s) hold its
     normal form against the source basis (prepared once), cleared of
     denominators, and the tag (1, m) holds m itself.  The row is reduced
-    against the echelon as in `_echelonize` (p * row - f * pivot row, over
+    against the echelon as in `reduced_echelon` (p * row - f * pivot row, over
     its content).  If its normal-form part vanishes, the tag part over its
     coefficient of m is the reduced lex basis element with lead m; else the
     row joins the echelon on any normal-form pivot (the reduced basis is
@@ -361,45 +362,19 @@ def _fglm_to_lex(gb, from_order, lex_order, variables):
                                  key=lambda e: lex_order.key(e[0]))]
 
 
-def _content_free(row):
-    """row divided by its content, the (positive) gcd of its entries."""
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
 def _echelonize(matrix_rows, margins, nvars):
-    """Fraction-free Gauss-Jordan on the marginal equations A x = b.
+    """Fraction-free Gauss-Jordan (`reduced_echelon`) on the marginal
+    equations A x = b, each written as the integer row (A_i, -b_i).
 
-    Each equation is the integer row (A_i, -b_i).  Pivots are taken per
-    column in increasing order.  Clearing column c from another row
-    replaces it by p * row - row[c] * pivot row, with p > 0 the pivot
-    entry, and divides it by its content.  Rows stay integer and content
-    free; every row is a positive multiple of the row that Gauss-Jordan
-    over the rationals would hold, so the pivots are the same.  Returns
-    (rows, pivots), one row per pivot c: a x_c + sum of b_j x_j over the
-    free cells j + e = 0, with a > 0.  Raises ValueError when the
+    Returns (rows, pivots), one row per pivot c: a x_c + sum of b_j x_j
+    over the free cells j + e = 0, with a > 0.  Raises ValueError when the
     equations are inconsistent.
     """
-    rows = [_content_free([*row, -rhs]) for row, rhs in zip(matrix_rows, margins)]
-    pivots = []
-    r = 0
-    for c in range(nvars):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        piv = rows[pr] if rows[pr][c] > 0 else [-x for x in rows[pr]]
-        rows[pr] = rows[r]
-        rows[r] = piv
-        p = piv[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                rows[i] = _content_free([p * x - f * y for x, y in zip(row, piv)])
-        pivots.append(c)
-        r += 1
-    if any(row[nvars] for row in rows[r:]):
+    rows, pivots = reduced_echelon(
+        [[*row, -rhs] for row, rhs in zip(matrix_rows, margins)], nvars)
+    if any(row[nvars] for row in rows[len(pivots):]):
         raise ValueError("inconsistent marginal equations")
-    return rows[:r], pivots
+    return rows[:len(pivots)], pivots
 
 
 def _linear_terms(row, nvars):

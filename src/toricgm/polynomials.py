@@ -135,22 +135,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __pow__(self, exponent):
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Polynomial.constant(self.nvars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
     def _coerce(self, other):
         if isinstance(other, Polynomial):
             if other.nvars != self.nvars:

@@ -21,8 +21,9 @@ an entry of the adjugate of the new basis times the starting matrix.  Every
 pivot is positive, so D stays positive: sign tests read the stored entries
 directly and ratio tests compare by cross-multiplication.  Nothing rounds;
 the certificate must be exact because the limit-sequence construction
-exponentiates it, and it is checked on the integer vector D c before it is
-returned.
+exponentiates it.  It is returned unchecked: its one caller,
+`factorization.is_facial_lp`, checks it against every column of the model
+matrix in integers (`FacialCertificate.validated`).
 """
 
 from fractions import Fraction
@@ -95,8 +96,7 @@ def _phase_one(rows, rhs):
 def find_facial_certificate(A, F):
     """An exact certificate c for a facial support, or None.
 
-    Solves G y - s = 1, s >= 0 over c = N y (see the module docstring) and
-    checks the result against every column of A in integers.
+    Solves G y - s = 1, s >= 0 over c = N y (see the module docstring).
     """
     F = set(F)
     d = A.nrows
@@ -121,10 +121,4 @@ def find_facial_certificate(A, F):
         return None
     den, basic = solution
     y = [basic.get(k, 0) - basic.get(dim + k, 0) for k in range(dim)]
-    c = [_dot(y, [n[i] for n in null]) for i in range(d)]  # den * certificate
-    for j, col in enumerate(cols):
-        dot = _dot(c, col)
-        if (dot != 0) if j in F else (dot < den):
-            raise ArithmeticError(f"certificate fails column {j} for the "
-                                  f"support {sorted(F)}")
-    return tuple(Fraction(x, den) for x in c)
+    return tuple(Fraction(_dot(y, [n[i] for n in null]), den) for i in range(d))

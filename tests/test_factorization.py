@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +15,7 @@ from toricgm.factorization import (FACTORS, LIMIT_ONLY, OUTSIDE,
                                    in_variety_via_basis, is_A_feasible,
                                    is_facial_lp, is_facial_via_basis,
                                    limit_sequence)
-from toricgm.factorization import _kernel_balances
+from toricgm.factorization import _kernel_balances, _least_norm
 from toricgm.linalg import integer_kernel_lattice
 from toricgm.models import Distribution, ModelMatrix, monomial_map
 from toricgm.polynomials import Binomial
@@ -264,6 +269,49 @@ def test_limit_sequence_rejects_outside_point():
         limit_sequence(A, swap_support_distribution(), Fraction(1, 10))
 
 
+def test_limit_sequence_runs_without_numpy():
+    # numpy is blocked in a fresh interpreter: importing it raises
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = None
+        from fractions import Fraction
+        from toricgm.factorization import limit_sequence
+        from toricgm.models import Distribution
+        from fixtures import IDX4, MOUSSOURIS_SUPPORT, four_cycle_matrix
+        P = Distribution([Fraction(1, 8) if s in MOUSSOURIS_SUPPORT else 0
+                          for s in sorted(IDX4, key=IDX4.get)])
+        t, _ = limit_sequence(four_cycle_matrix(), P, Fraction(1, 10))
+        print(len(t))
+    """)
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "16"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_least_norm_solves_and_is_orthogonal_to_the_kernel(seed):
+    # random consistent systems D tau = D x, rank-deficient ones included
+    # (more columns than rows, or a last row that is a sum of rows); the
+    # least-norm solution is orthogonal to every vector of the exact
+    # integer kernel
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+    D = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and seed % 2:
+        D[-1] = [a + b for a, b in zip(D[0], D[1 % (nrows - 1)])]
+    x = [rng.uniform(-5, 5) for _ in range(ncols)]
+    b = [sum(a * y for a, y in zip(row, x)) for row in D]
+    tau = _least_norm(D, b)
+    assert max(abs(sum(a * t for a, t in zip(row, tau)) - y)
+               for row, y in zip(D, b)) <= 1e-9
+    for z in integer_kernel_lattice(D):
+        assert abs(sum(a * t for a, t in zip(z, tau))) <= 1e-9
+
+
 def test_empty_support_convention():
     A = four_cycle_matrix()
     zero = Distribution([Fraction(0)] * 16)
@@ -404,11 +452,16 @@ def test_float_point_takes_the_float_path(four_cycle_basis, monkeypatch):
     ((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2 * 10**12)),
      "certificate not orthogonal on the support"),
 ])
-def test_certificate_near_misses_rejected(c, message):
+def test_certificate_near_misses_rejected(c, message, monkeypatch):
     A = ModelMatrix([[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, 0]])
     assert FacialCertificate.validated(A, [2], (Fraction(1, 2), Fraction(1, 2), 0))
     with pytest.raises(ValueError, match=message):
         FacialCertificate.validated(A, [2], c)
+    # the LP's certificate is checked once, by is_facial_lp
+    import toricgm.factorization as fz
+    monkeypatch.setattr(fz, "find_facial_certificate", lambda A, F: c)
+    with pytest.raises(ValueError, match=message):
+        is_facial_lp(A, [2])
 
 
 def test_certificate_exactly_one_with_thirds_accepted():

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from toricgm.linalg import integer_kernel_lattice, integer_span_member
+from toricgm.linalg import (integer_kernel_lattice, integer_span_member,
+                            reduced_echelon)
 
 from fixtures import mat_vec, rat_kernel_basis
 
@@ -64,6 +66,43 @@ def test_integer_kernel_is_saturated():
             cand = [random.randint(-4, 4) for _ in range(ncols)]
             if all(x == 0 for x in mat_vec(rows, cand)):
                 assert integer_span_member(cand, lattice)
+
+
+def _rational_rref(rows, npivot):
+    """Gauss-Jordan over the rationals, pivot entries scaled to 1."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(npivot):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                mat[i] = [x - mat[i][c] * y for x, y in zip(mat[i], mat[r])]
+        r += 1
+    return mat[:r]
+
+
+def test_reduced_echelon_scales_the_rational_reduced_form():
+    # each pivot row is a content-free positive multiple of the row rational
+    # Gauss-Jordan reaches; the rows after the pivot rows are zero in the
+    # pivot columns
+    rng = random.Random(13)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 2:
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+        npivot = rng.randint(1, ncols)
+        out, pivots = reduced_echelon(rows, npivot)
+        want = _rational_rref(rows, npivot)
+        assert len(out) == nrows and len(pivots) == len(want)
+        for row, c, ref in zip(out, pivots, want):
+            assert row[c] > 0 and math.gcd(*row) == 1
+            assert [Fraction(x, row[c]) for x in row] == ref
+        assert all(not any(row[:npivot]) for row in out[len(pivots):])
 
 
 def test_span_member_basics():

@@ -166,6 +166,20 @@ def test_mle_system_rejects_a_basis_of_another_matrix():
         dataclasses.replace(sys_, basis=sys_.binomials)
 
 
+def test_more_than_one_nonnegative_root_raises(monkeypatch):
+    # Birch's theorem leaves one nonnegative solution; if back-substitution
+    # let all four positive roots of the paper table's quintic through, no
+    # root may be picked over the others
+    sys_ = assemble_mle_system(four_cycle_matrix(), CountTable(FOUR_CYCLE_COUNTS))
+    assert len(solve_mle_exact(sys_).positive_roots) == 4
+    monkeypatch.setattr(mle, "_back_substitute",
+                        lambda shape, rows, pivots, var, value, nvars: [1] * nvars)
+    with pytest.raises(ArithmeticError,
+                       match=r"4 of 4 positive roots .* not exactly one, for the "
+                             r"table with margins \[.*\] on the cells"):
+        solve_mle_exact(sys_)
+
+
 @pytest.fixture
 def basis_misses(monkeypatch):
     """Clear the reduced-basis memo; list the matrices of its misses."""
