@@ -90,13 +90,24 @@ class Verdict:
             raise ValueError("limit verdict needs an infeasibility witness")
 
 
+def _columns(A, F):
+    """The support F as a set of column indices of A; raises ValueError
+    naming an index outside range(A.ncols)."""
+    F = set(F)
+    bad = [j for j in F if not 0 <= j < A.ncols]
+    if bad:
+        raise ValueError(f"support index {min(bad)} is not a column of the "
+                         f"{A.nrows}x{A.ncols} model matrix")
+    return F
+
+
 def is_A_feasible(A, F):
     """(verdict, witness column): F supports no hidden column of A.
 
     F is feasible iff every column outside F has support not covered by
     the union of the supports of F's columns.
     """
-    F = set(F)
+    F = _columns(A, F)
     witness = _hidden_column(A, F, covered_rows(A, F))
     return witness is None, witness
 
@@ -111,12 +122,13 @@ def _hidden_column(A, F, covered):
 
 def covered_rows(A, F):
     """Rows on which some column of F is nonzero."""
-    F = tuple(F)
+    F = _columns(A, F)
     return frozenset(i for i, row in enumerate(A.rows) if any(row[j] for j in F))
 
 
 def is_facial_lp(A, F):
     """Exact LP feasibility for the facial-certificate system."""
+    F = _columns(A, F)
     c = find_facial_certificate(A, F)
     if c is None:
         return False, None

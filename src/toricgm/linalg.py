@@ -2,15 +2,15 @@
 
 Two row-reduction loops, one per kind of answer.  A Hermite-style row
 echelon loop (unimodular row operations only) gives integer kernel
-lattices and lattice-membership tests: these ask about the integer span,
-which a rational elimination does not preserve.  A fraction-free
-Gauss-Jordan loop gives the reduced echelon form, the one rational
-elimination would reach, scaled to integers: it solves linear systems
-over the rationals (the MLE's marginal equations, the Gram system of the
-limit sequence's log-linear equations).  All pivoting follows a fixed
-scan so repeated runs return identical results.  Matrices are plain
-sequences of rows; vectors are tuples.  Entries are Python ints, which
-gives arbitrary precision for free.
+lattices, lattice-membership tests and the facial LP's certificate space:
+these ask about the integer span, which a rational elimination does not
+preserve.  A fraction-free Gauss-Jordan loop gives the reduced echelon
+form, the one rational elimination would reach, scaled to integers: it
+solves linear systems over the rationals (the MLE's marginal equations,
+the Gram system of the limit sequence's log-linear equations).  All
+pivoting follows a fixed scan so repeated runs return identical results.
+Matrices are plain sequences of rows; vectors are tuples.  Entries are
+Python ints, which gives arbitrary precision for free.
 """
 
 import math
@@ -46,16 +46,20 @@ def integer_kernel_lattice(rows):
     augmented = [[rows[i][j] for i in range(nrows)]
                  + [1 if k == j else 0 for k in range(ncols)]
                  for j in range(ncols)]
-    mat, _ = _integer_row_echelon(augmented, nrows)
+    mat, _ = integer_row_echelon(augmented, nrows)
     return sorted(_sign_normalize(row[nrows:]) for row in mat
                   if not any(row[:nrows]))
 
 
-def _integer_row_echelon(rows, npivot=None):
+def integer_row_echelon(rows, npivot=None):
     """Integer row echelon form (Hermite-style) plus its pivot positions.
 
+    Only unimodular row operations are used (swaps, adding an integer
+    multiple of one row to another), so the rows span the same lattice.
     Pivots are sought in the first npivot columns (all by default); the
-    other columns only follow the row operations.  A pivot keeps its sign.
+    other columns only follow the row operations.  Returns the rows and the
+    (row, column) pivots: pivot k sits in row k, and the rows after the
+    last pivot are zero in the first npivot columns.  A pivot keeps its sign.
     """
     mat = [list(map(int, row)) for row in rows]
     nrows = len(mat)
@@ -100,7 +104,7 @@ def integer_span_member(v, rows):
         return all(x == 0 for x in v)
     if any(len(row) != len(v) for row in rows):
         raise ValueError("dimension mismatch")
-    mat, pivots = _integer_row_echelon(rows)
+    mat, pivots = integer_row_echelon(rows)
     for r, c in pivots:
         if v[c] % mat[r][c] != 0:
             return False

@@ -42,16 +42,20 @@ holds an irrational root.
 The toric basis of a reduced matrix is computed once per matrix (and
 budget) and memoised process-wide, in a bounded least-recently-used memo:
 many tables share their zero cells, hence their reduced matrix, and the
-basis belongs to the matrix, not to the counts.  The memo is exact for
-three reasons.  A `ToricBasis` is fixed by its matrix and order: the
-reduced Groebner basis is unique, and `saturated` is planned from the
-matrix's own lattice basis.  A `BudgetExceeded` is not stored, so a later
-call computes the basis afresh.  Entries are immutable, and `MleSystem`
-still checks the basis against the reduced matrix it is built with.
+basis belongs to the matrix, not to the counts.  The memo is keyed on the
+matrix's rows alone: zero-cell sets can leave the same rows under other
+row and column labels, and a hit under other labels returns the cached
+binomials under the caller's matrix.  The memo is exact for three
+reasons.  A `ToricBasis` is fixed by its rows and order: the reduced
+Groebner basis is unique, `saturated` is planned from the matrix's own
+lattice basis, and neither reads a label.  A `BudgetExceeded` is not
+stored, so a later call computes the basis afresh.  Entries are
+immutable, and `MleSystem` still checks the basis against the reduced
+matrix it is built with.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -171,14 +175,30 @@ class MleSystem:
         return self.basis.binomials
 
 
+class _Rows:
+    """A model matrix that hashes and compares by its rows alone."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def __eq__(self, other):
+        return self.matrix.rows == other.matrix.rows
+
+    def __hash__(self):
+        return hash(self.matrix.rows)
+
+
 @lru_cache(maxsize=256)
 def _reduced_basis(red, budget):
-    """Toric basis of the reduced matrix `red`, memoised (module docstring).
+    """Toric basis of the reduced matrix `red.matrix`, memoised on its rows
+    and the budget (module docstring).
 
     A miss calls `compute_toric_basis` as bound in this module at call
     time, so a wrapper installed on that name sees every miss.
     """
-    return compute_toric_basis(red, budget=budget)
+    return compute_toric_basis(red.matrix, budget=budget)
 
 
 def assemble_mle_system(A, n, budget=None):
@@ -192,8 +212,10 @@ def assemble_mle_system(A, n, budget=None):
     n = n if isinstance(n, CountTable) else CountTable(n)
     active, red = reduce_zero_cells(A, n)
     margins = red.apply([n.values[j] for j in active])
-    return MleSystem(active=tuple(active), matrix=red,
-                     basis=_reduced_basis(red, budget),
+    basis = _reduced_basis(_Rows(red), budget)
+    if basis.matrix != red:  # the same rows under other labels
+        basis = replace(basis, matrix=red)
+    return MleSystem(active=tuple(active), matrix=red, basis=basis,
                      margins=tuple(margins),
                      cell_names=tuple(red.col_labels))
 

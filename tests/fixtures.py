@@ -291,3 +291,61 @@ def fraction_normal_form(f, G, order):
             rem[m] = c
             f = f - Polynomial(f.nvars, [(m, c)])
     return Polynomial(f.nvars, rem)
+
+
+# --- the full-width facial LP ------------------------------------------------
+
+def full_width_phase_one(rows, rhs):
+    """Solve rows . x = rhs, x >= 0 for integer rows and an integer rhs >= 0,
+    on the full integer tableau [rows | I | rhs] with one artificial column
+    per row: the phase-1 simplex that `toricgm.simplex._phase_one` runs with
+    its mirrored columns left out.  Returns (D, {column: numerator}) or None
+    when infeasible; Bland's rule, fraction-free pivots."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    width = ncols + nrows + 1
+    tab = []
+    for i in range(nrows):
+        row = list(rows[i]) + [0] * nrows + [rhs[i]]
+        row[ncols + i] = 1
+        tab.append(row)
+    basis = [ncols + i for i in range(nrows)]
+    obj = [-sum(row[j] for row in tab) for j in range(width)]
+    obj[ncols:ncols + nrows] = [0] * nrows
+    den = 1
+    while True:
+        entering = next((j for j in range(ncols + nrows) if obj[j] < 0), -1)
+        if entering < 0:
+            break
+        leaving = -1
+        for i in range(nrows):
+            a = tab[i][entering]
+            if a <= 0:
+                continue
+            if leaving < 0:
+                leaving = i
+                continue
+            lhs = tab[i][-1] * tab[leaving][entering]
+            rhs_best = tab[leaving][-1] * a
+            if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leaving]):
+                leaving = i
+        prow = tab[leaving]
+        piv = prow[entering]
+        for i in range(nrows):
+            if i != leaving:
+                f = tab[i][entering]
+                tab[i] = [(piv * x - f * y) // den for x, y in zip(tab[i], prow)]
+        f = obj[entering]
+        obj = [(piv * x - f * y) // den for x, y in zip(obj, prow)]
+        den = piv
+        basis[leaving] = entering
+    if any(tab[i][-1] for i in range(nrows) if basis[i] >= ncols):
+        return None
+    return den, {basis[i]: tab[i][-1] for i in range(nrows) if basis[i] < ncols}
+
+
+def full_width_rows(G):
+    """The rows [G | -G | -I] of the facial LP G y - s = 1 with y = p - q."""
+    n = len(G)
+    return [list(g) + [-x for x in g] + [-int(i == r) for i in range(n)]
+            for r, g in enumerate(G)]

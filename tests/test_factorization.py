@@ -10,20 +10,21 @@ from pathlib import Path
 import pytest
 
 from toricgm.factorization import (FACTORS, LIMIT_ONLY, OUTSIDE,
-                                   FacialCertificate, classify,
+                                   FacialCertificate, classify, covered_rows,
                                    in_variety_kernel_oracle,
                                    in_variety_via_basis, is_A_feasible,
                                    is_facial_lp, is_facial_via_basis,
                                    limit_sequence)
 from toricgm.factorization import _kernel_balances, _least_norm
-from toricgm.linalg import integer_kernel_lattice
+from toricgm.linalg import integer_kernel_lattice, reduced_echelon
 from toricgm.models import Distribution, ModelMatrix, monomial_map
 from toricgm.polynomials import Binomial
 from toricgm.simplex import _phase_one
 from toricgm.toric import compute_toric_basis
 
 from fixtures import (FOUR_CYCLE_QUARTICS, FOUR_CYCLE_SIXTEEN, IDX4,
-                      MOUSSOURIS_SUPPORT, four_cycle_matrix, random_model)
+                      MOUSSOURIS_SUPPORT, four_cycle_matrix, full_width_phase_one,
+                      full_width_rows, random_model)
 
 
 def moussouris_distribution():
@@ -176,22 +177,28 @@ def test_fractional_certificate_validated_exactly():
 
 @pytest.fixture
 def lp_shapes(monkeypatch):
-    """(rows, columns) of every phase-1 LP solved while the test runs."""
+    """(rows, columns) of the matrix G of every phase-1 LP solved while the
+    test runs (0 columns when G has no rows)."""
     shapes = []
 
-    def probe(rows, rhs):
-        shapes.append((len(rows), len(rows[0]) if rows else None))
-        return _phase_one(rows, rhs)
+    def probe(G, rhs):
+        shapes.append((len(G), len(G[0]) if G else 0))
+        return _phase_one(G, rhs)
 
     monkeypatch.setattr("toricgm.simplex._phase_one", probe)
     return shapes
+
+
+def _rank(rows):
+    """Rank of an integer matrix given by its rows (0 for no rows)."""
+    return len(reduced_echelon(rows, len(rows[0]))[1]) if rows else 0
 
 
 def test_full_support_certificate_solves_no_lp_rows(lp_shapes):
     A = four_cycle_matrix()
     facial, cert = is_facial_lp(A, range(16))
     assert facial and cert.c == (0,) * A.nrows
-    assert lp_shapes == [(0, None)]
+    assert lp_shapes == [(0, 0)]
 
 
 @pytest.mark.parametrize("support", [
@@ -201,12 +208,99 @@ def test_full_support_certificate_solves_no_lp_rows(lp_shapes):
     [],
 ])
 def test_lp_has_one_row_per_column_off_the_support(support, lp_shapes):
+    # one row per column off F; one column per basis vector of the
+    # certificate space modulo the left kernel of A: rank A - rank A_F
     A = four_cycle_matrix()
     is_facial_lp(A, support)
     off = A.ncols - len(support)
-    dim = len(integer_kernel_lattice([A.column(j) for j in support])) \
-        if support else A.nrows
-    assert lp_shapes == [(off, 2 * dim + off)]
+    rank_F = _rank([A.column(j) for j in support])
+    assert lp_shapes == [(off, _rank(A.rows) - rank_F)]
+
+
+def _random_lp_matrix(rng):
+    """Random integer G with zero, duplicate and negated columns, of rank
+    below its column count more often than not."""
+    n = rng.randint(1, 7)
+    span = [[rng.randint(-3, 3) for _ in range(n)]
+            for _ in range(rng.randint(1, 4))]
+    cols = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if kind < 0.15:
+            cols.append([0] * n)
+        elif kind < 0.3 and cols:
+            cols.append(list(rng.choice(cols)))
+        elif kind < 0.45 and cols:
+            cols.append([-x for x in rng.choice(cols)])
+        else:
+            a, b = rng.choice(span), rng.choice(span)
+            cols.append([x + rng.randint(0, 1) * y for x, y in zip(a, b)])
+    return [[col[i] for col in cols] for i in range(n)]
+
+
+def test_half_width_tableau_pivots_as_the_full_one():
+    rng = random.Random(15)
+    outcomes = set()
+    for _ in range(400):
+        G = _random_lp_matrix(rng)
+        rhs = [rng.choice((0, 1, 1, 2)) for _ in G]
+        solution = _phase_one(G, rhs)
+        assert solution == full_width_phase_one(full_width_rows(G), rhs), (G, rhs)
+        outcomes.add(solution is None)
+    assert outcomes == {True, False}
+
+
+def _classify_models():
+    """The four models of the benchmark's classify_stream workload: the
+    binary four-cycle, no-three-way interaction on 2x2x2 and 2x3x3 tables
+    and all pairwise interactions of four binary variables."""
+    from toricgm.models import StateSpace, VariableSpec, build_loglinear_matrix
+
+    def loglinear(levels, generators):
+        space = StateSpace([VariableSpec(f"X{i + 1}", k) for i, k in enumerate(levels)])
+        return build_loglinear_matrix(space, generators)
+
+    no3way = (("X1", "X2"), ("X1", "X3"), ("X2", "X3"))
+    return [four_cycle_matrix(), loglinear((2, 2, 2), no3way),
+            loglinear((2, 3, 3), no3way),
+            loglinear((2, 2, 2, 2), list(combinations(["X1", "X2", "X3", "X4"], 2)))]
+
+
+def test_certificates_on_classify_models_and_random_models():
+    # the verdict is the basis route's, and every certificate passes the
+    # exact check (is_facial_lp runs FacialCertificate.validated)
+    rng = random.Random(1515)
+    models = _classify_models()
+    models += [random_model(rng, rng.randint(1, 5), rng.randint(2, 7))
+               for _ in range(30)]
+    verdicts = []
+    for A in models:
+        basis = compute_toric_basis(A)
+        for _ in range(12):
+            F = [j for j in range(A.ncols) if rng.random() < 0.7]
+            facial, cert = is_facial_lp(A, F)
+            assert facial == is_facial_via_basis(basis, F), (A.rows, F)
+            assert facial == (cert is not None)
+            verdicts.append(facial)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_phase_one_without_leaving_row_raises(monkeypatch):
+    # a phase-1 objective is bounded below by 0: an entering column with no
+    # positive entry is a defect, not an infeasible LP
+    import toricgm.simplex as simplex
+    monkeypatch.setattr(simplex, "_entering", lambda obj, den, k, n: k)
+    with pytest.raises(ArithmeticError, match="no leaving row"):
+        simplex._phase_one([[1, 0], [0, 1]], [1, 1])
+
+
+@pytest.mark.parametrize("check", [is_facial_lp, is_A_feasible, covered_rows],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("index", [-1, 16])
+def test_support_index_outside_the_columns_raises(check, index):
+    A = four_cycle_matrix()
+    with pytest.raises(ValueError, match=f"support index {index} is not a column"):
+        check(A, [0, index])
 
 
 def test_feasible_implies_facial_on_image_supports():

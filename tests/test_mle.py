@@ -214,6 +214,27 @@ def test_tables_with_other_zero_cells_get_their_own_basis(basis_misses):
     assert sys2.basis.matrix == sys2.matrix == A
 
 
+def test_same_rows_under_other_labels_share_one_basis(basis_misses):
+    # zeroing the margins in rows 0 and 2 or in rows 1 and 3 leaves the
+    # same reduced rows on other cells: one miss, each basis under its
+    # caller's labels
+    A = four_cycle_matrix()
+
+    def zeroed(rows):
+        return CountTable([0 if any(A.rows[i][j] for i in rows) else 1
+                           for j in range(A.ncols)])
+
+    sys1 = assemble_mle_system(A, zeroed((0, 2)))
+    sys2 = assemble_mle_system(A, zeroed((1, 3)))
+    assert sys1.matrix.rows == sys2.matrix.rows and sys1.matrix != sys2.matrix
+    assert len(basis_misses) == 1
+    assert sys2.basis.binomials == sys1.basis.binomials
+    assert sys1.basis.matrix == sys1.matrix
+    assert sys2.basis.matrix == sys2.matrix
+    assemble_mle_system(A, zeroed((1, 3)))
+    assert len(basis_misses) == 1
+
+
 def test_budget_exceeded_on_a_miss_is_not_memoised(basis_misses):
     A = four_cycle_matrix()
     full = CountTable([1] * A.ncols)

@@ -21,3 +21,20 @@ def test_library_tour_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_command_line_tour_writes_every_file_it_reads():
+    text = README.read_text()
+    block = re.search(r"## Command line\n.*?```bash\n(.*?)```", text,
+                      re.S).group(1)
+    written = set()
+    reads = 0
+    for line in block.splitlines():
+        if not line.startswith("toricgm "):
+            written.update(re.findall(r"^cat > (\S+)", line))
+            continue
+        for path in re.findall(r"--(?:graph|model|basis|dist|counts) (\S+)", line):
+            assert path in written, f"{path} is read before it is written"
+            reads += 1
+        written.update(re.findall(r"--out (\S+)", line))
+    assert reads == 9
