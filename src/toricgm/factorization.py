@@ -90,6 +90,13 @@ class Verdict:
             raise ValueError("limit verdict needs an infeasibility witness")
 
 
+def _check_length(P, ncols):
+    """Raise ValueError unless P has one value per column of the model."""
+    if len(P) != ncols:
+        raise ValueError(f"distribution has {len(P)} values, but the model "
+                         f"has {ncols} columns")
+
+
 def _columns(A, F):
     """The support F as a set of column indices of A; raises ValueError
     naming an index outside range(A.ncols)."""
@@ -150,24 +157,29 @@ def is_facial_via_basis(binomials, F):
     return True
 
 
-def _binomials(basis):
-    return list(basis.binomials) if hasattr(basis, "binomials") else list(basis)
-
-
 def in_variety_via_basis(P, basis, tol=None):
     """(membership, first failing binomial) at P.
 
-    Exact zero test for rational distributions, on integer numerators over
-    one common denominator; for numeric ones a failure means
-    |P^u - P^v| > tol * max(P^u, P^v), or P^u != P^v when tol is None.
+    basis is a ToricBasis or a sequence of binomials; P must have one value
+    per column (ValueError otherwise).  Exact zero test for rational
+    distributions, on integer numerators over one common denominator; for
+    numeric ones a failure means |P^u - P^v| > tol * max(P^u, P^v), or
+    P^u != P^v when tol is None.
     """
+    if hasattr(basis, "binomials"):
+        _check_length(P, basis.matrix.ncols)
+        binomials = basis.binomials
+    else:
+        binomials = list(basis)
+        for b in binomials:
+            _check_length(P, b.nvars)
     if getattr(P, "is_exact", True):
         den, N = _common_denominator(P.values)
-        for b in _binomials(basis):
+        for b in binomials:
             if not _balanced(N, den, b.u, b.v):
                 return False, b
         return True, None
-    for b in _binomials(basis):
+    for b in binomials:
         pu = _monomial_value(P, b.u)
         pv = _monomial_value(P, b.v)
         if tol is None:
@@ -197,6 +209,7 @@ def in_variety_kernel_oracle(A, P):
     """
     if not P.is_exact:
         raise ValueError("kernel oracle needs an exact rational distribution")
+    _check_length(P, A.ncols)
     _, balanced = _facial_and_balanced(A, P, sorted(P.support))
     return balanced
 
@@ -227,6 +240,7 @@ def _kernel_balances(A, P, F):
 
 def classify(A, basis, P):
     """Factors / limit-only / outside, with evidence."""
+    _check_length(P, A.ncols)
     member, failed = in_variety_via_basis(P, basis)
     if not member:
         return Verdict(OUTSIDE, failed_binomial=failed)
@@ -275,6 +289,7 @@ def limit_sequence(A, P, epsilon):
         raise ValueError("epsilon must be positive")
     if not P.is_exact:
         raise ValueError("limit sequences start from exact distributions")
+    _check_length(P, A.ncols)
     F = sorted(P.support)
     if not F:
         raise ValueError("cannot build a limit sequence for the zero vector")

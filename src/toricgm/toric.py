@@ -1,27 +1,42 @@
 """Toric ideals of model matrices: Markov/Groebner bases by lattice-ideal
 saturation, plus membership and evaluation services for binomials.
 
-The basis computation starts from the lattice ideal J: the binomials of a
-basis B of the integer kernel lattice (from `integer_kernel_lattice`),
-optionally together with known kernel binomials as seeds.  J lies in the
-toric ideal I_A, and I_A = J : (x_1 ... x_n)^inf (Sturmfels, Groebner Bases
-and Convex Polytopes, Lemma 12.2).  Only the variables of a planned set
-sigma are saturated.
+The basis computation starts from the ideal J generated by the binomials of
+a basis B of the integer kernel lattice (from `integer_kernel_lattice`), the
+quadratic moves Q, and any seed binomials.  Every generator is a kernel
+binomial, so J lies in the toric ideal I_A; J contains the lattice ideal of
+B, so I_A = J : (x_1 ... x_n)^inf (Sturmfels, Groebner Bases and Convex
+Polytopes, Lemma 12.2).  Only the variables of a planned set sigma are
+saturated.
 
-Plan.  Walk B in its output order.  Of the variables of b that no earlier
-vector assigned, those on the side of b holding more of them (the u side on
-a tie) join the skipped set tau; those on the other side join sigma.
+Moves.  Q holds coprime binomials x_a x_b - x_c x_d with A e_a + A e_b =
+A e_c + A e_d: over one column of each distinct value, the pairs with the
+same sum are chained, each to the next.  They are cheap kernel binomials
+that shorten both the plan and the first Buchberger run (Bigatti, La Scala
+and Robbiano, Computing toric ideals, JSC 1999, seed with such binomials
+too).  When B has at most one vector, a kernel move can only be that
+vector, so the search is skipped and Q is empty.
+
+Plan.  Let W be B followed by Q.  Repeatedly take the generator w of W with
+the fewest not yet assigned variables on its smaller side, ties going to
+the most not yet assigned in all, then to the first in W.  Of its
+unassigned variables, those on the side holding more of them (the u side on
+a tie) join the skipped set tau; those on the other side join sigma.  Stop
+once every variable of W is assigned.
 
 Why it is exact.  Work in R = k[x][x_sigma^-1] / J and follow the same
-walk.  When b is reached, the variables it adds to tau all sit on one side,
-and every other variable of b is in sigma or was reached earlier, so it is
-already a unit in R.  Since x^(b+) = x^(b-) in R, the monomial in the new
-tau variables is a unit, so each of them is a unit.  A variable that occurs in no b occurs in no generator (a seed's
-exponent difference is a kernel vector, and its common part is stripped),
-so it is a non-zero-divisor in R.  Hence, for f in I_A, f x^a in J implies
+walk.  When w is taken, its new sigma variables are units, and so is every
+variable of w assigned earlier (by induction).  So every variable of w that
+does not join tau now is a unit, and these include a whole side of w.
+Since x^(w+) = x^(w-) in R (w lies in J), the monomial in the new tau
+variables is a unit, so each of them is a unit.  Hence every variable of W
+is a unit in R.  A variable that occurs in no element of W occurs in no
+kernel vector (B spans the kernel), so in no generator of J (a seed's
+exponent difference is a kernel vector, and its common part is stripped);
+it is a non-zero-divisor in R.  Hence, for f in I_A, f x^a in J implies
 f = 0 in R, that is, f lies in J : x_sigma^inf.  Conversely J : x_sigma^inf
 lies in I_A, because I_A is prime and contains no monomial.  So
-I_A = J : x_sigma^inf.
+I_A = J : x_sigma^inf, whatever kernel binomials Q holds.
 
 Saturating by the variables of sigma one at a time, in increasing index
 order, gives J : x_sigma^inf (Lemma 12.1, after Bayer-Stillman): take the
@@ -31,10 +46,9 @@ ModelMatrix requires equal column sums, so every ideal here is homogeneous,
 and in that order x_i divides a homogeneous binomial iff it divides its
 leading term.  Dividing out the common part of both sides covers the x_i
 power.  Cutting the number of saturations this way follows Hosten-Sturmfels
-(GRIN, IPCO 1995) and Bigatti-La Scala-Robbiano (Computing toric ideals,
-JSC 1999).  A final reduced basis is produced under the requested order;
-the reduced basis of the prime ideal I_A is coprime and oriented as it
-comes.  Every output binomial satisfies A u = A v exactly.
+(GRIN, IPCO 1995).  A final reduced basis is produced under the requested
+order; the reduced basis of the prime ideal I_A is coprime and oriented as
+it comes.  Every output binomial satisfies A u = A v exactly.
 """
 
 from dataclasses import dataclass
@@ -42,7 +56,8 @@ from dataclasses import dataclass
 from .linalg import integer_kernel_lattice
 from .models import ModelMatrix
 from .orders import TermOrder
-from .polynomials import Binomial, BinomialRewriter, buchberger_binomials
+from .polynomials import (Binomial, BinomialRewriter, _support_mask,
+                          buchberger_binomials)
 
 
 @dataclass(frozen=True)
@@ -81,17 +96,59 @@ def _kernel_binomials(A):
     return out
 
 
-def _saturation_plan(lattice):
+def _quadratic_moves(A):
+    """Coprime degree-2 kernel binomials x_a x_b - x_c x_d, chained within
+    each fiber of A e_a + A e_b over one column of each distinct value.
+
+    The entries are nonnegative, so coding a column as an integer in base
+    2 max + 1 is exact for pair sums too: two pairs have the same sum iff
+    their codes add up to the same integer.  Two pairs of distinct columns
+    with the same sum share no column, so each move is coprime.
+    """
+    base = 2 * max(map(max, A.rows)) + 1
+    firsts = {}
+    for j, col in enumerate(zip(*A.rows)):
+        firsts.setdefault(col, j)
+    codes = [(j, sum(e * base ** r for r, e in enumerate(col)))
+             for col, j in firsts.items()]
+    fibers = {}
+    for k, (a, ca) in enumerate(codes):
+        for b, cb in codes[k:]:
+            fibers.setdefault(ca + cb, []).append((a, b))
+    m = A.ncols
+    moves = []
+    for pairs in fibers.values():
+        for (a, b), (c, d) in zip(pairs, pairs[1:]):
+            u = [0] * m
+            v = [0] * m
+            u[a] += 1
+            u[b] += 1
+            v[c] += 1
+            v[d] += 1
+            moves.append(Binomial(u, v))
+    return moves
+
+
+def _saturation_plan(gens):
     """Sorted column indices to saturate by: the sigma of the module
-    docstring, planned by one walk over the lattice binomials in order."""
-    assigned = set()
-    sigma = []
-    for b in lattice:
-        pos = [i for i, e in enumerate(b.u) if e and i not in assigned]
-        neg = [i for i, e in enumerate(b.v) if e and i not in assigned]
-        sigma.extend(neg if len(pos) >= len(neg) else pos)
-        assigned.update(pos, neg)
-    return tuple(sorted(sigma))
+    docstring, planned by a greedy walk over the generators."""
+    sides = [(_support_mask(b.u), _support_mask(b.v)) for b in gens]
+    free = 0
+    for pos, neg in sides:
+        free |= pos | neg
+    sigma = 0
+    while free:
+        pos, neg = min(((pos & free, neg & free) for pos, neg in sides
+                        if (pos | neg) & free), key=_walk_key)
+        sigma |= neg if pos.bit_count() >= neg.bit_count() else pos
+        free &= ~(pos | neg)
+    return tuple(i for i in range(sigma.bit_length()) if sigma >> i & 1)
+
+
+def _walk_key(sides):
+    # fewest unassigned variables on the smaller side, then most in all
+    p, q = sides[0].bit_count(), sides[1].bit_count()
+    return min(p, q), -p - q
 
 
 def compute_toric_basis(A, order=None, seed=None, budget=None):
@@ -99,9 +156,11 @@ def compute_toric_basis(A, order=None, seed=None, budget=None):
 
     Seed binomials must satisfy the kernel condition (validated).  The
     default order is grevlex; lex is useful for elimination work.  The
-    work is |sigma| + 1 Buchberger runs (one saturation step per planned
-    column, recorded in `ToricBasis.saturated`, then the final basis);
-    `budget` bounds the S-pairs of each run.
+    generators are the lattice binomials, the quadratic moves (when the
+    lattice has rank two or more) and the seeds.  The work is |sigma| + 1
+    Buchberger runs (one saturation step per column the walk over lattice
+    and moves plans, recorded in `ToricBasis.saturated`, then the final
+    basis); `budget` bounds the S-pairs of each run.
     """
     m = A.ncols
     if order is None:
@@ -109,6 +168,8 @@ def compute_toric_basis(A, order=None, seed=None, budget=None):
     if order.nvars != m:
         raise ValueError("order arity must match the column count")
     gens = _kernel_binomials(A)
+    if len(gens) > 1:
+        gens += _quadratic_moves(A)
     sigma = _saturation_plan(gens)
     for b in (seed or ()):
         if A.apply(b.u) != A.apply(b.v):

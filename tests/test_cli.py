@@ -122,7 +122,7 @@ def test_basis_reports_saturated_columns(tmp_path, capsys,
         assert code == 0
         assert report["results"]["size"] == 28
         assert report["results"]["saturated"] == [
-            "0011", "0110", "1001", "1100", "1111"]
+            "0011", "0110", "1001", "1100"]
 
 
 def test_basis_budget_exit_code(tmp_path, capsys, four_cycle_graph_file):

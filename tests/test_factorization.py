@@ -303,6 +303,34 @@ def test_support_index_outside_the_columns_raises(check, index):
         check(A, [0, index])
 
 
+# Eight values against the sixteen columns of the binary four-cycle.  Zipping
+# them against the exponent vectors would drop the missing cells silently.
+SHORT = Distribution([Fraction(1, 8)] * 8)
+LENGTH_ERROR = "distribution has 8 values, but the model has 16 columns"
+
+
+def test_classify_rejects_a_short_distribution(four_cycle_basis):
+    with pytest.raises(ValueError, match=LENGTH_ERROR):
+        classify(four_cycle_matrix(), four_cycle_basis, SHORT)
+
+
+@pytest.mark.parametrize("printed", [False, True])
+def test_basis_membership_rejects_a_short_distribution(four_cycle_basis, printed):
+    basis = FOUR_CYCLE_SIXTEEN if printed else four_cycle_basis
+    with pytest.raises(ValueError, match=LENGTH_ERROR):
+        in_variety_via_basis(SHORT, basis)
+
+
+def test_kernel_oracle_rejects_a_short_distribution():
+    with pytest.raises(ValueError, match=LENGTH_ERROR):
+        in_variety_kernel_oracle(four_cycle_matrix(), SHORT)
+
+
+def test_limit_sequence_rejects_a_short_distribution():
+    with pytest.raises(ValueError, match=LENGTH_ERROR):
+        limit_sequence(four_cycle_matrix(), SHORT, Fraction(1, 10))
+
+
 def test_feasible_implies_facial_on_image_supports():
     A = four_cycle_matrix()
     rng = random.Random(3)

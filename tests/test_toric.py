@@ -4,15 +4,16 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from toricgm.graphs import build_graph_matrix
+from toricgm.graphs import binary_graph, build_graph_matrix
+from toricgm.independence import global_ideal
 from toricgm.linalg import integer_kernel_lattice
-from toricgm.models import (Distribution, StateSpace, VariableSpec,
-                            build_loglinear_matrix, monomial_map)
+from toricgm.models import (Distribution, ModelMatrix, StateSpace,
+                            VariableSpec, build_loglinear_matrix, monomial_map)
 from toricgm.orders import TermOrder
 from toricgm.polynomials import Binomial, buchberger_binomials, ideal_equal
-from toricgm.toric import (binomial_in_ideal, binomial_in_kernel,
-                           compute_toric_basis, evaluate_binomial,
-                           is_quadratic_basis)
+from toricgm.toric import (_quadratic_moves, binomial_in_ideal,
+                           binomial_in_kernel, compute_toric_basis,
+                           evaluate_binomial, is_quadratic_basis)
 
 from fixtures import (FOUR_CYCLE_SIXTEEN, IDX4, THREE_CHAIN_BINOMIALS,
                       CheapestOrder, binomial4, canonical, four_chain,
@@ -209,8 +210,8 @@ def test_one_saturation_pass_is_a_fixed_point(name):
 
 
 # Buchberger runs per basis: one per saturated column, then the final one.
-EXPECTED_RUNS = {"four-cycle": 6, "no-three-way-2x3x3": 10, "random-13": 2,
-                 "random-2": 2, "random-5": 3, "random-8": 3}
+EXPECTED_RUNS = {"four-cycle": 5, "no-three-way-2x3x3": 10, "random-13": 2,
+                 "random-2": 2, "random-5": 3, "random-8": 2}
 
 
 @pytest.mark.parametrize("name", sorted(SATURATION_MODELS))
@@ -304,12 +305,139 @@ def _units_reached(lattice, units):
 
 
 def test_saturated_columns_make_every_lattice_variable_a_unit():
+    # the plan walks the lattice binomials and, for a lattice of rank two or
+    # more, the quadratic moves, all of which are seeded
     models = list(SATURATION_MODELS.values())
     models += [A for A, _, _ in _agreement_models(60)]
     for A in models:
         basis = compute_toric_basis(A)
         lattice = _lattice_binomials(A)
+        gens = lattice + (_quadratic_moves(A) if len(lattice) > 1 else [])
         support = {i for b in lattice for i in range(A.ncols) if b.u[i] or b.v[i]}
         assert list(basis.saturated) == sorted(set(basis.saturated))
         assert set(basis.saturated) <= support
-        assert _units_reached(lattice, basis.saturated) == support, A.rows
+        assert _units_reached(gens, basis.saturated) == support, A.rows
+
+
+def _loglinear(levels, generators):
+    space = StateSpace([VariableSpec(f"X{i}", k) for i, k in enumerate(levels, 1)])
+    return build_loglinear_matrix(space, generators)
+
+
+def _move_models():
+    models = dict(SATURATION_MODELS)
+    models["three-chain"] = build_graph_matrix(three_chain())
+    models["four-chain"] = build_graph_matrix(four_chain())
+    models["independence-3x4"] = _loglinear((3, 4), [("X1",), ("X2",)])
+    for k, (A, _, _) in enumerate(_agreement_models(60)):
+        models[f"agreement-{k}"] = A
+    return models
+
+
+MOVE_MODELS = _move_models()
+
+
+def test_quadratic_moves_are_coprime_quadratic_kernel_binomials():
+    found = 0
+    for name, A in MOVE_MODELS.items():
+        for b in _quadratic_moves(A):
+            assert b.is_coprime(), (name, b)
+            assert sum(b.u) == sum(b.v) == 2, (name, b)
+            assert A.apply(b.u) == A.apply(b.v), (name, b)
+            found += 1
+    assert found > 0
+
+
+def test_quadratic_moves_connect_every_fiber_of_distinct_columns():
+    # brute force: group the pairs of distinct column values by their sum;
+    # the moves form one path through each group, so |group| - 1 moves
+    # connect it
+    for name, A in MOVE_MODELS.items():
+        cols = list(zip(*A.rows))
+        reps = [j for j, col in enumerate(cols) if col not in cols[:j]]
+        groups = {}
+        for k, a in enumerate(reps):
+            for b in reps[k:]:
+                mono = _pair(A.ncols, a, b)
+                groups.setdefault(A.apply(mono), set()).add(mono)
+        parent = {}
+
+        def find(x):
+            while parent.setdefault(x, x) != x:
+                x = parent[x]
+            return x
+
+        moves = _quadratic_moves(A)
+        for b in moves:
+            parent[find(b.u)] = find(b.v)
+        for group in groups.values():
+            assert len({find(x) for x in group}) == 1, (name, group)
+        assert len(moves) == sum(len(g) - 1 for g in groups.values()), name
+
+
+def _pair(m, a, b):
+    mono = [0] * m
+    mono[a] += 1
+    mono[b] += 1
+    return tuple(mono)
+
+
+def test_models_without_quadratic_moves():
+    # the no-three-way and binary K4 pairwise models start at degree four
+    assert _quadratic_moves(SATURATION_MODELS["no-three-way-2x3x3"]) == []
+    pairs = [(f"X{i}", f"X{j}") for i in range(1, 5) for j in range(i + 1, 5)]
+    assert _quadratic_moves(_loglinear((2, 2, 2, 2), pairs)) == []
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 1, 0], [0, 1, 2]],             # lattice (1, -2, 1): itself a move
+    [[1, 1, 0], [0, 0, 1]],             # lattice (1, -1, 0): repeated column
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],  # no lattice at all
+])
+def test_rank_one_lattice_skips_the_move_search(rows, monkeypatch):
+    A = ModelMatrix(rows)
+    lattice = _lattice_binomials(A)
+    assert len(lattice) <= 1
+    # the search would find nothing new: at most the lattice vector itself
+    assert {b.sign_free() for b in _quadratic_moves(A)} \
+        <= {b.sign_free() for b in lattice}
+    expected = compute_toric_basis(A).binomials
+
+    def unexpected(A):
+        raise AssertionError("move search on a lattice of rank at most one")
+
+    monkeypatch.setattr("toricgm.toric._quadratic_moves", unexpected)
+    assert compute_toric_basis(A).binomials == expected \
+        == saturate_by_every_column(A)
+
+
+def test_repeated_columns_give_no_redundant_moves():
+    # copies of columns 0 and 5 appended to the three-chain matrix: the
+    # copies take part in no move, and the others are those of the original
+    base = build_graph_matrix(three_chain())
+    rows = [list(row) + [row[0], row[5]] for row in base.rows]
+    A = ModelMatrix(rows)
+    moves = _quadratic_moves(A)
+    assert [(b.u[:8], b.v[:8]) for b in moves] \
+        == [(b.u, b.v) for b in _quadratic_moves(base)]
+    assert all(b.u[8:] == b.v[8:] == (0, 0) for b in moves)
+    cols = list(zip(*A.rows))
+    for b in moves:
+        used = [j for j in range(A.ncols) if b.u[j] or b.v[j]]
+        assert len({cols[j] for j in used}) == len(used), b
+    assert compute_toric_basis(A).binomials == saturate_by_every_column(A)
+
+
+def test_five_chain_basis_is_one_run_of_the_global_ideal():
+    # decomposable graph: the toric ideal is the global Markov ideal, so
+    # one grevlex run over its CPD binomials is an independent route.  The
+    # S-pair budget per run is the stated bound: saturating from the
+    # lattice binomials alone takes 14,718 S-pairs in the first run, and
+    # with the quadratic moves no run takes more than 1,353
+    g = binary_graph([f"X{i}" for i in range(1, 6)],
+                     [(f"X{i}", f"X{i + 1}") for i in range(1, 5)])
+    A = build_graph_matrix(g)
+    basis = compute_toric_basis(A, budget=2000)
+    assert basis.binomials == tuple(
+        buchberger_binomials(global_ideal(g), TermOrder.grevlex(A.ncols)))
+    assert len(basis) == 132
