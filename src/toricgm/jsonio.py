@@ -118,13 +118,6 @@ def parse_value(text):
         raise FormatError(f"unreadable numeric value {text!r}") from None
 
 
-def _count(text):
-    x = parse_value(text)
-    if x != int(x):
-        raise ValueError("counts must be integers")
-    return int(x)
-
-
 def read_distribution(path):
     data = _load(path)
     order = _require(data, "order", path)
@@ -144,8 +137,8 @@ def read_counts(path):
     order = _require(data, "order", path)
     if order != STATE_ORDER:
         raise FormatError(f"{path}: unsupported state order {order!r}")
-    counts = _each(data, "values", _count, path)
-    try:
+    counts = _each(data, "values", parse_value, path)
+    try:  # CountTable rejects a count that is not an integer
         return CountTable(counts)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None

@@ -9,6 +9,13 @@ polynomial psi; back-substitution from its positive root produces the cell
 profile.  Every rational MLE, whatever the degree of psi, is reported
 exactly, with the profile back-substituted from the exact root.
 
+The binomials are a minimal generating set of the toric ideal: the
+elements of its reduced Groebner basis that the others do not generate
+(`toric.minimal_generators`, a minimal Markov basis; Diaconis and
+Sturmfels, Ann. Statist. 26, 1998).  They generate the same ideal, and
+reduced Groebner bases are unique, so every basis below is the one the
+whole reduced basis would give, from fewer polynomials.
+
 The linear part is solved over the integers.  The marginal equations are
 brought to reduced echelon form fraction-free (`linalg.reduced_echelon`,
 shared with the limit-sequence solve): clearing a column from a row
@@ -22,9 +29,16 @@ positive integer prod_c a_c^max(u_c, v_c) before x_c is replaced by
 L_c / a_c, which makes the substituted binomial an integer polynomial;
 scaling a generator by a nonzero constant leaves the ideal and its reduced
 Groebner basis unchanged, so the core is exactly the one rational
-substitution gives.  FGLM converts the core's grevlex basis to lex by the
-same fraction-free elimination: each monomial of its walk is one integer
-row, the normal form cleared of denominators and tagged with the monomial.
+substitution gives.  The core is built in the ring of the k free cells:
+the pivot cells no longer occur in it, and grevlex and lex on all cells
+induce grevlex(k) and lex(k) on the free ones, so its bases are the
+whole ring's with the pivot cells dropped, on exponent tuples of length k.
+FGLM converts the core's grevlex basis to lex by the same fraction-free
+elimination: each monomial of its walk is one integer row, the normal form
+cleared of denominators and tagged with the monomial.  The whole system's
+reduced lex basis is the core's, lifted to all cells, plus x_c + NF(l_c) /
+a_c for each pivot row a_c x_c + l_c, NF the normal form modulo the core's
+lex basis in the free ring: the leads are coprime and the tails reduced.
 
 The root layer works in integers.  psi is scaled once to a content-free
 integer polynomial p, reduced to its squarefree part q = p / gcd(p, p').
@@ -39,19 +53,21 @@ that one is tested exactly where the root is isolated.  A rational root
 so comes back as the degenerate interval (r, r), and any other interval
 holds an irrational root.
 
-The toric basis of a reduced matrix is computed once per matrix (and
-budget) and memoised process-wide, in a bounded least-recently-used memo:
-many tables share their zero cells, hence their reduced matrix, and the
-basis belongs to the matrix, not to the counts.  The memo is keyed on the
-matrix's rows alone: zero-cell sets can leave the same rows under other
-row and column labels, and a hit under other labels returns the cached
-binomials under the caller's matrix.  The memo is exact for three
-reasons.  A `ToricBasis` is fixed by its rows and order: the reduced
-Groebner basis is unique, `saturated` is planned from the matrix's own
-lattice basis, and neither reads a label.  A `BudgetExceeded` is not
-stored, so a later call computes the basis afresh.  Entries are
-immutable, and `MleSystem` still checks the basis against the reduced
-matrix it is built with.
+The toric basis of a reduced matrix and its minimal generators are
+computed once per matrix (and budget) and memoised together, process-wide,
+in one bounded least-recently-used memo: many tables share their zero
+cells, hence their reduced matrix, and both belong to the matrix, not to
+the counts.  The memo is keyed on the matrix's rows alone: zero-cell sets
+can leave the same rows under other row and column labels, and a hit
+under other labels returns the cached binomials under the caller's
+matrix.  The memo is exact for three reasons.  A `ToricBasis` is fixed by
+its rows and order: the reduced Groebner basis is unique, `saturated` is
+planned from the matrix's own lattice basis, and neither reads a label;
+the generators are chosen from the basis alone, in its order.  A
+`BudgetExceeded`, in the basis or in the selection, is not stored, so a
+later call computes both afresh.  Entries are immutable, and `MleSystem`
+still checks the basis against the reduced matrix it is built with and
+the generators against the basis.
 """
 
 import math
@@ -66,16 +82,21 @@ from .orders import TermOrder
 from .polynomials import (NotTriangular, Polynomial, PreparedBasis, buchberger,
                           eliminate_to_triangular)
 from .polynomials import reduce as poly_reduce
-from .toric import ToricBasis, compute_toric_basis
+from .toric import ToricBasis, compute_toric_basis, minimal_generators
 
 
 class CountTable:
-    """Nonnegative integer cell counts with a positive total."""
+    """Nonnegative integer cell counts with a positive total.
+
+    A count may be any number with an integral value (2, 2.0, Fraction(4,
+    2)); any other value raises ValueError naming its index, rather than
+    being truncated to a different table.
+    """
 
     __slots__ = ("values", "total")
 
     def __init__(self, values):
-        vals = tuple(int(x) for x in values)
+        vals = tuple(_integral(i, x) for i, x in enumerate(values))
         if any(x < 0 for x in vals):
             raise ValueError("negative cell count")
         total = sum(vals)
@@ -89,6 +110,17 @@ class CountTable:
 
     def __getitem__(self, i):
         return self.values[i]
+
+
+def _integral(i, x):
+    """The integer value of count x at index i; ValueError if it has none."""
+    try:
+        k = int(x)
+    except (ValueError, OverflowError):  # nan, inf
+        k = None
+    if k is None or k != x:
+        raise ValueError(f"count {x} at index {i} is not an integer")
+    return k
 
 
 def sufficient_stats(A, n):
@@ -159,6 +191,7 @@ class MleSystem:
     active: tuple              # original column indices that stay
     matrix: object             # reduced ModelMatrix (kept rows x active cols)
     basis: ToricBasis          # toric basis of the reduced matrix
+    generators: tuple          # the basis elements of a minimal generating set
     margins: tuple             # observed sufficient statistics, kept rows
     cell_names: tuple
 
@@ -169,6 +202,8 @@ class MleSystem:
         if not isinstance(self.basis, ToricBasis) or \
                 self.basis.matrix.rows != self.matrix.rows:
             raise ValueError("basis is not a toric basis of the reduced matrix")
+        if not set(self.generators) <= set(self.basis.binomials):
+            raise ValueError("generators are not elements of the basis")
 
     @property
     def binomials(self):
@@ -192,31 +227,33 @@ class _Rows:
 
 @lru_cache(maxsize=256)
 def _reduced_basis(red, budget):
-    """Toric basis of the reduced matrix `red.matrix`, memoised on its rows
-    and the budget (module docstring).
+    """(toric basis, minimal generators) of the reduced matrix `red.matrix`,
+    memoised on its rows and the budget (module docstring).
 
-    A miss calls `compute_toric_basis` as bound in this module at call
-    time, so a wrapper installed on that name sees every miss.
+    A miss calls `compute_toric_basis` and `minimal_generators` as bound in
+    this module at call time, so a wrapper installed on either name sees
+    every miss.
     """
-    return compute_toric_basis(red.matrix, budget=budget)
+    basis = compute_toric_basis(red.matrix, budget=budget)
+    return basis, minimal_generators(basis, budget)
 
 
 def assemble_mle_system(A, n, budget=None):
     """Zero-reduce the table and set up the exact MLE system.
 
-    The binomial part is the toric basis of the reduced matrix, computed
-    once per reduced matrix and budget (see the module docstring); the
-    linear part keeps every reduced row's marginal equation, redundancy
-    included.
+    The binomial part is the toric basis of the reduced matrix and the
+    minimal generating set chosen from it, computed once per reduced matrix
+    and budget (see the module docstring); the linear part keeps every
+    reduced row's marginal equation, redundancy included.
     """
     n = n if isinstance(n, CountTable) else CountTable(n)
     active, red = reduce_zero_cells(A, n)
     margins = red.apply([n.values[j] for j in active])
-    basis = _reduced_basis(_Rows(red), budget)
+    basis, generators = _reduced_basis(_Rows(red), budget)
     if basis.matrix != red:  # the same rows under other labels
         basis = replace(basis, matrix=red)
     return MleSystem(active=tuple(active), matrix=red, basis=basis,
-                     margins=tuple(margins),
+                     generators=generators, margins=tuple(margins),
                      cell_names=tuple(red.col_labels))
 
 
@@ -239,13 +276,18 @@ def solve_mle_exact(sys, budget=None):
     Variable priority is the active cells in ascending state order.  The
     marginal equations are echelonized over the integers, which makes each
     pivot cell a linear form in the free cells, a_c x_c = L_c.  Put into
-    the binomials, these leave a core in the free cells alone, brought to
-    its reduced lex basis by a grevlex Groebner basis and FGLM order
-    conversion (fraction-free linear algebra on the finite quotient).  The
-    echelon's leads are its pivot cells and the core's leads lie in the
-    free ones, so by the product criterion their union is a lex basis of
-    the whole system; it is auto-reduced once, in eliminate_to_triangular,
-    into `triangular`.
+    the minimal generators of the toric ideal, these leave a core in the
+    ring of the k free cells alone.  It is brought to its reduced lex basis
+    there, by a grevlex(k) Groebner basis and FGLM order conversion
+    (fraction-free linear algebra on the finite quotient), and checked to
+    be triangular by eliminate_to_triangular.  grevlex(k) and lex(k) are
+    the orders the whole ring's grevlex and lex induce on the free cells,
+    so these are the bases the whole ring would reach.  `triangular` lifts
+    the core's basis back to every cell and adds, for each pivot c, x_c
+    plus its row's free part reduced modulo the core's basis over a_c.
+    The pivot leads and the core's leads are coprime and the tails are in
+    normal form, so this is the unique reduced lex basis of the whole
+    system, sorted by increasing lead.
 
     psi is the univariate that starts `triangular`, in the last cell, when
     that basis is in shape position: every later element linear in the one
@@ -260,22 +302,21 @@ def solve_mle_exact(sys, budget=None):
     one positive root of psi back-substitutes to a nonnegative profile.
     """
     nvars = len(sys.active)
-    order = TermOrder.lex(nvars)
     rows, pivots = _echelonize(sys.matrix.rows, sys.margins, nvars)
     free = [i for i in range(nvars) if i not in pivots]
-    core = _core(sys.binomials, rows, pivots, nvars)
+    core = _core(sys.generators, rows, pivots, free)
     if core:
-        grev = TermOrder.grevlex(nvars)
-        core_grev = buchberger(core, grev, budget)
-        core_basis = _fglm_to_lex(core_grev, grev, order, free)
+        k = len(free)
+        grev, lex = TermOrder.grevlex(k), TermOrder.lex(k)
+        core_basis = eliminate_to_triangular(
+            _fglm_to_lex(buchberger(core, grev, budget), grev, lex, range(k)),
+            tuple(range(k)))
     elif free:
         raise NotTriangular("not triangular: the MLE system is not "
                             "zero-dimensional")
     else:
         core_basis = []
-    linear = [Polynomial(nvars, _linear_terms(row, nvars)) for row in rows]
-    # pivot leads and core leads are coprime: the union is a lex basis
-    triangular = eliminate_to_triangular(linear + core_basis, tuple(range(nvars)))
+    core_basis, triangular = _lift(core_basis, rows, pivots, free)
     if _in_shape_position(triangular):
         shape = triangular
     elif core_basis and _in_shape_position(core_basis):
@@ -399,12 +440,8 @@ def _echelonize(matrix_rows, margins, nvars):
     return rows[:len(pivots)], pivots
 
 
-def _linear_terms(row, nvars):
-    """Terms of the linear polynomial of an echelon row."""
-    terms = [(tuple(1 if k == j else 0 for k in range(nvars)), coeff)
-             for j, coeff in enumerate(row[:nvars]) if coeff]
-    terms.append(((0,) * nvars, row[nvars]))
-    return terms
+def _unit(k, i):
+    return tuple(1 if j == i else 0 for j in range(k))
 
 
 def _mul(p, q):
@@ -417,8 +454,9 @@ def _mul(p, q):
     return {m: c for m, c in out.items() if c}
 
 
-def _core(binomials, rows, pivots, nvars):
-    """The binomials with the pivot cells eliminated, over the integers.
+def _core(binomials, rows, pivots, free):
+    """The binomials with the pivot cells eliminated, over the integers, as
+    polynomials in the free cells alone (variable i is the cell free[i]).
 
     Echelon row k reads a_c x_c = L_c for its pivot c, with L_c an integer
     linear form in the free cells.  x^u - x^v times the positive integer
@@ -429,11 +467,11 @@ def _core(binomials, rows, pivots, nvars):
     dropped; a nonzero constant means the margins contradict the binomials
     (ValueError).
     """
-    one = (0,) * nvars
+    k, nvars = len(free), len(free) + len(pivots)
+    one = (0,) * k
     forms = {}  # pivot -> (a_c, [L_c^0, L_c^1, ...])
     for row, c in zip(rows, pivots):
-        form = {tuple(1 if k == j else 0 for k in range(nvars)): -b
-                for j, b in enumerate(row[:nvars]) if b and j != c}
+        form = {_unit(k, i): -row[j] for i, j in enumerate(free) if row[j]}
         if row[nvars]:
             form[one] = -row[nvars]
         forms[c] = (row[c], [{one: 1}, form])
@@ -449,7 +487,7 @@ def _core(binomials, rows, pivots, nvars):
         tops = [(c, max(b.u[c], b.v[c])) for c in pivots if b.u[c] or b.v[c]]
         p = {}
         for mono, sign in ((b.u, 1), (b.v, -1)):
-            side = {tuple(0 if j in forms else e for j, e in enumerate(mono)): 1}
+            side = {tuple(mono[j] for j in free): 1}
             scale = sign
             for c, top in tops:
                 side = _mul(side, power(c, mono[c]))
@@ -461,8 +499,41 @@ def _core(binomials, rows, pivots, nvars):
             continue
         if list(p) == [one]:
             raise ValueError("inconsistent system: margins contradict binomials")
-        core.append(Polynomial(nvars, p))
+        core.append(Polynomial(k, p))
     return core
+
+
+def _lift(core_basis, rows, pivots, free):
+    """(the core's lex basis, the whole system's reduced lex basis), both
+    over every cell; core_basis is the core's reduced lex basis in the
+    free cells' ring.
+
+    Pivot row a_c x_c + l_c = 0 (l_c its free part) gives the element
+    x_c + NF(l_c) / a_c, with NF the normal form modulo core_basis in the
+    free ring.  The whole basis is sorted by increasing lead.
+    """
+    k, nvars = len(free), len(free) + len(pivots)
+    lex = TermOrder.lex(k)
+    prepared = PreparedBasis(core_basis, lex)
+
+    def lift(mono):
+        full = [0] * nvars
+        for j, e in zip(free, mono):
+            full[j] = e
+        return tuple(full)
+
+    core = [Polynomial(nvars, [(lift(m), c) for m, c in p.terms])
+            for p in core_basis]
+    whole = list(core)
+    for row, c in zip(rows, pivots):
+        rest = Polynomial(k, [(_unit(k, i), row[j]) for i, j in enumerate(free)]
+                          + [((0,) * k, row[nvars])])
+        nf = poly_reduce(rest, prepared, lex)
+        whole.append(Polynomial(nvars, [(_unit(nvars, c), 1)] + [
+            (lift(m), x / row[c]) for m, x in nf.terms]))
+    # terms ascend by exponent tuple, which is lex order: the last is the lead
+    whole.sort(key=lambda p: p.terms[-1][0])
+    return core, whole
 
 
 def _in_shape_position(basis):

@@ -1,5 +1,6 @@
 """Toric ideals of model matrices: Markov/Groebner bases by lattice-ideal
-saturation, plus membership and evaluation services for binomials.
+saturation, minimal generating sets chosen from them, plus membership and
+evaluation services for binomials.
 
 The basis computation starts from the ideal J generated by the binomials of
 a basis B of the integer kernel lattice (from `integer_kernel_lattice`), the
@@ -186,6 +187,48 @@ def compute_toric_basis(A, order=None, seed=None, budget=None):
 
     final = buchberger_binomials(gens, order, budget)
     return ToricBasis(A, tuple(final), order, sigma)
+
+
+def minimal_generators(basis, budget=None):
+    """The elements of the reduced basis that the others do not generate,
+    in increasing degree: a minimal Markov basis of the toric ideal.
+
+    Degree d at a time: the ideal K of the elements kept below d gets its
+    reduced basis under the basis's order (one `buchberger_binomials` run,
+    `budget` bounding its S-pairs), and x^u - x^v of degree d is kept only
+    when a union-find has not yet joined the normal forms of u and v.  The
+    ideal is a pure-difference ideal, so modulo K every monomial is its
+    normal-form monomial, and the degree-d part of I_A is K_d plus the span
+    of the kept differences: an element whose normal forms are joined is a
+    combination of the kept ones (so the kept set still generates I_A),
+    and the kept ones form a forest on the normal forms, whose edges are
+    linearly independent (so none of them is generated by the others).
+    """
+    by_degree = {}
+    for b in basis.binomials:
+        by_degree.setdefault(sum(b.u), []).append(b)
+    kept = []
+    for degree in sorted(by_degree):
+        system = BinomialRewriter(basis.order)
+        for g in buchberger_binomials(kept, basis.order, budget):
+            system.add(g.u, g.v)
+        parent = {}
+
+        def find(m):
+            root = m
+            while parent.get(root, root) != root:
+                root = parent[root]
+            while m != root:
+                parent[m], m = root, parent[m]
+            return root
+
+        for b in by_degree[degree]:
+            ru = find(system.normal_form(b.u))
+            rv = find(system.normal_form(b.v))
+            if ru != rv:
+                parent[ru] = rv
+                kept.append(b)
+    return tuple(kept)
 
 
 def binomial_in_kernel(b, A):

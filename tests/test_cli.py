@@ -336,3 +336,14 @@ def test_read_counts_null_value(tmp_path, capsys, three_chain_files):
     bad = write_json(tmp_path / "bad.json", {"order": "lex-last-fastest",
                                              "values": [1] * 7 + [None]})
     assert_format_error(capsys, ["ips", "--model", model, "--counts", bad], bad)
+
+
+@pytest.mark.parametrize("value", ["7/2", 2.5])
+def test_read_counts_rejects_a_count_that_is_not_an_integer(
+        tmp_path, capsys, three_chain_files, value):
+    model, _, _ = three_chain_files
+    bad = write_json(tmp_path / "bad.json", {"order": "lex-last-fastest",
+                                             "values": [1] * 6 + [value, 1]})
+    for command in ("ips", "mle-exact"):
+        assert_format_error(capsys, [command, "--model", model, "--counts", bad],
+                            f"{bad}: count {value} at index 6 is not an integer")

@@ -13,10 +13,10 @@ from toricgm.mle import (ISOLATION_WIDTH, CountTable, _echelonize,
                          reduce_zero_cells, solve_mle_exact, sufficient_stats)
 from toricgm.models import ModelMatrix, monomial_map
 from toricgm.orders import TermOrder
-from toricgm.polynomials import (BudgetExceeded, NotTriangular, Polynomial,
-                                 buchberger)
+from toricgm.polynomials import (Binomial, BudgetExceeded, NotTriangular,
+                                 Polynomial, buchberger)
 from toricgm.polynomials import reduce as poly_reduce
-from toricgm.toric import compute_toric_basis
+from toricgm.toric import compute_toric_basis, minimal_generators
 from fixtures import (FOUR_CYCLE_COUNTS, IDX4, five_cycle,
                       four_cycle_matrix, three_chain)
 
@@ -62,6 +62,26 @@ def test_count_table_validation():
         CountTable([0] * 4)
     with pytest.raises(ValueError):
         CountTable([1, -1])
+
+
+def test_count_table_rejects_counts_that_are_not_integers():
+    # a truncated count would be a different table: 1.5 is not 1
+    with pytest.raises(ValueError, match=r"count 1\.5 at index 0 is not an integer"):
+        CountTable([1.5, 2.9, Fraction(7, 2), True])
+    with pytest.raises(ValueError, match=r"count 7/2 at index 2 "):
+        CountTable([1, 2, Fraction(7, 2)])
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="at index 1"):
+            CountTable([1, bad])
+    # integral values of any type stay accepted
+    n = CountTable([2.0, Fraction(6, 2), True, 4])
+    assert n.values == (2, 3, 1, 4) and n.total == 10
+    assert all(type(x) is int for x in n.values)
+    counts = [1.5] + [1] * 15
+    with pytest.raises(ValueError, match="index 0"):
+        ips_fit(four_cycle_matrix(), counts)
+    with pytest.raises(ValueError, match="index 0"):
+        assemble_mle_system(four_cycle_matrix(), counts)
 
 
 def test_uniform_three_chain_margins():
@@ -166,6 +186,20 @@ def test_mle_system_rejects_a_basis_of_another_matrix():
         dataclasses.replace(sys_, basis=sys_.binomials)
 
 
+def test_mle_system_rejects_generators_outside_its_basis():
+    A = four_cycle_matrix()
+    sys_ = assemble_mle_system(A, CountTable(FOUR_CYCLE_COUNTS))
+    assert set(sys_.generators) <= set(sys_.binomials)
+    assert len(sys_.generators) < len(sys_.binomials)
+    b = sys_.generators[0]
+    # the same binomial the other way round is not an element of the basis
+    with pytest.raises(ValueError, match="generators"):
+        dataclasses.replace(sys_, generators=sys_.generators + (Binomial(b.v, b.u),))
+    other = assemble_mle_system(A, CountTable([1] * A.ncols))
+    with pytest.raises(ValueError, match="generators"):
+        dataclasses.replace(sys_, generators=other.generators)
+
+
 def test_more_than_one_nonnegative_root_raises(monkeypatch):
     # Birch's theorem leaves one nonnegative solution; if back-substitution
     # let all four positive roots of the paper table's quintic through, no
@@ -193,6 +227,19 @@ def basis_misses(monkeypatch):
     monkeypatch.setattr(mle, "compute_toric_basis", counting)
     yield misses
     _reduced_basis.cache_clear()
+
+
+@pytest.fixture
+def selections(monkeypatch):
+    """List the (basis, budget) of every minimal-generator selection."""
+    calls = []
+
+    def counting(basis, budget=None):
+        calls.append((basis, budget))
+        return minimal_generators(basis, budget)
+
+    monkeypatch.setattr(mle, "minimal_generators", counting)
+    return calls
 
 
 def test_tables_with_the_same_zero_cells_share_one_basis(basis_misses):
@@ -247,6 +294,38 @@ def test_budget_exceeded_on_a_miss_is_not_memoised(basis_misses):
     assert sys_.basis.binomials == compute_toric_basis(A).binomials
     assemble_mle_system(A, full)
     assert len(basis_misses) == 2
+
+
+def test_generators_are_memoised_with_the_basis(basis_misses, selections):
+    # a miss selects the generators of the basis it computed, once; a hit
+    # (also under other labels) runs no selection
+    A = four_cycle_matrix()
+    sys1 = assemble_mle_system(A, CountTable(FOUR_CYCLE_COUNTS), budget=10 ** 5)
+    assert [(basis, budget) for basis, budget in selections] \
+        == [(sys1.basis, 10 ** 5)]
+    assert sys1.generators == minimal_generators(sys1.basis)
+    sys2 = assemble_mle_system(A, CountTable([3 * c for c in FOUR_CYCLE_COUNTS]),
+                               budget=10 ** 5)
+    assert len(basis_misses) == len(selections) == 1
+    assert sys2.generators is sys1.generators
+
+
+def test_budget_exceeded_in_the_selection_is_not_memoised(basis_misses,
+                                                          monkeypatch):
+    # the basis is computed, but selecting its generators runs out of
+    # S-pairs: nothing is stored, and the next call computes both afresh
+    A = four_cycle_matrix()
+    full = CountTable([1] * A.ncols)
+    monkeypatch.setattr(mle, "minimal_generators",
+                        lambda basis, budget=None: minimal_generators(basis, 1))
+    with pytest.raises(BudgetExceeded):
+        assemble_mle_system(A, full)
+    assert len(basis_misses) == 1
+    assert _reduced_basis.cache_info().currsize == 0
+    monkeypatch.setattr(mle, "minimal_generators", minimal_generators)
+    sys_ = assemble_mle_system(A, full)
+    assert len(basis_misses) == 2
+    assert len(sys_.basis) == 28 and len(sys_.generators) == 16
 
 
 def test_ips_loglikelihood_monotone():
@@ -555,10 +634,10 @@ def test_heavy_table_root_layer():
 
 # --- nine active cells: the last cell can be a pivot ---------------------------
 
-def _zeroed_tables(seed, active, count):
+def _zeroed_tables(seed, active, count, zeroed=2):
     """Distinct four-cycle tables drawn like the benchmark's: every cell 1
-    but three cells at 2, then the cells of two random clique margins set
-    to zero, drawn again until `active` cells are left."""
+    but three cells at 2, then the cells of `zeroed` random clique margins
+    set to zero, drawn again until `active` cells are left."""
     A = four_cycle_matrix()
     rng = random.Random(seed)
     tables = []
@@ -566,7 +645,7 @@ def _zeroed_tables(seed, active, count):
         counts = [1] * A.ncols
         for j in rng.sample(range(A.ncols), 3):
             counts[j] = 2
-        for r in rng.sample(range(A.nrows), 2):
+        for r in rng.sample(range(A.nrows), zeroed):
             for j in range(A.ncols):
                 if A.rows[r][j]:
                     counts[j] = 0
@@ -645,15 +724,36 @@ def _whole_system(sys_):
     return [b.to_polynomial() for b in sys_.binomials] + linear
 
 
+# the nine-cell table whose last cell is a pivot that does not separate
+PIVOT_LAST_TABLE = [1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0]
+
+
 @pytest.mark.parametrize("counts", _zeroed_tables(11, 8, 7)
-                         + _zeroed_tables(11, 9, 7) + _zeroed_tables(11, 10, 6))
+                         + _zeroed_tables(11, 9, 7) + _zeroed_tables(11, 10, 6)
+                         + _zeroed_tables(11, 12, 6, zeroed=1)
+                         + _zeroed_tables(13, 10, 4) + _zeroed_tables(13, 8, 4)
+                         + [PIVOT_LAST_TABLE])
 def test_triangular_is_the_direct_lex_basis_of_the_whole_system(counts):
-    # the echelon, the integer core and its FGLM conversion reach the
-    # reduced lex basis that lex Buchberger reaches on the whole system
+    # the echelon, the integer core of the minimal generators in the free
+    # cells' ring, its FGLM conversion and the lift with the reduced pivot
+    # rows reach the reduced lex basis that lex Buchberger reaches on the
+    # whole system: every basis binomial and every marginal equation
     sys_ = assemble_mle_system(four_cycle_matrix(), CountTable(counts))
     res = solve_mle_exact(sys_)
     direct = buchberger(_whole_system(sys_), TermOrder.lex(len(sys_.active)))
     assert list(res.triangular) == direct
+
+
+def test_direct_lex_sample_has_a_pivot_as_last_cell():
+    A = four_cycle_matrix()
+    last_is_pivot = set()
+    for counts in _zeroed_tables(11, 8, 7) + _zeroed_tables(13, 8, 4) \
+            + [PIVOT_LAST_TABLE]:
+        sys_ = assemble_mle_system(A, CountTable(counts))
+        nvars = len(sys_.active)
+        _, pivots = _echelonize(sys_.matrix.rows, sys_.margins, nvars)
+        last_is_pivot.add(nvars - 1 in pivots)
+    assert last_is_pivot == {True, False}
 
 
 def test_fglm_rejects_a_basis_that_is_not_zero_dimensional():

@@ -4,16 +4,18 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from toricgm.graphs import binary_graph, build_graph_matrix
+from toricgm.graphs import UndirectedGraph, binary_graph, build_graph_matrix
 from toricgm.independence import global_ideal
 from toricgm.linalg import integer_kernel_lattice
 from toricgm.models import (Distribution, ModelMatrix, StateSpace,
                             VariableSpec, build_loglinear_matrix, monomial_map)
 from toricgm.orders import TermOrder
-from toricgm.polynomials import Binomial, buchberger_binomials, ideal_equal
+from toricgm.polynomials import (Binomial, BudgetExceeded, buchberger_binomials,
+                                 ideal_equal)
 from toricgm.toric import (_quadratic_moves, binomial_in_ideal,
                            binomial_in_kernel, compute_toric_basis,
-                           evaluate_binomial, is_quadratic_basis)
+                           evaluate_binomial, is_quadratic_basis,
+                           minimal_generators)
 
 from fixtures import (FOUR_CYCLE_SIXTEEN, IDX4, THREE_CHAIN_BINOMIALS,
                       CheapestOrder, binomial4, canonical, four_chain,
@@ -441,3 +443,78 @@ def test_five_chain_basis_is_one_run_of_the_global_ideal():
     assert basis.binomials == tuple(
         buchberger_binomials(global_ideal(g), TermOrder.grevlex(A.ncols)))
     assert len(basis) == 132
+
+
+# --- minimal generators --------------------------------------------------------
+
+def _degrees(binomials):
+    return [sum(b.u) for b in binomials]
+
+
+@pytest.mark.parametrize("order, size", [(None, 28), ("lex", 29)])
+def test_minimal_generators_of_the_binary_four_cycle(order, size):
+    # the 8 quadrics and the 8 quartics of the paper: 28 (29 under lex)
+    # reduced basis elements, of which 12 (13) the others generate
+    A = four_cycle_matrix()
+    basis = compute_toric_basis(A, None if order is None
+                                else TermOrder.lex(A.ncols))
+    gens = minimal_generators(basis)
+    assert len(basis) == size
+    assert _degrees(gens) == [2] * 8 + [4] * 8
+    assert set(gens) <= set(basis.binomials)
+    assert ideal_equal(gens, basis.binomials, basis.order)
+
+
+def _named(name):
+    def graph(levels, edges):
+        return build_graph_matrix(UndirectedGraph(
+            [VariableSpec(n, k) for n, k in levels], edges))
+
+    if name == "indep_4x4":
+        return graph((("X", 4), ("Y", 4)), ())
+    if name == "chain3_3level":
+        return graph((("X1", 3), ("X2", 3), ("X3", 3)),
+                     (("X1", "X2"), ("X2", "X3")))
+    space = StateSpace([VariableSpec("A", 2), VariableSpec("B", 3),
+                        VariableSpec("C", 3)])
+    return build_loglinear_matrix(space, [("A", "B"), ("A", "C"), ("B", "C")])
+
+
+@pytest.mark.parametrize("name, degrees", [
+    ("no3way_2x3x3", [4] * 9 + [6] * 6),
+    ("indep_4x4", [2] * 36),
+    ("chain3_3level", [2] * 27)])
+def test_minimal_generators_keep_a_minimal_reduced_basis(name, degrees):
+    basis = compute_toric_basis(_named(name))
+    gens = minimal_generators(basis)
+    assert _degrees(gens) == degrees
+    assert set(gens) == set(basis.binomials)
+
+
+def test_minimal_generators_on_random_matrices():
+    # the reduced basis of the kept elements is the basis (they generate
+    # the ideal), and dropping any one of them changes it (none is
+    # generated by the others)
+    rng = random.Random(2024)
+    kept = total = 0
+    for trial in range(150):
+        A = random_model(rng, rng.randint(2, 4), rng.randint(3, 6))
+        order = TermOrder.lex(A.ncols) if trial % 4 == 3 else None
+        basis = compute_toric_basis(A, order)
+        gens = minimal_generators(basis)
+        assert _degrees(gens) == sorted(_degrees(gens))
+        assert set(gens) <= set(basis.binomials)
+        assert buchberger_binomials(gens, basis.order) == list(basis.binomials)
+        for i in range(len(gens)):
+            rest = gens[:i] + gens[i + 1:]
+            assert buchberger_binomials(rest, basis.order) \
+                != list(basis.binomials), (A.rows, gens[i])
+        kept += len(gens)
+        total += len(basis)
+    assert kept < total  # the sample has redundant basis elements
+
+
+def test_minimal_generators_budget_bounds_the_selection():
+    basis = compute_toric_basis(four_cycle_matrix())
+    with pytest.raises(BudgetExceeded):
+        minimal_generators(basis, budget=1)
