@@ -31,7 +31,7 @@ from .mle import assemble_mle_system, ips_fit, rational_root_check, \
 from .models import build_loglinear_matrix
 from .orders import TermOrder
 from .polynomials import BudgetExceeded
-from .toric import compute_toric_basis
+from .toric import binomial_in_kernel, compute_toric_basis
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -115,13 +115,17 @@ def cmd_check(args):
     started = time.perf_counter()
     A = read_matrix(args.model)
     _, binomials = read_basis(args.basis, A.ncols)
+    names = A.indeterminate_names()
+    for b in binomials:
+        if not binomial_in_kernel(b, A):
+            raise FormatError(f"{args.basis}: binomial {b.render(names)} is "
+                              "not in the model's toric ideal (A u != A v)")
     P = read_distribution(args.dist)
     if len(P) != A.ncols:
         raise FormatError("distribution length does not match the model")
     if args.normalize:
         P = P.normalized()
     verdict = classify(A, binomials, P)
-    names = A.indeterminate_names()
     evidence = {}
     if verdict.failed_binomial is not None:
         evidence["failed_binomial"] = verdict.failed_binomial.render(names)

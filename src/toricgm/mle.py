@@ -35,10 +35,12 @@ induce grevlex(k) and lex(k) on the free ones, so its bases are the
 whole ring's with the pivot cells dropped, on exponent tuples of length k.
 FGLM converts the core's grevlex basis to lex by the same fraction-free
 elimination: each monomial of its walk is one integer row, the normal form
-cleared of denominators and tagged with the monomial.  The whole system's
-reduced lex basis is the core's, lifted to all cells, plus x_c + NF(l_c) /
-a_c for each pivot row a_c x_c + l_c, NF the normal form modulo the core's
-lex basis in the free ring: the leads are coprime and the tails reduced.
+cleared of denominators and tagged with the monomial.  The core's lex
+basis, lifted to all cells, and the pivot rows a_c x_c + l_c together
+are a lex Groebner basis of the whole system, the leads being coprime;
+its one auto-reduction (`eliminate_to_triangular`) reduces each pivot
+row to x_c + NF(l_c) / a_c, NF the normal form modulo the core, and
+gives the whole system's reduced lex basis.
 
 The root layer works in integers.  psi is scaled once to a content-free
 integer polynomial p, reduced to its squarefree part q = p / gcd(p, p').
@@ -279,15 +281,15 @@ def solve_mle_exact(sys, budget=None):
     the minimal generators of the toric ideal, these leave a core in the
     ring of the k free cells alone.  It is brought to its reduced lex basis
     there, by a grevlex(k) Groebner basis and FGLM order conversion
-    (fraction-free linear algebra on the finite quotient), and checked to
-    be triangular by eliminate_to_triangular.  grevlex(k) and lex(k) are
-    the orders the whole ring's grevlex and lex induce on the free cells,
-    so these are the bases the whole ring would reach.  `triangular` lifts
-    the core's basis back to every cell and adds, for each pivot c, x_c
-    plus its row's free part reduced modulo the core's basis over a_c.
-    The pivot leads and the core's leads are coprime and the tails are in
-    normal form, so this is the unique reduced lex basis of the whole
-    system, sorted by increasing lead.
+    (fraction-free linear algebra on the finite quotient).  grevlex(k) and
+    lex(k) are the orders the whole ring's grevlex and lex induce on the
+    free cells, so these are the bases the whole ring would reach.  The
+    core's lex basis, lifted back to every cell, and the integer pivot rows
+    a_c x_c + l_c are a lex Groebner basis of the whole system, as the
+    leads are coprime (Buchberger's first criterion).  One
+    eliminate_to_triangular pass auto-reduces it, which reduces each pivot
+    row modulo the core, and sorts it by increasing lead: `triangular` is
+    the unique reduced lex basis of the whole system.
 
     psi is the univariate that starts `triangular`, in the last cell, when
     that basis is in shape position: every later element linear in the one
@@ -306,17 +308,19 @@ def solve_mle_exact(sys, budget=None):
     free = [i for i in range(nvars) if i not in pivots]
     core = _core(sys.generators, rows, pivots, free)
     if core:
-        k = len(free)
-        grev, lex = TermOrder.grevlex(k), TermOrder.lex(k)
-        core_basis = eliminate_to_triangular(
-            _fglm_to_lex(buchberger(core, grev, budget), grev, lex, range(k)),
-            tuple(range(k)))
+        grev = TermOrder.grevlex(len(free))
+        core_basis = _lift(_fglm_to_lex(buchberger(core, grev, budget), grev),
+                           free, nvars)
     elif free:
         raise NotTriangular("not triangular: the MLE system is not "
                             "zero-dimensional")
     else:
         core_basis = []
-    core_basis, triangular = _lift(core_basis, rows, pivots, free)
+    # echelon row (a_c, ..., e) is the polynomial a_c x_c + ... + e
+    monomials = [_unit(nvars, j) for j in range(nvars)] + [(0,) * nvars]
+    triangular = eliminate_to_triangular(core_basis + [
+        Polynomial(nvars, [(m, a) for m, a in zip(monomials, row) if a])
+        for row in rows])
     if _in_shape_position(triangular):
         shape = triangular
     elif core_basis and _in_shape_position(core_basis):
@@ -351,27 +355,29 @@ def solve_mle_exact(sys, budget=None):
         rational=isinstance(value, Fraction))
 
 
-def _fglm_to_lex(gb, from_order, lex_order, variables):
-    """Reduced lex basis of a zero-dimensional ideal, by fraction-free FGLM.
+def _fglm_to_lex(gb, from_order):
+    """Reduced lex basis of a zero-dimensional ideal, by fraction-free FGLM,
+    in increasing lex order.
 
-    Walks monomials m of the quotient-supporting variables in increasing
-    lex order.  Each m gives one integer row: coordinates (0, s) hold its
-    normal form against the source basis (prepared once), cleared of
-    denominators, and the tag (1, m) holds m itself.  The row is reduced
-    against the echelon as in `reduced_echelon` (p * row - f * pivot row, over
-    its content).  If its normal-form part vanishes, the tag part over its
-    coefficient of m is the reduced lex basis element with lead m; else the
-    row joins the echelon on any normal-form pivot (the reduced basis is
-    unique).  NotTriangular unless the quotient is finite over variables.
+    Walks the monomials m of the ring in increasing lex order.  Each m gives
+    one integer row: coordinates (0, s) hold its normal form against gb
+    (prepared once), cleared of denominators, and the tag (1, m) holds m
+    itself.  The row is reduced against the echelon as in `reduced_echelon`
+    (p * row - f * pivot row, over its content).  If its normal-form part
+    vanishes, the tag part over its coefficient of m is the reduced lex
+    basis element with lead m; else the row joins the echelon on any
+    normal-form pivot (the reduced basis is unique).  NotTriangular unless
+    the quotient is finite.
     """
     import heapq
 
     if not gb:
         return []
     nvars = gb[0].nvars
+    lex_order = TermOrder.lex(nvars)
     prepared = PreparedBasis(gb, from_order)
     leads = prepared.leads()
-    for v in variables:
+    for v in range(nvars):
         if not any(all(e == 0 or i == v for i, e in enumerate(lm)) and lm[v]
                    for lm in leads):
             raise NotTriangular(
@@ -416,13 +422,12 @@ def _fglm_to_lex(gb, from_order, lex_order, variables):
                 nvars, [(m, Fraction(c, lc)) for (_, m), c in row.items()])))
             continue
         echelon.append((pivot, row))
-        for v in variables:
+        for v in range(nvars):
             child = tuple(e + 1 if i == v else e for i, e in enumerate(mono))
             if child not in seen:
                 seen.add(child)
                 heapq.heappush(heap, (lex_order.key(child), child))
-    return [p for _, p in sorted(emitted,
-                                 key=lambda e: lex_order.key(e[0]))]
+    return [p for _, p in emitted]
 
 
 def _echelonize(matrix_rows, margins, nvars):
@@ -503,37 +508,16 @@ def _core(binomials, rows, pivots, free):
     return core
 
 
-def _lift(core_basis, rows, pivots, free):
-    """(the core's lex basis, the whole system's reduced lex basis), both
-    over every cell; core_basis is the core's reduced lex basis in the
-    free cells' ring.
-
-    Pivot row a_c x_c + l_c = 0 (l_c its free part) gives the element
-    x_c + NF(l_c) / a_c, with NF the normal form modulo core_basis in the
-    free ring.  The whole basis is sorted by increasing lead.
-    """
-    k, nvars = len(free), len(free) + len(pivots)
-    lex = TermOrder.lex(k)
-    prepared = PreparedBasis(core_basis, lex)
-
+def _lift(basis, free, nvars):
+    """The polynomials of the free cells' ring, variable i the cell free[i],
+    as polynomials over all nvars cells."""
     def lift(mono):
         full = [0] * nvars
         for j, e in zip(free, mono):
             full[j] = e
         return tuple(full)
 
-    core = [Polynomial(nvars, [(lift(m), c) for m, c in p.terms])
-            for p in core_basis]
-    whole = list(core)
-    for row, c in zip(rows, pivots):
-        rest = Polynomial(k, [(_unit(k, i), row[j]) for i, j in enumerate(free)]
-                          + [((0,) * k, row[nvars])])
-        nf = poly_reduce(rest, prepared, lex)
-        whole.append(Polynomial(nvars, [(_unit(nvars, c), 1)] + [
-            (lift(m), x / row[c]) for m, x in nf.terms]))
-    # terms ascend by exponent tuple, which is lex order: the last is the lead
-    whole.sort(key=lambda p: p.terms[-1][0])
-    return core, whole
+    return [Polynomial(nvars, [(lift(m), c) for m, c in p.terms]) for p in basis]
 
 
 def _in_shape_position(basis):

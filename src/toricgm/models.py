@@ -7,6 +7,7 @@ probability-subscript convention.  Model matrices are validated on
 construction: nonnegative integer entries and equal, positive column sums.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -207,15 +208,19 @@ def build_loglinear_matrix(space, generators):
 
 
 class Distribution:
-    """Nonnegative vector over the state space; exact (Fractions) or numeric."""
+    """Nonnegative finite vector over the state space; exact (Fractions) or
+    numeric.  A value that is not finite raises ValueError naming its index."""
 
     __slots__ = ("values", "is_exact")
 
     def __init__(self, values):
         vals = []
         exact = True
-        for x in values:
+        for i, x in enumerate(values):
             if isinstance(x, float):
+                if not math.isfinite(x):
+                    raise ValueError(
+                        f"probability {x} at index {i} is not finite")
                 exact = False
                 vals.append(x)
             else:

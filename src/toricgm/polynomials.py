@@ -502,10 +502,10 @@ def _interreduce(elements):
     """Minimalize and auto-reduce prepared elements of a Groebner basis:
     monic Polynomials, sorted by increasing leading monomial."""
     keep = []
-    for idx, (lm, *_) in enumerate(elements):
-        if not any(jdx != idx and monomial_divides(lm2, lm)
-                   and (lm2 != lm or jdx < idx)
-                   for jdx, (lm2, *_) in enumerate(elements)):
+    for idx, (lm, _, mask, *_) in enumerate(elements):
+        if not any(jdx != idx and not mask2 & ~mask
+                   and monomial_divides(lm2, lm) and (lm2 != lm or jdx < idx)
+                   for jdx, (lm2, _, mask2, *_) in enumerate(elements)):
             keep.append(elements[idx])
     reduced = []
     for i, (lead, nlead, _, lc, tail) in enumerate(keep):
@@ -741,14 +741,14 @@ def buchberger_binomials(inputs, order, budget=None):
     return [Binomial(leads[i], system.normal_form(tails[i])) for i in kept]
 
 
-def eliminate_to_triangular(G, priority):
+def eliminate_to_triangular(G):
     """Sort a lex Groebner basis into triangular (back-substitution) shape.
 
-    G must be a Groebner basis under lex with the given priority; it is
-    auto-reduced here, so the output is the reduced lex basis.  The output
-    starts with a polynomial univariate in the lowest-priority
-    indeterminate and each later polynomial introduces at most one new
-    indeterminate.  Raises NotTriangular when the basis has a
+    G must be a Groebner basis under lex with x0 > x1 > ...; it is
+    auto-reduced here, so the output is the reduced lex basis, sorted by
+    increasing lead.  It starts with a polynomial univariate in the last
+    indeterminate that occurs and each later polynomial introduces at most
+    one new indeterminate.  Raises NotTriangular when the basis has a
     positive-dimensional tail and no such shape exists.
     """
     polys = []
@@ -759,8 +759,7 @@ def eliminate_to_triangular(G, priority):
             polys.append(g)
     if not polys:
         raise NotTriangular("not triangular: empty basis")
-    order = TermOrder.lex(polys[0].nvars, priority)
-    polys = reduce_groebner_basis(polys, order)
+    polys = reduce_groebner_basis(polys, TermOrder.lex(polys[0].nvars))
     seen = set()
     for p in polys:
         new = p.variables() - seen

@@ -331,6 +331,33 @@ def test_read_distribution_null_value(tmp_path, capsys, three_chain_files):
                                  "--dist", bad], bad)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_read_distribution_rejects_a_value_that_is_not_finite(
+        tmp_path, capsys, three_chain_files, value):
+    model, basis, _ = three_chain_files
+    bad = write_json(tmp_path / "bad.json", {"order": "lex-last-fastest",
+                                             "values": ["1/8"] * 7 + [value]})
+    assert_format_error(
+        capsys, ["check", "--model", model, "--basis", basis, "--dist", bad],
+        f"{bad}: probability {float(value)} at index 7 is not finite")
+
+
+def test_check_rejects_a_basis_binomial_outside_the_model(
+        tmp_path, capsys, three_chain_files):
+    model, basis, _ = three_chain_files
+    dist = write_json(tmp_path / "f.json", {"order": "lex-last-fastest",
+                                            "values": ["1/16", "3/16"] * 4})
+    code, report = run(capsys, "check", "--model", model, "--basis", basis,
+                       "--dist", dist)
+    assert code == 0 and report["results"]["verdict"] == "factors"
+    # p000 - p001 changes the X3 margin: A u != A v
+    bad = write_json(tmp_path / "bad.json", {"binomials": [
+        {"u": [1] + [0] * 7, "v": [0, 1] + [0] * 6}]})
+    assert_format_error(
+        capsys, ["check", "--model", model, "--basis", bad, "--dist", dist],
+        f"{bad}: binomial p000 - p001 is not in the model's toric ideal")
+
+
 def test_read_counts_null_value(tmp_path, capsys, three_chain_files):
     model, _, _ = three_chain_files
     bad = write_json(tmp_path / "bad.json", {"order": "lex-last-fastest",

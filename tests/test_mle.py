@@ -727,17 +727,23 @@ def _whole_system(sys_):
 # the nine-cell table whose last cell is a pivot that does not separate
 PIVOT_LAST_TABLE = [1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0]
 
+# twelve-cell tables whose last cell, a free one, does not separate the
+# solutions: the core's quotient has one dimension more than psi's degree
+UNSEPARATED_TABLES = [[0, 1, 0, 1, 0, 1, 0, 1, 1, 2, 1, 1, 1, 1, 1, 1],
+                      [0, 0, 0, 0, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 1]]
+
 
 @pytest.mark.parametrize("counts", _zeroed_tables(11, 8, 7)
                          + _zeroed_tables(11, 9, 7) + _zeroed_tables(11, 10, 6)
                          + _zeroed_tables(11, 12, 6, zeroed=1)
                          + _zeroed_tables(13, 10, 4) + _zeroed_tables(13, 8, 4)
-                         + [PIVOT_LAST_TABLE])
+                         + [PIVOT_LAST_TABLE] + UNSEPARATED_TABLES)
 def test_triangular_is_the_direct_lex_basis_of_the_whole_system(counts):
     # the echelon, the integer core of the minimal generators in the free
-    # cells' ring, its FGLM conversion and the lift with the reduced pivot
-    # rows reach the reduced lex basis that lex Buchberger reaches on the
-    # whole system: every basis binomial and every marginal equation
+    # cells' ring, its FGLM conversion and the one lex pass over its lift
+    # and the pivot rows reach the reduced lex basis that lex Buchberger
+    # reaches on the whole system: every basis binomial and every marginal
+    # equation
     sys_ = assemble_mle_system(four_cycle_matrix(), CountTable(counts))
     res = solve_mle_exact(sys_)
     direct = buchberger(_whole_system(sys_), TermOrder.lex(len(sys_.active)))
@@ -756,10 +762,28 @@ def test_direct_lex_sample_has_a_pivot_as_last_cell():
     assert last_is_pivot == {True, False}
 
 
+@pytest.mark.parametrize("counts", UNSEPARATED_TABLES)
+def test_last_free_cell_that_does_not_separate_the_solutions(counts):
+    # psi in x11 has degree 4, but x10 is a standard monomial of the lex
+    # basis too (x10^2 is a lead): the basis has an element more than there
+    # are cells, which only FGLM's general walk reaches.  The element that
+    # introduces x10 is linear in it with a coefficient in x11, which
+    # back-substitution divides by at the root
+    A = four_cycle_matrix()
+    counts = CountTable(counts)
+    res = solve_mle_exact(assemble_mle_system(A, counts))
+    assert res.psi_variable == 11 and len(res.psi) == 5
+    assert len(res.triangular) == 13
+    p = next(p for p in res.triangular if 10 in p.variables())
+    assert max(m[10] for m, _ in p.terms) == 1
+    assert any(m[10] and m[11] for m, _ in p.terms)
+    _assert_agrees_with_ips(A, counts, res)
+
+
 def test_fglm_rejects_a_basis_that_is_not_zero_dimensional():
     # <x0^2 - x1> has no lead that is a pure power of x1: the quotient is
     # infinite over x1
     grev = TermOrder.grevlex(2)
     gb = [Polynomial(2, [((2, 0), 1), ((0, 1), -1)])]
     with pytest.raises(NotTriangular, match="not zero-dimensional"):
-        _fglm_to_lex(gb, grev, TermOrder.lex(2), [0, 1])
+        _fglm_to_lex(gb, grev)

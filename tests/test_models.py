@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -107,6 +108,13 @@ def test_distribution_support_and_normalize():
     assert d.is_exact
     with pytest.raises(ValueError):
         Distribution([-1, 2])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_distribution_rejects_values_that_are_not_finite(value):
+    with pytest.raises(ValueError,
+                       match=f"probability {value} at index 1 is not finite"):
+        Distribution([0.5, value, 0.5])
 
 
 def test_homogeneity_column_degree():

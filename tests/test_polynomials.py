@@ -258,7 +258,7 @@ def test_budget_exceeded_is_loud_on_the_generic_engine():
 def test_triangular_simple():
     f = poly(2, ((1, 0), 1), ((0, 1), -1))          # x - y
     g = poly(2, ((0, 1), 1), ((0, 0), -1))          # y - 1
-    tri = eliminate_to_triangular([f, g], (0, 1))
+    tri = eliminate_to_triangular([f, g])
     # univariate-in-lowest first; the second element is x - 1 once reduced
     assert tri[0] == poly(2, ((0, 1), 1), ((0, 0), -1))
     assert len(tri) == 2
@@ -269,14 +269,14 @@ def test_triangular_reduces_tails():
     # {x^2 - y, y} -> [y, x^2]
     f = poly(2, ((2, 0), 1), ((0, 1), -1))
     g = poly(2, ((0, 1), 1))
-    tri = eliminate_to_triangular([f, g], (0, 1))
+    tri = eliminate_to_triangular([f, g])
     assert tri == [poly(2, ((0, 1), 1)), poly(2, ((2, 0), 1))]
 
 
 def test_not_triangular_raises():
     f = poly(2, ((1, 0), 1), ((0, 1), -1))  # x - y alone: positive-dimensional
     with pytest.raises(NotTriangular):
-        eliminate_to_triangular([f], (0, 1))
+        eliminate_to_triangular([f])
 
 
 # --- ideal equality ---------------------------------------------------------
