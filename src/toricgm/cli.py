@@ -30,13 +30,15 @@ from .mle import assemble_mle_system, ips_fit, rational_root_check, \
     solve_mle_exact
 from .models import build_loglinear_matrix
 from .orders import TermOrder
-from .polynomials import BudgetExceeded
+from .polynomials import (BinomialRewriter, BudgetExceeded,
+                          buchberger_binomials)
 from .toric import binomial_in_kernel, compute_toric_basis
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
 EXIT_BUDGET = 3
 EXIT_NONCONVERGENCE = 4
+ORDERS = {"grevlex": TermOrder.grevlex, "lex": TermOrder.lex}
 
 
 def _digest(path):
@@ -59,7 +61,7 @@ def _report(command, inputs, results, started):
 
 
 def _budget(args):
-    if args.budget is not None:
+    if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get("TORICGM_BUDGET")
     return int(env) if env else None
@@ -99,8 +101,7 @@ def cmd_basis(args):
             raise FormatError("--seed-pairwise needs --graph (the pairwise "
                               "statements come from the graph)")
         A = read_matrix(args.model)
-    order = TermOrder.lex(A.ncols) if args.order == "lex" \
-        else TermOrder.grevlex(A.ncols)
+    order = ORDERS[args.order](A.ncols)
     basis = compute_toric_basis(A, order=order, seed=seed, budget=_budget(args))
     write_basis(basis, A.indeterminate_names(), args.out)
     _report("basis", [args.model or args.graph], {
@@ -111,15 +112,38 @@ def cmd_basis(args):
     return EXIT_OK
 
 
+def _missing_generator(binomials, basis, budget):
+    """None when the binomials (all in the toric ideal) generate it, else
+    an element of the reduced basis outside the ideal they generate."""
+    given = buchberger_binomials(binomials, basis.order, budget)
+    if given == list(basis.binomials):
+        return None
+    # reduced bases are unique, so the binomials generate a smaller ideal
+    system = BinomialRewriter(basis.order)
+    for g in given:
+        system.add(g.u, g.v)
+    return next(b for b in basis if system.normal_form(b.u)
+                != system.normal_form(b.v))
+
+
 def cmd_check(args):
     started = time.perf_counter()
     A = read_matrix(args.model)
-    _, binomials = read_basis(args.basis, A.ncols)
+    order_name, binomials = read_basis(args.basis, A.ncols)
+    if order_name not in ORDERS:
+        raise FormatError(f"{args.basis}: unknown term order {order_name!r}")
     names = A.indeterminate_names()
     for b in binomials:
         if not binomial_in_kernel(b, A):
             raise FormatError(f"{args.basis}: binomial {b.render(names)} is "
                               "not in the model's toric ideal (A u != A v)")
+    budget = _budget(args)
+    basis = compute_toric_basis(A, ORDERS[order_name](A.ncols), budget=budget)
+    missing = _missing_generator(binomials, basis, budget)
+    if missing is not None:
+        raise FormatError(f"{args.basis}: the binomials do not generate the "
+                          f"model's toric ideal ({missing.render(names)} is "
+                          "not in their ideal)")
     P = read_distribution(args.dist)
     if len(P) != A.ncols:
         raise FormatError("distribution length does not match the model")

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ class ModelMatrix:
         """A times a length-ncols vector, exact."""
         if len(x) != self.ncols:
             raise ValueError("dimension mismatch")
-        return tuple(sum(a * b for a, b in zip(row, x)) for row in self.rows)
+        return tuple(sum(map(mul, row, x)) for row in self.rows)
 
     def restrict(self, col_indices, row_indices=None):
         """Submatrix on the given columns (and optionally rows), labels kept."""

@@ -51,6 +51,13 @@ class TermOrder:
             return tuple(m[p] for p in self.priority)
         return (sum(m), *(-m[p] for p in self._rev))
 
+    def neg_key(self, m):
+        """key(m) negated elementwise, built in one pass: the heap key of
+        the generic Buchberger engine, which pops the largest term first."""
+        if self.kind == "lex":
+            return tuple(-m[p] for p in self.priority)
+        return (-sum(m), *map(m.__getitem__, self._rev))
+
     def name(self):
         return self.kind
 

@@ -21,6 +21,23 @@ pairs are pruned by the Gebauer-Moeller update (Gebauer and Moeller, On an
 installation of Buchberger's algorithm, JSC 6, 1988) and selected by the
 normal strategy (smallest lcm, ties by index pair).  A budget bounds the
 number of S-pairs treated and fails loudly rather than truncating.
+
+Saturated tails.  The binomial engine may be told a set S of variables
+that are nonzerodivisors modulo the ideal I of its inputs, when I is
+homogeneous and the order is degree-compatible (grevlex).  It then never
+opens the pair of x^a - x^b and x^c - x^d when the tails x^b and x^d share
+a variable x_j of S (Hemmecke and Malkin, JSC 44, 2009, use this for
+lattice ideals, which are saturated by every variable).  Both terms of
+the S-binomial x^(L-a) x^b - x^(L-c) x^d, L = lcm(x^a, x^c), are divisible
+by x_j, so it is x_j h with h in I (x_j is a nonzerodivisor) and of degree
+deg L - 1.  By induction on the degree the final basis G is a Groebner
+basis: if every element of I of degree below D reduces to zero modulo G,
+so does h, and then x_j h has a standard representation with every term
+below L.  A skipped pair thus behaves as one that reduced to zero, and
+the other criteria, whose arguments only use pairs of lower or equal
+degree, stay exact; so a skipped pair still dominates in the M and F
+criteria.  Under lex, pairs are not selected by degree and the induction
+does not hold, so S stays empty there.
 """
 
 import heapq
@@ -281,10 +298,6 @@ class Binomial:
         return f"Binomial({self.u!r}, {self.v!r})"
 
 
-def _neg_key(key):
-    return tuple(-x for x in key)
-
-
 # --- generic engine: content-free integer polynomials ------------------------
 #
 # A term is a triple (monomial, negated sort key, integer coefficient); keys
@@ -298,7 +311,7 @@ def _neg_key(key):
 def _integer_terms(p, order):
     """(terms of p times the lcm of its denominators, that lcm)."""
     den = math.lcm(*(c.denominator for _, c in p.terms))
-    return [(m, _neg_key(order.key(m)), c.numerator * (den // c.denominator))
+    return [(m, order.neg_key(m), c.numerator * (den // c.denominator))
             for m, c in p.terms], den
 
 
@@ -476,7 +489,7 @@ def buchberger(F, order, budget=None):
     def s_pair(i, j):
         # (lc_j / d) x^a f_i - (lc_i / d) x^b f_j: the leads cancel
         lcm = monomial_lcm(leads[i], leads[j])
-        nlcm = _neg_key(order.key(lcm))
+        nlcm = order.neg_key(lcm)
         d = math.gcd(elements[i][3], elements[j][3])
         coeffs = {}
         keys = {}
@@ -534,7 +547,8 @@ def _support_mask(m):
     return mask
 
 
-def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget):
+def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget,
+                 saturated=0, tails=None):
     """Buchberger's S-pair loop, run on leading monomials alone.
 
     add(item) reduces an input, or the S-polynomial s_pair(i, j) of
@@ -542,30 +556,42 @@ def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget):
     appended to the engine's basis and to leads, masks (support bitmasks)
     and alive, and add returns its index; otherwise add returns -1.  Each
     new element runs the Gebauer-Moeller update: it opens the pairs with
-    the live elements that the M, F and product criteria keep, closes the
-    open pairs the chain criterion covers, and retires (alive[g] = False)
-    the elements whose lead its lead divides.  A retired element stops
-    reducing, but its open pairs stay.  Open pairs are treated by the
-    normal strategy: smallest lcm under key first, ties by index pair.
-    Raises BudgetExceeded once more than `budget` pairs would be treated.
+    the live elements that the M, F, product and saturated-tail criteria
+    keep, closes the open pairs the chain criterion covers, and retires
+    (alive[g] = False) the elements whose lead its lead divides.  A
+    retired element stops reducing, but its open pairs stay.  Open pairs
+    are treated by the normal strategy: smallest lcm under key first, ties
+    by index pair.  Raises BudgetExceeded once more than `budget` pairs
+    would be treated.
+
+    saturated is a bitmask of variables that are nonzerodivisors modulo
+    the ideal; with it, tails[i] is the tail monomial of binomial element
+    i, and a pair whose two tails share a saturated variable is never
+    opened (it still dominates in the M and F criteria, as a coprime pair
+    does).  The caller guarantees what makes this exact (module
+    docstring): a homogeneous ideal and a degree-compatible order.
     """
     pairs = {}  # open (i, j), i < j -> (lcm, mask) of the leading monomials
     heap = []
+    shared = []  # per element: the saturated variables of its tail
 
     def update(new):
         mh = leads[new]
         mask_h = masks[new]
+        tail_h = _support_mask(tails[new]) & saturated if saturated else 0
+        shared.append(tail_h)
         cands = []
         for g in range(new):
             if alive[g]:
                 lcm_hg = tuple(map(max, mh, leads[g]))
-                cands.append((sum(lcm_hg), lcm_hg, g, not (mask_h & masks[g])))
+                skip = not (mask_h & masks[g]) or tail_h & shared[g]
+                cands.append((sum(lcm_hg), lcm_hg, g, skip))
         # Ascending degree puts every divisor before what it dominates (and
         # keys are injective), so one pass against the kept list implements
         # the M and F criteria.
         cands.sort()
         kept = []
-        for _, lcm_hg, g, cop in cands:
+        for _, lcm_hg, g, skip in cands:
             mask_hg = mask_h | masks[g]
             dominated = False
             for lcm_hp, mask_hp in kept:
@@ -577,8 +603,8 @@ def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget):
             if dominated:
                 continue
             kept.append((lcm_hg, mask_hg))
-            if cop:
-                continue  # product criterion: never process coprime pairs
+            if skip:
+                continue  # coprime leads, or tails sharing a saturated variable
             pairs[(g, new)] = (lcm_hg, mask_hg)
             heapq.heappush(heap, (key(lcm_hg), g, new))
         # close old pairs whose lcm the new lead divides (chain criterion)
@@ -692,13 +718,17 @@ class BinomialRewriter:
         return m
 
 
-def buchberger_binomials(inputs, order, budget=None):
+def buchberger_binomials(inputs, order, budget=None, saturated=0):
     """Reduced Groebner basis of an ideal generated by pure differences.
 
     Input and output are Binomial values; the output is the reduced basis
     under the given order (canonically oriented, tails in normal form,
     sorted by increasing leading monomial).  S-pairs run through the
-    shared routine on the rewriter's own arrays.
+    shared routine on the rewriter's own arrays.  `saturated` is a bitmask
+    of variables that are nonzerodivisors modulo the ideal of the inputs;
+    the S-pairs whose tails share one of them are skipped.  It is exact
+    only for homogeneous inputs under a degree-compatible order (grevlex);
+    the default 0 skips nothing.
     """
     if budget is None:
         budget = DEFAULT_SPAIR_BUDGET
@@ -736,7 +766,7 @@ def buchberger_binomials(inputs, order, budget=None):
                 monomial_mul(monomial_div(lcm, lj), tails[j]))
 
     _s_pair_loop(start, add, s_pair, leads, system.masks, system.alive,
-                 order.key, budget)
+                 order.key, budget, saturated, tails)
     kept = sorted(system.active(), key=lambda i: system.keys[i])
     return [Binomial(leads[i], system.normal_form(tails[i])) for i in kept]
 

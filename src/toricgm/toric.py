@@ -50,6 +50,22 @@ power.  Cutting the number of saturations this way follows Hosten-Sturmfels
 (GRIN, IPCO 1995).  A final reduced basis is produced under the requested
 order; the reduced basis of the prime ideal I_A is coprime and oriented as
 it comes.  Every output binomial satisfies A u = A v exactly.
+
+Skipped S-pairs.  The run that saturates by the k-th column of sigma
+starts from an ideal already saturated by the columns before it, so each
+of them is a nonzerodivisor there; the final run starts from I_A, which
+is prime and holds no monomial, so every column is.  These runs are
+homogeneous, and the saturation runs are grevlex, so each is given its
+columns as `saturated` and skips the S-pairs whose tails share one of
+them (see `polynomials`).  The final run gets every column under grevlex
+and none under lex, where that argument does not hold.
+
+Fold.  When the last saturation run is under the requested order and
+dividing out its column changes no element, its output is the reduced
+basis of an ideal equal to its own saturation, that is of I_A, and
+reduced bases are unique: it is returned as it is and no final run is
+made.  Under the default grevlex this happens when sigma ends on the last
+column and dividing it out changes no element.
 """
 
 from dataclasses import dataclass
@@ -158,10 +174,12 @@ def compute_toric_basis(A, order=None, seed=None, budget=None):
     Seed binomials must satisfy the kernel condition (validated).  The
     default order is grevlex; lex is useful for elimination work.  The
     generators are the lattice binomials, the quadratic moves (when the
-    lattice has rank two or more) and the seeds.  The work is |sigma| + 1
-    Buchberger runs (one saturation step per column the walk over lattice
-    and moves plans, recorded in `ToricBasis.saturated`, then the final
-    basis); `budget` bounds the S-pairs of each run.
+    lattice has rank two or more) and the seeds.  The work is one
+    Buchberger run per column the walk over lattice and moves plans
+    (recorded in `ToricBasis.saturated`), then a final run under `order`
+    unless the last saturation run can be folded into it (module
+    docstring): |sigma| or |sigma| + 1 runs.  `budget` bounds the S-pairs
+    of each run.
     """
     m = A.ncols
     if order is None:
@@ -180,12 +198,17 @@ def compute_toric_basis(A, order=None, seed=None, budget=None):
     if not gens:
         return ToricBasis(A, (), order)
 
-    for i in sigma:
+    done = 0
+    for i in sigma:  # not empty: gens holds a nonzero kernel vector
         last = TermOrder.grevlex(m, [j for j in range(m) if j != i] + [i])
-        gens = [b.strip_common()
-                for b in buchberger_binomials(gens, last, budget)]
+        run = buchberger_binomials(gens, last, budget, done)
+        gens = [b.strip_common() for b in run]
+        done |= 1 << i
+    if last == order and gens == run:
+        return ToricBasis(A, tuple(run), order, sigma)
 
-    final = buchberger_binomials(gens, order, budget)
+    every = (1 << m) - 1 if order.kind == "grevlex" else 0
+    final = buchberger_binomials(gens, order, budget, every)
     return ToricBasis(A, tuple(final), order, sigma)
 
 

@@ -358,6 +358,41 @@ def test_check_rejects_a_basis_binomial_outside_the_model(
         f"{bad}: binomial p000 - p001 is not in the model's toric ideal")
 
 
+def test_check_rejects_a_basis_that_does_not_generate_the_ideal(
+        tmp_path, capsys, three_chain_files):
+    model, basis, _ = three_chain_files
+    point = ["1/4", "1/16", "1/16"] + ["1/8"] * 5
+    dist = write_json(tmp_path / "p.json", {"order": "lex-last-fastest",
+                                            "values": point})
+    code, report = run(capsys, "check", "--model", model, "--basis", basis,
+                       "--dist", dist)
+    assert code == 0 and report["results"]["verdict"] == "outside"
+    # no binomials: every positive point would read as factoring
+    empty = write_json(tmp_path / "empty.json", {"binomials": []})
+    assert_format_error(
+        capsys, ["check", "--model", model, "--basis", empty, "--dist", dist],
+        f"{empty}: the binomials do not generate the model's toric ideal "
+        "(p011*p110 - p010*p111 is not in their ideal)")
+    # a redundant kernel binomial beside the basis changes nothing, and a
+    # lex basis is checked under lex
+    data = json.loads(Path(basis).read_text())
+    first = data["binomials"][0]
+    data["binomials"].append({"u": [2 * e for e in first["u"]],
+                              "v": [2 * e for e in first["v"]]})
+    padded = write_json(tmp_path / "padded.json", data)
+    lex = str(tmp_path / "lex.json")
+    run(capsys, "basis", "--model", model, "--order", "lex", "--out", lex)
+    for path in (padded, lex):
+        code, report = run(capsys, "check", "--model", model, "--basis", path,
+                           "--dist", dist)
+        assert code == 0 and report["results"]["verdict"] == "outside"
+    unknown = write_json(tmp_path / "unknown.json",
+                         dict(data, order="deglex"))
+    assert_format_error(
+        capsys, ["check", "--model", model, "--basis", unknown, "--dist", dist],
+        f"{unknown}: unknown term order 'deglex'")
+
+
 def test_read_counts_null_value(tmp_path, capsys, three_chain_files):
     model, _, _ = three_chain_files
     bad = write_json(tmp_path / "bad.json", {"order": "lex-last-fastest",

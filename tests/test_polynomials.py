@@ -79,6 +79,8 @@ def test_term_order_keys_are_linear(order):
         v = random_monomial(rng, 4)
         uv = tuple(map(add, u, v))
         assert order.key(uv) == tuple(map(add, order.key(u), order.key(v)))
+        # the engine's heap key is the negated key, built in one pass
+        assert order.neg_key(u) == tuple(-x for x in order.key(u))
 
 
 def test_grevlex_with_variable_last_orders_each_degree_like_cheapest():
