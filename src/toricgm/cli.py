@@ -119,9 +119,7 @@ def _missing_generator(binomials, basis, budget):
     if given == list(basis.binomials):
         return None
     # reduced bases are unique, so the binomials generate a smaller ideal
-    system = BinomialRewriter(basis.order)
-    for g in given:
-        system.add(g.u, g.v)
+    system = BinomialRewriter(given)
     return next(b for b in basis if system.normal_form(b.u)
                 != system.normal_form(b.v))
 

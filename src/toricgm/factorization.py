@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .linalg import integer_kernel_lattice, reduced_echelon
+from .linalg import (_common_denominator, integer_kernel_lattice,
+                     reduced_echelon)
 from .models import monomial_map
 from .simplex import find_facial_certificate
 
@@ -52,13 +53,6 @@ class FacialCertificate:
             if j not in F and dot < L:
                 raise ValueError("certificate below 1 off the support")
         return FacialCertificate(c)
-
-
-def _common_denominator(values):
-    """(den, numerators): the least common denominator of exact rationals
-    and the integers x * den, in order."""
-    den = math.lcm(*(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def _balanced(N, den, u, v):

@@ -9,7 +9,8 @@ import json
 from fractions import Fraction
 
 from .graphs import UndirectedGraph
-from .models import Distribution, ModelMatrix, StateSpace, VariableSpec
+from .models import (Distribution, ModelMatrix, StateSpace, VariableSpec,
+                     _integral)
 from .polynomials import Binomial
 
 STATE_ORDER = "lex-last-fastest"
@@ -60,7 +61,8 @@ def _names(entry):
 
 def _variables(data, path):
     return _each(data, "variables",
-                 lambda e: VariableSpec(str(e["name"]), int(e["levels"])), path)
+                 lambda e: VariableSpec(str(e["name"]), _integral(
+                     e["levels"], f"levels {e['levels']!r}")), path)
 
 
 def read_graph(path):
@@ -144,23 +146,26 @@ def read_counts(path):
         raise FormatError(f"{path}: {exc}") from None
 
 
-def basis_payload(basis, names):
-    return {
+def write_basis(basis, names, path):
+    _dump({
         "order": basis.order.name(),
         "binomials": [{"u": list(b.u), "v": list(b.v), "text": b.render(names)}
                       for b in basis.binomials],
-    }
+    }, path)
 
 
-def write_basis(basis, names, path):
-    _dump(basis_payload(basis, names), path)
+def _exponents(entry):
+    out = [_integral(x, f"exponent {x!r}") for x in entry]
+    if any(x < 0 for x in out):
+        raise ValueError(f"negative exponent in {entry!r}")
+    return out
 
 
 def read_basis(path, ncols=None):
     data = _load(path)
     out = _each(data, "binomials",
-                lambda e: Binomial([int(x) for x in e["u"]],
-                                   [int(x) for x in e["v"]]), path)
+                lambda e: Binomial(_exponents(e["u"]), _exponents(e["v"])),
+                path)
     for b in out:
         if ncols is not None and b.nvars != ncols:
             raise FormatError(f"{path}: binomial arity {b.nvars} does not "

@@ -119,6 +119,13 @@ def _content_free(row):
     return [x // g for x in row] if g > 1 else row
 
 
+def _common_denominator(values):
+    """(den, numerators): the least common denominator of exact rationals
+    and the integers x * den, in order."""
+    den = math.lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 def reduced_echelon(rows, npivot):
     """Fraction-free Gauss-Jordan: (rows, pivots) of the reduced echelon form.
 

@@ -78,8 +78,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .linalg import _content_free, reduced_echelon
-from .models import Distribution
+from .linalg import _common_denominator, _content_free, reduced_echelon
+from .models import Distribution, _integral
 from .orders import TermOrder
 from .polynomials import (NotTriangular, Polynomial, PreparedBasis, buchberger,
                           eliminate_to_triangular)
@@ -98,7 +98,9 @@ class CountTable:
     __slots__ = ("values", "total")
 
     def __init__(self, values):
-        vals = tuple(_integral(i, x) for i, x in enumerate(values))
+        vals = tuple(x if type(x) is int
+                     else _integral(x, f"count {x} at index {i}")
+                     for i, x in enumerate(values))
         if any(x < 0 for x in vals):
             raise ValueError("negative cell count")
         total = sum(vals)
@@ -112,17 +114,6 @@ class CountTable:
 
     def __getitem__(self, i):
         return self.values[i]
-
-
-def _integral(i, x):
-    """The integer value of count x at index i; ValueError if it has none."""
-    try:
-        k = int(x)
-    except (ValueError, OverflowError):  # nan, inf
-        k = None
-    if k is None or k != x:
-        raise ValueError(f"count {x} at index {i} is not an integer")
-    return k
 
 
 def sufficient_stats(A, n):
@@ -195,7 +186,6 @@ class MleSystem:
     basis: ToricBasis          # toric basis of the reduced matrix
     generators: tuple          # the basis elements of a minimal generating set
     margins: tuple             # observed sufficient statistics, kept rows
-    cell_names: tuple
 
     def __post_init__(self):
         if any(x <= 0 for x in self.margins):
@@ -255,8 +245,7 @@ def assemble_mle_system(A, n, budget=None):
     if basis.matrix != red:  # the same rows under other labels
         basis = replace(basis, matrix=red)
     return MleSystem(active=tuple(active), matrix=red, basis=basis,
-                     generators=generators, margins=tuple(margins),
-                     cell_names=tuple(red.col_labels))
+                     generators=generators, margins=tuple(margins))
 
 
 @dataclass(frozen=True)
@@ -329,7 +318,7 @@ def solve_mle_exact(sys, budget=None):
         raise NotTriangular(
             "not triangular: no lex basis in shape position for the table "
             f"with margins {list(sys.margins)} on the cells "
-            f"{list(sys.cell_names)}")
+            f"{list(sys.matrix.col_labels)}")
     (var,) = shape[0].variables()
     psi = _univariate_coeffs(shape[0], var)
     roots = isolate_positive_roots(psi)
@@ -346,7 +335,7 @@ def solve_mle_exact(sys, budget=None):
         raise ArithmeticError(
             f"{len(candidates)} of {len(roots)} positive roots of psi give a "
             "nonnegative profile, not exactly one, for the table with margins "
-            f"{list(sys.margins)} on the cells {list(sys.cell_names)}")
+            f"{list(sys.margins)} on the cells {list(sys.matrix.col_labels)}")
     ((value, profile),) = candidates
     return MleExactResult(
         triangular=tuple(triangular), psi=tuple(psi), psi_variable=var,
@@ -385,8 +374,8 @@ def _fglm_to_lex(gb, from_order):
 
     def augmented_row(mono):
         nf = poly_reduce(Polynomial(nvars, [(mono, 1)]), prepared, from_order)
-        den = math.lcm(*(c.denominator for _, c in nf.terms))
-        row = {(0, s): c.numerator * (den // c.denominator) for s, c in nf.terms}
+        den, nums = _common_denominator([c for _, c in nf.terms])
+        row = {(0, s): k for (s, _), k in zip(nf.terms, nums)}
         row[1, mono] = den
         return row
 
@@ -661,8 +650,7 @@ def _squarefree_part(coeffs):
         p.pop()
     if not p:
         raise ValueError("zero polynomial")
-    den = math.lcm(*(c.denominator for c in p))
-    p = _primitive([c.numerator * (den // c.denominator) for c in p])
+    p = _primitive(_common_denominator(p)[1])
     p = p[next(i for i, c in enumerate(p) if c):]
     a, b = p, _primitive(_derivative(p))
     while b:

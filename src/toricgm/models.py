@@ -4,7 +4,8 @@ matrices and the monomial parametrization map.
 States are enumerated in mixed-radix order with the last variable varying
 fastest, so binary states read 000, 001, 010, ... and match the usual
 probability-subscript convention.  Model matrices are validated on
-construction: nonnegative integer entries and equal, positive column sums.
+construction: nonnegative integer entries (an entry with no integral value
+is rejected, not truncated) and equal, positive column sums.
 """
 
 import math
@@ -111,6 +112,18 @@ def validate_generators(space, generators):
     return tuple(norm)
 
 
+def _integral(x, what):
+    """The integer value of x; ValueError saying that `what` (x as the
+    caller names it) is not an integer when x has none (nan and inf too)."""
+    try:
+        k = int(x)
+    except (ValueError, OverflowError):
+        k = None
+    if k is None or k != x:
+        raise ValueError(f"{what} is not an integer")
+    return k
+
+
 class ModelMatrix:
     """Nonnegative integer matrix with labeled rows/columns and equal,
     positive column sums (the column degree), so its toric ideal is
@@ -119,7 +132,10 @@ class ModelMatrix:
     __slots__ = ("rows", "row_labels", "col_labels", "column_degree")
 
     def __init__(self, rows, row_labels=None, col_labels=None):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(
+            x if type(x) is int
+            else _integral(x, f"entry {x!r} at row {i}, column {j}")
+            for j, x in enumerate(row)) for i, row in enumerate(rows))
         if not rows:
             raise ValueError("model matrix needs at least one row")
         ncols = len(rows[0])

@@ -45,6 +45,7 @@ import math
 from fractions import Fraction
 from operator import add as _add, le as _le, sub as _sub
 
+from .linalg import _common_denominator
 from .orders import TermOrder
 
 DEFAULT_SPAIR_BUDGET = 10 ** 6
@@ -310,9 +311,8 @@ class Binomial:
 
 def _integer_terms(p, order):
     """(terms of p times the lcm of its denominators, that lcm)."""
-    den = math.lcm(*(c.denominator for _, c in p.terms))
-    return [(m, order.neg_key(m), c.numerator * (den // c.denominator))
-            for m, c in p.terms], den
+    den, nums = _common_denominator([c for _, c in p.terms])
+    return [(m, order.neg_key(m), k) for (m, _), k in zip(p.terms, nums)], den
 
 
 def _element(lead_term, tail):
@@ -531,11 +531,6 @@ def _interreduce(elements):
     return [p for _, p in reduced]
 
 
-def reduce_groebner_basis(basis, order):
-    """Minimalize and auto-reduce a Groebner basis: monic, sorted ascending."""
-    return _interreduce(PreparedBasis(basis, order).elements)
-
-
 # --- binomial fast path ---------------------------------------------------
 
 
@@ -641,46 +636,37 @@ def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget,
 
 
 class BinomialRewriter:
-    """Mutable rewriting system x^lead -> x^tail with cached normal forms.
+    """Rewriting system x^lead -> x^tail on monomials.
 
-    The binomial engine builds its basis in one; a finished basis loaded
-    into one gives normal forms of monomials.  Elements are indexed by a
-    bucket on the smallest support variable of the lead, with a bitmask
-    prefilter, so normal forms stay cheap even on bases with a few hundred
-    elements.  The leads, masks and alive arrays are the ones the S-pair
-    routine reads and writes: a retired element (alive False; its lead is
-    divisible by a newer lead) keeps its open S-pairs but stops reducing.
-    Retiring needs no cache flush, because it happens only right after an
-    add, which flushes the cache.
+    BinomialRewriter(basis) loads a finished reduced basis, each x^u - x^v
+    as u -> v; normal_form(m) is then the standard monomial of the fiber of
+    m.  The binomial engine starts from an empty one and adds elements.
+    Leads are bucketed on their smallest support variable, with a bitmask
+    prefilter.  The leads, masks and alive arrays are the ones the S-pair
+    routine reads and writes: a retired element (its lead divisible by a
+    newer lead) keeps its open S-pairs but stops reducing.
     """
 
-    __slots__ = ("leads", "tails", "masks", "keys", "alive", "buckets",
-                 "order", "_nf_cache")
+    __slots__ = ("leads", "tails", "masks", "alive", "buckets")
 
-    def __init__(self, order):
-        self.order = order
+    def __init__(self, binomials=()):
         self.leads = []
         self.tails = []
         self.masks = []
-        self.keys = []
         self.alive = []
         self.buckets = {}
-        self._nf_cache = {}
+        for b in binomials:
+            self.add(b.u, b.v)
 
     def add(self, lead, tail):
         idx = len(self.leads)
         self.leads.append(lead)
         self.tails.append(tail)
         self.masks.append(_support_mask(lead))
-        self.keys.append(self.order.key(lead))
         self.alive.append(True)
         first = next(i for i, e in enumerate(lead) if e)
         self.buckets.setdefault(first, []).append(idx)
-        self._nf_cache.clear()
         return idx
-
-    def active(self):
-        return [i for i, a in enumerate(self.alive) if a]
 
     def find_reducer(self, m, mmask):
         leads = self.leads
@@ -701,34 +687,25 @@ class BinomialRewriter:
         return -1
 
     def normal_form(self, m):
-        cached = self._nf_cache.get(m)
-        if cached is not None:
-            return cached
-        start = m
         while True:
-            mmask = _support_mask(m)
-            hit = self.find_reducer(m, mmask)
+            hit = self.find_reducer(m, _support_mask(m))
             if hit < 0:
-                break
-            lead = self.leads[hit]
-            tail = self.tails[hit]
-            m = tuple(x - a + b for x, a, b in zip(m, lead, tail))
-        if len(self._nf_cache) < 1 << 20:
-            self._nf_cache[start] = m
-        return m
+                return m
+            m = tuple(x - a + b for x, a, b in
+                      zip(m, self.leads[hit], self.tails[hit]))
 
 
 def buchberger_binomials(inputs, order, budget=None, saturated=0):
     """Reduced Groebner basis of an ideal generated by pure differences.
 
     Input and output are Binomial values; the output is the reduced basis
-    under the given order (canonically oriented, tails in normal form,
-    sorted by increasing leading monomial).  S-pairs run through the
-    shared routine on the rewriter's own arrays.  `saturated` is a bitmask
-    of variables that are nonzerodivisors modulo the ideal of the inputs;
-    the S-pairs whose tails share one of them are skipped.  It is exact
-    only for homogeneous inputs under a degree-compatible order (grevlex);
-    the default 0 skips nothing.
+    under the given order: each element lead first with its tail in normal
+    form, sorted once at the end by increasing leading monomial.  S-pairs
+    run through the shared routine on a BinomialRewriter's own arrays.
+    `saturated` is a bitmask of variables that are nonzerodivisors modulo
+    the ideal of the inputs; the S-pairs whose tails share one of them are
+    skipped.  It is exact only for homogeneous inputs under a
+    degree-compatible order (grevlex); the default 0 skips nothing.
     """
     if budget is None:
         budget = DEFAULT_SPAIR_BUDGET
@@ -738,7 +715,7 @@ def buchberger_binomials(inputs, order, budget=None, saturated=0):
         u, v = b.u, b.v
         if order.key(u) < order.key(v):
             u, v = v, u
-        if u == v or (u, v) in seen:
+        if (u, v) in seen:
             continue
         seen.add((u, v))
         start.append((u, v))
@@ -746,7 +723,7 @@ def buchberger_binomials(inputs, order, budget=None, saturated=0):
         return []
     start.sort(key=lambda uv: (order.key(uv[0]), uv[1]))
 
-    system = BinomialRewriter(order)
+    system = BinomialRewriter()
     leads = system.leads
     tails = system.tails
 
@@ -767,7 +744,8 @@ def buchberger_binomials(inputs, order, budget=None, saturated=0):
 
     _s_pair_loop(start, add, s_pair, leads, system.masks, system.alive,
                  order.key, budget, saturated, tails)
-    kept = sorted(system.active(), key=lambda i: system.keys[i])
+    kept = sorted((i for i, a in enumerate(system.alive) if a),
+                  key=lambda i: order.key(leads[i]))
     return [Binomial(leads[i], system.normal_form(tails[i])) for i in kept]
 
 
@@ -789,7 +767,8 @@ def eliminate_to_triangular(G):
             polys.append(g)
     if not polys:
         raise NotTriangular("not triangular: empty basis")
-    polys = reduce_groebner_basis(polys, TermOrder.lex(polys[0].nvars))
+    polys = _interreduce(
+        PreparedBasis(polys, TermOrder.lex(polys[0].nvars)).elements)
     seen = set()
     for p in polys:
         new = p.variables() - seen

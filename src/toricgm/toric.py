@@ -194,7 +194,7 @@ def compute_toric_basis(A, order=None, seed=None, budget=None):
         if A.apply(b.u) != A.apply(b.v):
             raise ValueError("seed binomial violates the kernel condition")
         gens.append(b)
-    gens = [b.strip_common() for b in gens if b.u != b.v]
+    gens = [b.strip_common() for b in gens]
     if not gens:
         return ToricBasis(A, (), order)
 
@@ -232,9 +232,8 @@ def minimal_generators(basis, budget=None):
         by_degree.setdefault(sum(b.u), []).append(b)
     kept = []
     for degree in sorted(by_degree):
-        system = BinomialRewriter(basis.order)
-        for g in buchberger_binomials(kept, basis.order, budget):
-            system.add(g.u, g.v)
+        system = BinomialRewriter(buchberger_binomials(kept, basis.order,
+                                                       budget))
         parent = {}
 
         def find(m):
@@ -266,21 +265,14 @@ def binomial_in_ideal(b, basis):
     kernel route (A u = A v) are computed; for a toric ideal they must
     agree, and disagreement raises.
     """
-    system = _rewriting_system(basis)
-    reduces = system(b.u) == system(b.v)
+    system = BinomialRewriter(basis.binomials)
+    reduces = system.normal_form(b.u) == system.normal_form(b.v)
     kernel = binomial_in_kernel(b, basis.matrix)
     if reduces != kernel:
         raise AssertionError(
             "normal-form and kernel membership disagree; basis is not a "
             "Groebner basis of the toric ideal")
     return reduces
-
-
-def _rewriting_system(basis):
-    system = BinomialRewriter(basis.order)
-    for b in basis.binomials:
-        system.add(b.u, b.v)
-    return system.normal_form
 
 
 def evaluate_binomial(b, P):

@@ -409,3 +409,61 @@ def test_read_counts_rejects_a_count_that_is_not_an_integer(
     for command in ("ips", "mle-exact"):
         assert_format_error(capsys, [command, "--model", model, "--counts", bad],
                             f"{bad}: count {value} at index 6 is not an integer")
+
+
+@pytest.fixture
+def independence_files(tmp_path, capsys):
+    """Model and basis files of the 2x2 independence model, whose basis is
+    p00*p11 - p01*p10, and the uniform distribution."""
+    graph = write_json(tmp_path / "g2.json", {
+        "variables": [{"name": "X", "levels": 2}, {"name": "Y", "levels": 2}],
+        "edges": []})
+    model = str(tmp_path / "model.json")
+    basis = str(tmp_path / "basis.json")
+    run(capsys, "model", "--graph", graph, "--out", model)
+    run(capsys, "basis", "--model", model, "--out", basis)
+    dist = write_json(tmp_path / "d.json", {"order": "lex-last-fastest",
+                                            "values": ["1/4"] * 4})
+    return model, basis, dist
+
+
+@pytest.mark.parametrize("u, v, message", [
+    ([1.9, 0, 0, 1], [0, 1, 1, 0], "exponent 1.9 is not an integer"),
+    # A u = A v holds, so only the sign check rejects it
+    ([1, -1, 0, 0], [0, 0, 1, -1], "negative exponent in [1, -1, 0, 0]"),
+], ids=["fractional", "negative"])
+def test_read_basis_rejects_an_exponent_that_is_not_a_natural_number(
+        tmp_path, capsys, independence_files, u, v, message):
+    model, basis, dist = independence_files
+    code, report = run(capsys, "check", "--model", model, "--basis", basis,
+                       "--dist", dist)
+    assert code == 0 and report["results"]["verdict"] == "factors"
+    bad = write_json(tmp_path / "bad.json", {"binomials": [{"u": u, "v": v}]})
+    assert_format_error(
+        capsys, ["check", "--model", model, "--basis", bad, "--dist", dist],
+        f"{bad}: bad 'binomials' entry {{'u': {u}, 'v': {v}}}: {message}")
+
+
+def test_read_graph_rejects_levels_that_are_not_an_integer(tmp_path, capsys):
+    bad = write_json(tmp_path / "bad.json", {
+        "variables": [{"name": "X1", "levels": 2.7},
+                      {"name": "X2", "levels": 2}],
+        "edges": [["X1", "X2"]]})
+    for argv in (["graph", "--graph", bad],
+                 ["model", "--graph", bad, "--out", str(tmp_path / "m.json")]):
+        assert_format_error(
+            capsys, argv, f"{bad}: bad 'variables' entry {{'name': 'X1', "
+            "'levels': 2.7}: levels 2.7 is not an integer")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_read_matrix_rejects_an_entry_that_is_not_an_integer(tmp_path,
+                                                             capsys):
+    bad = write_json(tmp_path / "bad.json", {
+        "rows": [{"label": "r0", "entries": [1.5, 1.9]}],
+        "columns": ["0", "1"]})
+    out = tmp_path / "m.json"
+    assert_format_error(capsys, ["model", "--matrix", bad, "--out", str(out)],
+                        f"{bad}: entry 1.5 at row 0, column 0 is not an "
+                        "integer")
+    assert not out.exists()

@@ -1,0 +1,39 @@
+"""Every module of the package uses each name it imports.
+
+No linter runs in CI, so a name left imported after the code that used it
+is deleted would stay unnoticed.  `__init__.py` is exempt: its imports are
+the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricgm"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_the_check_sees_an_unused_import():
+    assert "toric.py" in MODULES
+    source = "import math\nfrom os import path, sep\nprint(math.pi, sep)\n"
+    assert _unused_imports(source) == [(2, "path")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_name_it_imports(module):
+    assert _unused_imports((PACKAGE / module).read_text()) == []

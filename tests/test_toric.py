@@ -10,8 +10,9 @@ from toricgm.linalg import integer_kernel_lattice
 from toricgm.models import (Distribution, ModelMatrix, StateSpace,
                             VariableSpec, build_loglinear_matrix, monomial_map)
 from toricgm.orders import TermOrder
-from toricgm.polynomials import (Binomial, BudgetExceeded, buchberger_binomials,
-                                 ideal_equal)
+from toricgm.polynomials import (Binomial, BinomialRewriter, BudgetExceeded,
+                                 buchberger_binomials, ideal_equal,
+                                 monomial_divides)
 from toricgm.toric import (_quadratic_moves, binomial_in_ideal,
                            binomial_in_kernel, compute_toric_basis,
                            evaluate_binomial, is_quadratic_basis,
@@ -576,6 +577,32 @@ def test_minimal_generators_on_random_matrices():
         kept += len(gens)
         total += len(basis)
     assert kept < total  # the sample has redundant basis elements
+
+
+@pytest.mark.parametrize("name", ["three-chain", "four-cycle",
+                                  "four-cycle-lex", "no3way_2x3x3"])
+def test_rewriter_picks_one_standard_monomial_per_fiber(name):
+    # a reduced basis loaded into the rewriter: over every monomial of
+    # degree at most 4, no lead divides the normal form, and two monomials
+    # share a normal form iff A u = A v
+    A = {"three-chain": build_graph_matrix(three_chain()),
+         "no3way_2x3x3": _named("no3way_2x3x3")}.get(name, four_cycle_matrix())
+    order = TermOrder.lex(A.ncols) if name.endswith("-lex") else None
+    basis = compute_toric_basis(A, order)
+    system = BinomialRewriter(basis.binomials)
+    monomials = [tuple(cells.count(j) for j in range(A.ncols))
+                 for degree in range(5) for cells in
+                 combinations_with_replacement(range(A.ncols), degree)]
+    forms = {}
+    fibers = {}
+    for m in monomials:
+        nf = system.normal_form(m)
+        assert not any(monomial_divides(b.u, nf) for b in basis), (m, nf)
+        forms.setdefault(nf, set()).add(A.apply(m))
+        fibers.setdefault(A.apply(m), set()).add(nf)
+    assert all(len(s) == 1 for s in forms.values())
+    assert all(len(s) == 1 for s in fibers.values())
+    assert len(forms) < len(monomials)  # some monomials were rewritten
 
 
 def test_minimal_generators_budget_bounds_the_selection():
