@@ -53,6 +53,14 @@ def _each(data, key, parse, path):
     return out
 
 
+def _integer(x, what):
+    """The integer value of a number read from a file.  A JSON true or
+    false is not a number there, though Python takes it as 1 or 0."""
+    if isinstance(x, bool):
+        raise ValueError(f"{what} is not an integer")
+    return _integral(x, what)
+
+
 def _names(entry):
     if not isinstance(entry, list):
         raise TypeError("expected a list of names")
@@ -61,7 +69,7 @@ def _names(entry):
 
 def _variables(data, path):
     return _each(data, "variables",
-                 lambda e: VariableSpec(str(e["name"]), _integral(
+                 lambda e: VariableSpec(str(e["name"]), _integer(
                      e["levels"], f"levels {e['levels']!r}")), path)
 
 
@@ -88,7 +96,9 @@ def read_matrix(path):
     columns = _require(data, "columns", path)
     try:
         return ModelMatrix(
-            [row["entries"] for row in rows],
+            [[_integer(x, f"entry {x!r} at row {i}, column {j}")
+              for j, x in enumerate(row["entries"])]
+             for i, row in enumerate(rows)],
             row_labels=[str(row["label"]) for row in rows],
             col_labels=[str(c) for c in columns])
     except (KeyError, TypeError) as exc:
@@ -107,7 +117,10 @@ def write_matrix(A, path):
 
 
 def parse_value(text):
-    """Exact Fraction for rational/decimal strings, float for the rest."""
+    """Exact Fraction for rational/decimal strings, float for the rest; a
+    JSON boolean is not a number."""
+    if isinstance(text, bool):
+        raise FormatError(f"boolean {text!r} is not a number")
     if isinstance(text, (int, float)):
         return Fraction(text) if isinstance(text, int) else float(text)
     try:
@@ -155,7 +168,7 @@ def write_basis(basis, names, path):
 
 
 def _exponents(entry):
-    out = [_integral(x, f"exponent {x!r}") for x in entry]
+    out = [_integer(x, f"exponent {x!r}") for x in entry]
     if any(x < 0 for x in out):
         raise ValueError(f"negative exponent in {entry!r}")
     return out

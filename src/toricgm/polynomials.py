@@ -19,7 +19,10 @@ basis: monic, fully auto-reduced, sorted by increasing leading monomial.
 One S-pair routine serves both engines.  It sees leading monomials only:
 pairs are pruned by the Gebauer-Moeller update (Gebauer and Moeller, On an
 installation of Buchberger's algorithm, JSC 6, 1988) and selected by the
-normal strategy (smallest lcm, ties by index pair).  A budget bounds the
+normal strategy (smallest lcm, ties by index pair).  The update works on
+the support of each lead: lcm degrees come from the shared support, the M
+and F criteria test divisibility by the excess of one lead over the new
+one, and only an opened pair gets a full-width lcm.  A budget bounds the
 number of S-pairs treated and fails loudly rather than truncating.
 
 Saturated tails.  The binomial engine may be told a set S of variables
@@ -43,6 +46,7 @@ does not hold, so S stays empty there.
 import heapq
 import math
 from fractions import Fraction
+from itertools import compress
 from operator import add as _add, le as _le, sub as _sub
 
 from .linalg import _common_denominator
@@ -559,6 +563,27 @@ def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget,
     by index pair.  Raises BudgetExceeded once more than `budget` pairs
     would be treated.
 
+    The update reads the support of each lead, not its full exponent
+    vector: per element it keeps the lead's degree and its exponents above
+    one, since on a shared support an exponent of one decides nothing.  For
+    a new lead h and a live lead g:
+    - deg lcm(h, g) = deg h + deg g - sum of min(h_v, g_v) over the shared
+      support.  That sum is the size of the shared support plus
+      min(h_v, g_v) - 1 wherever both exponents exceed one.
+    - Candidates are taken by (deg lcm(h, g), g).  This is the order of
+      (deg, lcm, g): two lcms of one degree divide one another only when
+      they are equal, and then both orders fall back to g.  So every
+      divisor comes before what it dominates, and one pass against the
+      kept candidates applies the M and F criteria.
+    - lcm(h, p) divides lcm(h, g) iff p does, that is iff g_v >= p_v
+      wherever p_v > h_v.  So a kept candidate p is stored as this excess
+      of p over h: a bitmask, and the entries above one that the mask
+      alone does not settle.
+    - The chain criterion closes (i, j) when h divides lcm(i, j) and
+      differs from lcm(i, h) and lcm(j, h); since these divide lcm(i, j),
+      they differ iff their degrees do.
+    Only a pair that is opened gets its lcm tuple and heap key.
+
     saturated is a bitmask of variables that are nonzerodivisors modulo
     the ideal; with it, tails[i] is the tail monomial of binomial element
     i, and a pair whose two tails share a saturated variable is never
@@ -566,57 +591,72 @@ def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget,
     does).  The caller guarantees what makes this exact (module
     docstring): a homogeneous ideal and a degree-compatible order.
     """
-    pairs = {}  # open (i, j), i < j -> (lcm, mask) of the leading monomials
+    pairs = {}  # open (i, j), i < j -> (lcm, support mask, degree) of leads
     heap = []
+    degs = []  # per element: the degree of its lead
+    highs = []  # per element: the (variable, exponent) of its lead above one
     shared = []  # per element: the saturated variables of its tail
 
     def update(new):
         mh = leads[new]
         mask_h = masks[new]
+        high_h = [(v, e) for v, e in enumerate(mh) if e > 1]
+        deg_h = sum(mh)
+        degs.append(deg_h)
+        highs.append(high_h)
         tail_h = _support_mask(tails[new]) & saturated if saturated else 0
         shared.append(tail_h)
+
+        def lcm_degree(g):
+            d = deg_h + degs[g] - (mask_h & masks[g]).bit_count()
+            if high_h and highs[g]:
+                lg = leads[g]
+                for v, e in high_h:
+                    if lg[v] > 1:
+                        d -= min(e, lg[v]) - 1
+            return d
+
         cands = []
-        for g in range(new):
-            if alive[g]:
-                lcm_hg = tuple(map(max, mh, leads[g]))
-                skip = not (mask_h & masks[g]) or tail_h & shared[g]
-                cands.append((sum(lcm_hg), lcm_hg, g, skip))
-        # Ascending degree puts every divisor before what it dominates (and
-        # keys are injective), so one pass against the kept list implements
-        # the M and F criteria.
+        retired = []
+        for g in compress(range(new), alive):
+            cands.append((lcm_degree(g), g))
+            if not mask_h & ~masks[g]:
+                lg = leads[g]
+                if all(lg[v] >= e for v, e in high_h):
+                    retired.append(g)
         cands.sort()
-        kept = []
-        for _, lcm_hg, g, skip in cands:
-            mask_hg = mask_h | masks[g]
-            dominated = False
-            for lcm_hp, mask_hp in kept:
-                if mask_hp & ~mask_hg:
-                    continue
-                if all(map(_le, lcm_hp, lcm_hg)):
-                    dominated = True
-                    break
-            if dominated:
-                continue
-            kept.append((lcm_hg, mask_hg))
-            if skip:
-                continue  # coprime leads, or tails sharing a saturated variable
-            pairs[(g, new)] = (lcm_hg, mask_hg)
-            heapq.heappush(heap, (key(lcm_hg), g, new))
+        kept = []  # excess over h of each kept lead: (mask, entries above 1)
+        for d, g in cands:
+            lg = leads[g]
+            mask_g = masks[g]
+            for ex_mask, ex_high in kept:
+                if not ex_mask & ~mask_g and (
+                        not ex_high or all(lg[v] >= e for v, e in ex_high)):
+                    break  # dominated: the M or F criterion
+            else:
+                ex_high = [(v, e) for v, e in highs[g] if e > mh[v]]
+                ex_mask = mask_g & ~mask_h
+                for v, _ in ex_high:
+                    ex_mask |= 1 << v
+                kept.append((ex_mask, ex_high))
+                if not mask_h & mask_g or tail_h & shared[g]:
+                    continue  # coprime, or tails share a saturated variable
+                lcm = tuple(map(max, mh, lg))
+                pairs[(g, new)] = (lcm, mask_h | mask_g, d)
+                heapq.heappush(heap, (key(lcm), g, new))
         # close old pairs whose lcm the new lead divides (chain criterion)
         stale = []
-        for pair, (lcm_ij, mask_ij) in pairs.items():
+        for pair, (lcm_ij, mask_ij, d_ij) in pairs.items():
             i, j = pair
-            if j == new or mask_h & ~mask_ij or not all(map(_le, mh, lcm_ij)):
+            if j == new or mask_h & ~mask_ij \
+                    or not all(lcm_ij[v] >= e for v, e in high_h):
                 continue
-            if (tuple(map(max, leads[i], mh)) != lcm_ij
-                    and tuple(map(max, leads[j], mh)) != lcm_ij):
+            if lcm_degree(i) != d_ij and lcm_degree(j) != d_ij:
                 stale.append(pair)
         for pair in stale:
             del pairs[pair]
-        for g in range(new):
-            if alive[g] and not (mask_h & ~masks[g]) \
-                    and all(map(_le, mh, leads[g])):
-                alive[g] = False
+        for g in retired:
+            alive[g] = False
 
     for item in inputs:
         new = add(item)
@@ -642,12 +682,19 @@ class BinomialRewriter:
     as u -> v; normal_form(m) is then the standard monomial of the fiber of
     m.  The binomial engine starts from an empty one and adds elements.
     Leads are bucketed on their smallest support variable, with a bitmask
-    prefilter.  The leads, masks and alive arrays are the ones the S-pair
-    routine reads and writes: a retired element (its lead divisible by a
-    newer lead) keeps its open S-pairs but stops reducing.
+    prefilter; a monomial visits the buckets of its own support variables
+    in increasing order, so the first live lead that divides it is the
+    reducer.  Each element also keeps its lead and tail as sparse lists of
+    (variable, exponent): a rewriting step changes the monomial and its
+    support mask on those variables only, rather than rebuilding every
+    entry and recomputing the mask.  The
+    leads, masks and alive arrays are the ones the S-pair routine reads and
+    writes: a retired element (its lead divisible by a newer lead) keeps
+    its open S-pairs but stops reducing.
     """
 
-    __slots__ = ("leads", "tails", "masks", "alive", "buckets")
+    __slots__ = ("leads", "tails", "masks", "alive", "buckets", "firsts",
+                 "lead_terms", "tail_terms")
 
     def __init__(self, binomials=()):
         self.leads = []
@@ -655,16 +702,23 @@ class BinomialRewriter:
         self.masks = []
         self.alive = []
         self.buckets = {}
+        self.firsts = 0
+        self.lead_terms = []
+        self.tail_terms = []
         for b in binomials:
             self.add(b.u, b.v)
 
     def add(self, lead, tail):
         idx = len(self.leads)
+        lead_terms = [(v, e) for v, e in enumerate(lead) if e]
         self.leads.append(lead)
         self.tails.append(tail)
         self.masks.append(_support_mask(lead))
         self.alive.append(True)
-        first = next(i for i, e in enumerate(lead) if e)
+        self.lead_terms.append(lead_terms)
+        self.tail_terms.append([(v, e) for v, e in enumerate(tail) if e])
+        first = 1 << lead_terms[0][0]
+        self.firsts |= first
         self.buckets.setdefault(first, []).append(idx)
         return idx
 
@@ -673,26 +727,33 @@ class BinomialRewriter:
         masks = self.masks
         alive = self.alive
         buckets = self.buckets
-        for v, e in enumerate(m):
-            if not e:
-                continue
-            bucket = buckets.get(v)
-            if not bucket:
-                continue
-            for idx in bucket:
-                if not alive[idx] or masks[idx] & ~mmask:
-                    continue
-                if all(map(_le, leads[idx], m)):
+        live = mmask & self.firsts
+        while live:
+            low = live & -live
+            live ^= low
+            for idx in buckets[low]:
+                if alive[idx] and not masks[idx] & ~mmask \
+                        and all(map(_le, leads[idx], m)):
                     return idx
         return -1
 
     def normal_form(self, m):
-        while True:
-            hit = self.find_reducer(m, _support_mask(m))
-            if hit < 0:
-                return m
-            m = tuple(x - a + b for x, a, b in
-                      zip(m, self.leads[hit], self.tails[hit]))
+        mask = _support_mask(m)
+        hit = self.find_reducer(m, mask)
+        if hit < 0:
+            return m
+        m = list(m)
+        while hit >= 0:
+            for v, e in self.lead_terms[hit]:
+                x = m[v] - e
+                m[v] = x
+                if not x:
+                    mask ^= 1 << v
+            for v, e in self.tail_terms[hit]:
+                m[v] += e
+                mask |= 1 << v
+            hit = self.find_reducer(m, mask)
+        return tuple(m)
 
 
 def buchberger_binomials(inputs, order, budget=None, saturated=0):

@@ -431,7 +431,9 @@ def independence_files(tmp_path, capsys):
     ([1.9, 0, 0, 1], [0, 1, 1, 0], "exponent 1.9 is not an integer"),
     # A u = A v holds, so only the sign check rejects it
     ([1, -1, 0, 0], [0, 0, 1, -1], "negative exponent in [1, -1, 0, 0]"),
-], ids=["fractional", "negative"])
+    # JSON true is not the number 1
+    ([True, 0, 0, 1], [0, 1, 1, 0], "exponent True is not an integer"),
+], ids=["fractional", "negative", "boolean"])
 def test_read_basis_rejects_an_exponent_that_is_not_a_natural_number(
         tmp_path, capsys, independence_files, u, v, message):
     model, basis, dist = independence_files
@@ -467,3 +469,27 @@ def test_read_matrix_rejects_an_entry_that_is_not_an_integer(tmp_path,
                         f"{bad}: entry 1.5 at row 0, column 0 is not an "
                         "integer")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("entries", [[True, False], [False, True]])
+def test_read_matrix_rejects_a_boolean_entry(tmp_path, capsys, entries):
+    bad = write_json(tmp_path / "bad.json", {
+        "rows": [{"label": "r0", "entries": entries}], "columns": ["0", "1"]})
+    out = tmp_path / "m.json"
+    assert_format_error(capsys, ["model", "--matrix", bad, "--out", str(out)],
+                        f"{bad}: entry {entries[0]!r} at row 0, column 0 is "
+                        "not an integer")
+    assert not out.exists()
+
+
+def test_read_counts_rejects_a_boolean_count(tmp_path, capsys):
+    graph = write_json(tmp_path / "g1.json", {
+        "variables": [{"name": "X", "levels": 2}], "edges": []})
+    model = str(tmp_path / "model.json")
+    run(capsys, "model", "--graph", graph, "--out", model)
+    bad = write_json(tmp_path / "bad.json", {"order": "lex-last-fastest",
+                                             "values": [True, False]})
+    for command in ("ips", "mle-exact"):
+        assert_format_error(capsys, [command, "--model", model, "--counts", bad],
+                            f"{bad}: bad 'values' entry True: boolean True is "
+                            "not a number")
