@@ -7,8 +7,8 @@ Artifacts go to --out files (byte-deterministic); a run report with
 timing, input digests and the result summary goes to standard output.
 
 Exit codes: 0 success, 2 parse/validation error, 3 resource budget
-exceeded, 4 nonconvergence.  The environment variable TORICGM_BUDGET
-overrides the S-pair budget.
+exceeded, 4 nonconvergence, or no exact MLE.  The environment variable
+TORICGM_BUDGET overrides the S-pair budget.
 """
 
 import argparse
@@ -20,7 +20,7 @@ import time
 
 from . import __version__
 from .factorization import classify
-from .graphs import (build_graph_matrix, chordless_cycle, cliques, is_chordal,
+from .graphs import (build_graph_matrix, cliques, is_chordal,
                      nondecomposable_partition, saturated_separations)
 from .independence import pairwise_ideal
 from .jsonio import (FormatError, read_basis, read_counts,
@@ -164,11 +164,7 @@ def cmd_ips(args):
     started = time.perf_counter()
     A = read_matrix(args.model)
     n = read_counts(args.counts)
-    try:
-        fit = ips_fit(A, n, tol=args.tol, max_cycles=args.max_cycles)
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+    fit = ips_fit(A, n, tol=args.tol, max_cycles=args.max_cycles)
     _report("ips", [args.model, args.counts], {
         "fitted": [repr(x) for x in fit.values],
         "tol": args.tol}, started)
@@ -211,9 +207,8 @@ def cmd_graph(args):
     if chordal:
         results["elimination_order"] = list(peo)
     else:
-        cycle = chordless_cycle(g)
-        results["chordless_cycle"] = list(cycle)
         part = nondecomposable_partition(g)
+        results["chordless_cycle"] = list(part.A + part.B + part.C + part.D)
         results["partition"] = {k: list(v) for k, v in
                                 zip("ABCDE", part.blocks())}
     try:
@@ -290,6 +285,9 @@ def main(argv=None):
     except (FormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from operator import mul
 from .linalg import (_common_denominator, integer_kernel_lattice,
                      reduced_echelon)
 from .models import monomial_map
+from .polynomials import monomial_value
 from .simplex import find_facial_certificate
 
 FACTORS = "factors"
@@ -57,8 +58,8 @@ class FacialCertificate:
 
 def _balanced(N, den, u, v):
     """N^u * den^|v| == N^v * den^|u| for integer numerators N over den."""
-    lhs = math.prod(n ** e for n, e in zip(N, u) if e)
-    rhs = math.prod(n ** e for n, e in zip(N, v) if e)
+    lhs = monomial_value(N, u)
+    rhs = monomial_value(N, v)
     shift = sum(u) - sum(v)
     if shift > 0:
         rhs *= den ** shift
@@ -174,8 +175,8 @@ def in_variety_via_basis(P, basis, tol=None):
                 return False, b
         return True, None
     for b in binomials:
-        pu = _monomial_value(P, b.u)
-        pv = _monomial_value(P, b.v)
+        pu = monomial_value(P.values, b.u)
+        pv = monomial_value(P.values, b.v)
         if tol is None:
             if pu != pv:
                 return False, b
@@ -184,14 +185,6 @@ def in_variety_via_basis(P, basis, tol=None):
             if abs(pu - pv) > tol * scale:
                 return False, b
     return True, None
-
-
-def _monomial_value(P, mono):
-    val = 1
-    for x, e in zip(P.values, mono):
-        if e:
-            val = val * x ** e
-    return val
 
 
 def in_variety_kernel_oracle(A, P):

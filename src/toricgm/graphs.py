@@ -96,24 +96,26 @@ def build_graph_matrix(g):
     return build_loglinear_matrix(g.space(), cliques(g))
 
 
+def _reachable(g, start, allowed):
+    """The start vertices and every vertex that a path from one of them
+    reaches through vertices of the set allowed alone."""
+    reached = set(start)
+    frontier = list(reached)
+    while frontier:
+        v = frontier.pop()
+        for w in g.neighbors(v):
+            if w in allowed and w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    return reached
+
+
 def separates(g, X, Y, Z):
     """True iff every path from X to Y passes through Z."""
     X, Y, Z = set(X), set(Y), set(Z)
     if (X & Y) or (X & Z) or (Y & Z):
         raise ValueError("X, Y, Z must be disjoint")
-    blocked = Z
-    frontier = list(X)
-    reached = set(X)
-    while frontier:
-        v = frontier.pop()
-        for w in g.neighbors(v):
-            if w in blocked or w in reached:
-                continue
-            if w in Y:
-                return False
-            reached.add(w)
-            frontier.append(w)
-    return True
+    return _reachable(g, X, g._adj.keys() - Z).isdisjoint(Y)
 
 
 @dataclass(frozen=True)
@@ -270,16 +272,7 @@ def _connected(g, vertices):
     vertices = set(vertices)
     if not vertices:
         return True
-    start = next(iter(vertices))
-    reached = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for w in g.neighbors(v):
-            if w in vertices and w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    return reached == vertices
+    return _reachable(g, [next(iter(vertices))], vertices) == vertices
 
 
 def _blocks_adjacent(g, P, Q):

@@ -1,32 +1,40 @@
 """Bit-exact JSON file formats for the command line.
 
-Rationals travel as strings ("1/8" or "0.125") so nothing is rounded;
-state order is declared explicitly in distribution files.  Parse errors
-carry line/column positions from the JSON decoder.
+Rationals travel as strings ("1/8" or "0.125") so nothing is rounded; a
+number literal in a distribution file is read as the exact decimal it
+spells.  State order is declared explicitly in distribution files.  Parse
+errors carry line/column positions from the JSON decoder.
 """
 
 import json
 from fractions import Fraction
 
 from .graphs import UndirectedGraph
+from .mle import CountTable
 from .models import (Distribution, ModelMatrix, StateSpace, VariableSpec,
                      _integral)
 from .polynomials import Binomial
 
 STATE_ORDER = "lex-last-fastest"
+# A number literal in a distribution file is read exactly, which builds
+# 10 ** |exponent|; a larger exponent is refused, so that a short literal
+# such as 1e999999999 fails at once rather than after minutes.
+MAX_LITERAL_EXPONENT = 1000
 
 
 class FormatError(ValueError):
     """Malformed input file (bad JSON or a violated schema/invariant)."""
 
 
-def _load(path):
+def _load(path, parse_float=None):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=parse_float)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: "
                           f"{exc.msg}") from None
+    except ValueError as exc:  # e.g. a number literal parse_float refuses
+        raise FormatError(f"{path}: {exc}") from None
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror}") from None
 
@@ -133,8 +141,20 @@ def parse_value(text):
         raise FormatError(f"unreadable numeric value {text!r}") from None
 
 
+def _exact_literal(text):
+    """The exact value of a JSON number literal such as 0.03 or 3e-2."""
+    _, _, exponent = text.lower().partition("e")
+    if exponent and abs(int(exponent)) > MAX_LITERAL_EXPONENT:
+        raise ValueError(f"number {text} has a decimal exponent beyond "
+                         f"{MAX_LITERAL_EXPONENT}")
+    return Fraction(text)
+
+
 def read_distribution(path):
-    data = _load(path)
+    """The Distribution in a file.  A number literal such as 0.03 reads as
+    the exact decimal 3/100, as the string "0.03" does: values are compared
+    exactly, and the float nearest 0.03 is not 3/100."""
+    data = _load(path, parse_float=_exact_literal)
     order = _require(data, "order", path)
     if order != STATE_ORDER:
         raise FormatError(f"{path}: unsupported state order {order!r}")
@@ -146,8 +166,6 @@ def read_distribution(path):
 
 
 def read_counts(path):
-    from .mle import CountTable
-
     data = _load(path)
     order = _require(data, "order", path)
     if order != STATE_ORDER:

@@ -72,6 +72,7 @@ still checks the basis against the reduced matrix it is built with and
 the generators against the basis.
 """
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -358,8 +359,6 @@ def _fglm_to_lex(gb, from_order):
     normal-form pivot (the reduced basis is unique).  NotTriangular unless
     the quotient is finite.
     """
-    import heapq
-
     if not gb:
         return []
     nvars = gb[0].nvars

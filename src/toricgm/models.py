@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import product
 from operator import mul
 
+from .polynomials import monomial_value
+
 
 @dataclass(frozen=True)
 class VariableSpec:
@@ -287,13 +289,6 @@ def monomial_map(A, t):
     params = [x if isinstance(x, float) else Fraction(x) for x in t]
     if any(x < 0 for x in params):
         raise ValueError("parameters must be nonnegative")
-    exact = all(not isinstance(x, float) for x in params)
-    out = []
-    for j in range(A.ncols):
-        val = Fraction(1) if exact else 1.0
-        for i in range(A.nrows):
-            e = A.rows[i][j]
-            if e:
-                val = val * params[i] ** e
-        out.append(val)
-    return Distribution(out)
+    one = 1.0 if any(isinstance(x, float) for x in params) else Fraction(1)
+    return Distribution([monomial_value(params, col, one)
+                         for col in zip(*A.rows)])

@@ -81,6 +81,22 @@ def monomial_div(a, b):
     return tuple(map(_sub, a, b))
 
 
+def monomial_value(point, m, start=1):
+    """start * x^m at the point, multiplied left to right.
+
+    Factors with m_i = 0 are skipped, so 0^0 = 1.  Exact values give an
+    exact result, and a float result equals start * x_0 ** m_0 *
+    x_1 ** m_1 * ... written out, bit for bit.
+    """
+    return math.prod((x ** e for x, e in zip(point, m) if e), start=start)
+
+
+def monomial_text(m, names):
+    """x^m as text, e.g. "x1^2*x3"; "1" for the empty monomial."""
+    return "*".join(f"{names[i]}^{e}" if e > 1 else names[i]
+                    for i, e in enumerate(m) if e) or "1"
+
+
 class Polynomial:
     """Immutable sparse polynomial: a map from exponent tuples to Fractions."""
 
@@ -185,11 +201,7 @@ class Polynomial:
         """Exact evaluation at a vector of Fractions (or floats)."""
         total = 0
         for m, c in self.terms:
-            val = c
-            for x, e in zip(point, m):
-                if e:
-                    val *= x ** e
-            total += val
+            total += monomial_value(point, m, c)
         return total
 
     def as_pure_difference(self):
@@ -214,17 +226,15 @@ class Polynomial:
             terms.sort(reverse=True)
         parts = []
         for m, c in terms:
-            factors = [f"{names[i]}^{e}" if e > 1 else names[i]
-                       for i, e in enumerate(m) if e]
-            mono = "*".join(factors) if factors else "1"
-            if c == 1 and factors:
-                word = mono
-            elif c == -1 and factors:
-                word = f"-{mono}"
-            elif factors:
-                word = f"{c}*{mono}"
-            else:
+            mono = monomial_text(m, names)
+            if not any(m):
                 word = str(c)
+            elif c == 1:
+                word = mono
+            elif c == -1:
+                word = f"-{mono}"
+            else:
+                word = f"{c}*{mono}"
             parts.append(word)
         out = parts[0]
         for word in parts[1:]:
@@ -276,22 +286,11 @@ class Binomial:
         return Polynomial(self.nvars, [(self.u, 1), (self.v, -1)])
 
     def evaluate(self, point):
-        pu = pv = 1
-        for x, e in zip(point, self.u):
-            if e:
-                pu *= x ** e
-        for x, e in zip(point, self.v):
-            if e:
-                pv *= x ** e
-        return pu - pv
+        return monomial_value(point, self.u) - monomial_value(point, self.v)
 
     def render(self, names):
-        def side(m):
-            parts = [f"{names[i]}^{e}" if e > 1 else names[i]
-                     for i, e in enumerate(m) if e]
-            return "*".join(parts) if parts else "1"
-
-        return f"{side(self.u)} - {side(self.v)}"
+        return (f"{monomial_text(self.u, names)} - "
+                f"{monomial_text(self.v, names)}")
 
     def __eq__(self, other):
         return isinstance(other, Binomial) and self.u == other.u and self.v == other.v
@@ -330,6 +329,13 @@ def _element(lead_term, tail):
         lc //= g
         tail = [(m, k, c // g) for m, k, c in tail]
     return lead, nlead, _support_mask(lead), lc, tail
+
+
+def _polynomials(F):
+    """The nonzero members of F as Polynomials, each Binomial x^u - x^v
+    as its two-term Polynomial."""
+    polys = (f.to_polynomial() if isinstance(f, Binomial) else f for f in F)
+    return [p for p in polys if p]
 
 
 def _prepare(p, order):
@@ -411,12 +417,7 @@ class PreparedBasis:
 
     def __init__(self, G, order):
         self.order = order
-        self.elements = []
-        for g in G:
-            if isinstance(g, Binomial):
-                g = g.to_polynomial()
-            if not g.is_zero():
-                self.elements.append(_prepare(g, order))
+        self.elements = [_prepare(g, order) for g in _polynomials(G)]
 
     def leads(self):
         return [e[0] for e in self.elements]
@@ -436,11 +437,10 @@ def reduce(f, G, order):
         G = PreparedBasis(G, order)
     elif G.order != order:
         raise ValueError("prepared basis is for another term order")
-    if isinstance(f, Binomial):
-        f = f.to_polynomial()
-    if f.is_zero():
-        return f
-    terms, den = _integer_terms(f, order)
+    polys = _polynomials([f])
+    if not polys:
+        return f  # the zero polynomial
+    terms, den = _integer_terms(polys[0], order)
     rest, mult = _pseudo_reduce(terms, G.elements)
     scale = den * mult
     return Polynomial(f.nvars, [(m, Fraction(c, scale)) for m, _, c in rest])
@@ -459,12 +459,7 @@ def buchberger(F, order, budget=None):
     """
     if budget is None:
         budget = DEFAULT_SPAIR_BUDGET
-    polys = []
-    for f in F:
-        if isinstance(f, Binomial):
-            f = f.to_polynomial()
-        if not f.is_zero():
-            polys.append(f)
+    polys = _polynomials(F)
     if not polys:
         return []
     diffs = [p.as_pure_difference() for p in polys]
@@ -820,12 +815,7 @@ def eliminate_to_triangular(G):
     one new indeterminate.  Raises NotTriangular when the basis has a
     positive-dimensional tail and no such shape exists.
     """
-    polys = []
-    for g in G:
-        if isinstance(g, Binomial):
-            g = g.to_polynomial()
-        if not g.is_zero():
-            polys.append(g)
+    polys = _polynomials(G)
     if not polys:
         raise NotTriangular("not triangular: empty basis")
     polys = _interreduce(

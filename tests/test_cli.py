@@ -224,6 +224,35 @@ def test_mle_rational_for_decomposable(tmp_path, capsys, three_chain_graph_file)
     assert all("/" in v or v.isdigit() for v in res["profile"].values())
 
 
+def test_mle_exact_without_an_exact_mle_exits_4(tmp_path, capsys):
+    # no-three-way model on 2x2x2 with both corner cells empty: psi has no
+    # positive root that gives a nonnegative profile
+    gens = write_json(tmp_path / "gen.json", {
+        "variables": VARS3, "generators": [["X1", "X2"], ["X1", "X3"],
+                                           ["X2", "X3"]]})
+    model = str(tmp_path / "model.json")
+    run(capsys, "model", "--generators", gens, "--out", model)
+    counts = write_json(tmp_path / "n.json", {
+        "order": "lex-last-fastest", "values": [0, 1, 1, 1, 1, 1, 1, 0]})
+    code = main(["mle-exact", "--model", model, "--counts", counts])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("error: 0 of 0 positive roots of psi")
+
+
+def test_ips_nonconvergence_exits_4(tmp_path, capsys, four_cycle_graph_file):
+    model = str(tmp_path / "model.json")
+    run(capsys, "model", "--graph", four_cycle_graph_file, "--out", model)
+    counts = write_json(tmp_path / "n.json", {
+        "order": "lex-last-fastest",
+        "values": [str(x) for x in FOUR_CYCLE_COUNTS]})
+    code = main(["ips", "--model", model, "--counts", counts,
+                 "--max-cycles", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "error: IPS did not converge in 1 cycles\n"
+
+
 def test_graph_report(tmp_path, capsys, four_cycle_graph_file):
     code, report = run(capsys, "graph", "--graph", four_cycle_graph_file)
     assert code == 0
@@ -425,6 +454,35 @@ def independence_files(tmp_path, capsys):
     dist = write_json(tmp_path / "d.json", {"order": "lex-last-fastest",
                                             "values": ["1/4"] * 4})
     return model, basis, dist
+
+
+def test_check_reads_number_literals_as_exact_decimals(tmp_path, capsys,
+                                                      independence_files):
+    # as floats, 0.03 * 0.63 != 0.07 * 0.27, though p00 p11 = p01 p10
+    model, basis, _ = independence_files
+    assert 0.03 * 0.63 != 0.07 * 0.27
+    dist = tmp_path / "p.json"
+    for values in ('0.03, 0.07, 0.27, 0.63', '"0.03", "0.07", "0.27", "0.63"',
+                   '3e-2, 7E-2, 0.27, 63e-2'):
+        dist.write_text('{"order": "lex-last-fastest", "values": [%s]}'
+                        % values)
+        code, report = run(capsys, "check", "--model", model, "--basis", basis,
+                           "--dist", str(dist))
+        assert code == 0
+        assert report["results"] == {"verdict": "factors", "evidence": {}}
+
+
+@pytest.mark.parametrize("literal", ["1e1001", "1E-1001", "-2.5e+1001"])
+def test_read_distribution_refuses_a_literal_exponent_beyond_the_bound(
+        tmp_path, capsys, three_chain_files, literal):
+    model, basis, _ = three_chain_files
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"order": "lex-last-fastest", "values": [%s]}'
+                   % ", ".join(['"1/8"'] * 7 + [literal]))
+    assert_format_error(
+        capsys, ["check", "--model", model, "--basis", basis, "--dist",
+                 str(bad)],
+        f"{bad}: number {literal} has a decimal exponent beyond 1000")
 
 
 @pytest.mark.parametrize("u, v, message", [

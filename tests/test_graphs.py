@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from toricgm.graphs import (NondecomposablePartition, binary_graph,
@@ -64,6 +66,30 @@ def test_saturated_separations_four_cycle():
     triples = {(s.X, s.Y, s.Z) for s in seps}
     assert triples == {(("X1",), ("X3",), ("X2", "X4")),
                        (("X2",), ("X4",), ("X1", "X3"))}
+
+
+def test_saturated_separations_five_cycle():
+    # on a cycle, x and y stay joined off Z iff one of the two arcs
+    # between them avoids Z
+    g = five_cycle()
+    names = g.names
+
+    def arcs_blocked(x, y, Z):
+        i, j = sorted((names.index(x), names.index(y)))
+        inner = names[i + 1:j]
+        outer = names[j + 1:] + names[:i]
+        return any(v in Z for v in inner) and any(v in Z for v in outer)
+
+    expected = set()
+    for assign in product((0, 1, 2), repeat=len(names)):
+        X, Y, Z = (tuple(v for v, a in zip(names, assign) if a == k)
+                   for k in range(3))
+        if X and Y and names.index(X[0]) < names.index(Y[0]) and all(
+                arcs_blocked(x, y, Z) for x in X for y in Y):
+            expected.add((X, Y, Z))
+    found = {(s.X, s.Y, s.Z) for s in saturated_separations(g)}
+    assert found == expected and len(found) == 10
+    assert (("X1",), ("X3", "X4"), ("X2", "X5")) in found
 
 
 def test_separation_cap():

@@ -4,6 +4,8 @@ from operator import add
 
 import pytest
 
+from toricgm.factorization import in_variety_via_basis
+from toricgm.models import Distribution, ModelMatrix, monomial_map
 from toricgm.orders import TermOrder
 from toricgm.polynomials import (Binomial, BudgetExceeded, NotTriangular,
                                  Polynomial, PreparedBasis, buchberger,
@@ -295,3 +297,64 @@ def test_ideal_not_equal():
     G = [poly(1, ((2,), 1))]
     assert not ideal_equal(F, G, order)
     assert ideal_equal(G, [poly(1, ((2,), 5))], order)
+
+
+# --- one monomial value and one monomial text for every caller --------------
+
+def test_monomial_value_takes_zero_to_the_zero_as_one():
+    # x0^0 x1^2 at (0, 3): the zero coordinate carries exponent 0
+    point = (Fraction(0), Fraction(3))
+    assert Polynomial(2, [((0, 2), 1)]).evaluate(point) == 9
+    assert Binomial((0, 2), (1, 1)).evaluate(point) == 9
+    A = ModelMatrix([[0, 1], [2, 1]])
+    assert monomial_map(A, [0, 3]).values == (Fraction(9), Fraction(0))
+
+
+def test_monomial_value_is_exact_on_exact_input():
+    x = (Fraction(1, 3), Fraction(2, 5), Fraction(7))
+    p = Polynomial(3, [((2, 1, 0), Fraction(1, 2)), ((0, 0, 0), 1)])
+    value = p.evaluate(x)
+    assert type(value) is Fraction
+    assert value == Fraction(1, 2) * Fraction(1, 9) * Fraction(2, 5) + 1
+    value = Binomial((0, 1, 2), (1, 0, 0)).evaluate(x)
+    assert type(value) is Fraction
+    assert value == Fraction(2, 5) * 49 - Fraction(1, 3)
+    P = monomial_map(ModelMatrix([[1, 0], [1, 2]]), x[:2])
+    assert P.is_exact and P.values == (Fraction(2, 15), Fraction(4, 25))
+
+
+def test_monomial_value_multiplies_floats_left_to_right():
+    x0, x1, x2 = 0.1, 0.7, 1.3
+    p = Polynomial(3, [((2, 0, 1), Fraction(1, 3)), ((0, 3, 0), -2)])
+    assert p.evaluate((x0, x1, x2)) == (1 / 3) * x0 ** 2 * x2 + -2 * x1 ** 3
+    assert Binomial((2, 0, 1), (0, 3, 0)).evaluate((x0, x1, x2)) == \
+        x0 ** 2 * x2 - x1 ** 3
+    A = ModelMatrix([[2, 0], [0, 1], [1, 2]])
+    assert monomial_map(A, [x0, x1, x2]).values == (x0 ** 2 * x2,
+                                                    x1 * x2 ** 2)
+
+
+def test_in_variety_via_basis_compares_the_float_products():
+    # 2x2 independence: p00 p11 = p01 p10 exactly in decimals, but the
+    # float products differ in the last bit
+    b = Binomial((1, 0, 0, 1), (0, 1, 1, 0))
+    P = Distribution([0.03, 0.07, 0.27, 0.63])
+    assert 0.03 * 0.63 != 0.07 * 0.27
+    assert in_variety_via_basis(P, [b], tol=0.0) == (False, b)
+    assert in_variety_via_basis(P, [b], tol=1e-15) == (True, None)
+    exact = Distribution(["0.03", "0.07", "0.27", "0.63"])
+    assert in_variety_via_basis(exact, [b]) == (True, None)
+
+
+@pytest.mark.parametrize("u, v, text", [
+    ((2, 0, 1), (0, 0, 0), "a^2*c - 1"),
+    ((0, 3, 0), (0, 1, 1), "b^3 - b*c"),
+    ((1, 1, 1), (0, 0, 2), "a*b*c - c^2"),
+])
+def test_both_classes_print_one_monomial_text(u, v, text):
+    names = ("a", "b", "c")
+    b = Binomial(u, v)
+    assert b.render(names) == text
+    assert b.to_polynomial().render(names) == text
+    lead, tail = text.split(" - ")
+    assert Binomial(v, u).render(names) == f"{tail} - {lead}"
