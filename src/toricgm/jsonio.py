@@ -7,6 +7,7 @@ errors carry line/column positions from the JSON decoder.
 """
 
 import json
+import re
 from fractions import Fraction
 
 from .graphs import UndirectedGraph
@@ -16,9 +17,10 @@ from .models import (Distribution, ModelMatrix, StateSpace, VariableSpec,
 from .polynomials import Binomial
 
 STATE_ORDER = "lex-last-fastest"
-# A number literal in a distribution file is read exactly, which builds
-# 10 ** |exponent|; a larger exponent is refused, so that a short literal
-# such as 1e999999999 fails at once rather than after minutes.
+# A number in a distribution or count file, a literal or a string, is read
+# exactly, which builds 10 ** |exponent|; a larger exponent is refused, so
+# that a short number such as 1e999999999 fails at once rather than after
+# minutes.
 MAX_LITERAL_EXPONENT = 1000
 
 
@@ -125,28 +127,52 @@ def write_matrix(A, path):
 
 
 def parse_value(text):
-    """Exact Fraction for rational/decimal strings, float for the rest; a
-    JSON boolean is not a number."""
+    """Exact Fraction for rational/decimal strings, float for the strings
+    that spell a value that is not finite ("inf", "nan"); a JSON boolean
+    is not a number.  A string whose exact value would cost more than its
+    length suggests is refused: one with a decimal exponent beyond
+    MAX_LITERAL_EXPONENT, and one with more digits than int() converts
+    (4,300 by default), which Fraction refuses and float would round."""
     if isinstance(text, bool):
         raise FormatError(f"boolean {text!r} is not a number")
     if isinstance(text, (int, float)):
         return Fraction(text) if isinstance(text, int) else float(text)
+    if isinstance(text, str):
+        _bound_exponent(text)
     try:
         return Fraction(text)
     except (TypeError, ValueError):
         pass
     try:
-        return float(text)
+        value = float(text)
     except (TypeError, ValueError):
         raise FormatError(f"unreadable numeric value {text!r}") from None
+    digits = sum(map(str.isdigit, text))
+    if digits:
+        raise FormatError(f"numeric value of {digits} digits cannot be read "
+                          "exactly")
+    return value
+
+
+# The decimal exponent at the end of a number such as 3e-2, " 1E+5 " or
+# 1e1_000 (Fraction reads digits grouped by underscores).
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _bound_exponent(text):
+    """Refuse a number with a decimal exponent beyond MAX_LITERAL_EXPONENT:
+    its exact value would build 10 ** |exponent|."""
+    match = _EXPONENT.search(text)
+    exponent = match[1].replace("_", "").lstrip("0") if match else ""
+    if len(exponent) > len(str(MAX_LITERAL_EXPONENT)) \
+            or int(exponent or 0) > MAX_LITERAL_EXPONENT:
+        raise FormatError(f"number {text} has a decimal exponent beyond "
+                          f"{MAX_LITERAL_EXPONENT}")
 
 
 def _exact_literal(text):
     """The exact value of a JSON number literal such as 0.03 or 3e-2."""
-    _, _, exponent = text.lower().partition("e")
-    if exponent and abs(int(exponent)) > MAX_LITERAL_EXPONENT:
-        raise ValueError(f"number {text} has a decimal exponent beyond "
-                         f"{MAX_LITERAL_EXPONENT}")
+    _bound_exponent(text)
     return Fraction(text)
 
 

@@ -25,6 +25,17 @@ and F criteria test divisibility by the excess of one lead over the new
 one, and only an opened pair gets a full-width lcm.  A budget bounds the
 number of S-pairs treated and fails loudly rather than truncating.
 
+The binomial path computes each term-order key and each support mask
+once.  An input is keyed once per side to orient, deduplicate and sort it;
+a new element is keyed once per side to orient it, and its lead key is
+kept for the final sort.  Each element keeps its lead and tail as sparse
+(variable, exponent) lists with their support masks.  The S-binomial of
+elements i and j is built from those: its i side x^(lcm - l_i) t_i raises
+the tail t_i by l_j - l_i on the support of l_j, where l_j exceeds l_i,
+and its mask is the tail mask of i plus those variables.  So no
+full-width lcm, quotient or product is formed per pair, and the sides,
+like the final tails, are rewritten to normal form from known masks.
+
 Saturated tails.  The binomial engine may be told a set S of variables
 that are nonzerodivisors modulo the ideal I of its inputs, when I is
 homogeneous and the order is degree-compatible (grevlex).  It then never
@@ -270,7 +281,7 @@ class Binomial:
 
     def strip_common(self):
         """Divide out the common monomial factor (coprime form)."""
-        common = tuple(min(a, b) for a, b in zip(self.u, self.v))
+        common = tuple(map(min, self.u, self.v))
         if not any(common):
             return self
         return Binomial(monomial_div(self.u, common), monomial_div(self.v, common))
@@ -336,6 +347,12 @@ def _polynomials(F):
     as its two-term Polynomial."""
     polys = (f.to_polynomial() if isinstance(f, Binomial) else f for f in F)
     return [p for p in polys if p]
+
+
+def _check_arity(nvars, order):
+    if nvars != order.nvars:
+        raise ValueError(f"arity {nvars} does not match the {order.nvars} "
+                         "variables of the term order")
 
 
 def _prepare(p, order):
@@ -417,7 +434,10 @@ class PreparedBasis:
 
     def __init__(self, G, order):
         self.order = order
-        self.elements = [_prepare(g, order) for g in _polynomials(G)]
+        polys = _polynomials(G)
+        for g in polys:
+            _check_arity(g.nvars, order)
+        self.elements = [_prepare(g, order) for g in polys]
 
     def leads(self):
         return [e[0] for e in self.elements]
@@ -432,7 +452,10 @@ def reduce(f, G, order):
     PreparedBasis under the same order.  The reduction runs on integers;
     the remainder is divided once by the product of its multipliers, so
     the result is the exact normal form with Fraction coefficients.
+    Raises ValueError when the arity of f or of a member of G is not the
+    order's.
     """
+    _check_arity(f.nvars, order)
     if not isinstance(G, PreparedBasis):
         G = PreparedBasis(G, order)
     elif G.order != order:
@@ -455,11 +478,14 @@ def buchberger(F, order, budget=None):
     kept with integer coefficients of content one; the S-pair routine
     retires the elements whose leads a newer lead divides.  Raises
     BudgetExceeded when more than `budget` S-pairs would have to be
-    treated (never returns a wrong partial answer).
+    treated (never returns a wrong partial answer), and ValueError when
+    an input's arity is not the order's.
     """
     if budget is None:
         budget = DEFAULT_SPAIR_BUDGET
     polys = _polynomials(F)
+    for p in polys:
+        _check_arity(p.nvars, order)
     if not polys:
         return []
     diffs = [p.as_pure_difference() for p in polys]
@@ -680,21 +706,24 @@ class BinomialRewriter:
     prefilter; a monomial visits the buckets of its own support variables
     in increasing order, so the first live lead that divides it is the
     reducer.  Each element also keeps its lead and tail as sparse lists of
-    (variable, exponent): a rewriting step changes the monomial and its
-    support mask on those variables only, rather than rebuilding every
-    entry and recomputing the mask.  The
-    leads, masks and alive arrays are the ones the S-pair routine reads and
-    writes: a retired element (its lead divisible by a newer lead) keeps
-    its open S-pairs but stops reducing.
+    (variable, exponent), and the support masks of both, built from those
+    lists: a rewriting step changes the monomial and its support mask on
+    those variables only, rather than rebuilding every entry and
+    recomputing the mask.  A monomial whose mask is already known (an
+    S-binomial side, a tail) is rewritten from that mask, with no pass over
+    its entries.  The leads, masks and alive arrays are the ones the
+    S-pair routine reads and writes: a retired element (its lead divisible
+    by a newer lead) keeps its open S-pairs but stops reducing.
     """
 
-    __slots__ = ("leads", "tails", "masks", "alive", "buckets", "firsts",
-                 "lead_terms", "tail_terms")
+    __slots__ = ("leads", "tails", "masks", "tail_masks", "alive", "buckets",
+                 "firsts", "lead_terms", "tail_terms")
 
     def __init__(self, binomials=()):
         self.leads = []
         self.tails = []
         self.masks = []
+        self.tail_masks = []
         self.alive = []
         self.buckets = {}
         self.firsts = 0
@@ -706,12 +735,14 @@ class BinomialRewriter:
     def add(self, lead, tail):
         idx = len(self.leads)
         lead_terms = [(v, e) for v, e in enumerate(lead) if e]
+        tail_terms = [(v, e) for v, e in enumerate(tail) if e]
         self.leads.append(lead)
         self.tails.append(tail)
-        self.masks.append(_support_mask(lead))
+        self.masks.append(_terms_mask(lead_terms))
+        self.tail_masks.append(_terms_mask(tail_terms))
         self.alive.append(True)
         self.lead_terms.append(lead_terms)
-        self.tail_terms.append([(v, e) for v, e in enumerate(tail) if e])
+        self.tail_terms.append(tail_terms)
         first = 1 << lead_terms[0][0]
         self.firsts |= first
         self.buckets.setdefault(first, []).append(idx)
@@ -733,11 +764,12 @@ class BinomialRewriter:
         return -1
 
     def normal_form(self, m):
-        mask = _support_mask(m)
+        return self._normal_form(list(m), _support_mask(m))
+
+    def _normal_form(self, m, mask):
+        """The normal form, as a tuple, of the monomial in the list m
+        (rewritten in place), whose support mask is mask."""
         hit = self.find_reducer(m, mask)
-        if hit < 0:
-            return m
-        m = list(m)
         while hit >= 0:
             for v, e in self.lead_terms[hit]:
                 x = m[v] - e
@@ -751,58 +783,89 @@ class BinomialRewriter:
         return tuple(m)
 
 
+def _terms_mask(terms):
+    """Support mask of a monomial from its sparse (variable, exponent) list."""
+    mask = 0
+    for v, _ in terms:
+        mask |= 1 << v
+    return mask
+
+
 def buchberger_binomials(inputs, order, budget=None, saturated=0):
     """Reduced Groebner basis of an ideal generated by pure differences.
 
     Input and output are Binomial values; the output is the reduced basis
     under the given order: each element lead first with its tail in normal
-    form, sorted once at the end by increasing leading monomial.  S-pairs
-    run through the shared routine on a BinomialRewriter's own arrays.
-    `saturated` is a bitmask of variables that are nonzerodivisors modulo
-    the ideal of the inputs; the S-pairs whose tails share one of them are
-    skipped.  It is exact only for homogeneous inputs under a
-    degree-compatible order (grevlex); the default 0 skips nothing.
+    form, sorted by increasing leading monomial.  Each monomial is keyed
+    under the order once: an input side to orient, deduplicate and sort
+    the inputs, a new element's two sides to orient it, and its lead key
+    is kept for the final sort.  S-pairs run through the shared routine on
+    a BinomialRewriter's own arrays.  The S-binomial of elements i and j
+    is built from the sparse leads: its i side x^(lcm - l_i) t_i is the
+    tail t_i raised by l_j - l_i where l_j exceeds l_i, and its support
+    mask is the tail mask of i plus those variables, so both sides are
+    rewritten from known masks.  `saturated` is a bitmask of variables
+    that are nonzerodivisors modulo the ideal of the inputs; the S-pairs
+    whose tails share one of them are skipped.  It is exact only for
+    homogeneous inputs under a degree-compatible order (grevlex); the
+    default 0 skips nothing.  Raises ValueError when an input's arity is
+    not the order's.
     """
     if budget is None:
         budget = DEFAULT_SPAIR_BUDGET
-    seen = set()
-    start = []
+    key = order.key
+    start = set()  # (lead key, tail, lead) of each oriented input
     for b in inputs:
         u, v = b.u, b.v
-        if order.key(u) < order.key(v):
-            u, v = v, u
-        if (u, v) in seen:
-            continue
-        seen.add((u, v))
-        start.append((u, v))
+        _check_arity(len(u), order)
+        ku, kv = key(u), key(v)
+        start.add((ku, v, u) if ku > kv else (kv, u, v))
     if not start:
         return []
-    start.sort(key=lambda uv: (order.key(uv[0]), uv[1]))
+    items = [((list(u), _support_mask(u)), (list(v), _support_mask(v)))
+             for _, v, u in sorted(start)]
 
     system = BinomialRewriter()
     leads = system.leads
     tails = system.tails
+    tail_masks = system.tail_masks
+    lead_terms = system.lead_terms
+    lead_keys = []
+    normal_form = system._normal_form
 
-    def add(uv):
-        a = system.normal_form(uv[0])
-        b = system.normal_form(uv[1])
+    def add(item):
+        (m, mask_m), (n, mask_n) = item
+        a = normal_form(m, mask_m)
+        b = normal_form(n, mask_n)
         if a == b:
             return -1
-        if order.key(a) < order.key(b):
-            a, b = b, a
+        ka, kb = key(a), key(b)
+        if ka < kb:
+            a, b, ka = b, a, kb
+        lead_keys.append(ka)
         return system.add(a, b)
 
-    def s_pair(i, j):
-        li, lj = leads[i], leads[j]
-        lcm = monomial_lcm(li, lj)
-        return (monomial_mul(monomial_div(lcm, li), tails[i]),
-                monomial_mul(monomial_div(lcm, lj), tails[j]))
+    def side(i, j):
+        # x^(lcm(l_i, l_j) - l_i) t_i, with its support mask
+        li = leads[i]
+        m = list(tails[i])
+        mask = tail_masks[i]
+        for v, e in lead_terms[j]:
+            x = e - li[v]
+            if x > 0:
+                m[v] += x
+                mask |= 1 << v
+        return m, mask
 
-    _s_pair_loop(start, add, s_pair, leads, system.masks, system.alive,
-                 order.key, budget, saturated, tails)
-    kept = sorted((i for i, a in enumerate(system.alive) if a),
-                  key=lambda i: order.key(leads[i]))
-    return [Binomial(leads[i], system.normal_form(tails[i])) for i in kept]
+    def s_pair(i, j):
+        return side(i, j), side(j, i)
+
+    _s_pair_loop(items, add, s_pair, leads, system.masks, system.alive,
+                 key, budget, saturated, tails)
+    kept = sorted(compress(range(len(leads)), system.alive),
+                  key=lead_keys.__getitem__)
+    return [Binomial(leads[i], normal_form(list(tails[i]), tail_masks[i]))
+            for i in kept]
 
 
 def eliminate_to_triangular(G):

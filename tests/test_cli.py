@@ -485,6 +485,43 @@ def test_read_distribution_refuses_a_literal_exponent_beyond_the_bound(
         f"{bad}: number {literal} has a decimal exponent beyond 1000")
 
 
+@pytest.mark.parametrize("value", ["1e1001", "-2.5E+1001", "1e-1_001",
+                                   "1e300000"])
+def test_string_values_refuse_an_exponent_beyond_the_bound(
+        tmp_path, capsys, three_chain_files, value):
+    # a string value is read exactly, as a literal is, so it is bounded too
+    model, basis, _ = three_chain_files
+    message = f"number {value} has a decimal exponent beyond 1000"
+    dist = write_json(tmp_path / "dist.json", {"order": "lex-last-fastest",
+                                               "values": ["1/8"] * 7 + [value]})
+    assert_format_error(
+        capsys, ["check", "--model", model, "--basis", basis, "--dist", dist],
+        f"{dist}: bad 'values' entry {value!r}: {message}")
+    counts = write_json(tmp_path / "counts.json", {
+        "order": "lex-last-fastest", "values": [1] * 7 + [value]})
+    assert_format_error(capsys, ["ips", "--model", model, "--counts", counts],
+                        f"{counts}: bad 'values' entry {value!r}: {message}")
+
+
+@pytest.mark.parametrize("value, digits", [("0." + "3" * 5000, 5001),
+                                           ("3" * 5000, 5000)])
+def test_string_values_refuse_more_digits_than_are_read_exactly(
+        tmp_path, capsys, three_chain_files, value, digits):
+    # Fraction refuses them; a float would round the first to 0.333... and
+    # read the second as inf
+    model, basis, _ = three_chain_files
+    message = f"numeric value of {digits} digits cannot be read exactly"
+    dist = write_json(tmp_path / "dist.json", {"order": "lex-last-fastest",
+                                               "values": ["1/8"] * 7 + [value]})
+    assert_format_error(
+        capsys, ["check", "--model", model, "--basis", basis, "--dist", dist],
+        f"{dist}: bad 'values' entry {value!r}: {message}")
+    counts = write_json(tmp_path / "counts.json", {
+        "order": "lex-last-fastest", "values": [1] * 7 + [value]})
+    assert_format_error(capsys, ["ips", "--model", model, "--counts", counts],
+                        f"{counts}: bad 'values' entry {value!r}: {message}")
+
+
 @pytest.mark.parametrize("u, v, message", [
     ([1.9, 0, 0, 1], [0, 1, 1, 0], "exponent 1.9 is not an integer"),
     # A u = A v holds, so only the sign check rejects it

@@ -257,6 +257,42 @@ def test_budget_exceeded_is_loud_on_the_generic_engine():
         buchberger([f, g], order, budget=0)
 
 
+# --- inputs of another arity than the order's --------------------------------
+
+WIDE = Binomial((1, 0, 0, 1), (0, 1, 1, 0))  # four variables
+
+
+@pytest.mark.parametrize("inputs, nvars", [
+    ([WIDE, Binomial((2, 0, 0, 0), (0, 0, 0, 2))], 4),  # wider than the order
+    ([Binomial((1, 0), (0, 1))], 2),  # narrower
+])
+def test_buchberger_binomials_refuses_another_arity(inputs, nvars):
+    with pytest.raises(ValueError, match=f"arity {nvars} does not match "
+                                         "the 3 variables"):
+        buchberger_binomials(inputs, TermOrder.grevlex(3))
+
+
+@pytest.mark.parametrize("f", [
+    poly(4, ((1, 0, 0, 0), 1), ((0, 0, 1, 1), 2)),  # the generic engine
+    WIDE.to_polynomial(),  # the binomial fast path
+])
+def test_buchberger_refuses_another_arity(f):
+    with pytest.raises(ValueError, match="arity 4 does not match the 3"):
+        buchberger([f], TermOrder.lex(3))
+
+
+def test_reduce_refuses_another_arity():
+    f = poly(4, ((1, 0, 0, 0), 1), ((0, 0, 1, 1), 2))
+    order = TermOrder.grevlex(2)
+    with pytest.raises(ValueError, match="arity 4 does not match the 2"):
+        reduce(f, [f], order)
+    with pytest.raises(ValueError, match="arity 4 does not match the 2"):
+        PreparedBasis([f], order)
+    g = poly(2, ((1, 0), 1), ((0, 1), -1))
+    with pytest.raises(ValueError, match="arity 4 does not match the 2"):
+        reduce(f, PreparedBasis([g], order), order)
+
+
 # --- triangular shape -------------------------------------------------------
 
 def test_triangular_simple():

@@ -5,7 +5,9 @@ leading monomials alone.  The reference below is the same Gebauer-Moeller
 update written on full-width lcm tuples: candidates sorted by (degree,
 lcm, index), the M and F criteria as divisibility of one lcm by another,
 the chain criterion by comparing lcm tuples.  Both must treat the same
-pairs in the same order and retire the same elements.
+pairs in the same order and retire the same elements, and so must
+`buchberger_binomials` itself, which builds its S-binomials from sparse
+leads and carried support masks.
 """
 
 import heapq
@@ -14,7 +16,8 @@ from operator import le
 
 import pytest
 
-from toricgm import toric
+from toricgm import polynomials, toric
+from toricgm.graphs import UndirectedGraph, build_graph_matrix
 from toricgm.models import StateSpace, VariableSpec, build_loglinear_matrix
 from toricgm.orders import TermOrder
 from toricgm.polynomials import (BinomialRewriter, BudgetExceeded,
@@ -118,7 +121,9 @@ def scripted_run(loop, seed, saturated):
 
 
 def engine_run(loop, gens, order, saturated):
-    """Run loop as the binomial engine does, on a fresh rewriter."""
+    """Run loop as the binomial engine does, on a fresh rewriter, but with
+    each S-binomial formed from full-width lcm tuples: the reference for
+    the engine's sparse S-binomials."""
     system = BinomialRewriter()
     leads, tails = system.leads, system.tails
     treated = []
@@ -156,10 +161,29 @@ def test_same_pairs_as_the_reference_on_random_leads(saturated):
     assert total > 1000  # the draws open and treat pairs
 
 
+def recording_loop(runs):
+    """An _s_pair_loop that appends to runs, per run, the pairs it treats
+    (in order) and the final alive flags."""
+    def loop(inputs, add, s_pair, leads, masks, alive, *args):
+        treated = []
+
+        def recorded(i, j):
+            treated.append((i, j))
+            return s_pair(i, j)
+
+        _s_pair_loop(inputs, add, recorded, leads, masks, alive, *args)
+        runs.append((treated, alive))
+    return loop
+
+
 @pytest.mark.parametrize("saturate", [False, True])
-def test_same_pairs_as_the_reference_on_random_models(saturate):
+def test_same_pairs_as_the_reference_on_random_models(saturate, monkeypatch):
     # the lattice binomials plus quadratic moves of random models, run
-    # under grevlex; with saturate, every column but the last is marked
+    # under grevlex; with saturate, every column but the last is marked.
+    # The engine's own run, with its sparse S-binomials, and engine_run
+    # with the loop under test must both treat the reference's pairs
+    runs = []
+    monkeypatch.setattr(polynomials, "_s_pair_loop", recording_loop(runs))
     rng = random.Random("s-pair-loop")
     total = 0
     for _ in range(40):
@@ -171,8 +195,19 @@ def test_same_pairs_as_the_reference_on_random_models(saturate):
         saturated = (1 << (m - 1)) - 1 if saturate else 0
         ref = engine_run(reference_s_pair_loop, gens, order, saturated)
         assert engine_run(_s_pair_loop, gens, order, saturated) == ref, A.rows
+        if gens:  # with no inputs the engine runs no loop
+            buchberger_binomials(gens, order, None, saturated)
+            assert runs.pop() == ref, A.rows
         total += len(ref[0])
     assert total > 100
+
+
+def _cycle4_one_3level():
+    # the four-cycle X1-X2-X3-X4 with X1 on three levels
+    variables = [VariableSpec("X1", 3)] + [VariableSpec(f"X{i}", 2)
+                                           for i in (2, 3, 4)]
+    return build_graph_matrix(UndirectedGraph(variables, [
+        ("X1", "X2"), ("X2", "X3"), ("X3", "X4"), ("X1", "X4")]))
 
 
 def _no3way_2x3x3():
@@ -208,6 +243,9 @@ def _runs(A):
     # every run on the binary four-cycle: four saturation runs with 0-3
     # saturated columns, then the final run with all of them
     ("cycle4_binary", four_cycle_matrix, [76, 85, 76, 68, 24]),
+    # the first saturation run of the four-cycle with one three-level
+    # variable, the heaviest named model of the markov_bases benchmark
+    ("cycle4_one_3level", _cycle4_one_3level, [1340]),
 ])
 def test_s_pairs_treated_per_run(name, make, pairs):
     # the budget is the probe: a run treating exactly n S-pairs succeeds
