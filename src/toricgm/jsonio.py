@@ -22,6 +22,8 @@ STATE_ORDER = "lex-last-fastest"
 # that a short number such as 1e999999999 fails at once rather than after
 # minutes.
 MAX_LITERAL_EXPONENT = 1000
+# An error message quotes at most this many characters of a refused input.
+EXCERPT = 80
 
 
 class FormatError(ValueError):
@@ -41,6 +43,14 @@ def _load(path, parse_float=None):
         raise FormatError(f"{path}: {exc.strerror}") from None
 
 
+def _excerpt(text):
+    """text for an error message: whole, or when longer than EXCERPT its
+    first EXCERPT characters and its length."""
+    if len(text) <= EXCERPT:
+        return text
+    return f"{text[:EXCERPT]}... ({len(text)} characters)"
+
+
 def _require(data, key, path):
     if not isinstance(data, dict) or key not in data:
         raise FormatError(f"{path}: missing key {key!r}")
@@ -58,8 +68,8 @@ def _each(data, key, parse, path):
         try:
             out.append(parse(entry))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}: bad {key!r} entry {entry!r}: {exc}") \
-                from None
+            raise FormatError(f"{path}: bad {key!r} entry "
+                              f"{_excerpt(repr(entry))}: {exc}") from None
     return out
 
 
@@ -146,7 +156,8 @@ def parse_value(text):
     try:
         value = float(text)
     except (TypeError, ValueError):
-        raise FormatError(f"unreadable numeric value {text!r}") from None
+        raise FormatError("unreadable numeric value "
+                          f"{_excerpt(repr(text))}") from None
     digits = sum(map(str.isdigit, text))
     if digits:
         raise FormatError(f"numeric value of {digits} digits cannot be read "
@@ -166,8 +177,8 @@ def _bound_exponent(text):
     exponent = match[1].replace("_", "").lstrip("0") if match else ""
     if len(exponent) > len(str(MAX_LITERAL_EXPONENT)) \
             or int(exponent or 0) > MAX_LITERAL_EXPONENT:
-        raise FormatError(f"number {text} has a decimal exponent beyond "
-                          f"{MAX_LITERAL_EXPONENT}")
+        raise FormatError(f"number {_excerpt(text)} has a decimal exponent "
+                          f"beyond {MAX_LITERAL_EXPONENT}")
 
 
 def _exact_literal(text):

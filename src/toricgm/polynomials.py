@@ -791,7 +791,8 @@ def _terms_mask(terms):
     return mask
 
 
-def buchberger_binomials(inputs, order, budget=None, saturated=0):
+def buchberger_binomials(inputs, order, budget=None, saturated=0,
+                         strip_common=False):
     """Reduced Groebner basis of an ideal generated by pure differences.
 
     Input and output are Binomial values; the output is the reduced basis
@@ -808,8 +809,14 @@ def buchberger_binomials(inputs, order, budget=None, saturated=0):
     that are nonzerodivisors modulo the ideal of the inputs; the S-pairs
     whose tails share one of them are skipped.  It is exact only for
     homogeneous inputs under a degree-compatible order (grevlex); the
-    default 0 skips nothing.  Raises ValueError when an input's arity is
-    not the order's.
+    default 0 skips nothing.  With `strip_common`, each new element has
+    the common monomial factor of its two sides divided out right after
+    they are rewritten to normal form, so the run returns the reduced
+    basis of an ideal between <inputs> and <inputs> : (x_1 ... x_n)^inf
+    rather than of <inputs> itself: a new element x^c (x^a - x^b) reduces
+    to zero through x^a - x^b, so every S-pair still has a standard
+    representation.  Raises ValueError when an input's arity is not the
+    order's.
     """
     if budget is None:
         budget = DEFAULT_SPAIR_BUDGET
@@ -839,6 +846,11 @@ def buchberger_binomials(inputs, order, budget=None, saturated=0):
         b = normal_form(n, mask_n)
         if a == b:
             return -1
+        if strip_common:
+            common = tuple(map(min, a, b))
+            if any(common):
+                a = tuple(map(_sub, a, common))
+                b = tuple(map(_sub, b, common))
         ka, kb = key(a), key(b)
         if ka < kb:
             a, b, ka = b, a, kb

@@ -39,33 +39,53 @@ f = 0 in R, that is, f lies in J : x_sigma^inf.  Conversely J : x_sigma^inf
 lies in I_A, because I_A is prime and contains no monomial.  So
 I_A = J : x_sigma^inf, whatever kernel binomials Q holds.
 
-Saturating by the variables of sigma one at a time, in increasing index
-order, gives J : x_sigma^inf (Lemma 12.1, after Bayer-Stillman): take the
-reduced Groebner basis under grevlex with x_i last in the priority list,
-and divide every element by its largest x_i power.  This is exact because
-ModelMatrix requires equal column sums, so every ideal here is homogeneous,
-and in that order x_i divides a homogeneous binomial iff it divides its
-leading term.  Dividing out the common part of both sides covers the x_i
-power.  Cutting the number of saturations this way follows Hosten-Sturmfels
-(GRIN, IPCO 1995).  A final reduced basis is produced under the requested
-order; the reduced basis of the prime ideal I_A is coprime and oriented as
-it comes.  Every output binomial satisfies A u = A v exactly.
+Chain.  The columns of sigma are settled one Buchberger run at a time.
+Let C be the set of planned columns run or certified so far; the
+generators gens of the next run satisfy the invariant
+J : x_C^inf <= <gens> <= I_A, so once C holds all of sigma, <gens> =
+J : x_sigma^inf = I_A.  A run takes the first planned column i not yet
+in C and runs under grevlex with the other columns not in C last in the
+priority list and x_i very last.  It divides the common monomial factor
+out of each new element (`strip_common` in `polynomials`), so it returns
+the reduced Groebner basis G of an ideal J' with <gens> <= J' <=
+<gens> : (x_1 ... x_n)^inf <= I_A.  Dividing every element of G by its
+largest x_i power gives a Groebner basis of J' : x_i^inf, with the same
+leads but for their x_i powers (Lemma 12.1, after Bayer-Stillman).  This
+is exact because ModelMatrix requires equal column sums, so every ideal
+here is homogeneous, and in that order x_i divides a homogeneous binomial
+iff it divides its leading term.
 
-Skipped S-pairs.  The run that saturates by the k-th column of sigma
-starts from an ideal already saturated by the columns before it, so each
-of them is a nonzerodivisor there; the final run starts from I_A, which
-is prime and holds no monomial, so every column is.  These runs are
-homogeneous, and the saturation runs are grevlex, so each is given its
-columns as `saturated` and skips the S-pairs whose tails share one of
-them (see `polynomials`).  The final run gets every column under grevlex
-and none under lex, where that argument does not hold.
+Lead certificate.  A variable x_j that divides no lead of a Groebner
+basis is a nonzerodivisor modulo its ideal: x_j times a standard monomial
+is standard, so the normal form of x_j f is x_j times that of f, and it
+is zero only when that of f is.  Every planned column j not in C that
+divides no lead of G is therefore a nonzerodivisor modulo J' : x_i^inf,
+that ideal equals its saturation by x_j, and j joins C with i and gets no
+run of its own.  Putting those columns last in the order keeps them out
+of the leads, so most of them are certified.  The next gens are G with
+every common factor divided out: their ideal contains J' : x_i^inf and
+lies in I_A, which is prime and holds no monomial, so the invariant
+holds.  Cutting the number of saturations this way follows
+Hosten-Sturmfels (GRIN, IPCO 1995).  A final reduced basis is produced
+under the requested order; the reduced basis of the prime ideal I_A is
+coprime and oriented as it comes.  Every output binomial satisfies
+A u = A v exactly.
+
+Skipped S-pairs.  Only the final run skips S-pairs.  It starts from I_A,
+which is prime and holds no monomial, so every column is a nonzerodivisor
+there; under grevlex it is given every column as `saturated` and skips
+the S-pairs whose tails share one of them (see `polynomials`), and under
+lex, where that argument does not hold, none.  The saturation runs get no
+mask: their ideals are only known to lie between J : x_C^inf and I_A, and
+a mask that claims more than that can make a run return a set that is not
+a Groebner basis.
 
 Fold.  When the last saturation run is under the requested order and
-dividing out its column changes no element, its output is the reduced
-basis of an ideal equal to its own saturation, that is of I_A, and
-reduced bases are unique: it is returned as it is and no final run is
-made.  Under the default grevlex this happens when sigma ends on the last
-column and dividing it out changes no element.
+dividing out common factors changes no element of its output, that output
+is the reduced basis of <gens> = I_A, and reduced bases are unique: it is
+returned as it is and no final run is made.  Under the default grevlex
+this happens when the last run saturates the last column, no other
+planned column is left then, and dividing out changes no element.
 """
 
 from dataclasses import dataclass
@@ -174,12 +194,14 @@ def compute_toric_basis(A, order=None, seed=None, budget=None):
     Seed binomials must satisfy the kernel condition (validated).  The
     default order is grevlex; lex is useful for elimination work.  The
     generators are the lattice binomials, the quadratic moves (when the
-    lattice has rank two or more) and the seeds.  The work is one
-    Buchberger run per column the walk over lattice and moves plans
-    (recorded in `ToricBasis.saturated`), then a final run under `order`
-    unless the last saturation run can be folded into it (module
-    docstring): |sigma| or |sigma| + 1 runs.  `budget` bounds the S-pairs
-    of each run.
+    lattice has rank two or more) and the seeds.  The walk over lattice
+    and moves plans the columns sigma to saturate by (recorded in
+    `ToricBasis.saturated`).  Each saturation run strips common factors
+    from its new elements and settles its column and every planned column
+    left that divides none of its leads; a final run under `order`
+    follows unless the last saturation run can be folded into it (module
+    docstring): at most |sigma| + 1 runs.  `budget` bounds the S-pairs of
+    each run.
     """
     m = A.ncols
     if order is None:
@@ -198,12 +220,18 @@ def compute_toric_basis(A, order=None, seed=None, budget=None):
     if not gens:
         return ToricBasis(A, (), order)
 
-    done = 0
-    for i in sigma:  # not empty: gens holds a nonzero kernel vector
-        last = TermOrder.grevlex(m, [j for j in range(m) if j != i] + [i])
-        run = buchberger_binomials(gens, last, budget, done)
+    left = list(sigma)  # not empty: gens holds a nonzero kernel vector
+    while left:
+        i = left.pop(0)
+        last = TermOrder.grevlex(
+            m, [j for j in range(m) if j not in left and j != i] + left + [i])
+        run = buchberger_binomials(gens, last, budget, strip_common=True)
+        leads = 0
+        for b in run:
+            leads |= _support_mask(b.u)
+        # a column that divides no lead is certified (module docstring)
+        left = [j for j in left if leads >> j & 1]
         gens = [b.strip_common() for b in run]
-        done |= 1 << i
     if last == order and gens == run:
         return ToricBasis(A, tuple(run), order, sigma)
 

@@ -315,6 +315,7 @@ def assert_format_error(capsys, argv, bad):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and str(bad) in err
+    return err
 
 
 @pytest.fixture
@@ -508,18 +509,42 @@ def test_string_values_refuse_an_exponent_beyond_the_bound(
 def test_string_values_refuse_more_digits_than_are_read_exactly(
         tmp_path, capsys, three_chain_files, value, digits):
     # Fraction refuses them; a float would round the first to 0.333... and
-    # read the second as inf
+    # read the second as inf.  The message quotes the first 80 characters
+    # of the entry and its length, not all of it
     model, basis, _ = three_chain_files
     message = f"numeric value of {digits} digits cannot be read exactly"
+    shown = f"{value!r}"[:80] + f"... ({len(value) + 2} characters)"
     dist = write_json(tmp_path / "dist.json", {"order": "lex-last-fastest",
                                                "values": ["1/8"] * 7 + [value]})
-    assert_format_error(
+    err = assert_format_error(
         capsys, ["check", "--model", model, "--basis", basis, "--dist", dist],
-        f"{dist}: bad 'values' entry {value!r}: {message}")
+        f"{dist}: bad 'values' entry {shown}: {message}")
+    assert value[:200] not in err
     counts = write_json(tmp_path / "counts.json", {
         "order": "lex-last-fastest", "values": [1] * 7 + [value]})
-    assert_format_error(capsys, ["ips", "--model", model, "--counts", counts],
-                        f"{counts}: bad 'values' entry {value!r}: {message}")
+    err = assert_format_error(
+        capsys, ["ips", "--model", model, "--counts", counts],
+        f"{counts}: bad 'values' entry {shown}: {message}")
+    assert value[:200] not in err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x" * 5000, "unreadable numeric value 'xxxx"),
+    ("1" * 5000 + "e2000", "number 1111"),
+], ids=["unreadable", "exponent"])
+def test_long_refused_values_are_quoted_in_part(
+        tmp_path, capsys, three_chain_files, value, message):
+    # the entry and the reason each quote at most 80 characters of the
+    # value, then its length
+    model, basis, _ = three_chain_files
+    dist = write_json(tmp_path / "dist.json", {"order": "lex-last-fastest",
+                                               "values": ["1/8"] * 7 + [value]})
+    err = assert_format_error(
+        capsys, ["check", "--model", model, "--basis", basis, "--dist", dist],
+        f"{dist}: bad 'values' entry {value!r:.80}... ({len(value) + 2} "
+        f"characters): {message}")
+    assert value[:200] not in err
+    assert len(err) < len(str(dist)) + 400
 
 
 @pytest.mark.parametrize("u, v, message", [

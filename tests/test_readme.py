@@ -33,8 +33,9 @@ def test_command_line_tour_writes_every_file_it_reads():
         if not line.startswith("toricgm "):
             written.update(re.findall(r"^cat > (\S+)", line))
             continue
-        for path in re.findall(r"--(?:graph|model|basis|dist|counts) (\S+)", line):
+        for path in re.findall(
+                r"--(?:graph|generators|model|basis|dist|counts) (\S+)", line):
             assert path in written, f"{path} is read before it is written"
             reads += 1
         written.update(re.findall(r"--out (\S+)", line))
-    assert reads == 9
+    assert reads == 11

@@ -10,8 +10,10 @@ pairs in the same order and retire the same elements, and so must
 leads and carried support masks.
 """
 
+import hashlib
 import heapq
 import random
+from collections import Counter
 from operator import le
 
 import pytest
@@ -216,36 +218,50 @@ def _no3way_2x3x3():
     return build_loglinear_matrix(space, [("A", "B"), ("A", "C"), ("B", "C")])
 
 
+def _no3way_3x3x3():
+    space = StateSpace([VariableSpec(n, 3) for n in "ABC"])
+    return build_loglinear_matrix(space, [("A", "B"), ("A", "C"), ("B", "C")])
+
+
 def _runs(A):
-    """(inputs, order, saturated) of each Buchberger run that
+    """(inputs, order, keyword arguments) of each Buchberger run that
     compute_toric_basis makes on A, then of the final grevlex run (made
-    even where compute_toric_basis folds it)."""
+    even where compute_toric_basis folds it).  Each saturation run takes
+    the first planned column left, last in a grevlex order that puts the
+    other columns left just before it, and strips common factors; the
+    columns left that divide none of its leads are dropped."""
     m = A.ncols
     gens = toric._kernel_binomials(A)
     if len(gens) > 1:
         gens += toric._quadratic_moves(A)
-    sigma = toric._saturation_plan(gens)
+    left = list(toric._saturation_plan(gens))
     gens = [b.strip_common() for b in gens]
-    done = 0
-    for i in sigma:
-        order = TermOrder.grevlex(m, [j for j in range(m) if j != i] + [i])
-        yield gens, order, done
-        gens = [b.strip_common()
-                for b in buchberger_binomials(gens, order, None, done)]
-        done |= 1 << i
-    yield gens, TermOrder.grevlex(m), (1 << m) - 1
+    while left:
+        i = left.pop(0)
+        order = TermOrder.grevlex(
+            m, [j for j in range(m) if j not in left and j != i] + left + [i])
+        yield gens, order, {"strip_common": True}
+        run = buchberger_binomials(gens, order, strip_common=True)
+        left = [j for j in left if any(b.u[j] for b in run)]
+        gens = [b.strip_common() for b in run]
+    yield gens, TermOrder.grevlex(m), {"saturated": (1 << m) - 1}
 
 
 @pytest.mark.parametrize("name, make, pairs", [
     # the first saturation run of the no-three-way model (no quadratic
-    # moves, no saturated column yet)
-    ("no3way_2x3x3", _no3way_2x3x3, [59]),
-    # every run on the binary four-cycle: four saturation runs with 0-3
-    # saturated columns, then the final run with all of them
-    ("cycle4_binary", four_cycle_matrix, [76, 85, 76, 68, 24]),
+    # moves)
+    ("no3way_2x3x3", _no3way_2x3x3, [42]),
+    # every run on the binary four-cycle: two saturation runs (the other
+    # two planned columns divide none of their leads), then the final run
+    ("cycle4_binary", four_cycle_matrix, [96, 88, 24]),
     # the first saturation run of the four-cycle with one three-level
     # variable, the heaviest named model of the markov_bases benchmark
-    ("cycle4_one_3level", _cycle4_one_3level, [1340]),
+    ("cycle4_one_3level", _cycle4_one_3level, [762]),
+    # every run on the 3x3x3 no-three-way model, the former heavy tail:
+    # when the saturation runs kept common factors its first run alone
+    # treated 36,368 S-pairs
+    ("no3way_3x3x3", _no3way_3x3x3, [982, 1034, 1050, 1021, 1015, 1014,
+                                     1006, 1020, 1058, 1012, 1023, 29]),
 ])
 def test_s_pairs_treated_per_run(name, make, pairs):
     # the budget is the probe: a run treating exactly n S-pairs succeeds
@@ -253,17 +269,29 @@ def test_s_pairs_treated_per_run(name, make, pairs):
     # or stronger moves these counts
     runs = list(_runs(make()))[:len(pairs)]
     assert len(runs) == len(pairs)
-    for (gens, order, saturated), n in zip(runs, pairs):
-        basis = buchberger_binomials(gens, order, n, saturated)
-        assert basis == buchberger_binomials(gens, order, None, saturated)
+    for (gens, order, options), n in zip(runs, pairs):
+        basis = buchberger_binomials(gens, order, n, **options)
+        assert basis == buchberger_binomials(gens, order, None, **options)
         with pytest.raises(BudgetExceeded):
-            buchberger_binomials(gens, order, n - 1, saturated)
+            buchberger_binomials(gens, order, n - 1, **options)
 
 
 def test_replayed_runs_give_the_toric_basis():
     # _runs replays compute_toric_basis: its final run is the toric basis
-    for make in (_no3way_2x3x3, four_cycle_matrix):
+    for make in (_no3way_2x3x3, four_cycle_matrix, _no3way_3x3x3):
         A = make()
-        *_, (gens, order, saturated) = _runs(A)
-        assert tuple(buchberger_binomials(gens, order, None, saturated)) \
+        *_, (gens, order, options) = _runs(A)
+        assert tuple(buchberger_binomials(gens, order, None, **options)) \
             == toric.compute_toric_basis(A).binomials
+
+
+def test_no_three_way_3x3x3_basis():
+    # 110 binomials: 27 of degree 4, 54 of degree 6, 28 of degree 7 and one
+    # of degree 9.  The digest pins them as they were computed before the
+    # saturation runs stripped common factors, in 36 s
+    basis = toric.compute_toric_basis(_no3way_3x3x3())
+    assert sorted(Counter(sum(b.u) for b in basis).items()) \
+        == [(4, 27), (6, 54), (7, 28), (9, 1)]
+    assert hashlib.sha256(repr(basis.binomials).encode()).hexdigest() \
+        == "e35b6610f410d054f515ce824c420c73d0b0f026bb67719f0a6681c05ec0bce3"
+    assert basis.saturated == (0, 5, 7, 10, 11, 12, 15, 18, 22, 25, 26)
