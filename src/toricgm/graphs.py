@@ -225,8 +225,6 @@ def chordless_cycle(g):
             while cur is not None:
                 path.append(cur)
                 cur = prev[cur]
-            if len(path) < 3:
-                continue  # x and y adjacent is impossible; path len >= 3
             cycle = _canonical_cycle(g, tuple(path) + (v,))
             key = (len(cycle), tuple(g.var_index(u) for u in cycle))
             if best is None or key < best[0]:
@@ -270,8 +268,6 @@ class NondecomposablePartition:
 
 def _connected(g, vertices):
     vertices = set(vertices)
-    if not vertices:
-        return True
     return _reachable(g, [next(iter(vertices))], vertices) == vertices
 
 
@@ -280,7 +276,12 @@ def _blocks_adjacent(g, P, Q):
 
 
 def validate_partition(g, part):
-    """Check the five defining properties; raises ValueError on failure."""
+    """Check the five defining properties; raises ValueError on failure.
+
+    Opposite blocks need no check: once the blocks' union induces a cycle,
+    each connected block is an arc of it, and an arc meets only the two
+    arcs beside it.
+    """
     blocks = part.blocks()
     flat = [v for blk in blocks for v in blk]
     if len(set(flat)) != len(flat):
@@ -295,8 +296,6 @@ def validate_partition(g, part):
             raise ValueError("cycle block not connected")
     union = [v for blk in core for v in blk]
     union_set = set(union)
-    if len(union) < 4:
-        raise ValueError("cycle too short")
     for v in union:
         deg = len(g.neighbors(v) & union_set)
         if deg != 2:
@@ -307,9 +306,6 @@ def validate_partition(g, part):
     for P, Q in pairs:
         if not _blocks_adjacent(g, P, Q):
             raise ValueError("consecutive blocks must be adjacent")
-    for P, Q in [(part.A, part.C), (part.B, part.D)]:
-        if _blocks_adjacent(g, P, Q):
-            raise ValueError("opposite blocks must not be adjacent")
 
 
 def nondecomposable_partition(g):

@@ -243,5 +243,8 @@ def read_basis(path, ncols=None):
 
 def _dump(payload, path):
     text = json.dumps(payload, indent=1, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror}") from None

@@ -5,7 +5,8 @@ cycling through the sufficient-statistic rows.  Exact route: the cell
 parametrization of the MLE as a polynomial system (toric binomials of the
 reduced matrix plus all marginal-matching linear equations), eliminated by
 a lexicographic Groebner basis whose triangular form ends in a univariate
-polynomial psi; back-substitution from its positive root produces the cell
+polynomial psi; one pass over that basis lists the cell each element
+fixes, and back-substitution from a positive root along it gives the cell
 profile.  Every rational MLE, whatever the degree of psi, is reported
 exactly, with the profile back-substituted from the exact root.
 
@@ -33,14 +34,14 @@ substitution gives.  The core is built in the ring of the k free cells:
 the pivot cells no longer occur in it, and grevlex and lex on all cells
 induce grevlex(k) and lex(k) on the free ones, so its bases are the
 whole ring's with the pivot cells dropped, on exponent tuples of length k.
-FGLM converts the core's grevlex basis to lex by the same fraction-free
-elimination: each monomial of its walk is one integer row, the normal form
-cleared of denominators and tagged with the monomial.  The core's lex
-basis, lifted to all cells, and the pivot rows a_c x_c + l_c together
-are a lex Groebner basis of the whole system, the leads being coprime;
-its one auto-reduction (`eliminate_to_triangular`) reduces each pivot
-row to x_c + NF(l_c) / a_c, NF the normal form modulo the core, and
-gives the whole system's reduced lex basis.
+FGLM converts the core's grevlex basis, empty or not, to lex by the same
+fraction-free elimination: each monomial of its walk is one integer row,
+the normal form cleared of denominators and tagged with the monomial.
+The core's lex basis, lifted to all cells, and the pivot rows
+a_c x_c + l_c together are a lex Groebner basis of the whole system, the
+leads being coprime; its one auto-reduction (`eliminate_to_triangular`)
+reduces each pivot row to x_c + NF(l_c) / a_c, NF the normal form modulo
+the core, and gives the whole system's reduced lex basis.
 
 The root layer works in integers.  psi is scaled once to a content-free
 integer polynomial p, reduced to its squarefree part q = p / gcd(p, p').
@@ -83,7 +84,8 @@ from .linalg import _common_denominator, _content_free, reduced_echelon
 from .models import Distribution, _integral
 from .orders import TermOrder
 from .polynomials import (NotTriangular, Polynomial, PreparedBasis, buchberger,
-                          eliminate_to_triangular)
+                          eliminate_to_triangular, monomial_divides,
+                          monomial_value)
 from .polynomials import reduce as poly_reduce
 from .toric import ToricBasis, compute_toric_basis, minimal_generators
 
@@ -271,9 +273,10 @@ def solve_mle_exact(sys, budget=None):
     the minimal generators of the toric ideal, these leave a core in the
     ring of the k free cells alone.  It is brought to its reduced lex basis
     there, by a grevlex(k) Groebner basis and FGLM order conversion
-    (fraction-free linear algebra on the finite quotient).  grevlex(k) and
-    lex(k) are the orders the whole ring's grevlex and lex induce on the
-    free cells, so these are the bases the whole ring would reach.  The
+    (fraction-free linear algebra on the finite quotient), also when it is
+    empty.  grevlex(k) and lex(k) are the orders the whole ring's grevlex
+    and lex induce on the free cells, so these are the bases the whole ring
+    would reach.  The
     core's lex basis, lifted back to every cell, and the integer pivot rows
     a_c x_c + l_c are a lex Groebner basis of the whole system, as the
     leads are coprime (Buchberger's first criterion).  One
@@ -288,7 +291,8 @@ def solve_mle_exact(sys, budget=None):
     separate the solutions, it is not, and psi is the core's univariate in
     its last free cell instead: the other free cells follow through the
     core's basis and the pivot cells from the echelon.  (With the last
-    cell free the two bases agree: the same psi and the same shape.)
+    cell free the two bases agree: the same psi and the same shape.)  Each
+    basis tried is read once, by `_shape`, for all roots.
     Raises NotTriangular when the ideal fails to be zero-dimensional or
     neither basis is in shape position, and ArithmeticError unless exactly
     one positive root of psi back-substitutes to a nonnegative profile.
@@ -297,37 +301,33 @@ def solve_mle_exact(sys, budget=None):
     rows, pivots = _echelonize(sys.matrix.rows, sys.margins, nvars)
     free = [i for i in range(nvars) if i not in pivots]
     core = _core(sys.generators, rows, pivots, free)
-    if core:
-        grev = TermOrder.grevlex(len(free))
-        core_basis = _lift(_fglm_to_lex(buchberger(core, grev, budget), grev),
-                           free, nvars)
-    elif free:
-        raise NotTriangular("not triangular: the MLE system is not "
-                            "zero-dimensional")
-    else:
-        core_basis = []
+    grev = TermOrder.grevlex(len(free))
+    core_basis = _lift(_fglm_to_lex(buchberger(core, grev, budget), grev),
+                       free, nvars)
     # echelon row (a_c, ..., e) is the polynomial a_c x_c + ... + e
     monomials = [_unit(nvars, j) for j in range(nvars)] + [(0,) * nvars]
     triangular = eliminate_to_triangular(core_basis + [
         Polynomial(nvars, [(m, a) for m, a in zip(monomials, row) if a])
         for row in rows])
-    if _in_shape_position(triangular):
-        shape = triangular
-    elif core_basis and _in_shape_position(core_basis):
-        shape = core_basis
+    # with no free cell triangular is linear: the empty core_basis is untried
+    for basis in (triangular, core_basis):
+        shape = _shape(basis)
+        if shape is not None:
+            break
     else:
         raise NotTriangular(
             "not triangular: no lex basis in shape position for the table "
             f"with margins {list(sys.margins)} on the cells "
             f"{list(sys.matrix.col_labels)}")
-    (var,) = shape[0].variables()
-    psi = _univariate_coeffs(shape[0], var)
+    var, steps = shape
+    psi = _univariate_coeffs(basis[0], var)
     roots = isolate_positive_roots(psi)
+    midpoints = [float(lo + hi) / 2 for lo, hi in roots]
     candidates = []
-    for lo, hi in roots:
+    for (lo, hi), mid in zip(roots, midpoints):
         # a degenerate interval is a rational root, substituted exactly
-        value = lo if lo == hi else float(lo + hi) / 2
-        profile = _back_substitute(shape, rows, pivots, var, value, nvars)
+        value = lo if lo == hi else mid
+        profile = _back_substitute(steps, rows, pivots, var, value, nvars)
         if profile is not None and all(
                 x >= (0 if lo == hi else -1e-9) for x in profile):
             candidates.append((value, profile))
@@ -340,8 +340,7 @@ def solve_mle_exact(sys, budget=None):
     ((value, profile),) = candidates
     return MleExactResult(
         triangular=tuple(triangular), psi=tuple(psi), psi_variable=var,
-        positive_roots=tuple(float(lo + hi) / 2 for lo, hi in roots),
-        root=value, profile=tuple(profile),
+        positive_roots=tuple(midpoints), root=value, profile=tuple(profile),
         rational=isinstance(value, Fraction))
 
 
@@ -359,9 +358,7 @@ def _fglm_to_lex(gb, from_order):
     normal-form pivot (the reduced basis is unique).  NotTriangular unless
     the quotient is finite.
     """
-    if not gb:
-        return []
-    nvars = gb[0].nvars
+    nvars = from_order.nvars
     lex_order = TermOrder.lex(nvars)
     prepared = PreparedBasis(gb, from_order)
     leads = prepared.leads()
@@ -385,7 +382,7 @@ def _fglm_to_lex(gb, from_order):
     echelon = []        # (pivot coordinate, row)
     while heap:
         _, mono = heapq.heappop(heap)
-        if any(all(a <= b for a, b in zip(lead, mono)) for lead, _ in emitted):
+        if any(monomial_divides(lead, mono) for lead, _ in emitted):
             continue
         row = augmented_row(mono)
         for pivot, prow in echelon:
@@ -508,53 +505,50 @@ def _lift(basis, free, nvars):
     return [Polynomial(nvars, [(lift(m), c) for m, c in p.terms]) for p in basis]
 
 
-def _in_shape_position(basis):
-    """True iff basis starts with a univariate and every later element is
-    linear in the one variable it introduces, if any."""
-    seen = basis[0].variables()
-    if len(seen) != 1:
-        return False
+def _shape(basis):
+    """(var, steps) of a reduced lex basis of a zero-dimensional ideal: it
+    starts with a univariate in var, and each later element introduces at
+    most one cell; steps lists (element, that cell) where one does.  None
+    unless each such element is linear in its cell (shape position)."""
+    (var,) = basis[0].variables()
+    seen = {var}
+    steps = []
     for p in basis[1:]:
         new = p.variables() - seen
-        if len(new) > 1 or any(m[v] > 1 for v in new for m, _ in p.terms):
-            return False
-        seen |= new
-    return True
+        if new:
+            (v,) = new
+            if any(m[v] > 1 for m, _ in p.terms):
+                return None
+            steps.append((p, v))
+            seen.add(v)
+    return var, steps
 
 
 def _univariate_coeffs(p, var):
     degree = max(mono[var] for mono, _ in p.terms)
     coeffs = [Fraction(0)] * (degree + 1)
     for mono, coeff in p.terms:
-        if any(e and i != var for i, e in enumerate(mono)):
-            raise ValueError("polynomial is not univariate")
         coeffs[mono[var]] = coeff
     return coeffs
 
 
-def _back_substitute(shape, rows, pivots, psi_var, root_value, nvars):
+def _back_substitute(steps, rows, pivots, psi_var, root_value, nvars):
     """Every cell, given the value of the univariate's variable.
 
-    Each later element of the shape-position basis is linear in the one
-    variable it introduces, which it fixes; then each pivot cell the basis
-    left open is read off its echelon row.  Exact for a Fraction root.
+    Each step (p, v) of the shape-position basis is linear in v, which it
+    fixes from the cells before it; then each pivot cell the basis left
+    open is read off its echelon row.  Exact for a Fraction root.
     Returns None when a division degenerates.
     """
     exact = isinstance(root_value, Fraction)
     zero = Fraction(0) if exact else 0.0
-    values = {psi_var: root_value}
-    for p in shape[1:]:
-        new = [v for v in p.variables() if v not in values]
-        if not new:
-            continue
-        v = new[0]
+    values = [None] * nvars
+    values[psi_var] = root_value
+    for p, v in steps:
         lin = const = zero
         for mono, coeff in p.terms:
-            term = coeff if exact else float(coeff)
-            for i, e in enumerate(mono):
-                if i == v or not e:
-                    continue
-                term = term * (values[i] ** e)
+            term = monomial_value(values, mono[:v] + (0,) + mono[v + 1:],
+                                  coeff if exact else float(coeff))
             if mono[v]:
                 lin = lin + term
             else:
@@ -563,14 +557,14 @@ def _back_substitute(shape, rows, pivots, psi_var, root_value, nvars):
             return None
         values[v] = -const / lin
     for row, c in zip(rows, pivots):
-        if c in values:
+        if values[c] is not None:
             continue
         rest = zero + row[nvars]
         for j, b in enumerate(row[:nvars]):
             if b and j != c:
                 rest += b * values[j]
         values[c] = -rest / row[c]
-    return [values[i] for i in range(nvars)]
+    return values
 
 
 # --- exact univariate real-root machinery ----------------------------------

@@ -59,6 +59,9 @@ class StateSpace:
             raise ValueError(f"unknown variable {name!r}") from None
 
     def state_index(self, state):
+        if len(state) != len(self.variables):
+            raise ValueError(f"state of length {len(state)} in a space of "
+                             f"{len(self.variables)} variables")
         idx = 0
         for value, var in zip(state, self.variables):
             if not 0 <= value < var.levels:

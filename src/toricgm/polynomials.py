@@ -568,7 +568,7 @@ def _support_mask(m):
 
 
 def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget,
-                 saturated=0, tails=None):
+                 saturated=0, tail_masks=None):
     """Buchberger's S-pair loop, run on leading monomials alone.
 
     add(item) reduces an input, or the S-polynomial s_pair(i, j) of
@@ -606,11 +606,11 @@ def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget,
     Only a pair that is opened gets its lcm tuple and heap key.
 
     saturated is a bitmask of variables that are nonzerodivisors modulo
-    the ideal; with it, tails[i] is the tail monomial of binomial element
-    i, and a pair whose two tails share a saturated variable is never
-    opened (it still dominates in the M and F criteria, as a coprime pair
-    does).  The caller guarantees what makes this exact (module
-    docstring): a homogeneous ideal and a degree-compatible order.
+    the ideal; with it, tail_masks[i] is the support mask of the tail of
+    binomial element i, and a pair whose two tails share a saturated
+    variable is never opened (it still dominates in the M and F criteria,
+    as a coprime pair does).  The caller guarantees what makes this exact
+    (module docstring): a homogeneous ideal and a degree-compatible order.
     """
     pairs = {}  # open (i, j), i < j -> (lcm, support mask, degree) of leads
     heap = []
@@ -625,7 +625,7 @@ def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget,
         deg_h = sum(mh)
         degs.append(deg_h)
         highs.append(high_h)
-        tail_h = _support_mask(tails[new]) & saturated if saturated else 0
+        tail_h = tail_masks[new] & saturated if saturated else 0
         shared.append(tail_h)
 
         def lcm_degree(g):
@@ -873,7 +873,7 @@ def buchberger_binomials(inputs, order, budget=None, saturated=0,
         return side(i, j), side(j, i)
 
     _s_pair_loop(items, add, s_pair, leads, system.masks, system.alive,
-                 key, budget, saturated, tails)
+                 key, budget, saturated, tail_masks)
     kept = sorted(compress(range(len(leads)), system.alive),
                   key=lead_keys.__getitem__)
     return [Binomial(leads[i], normal_form(list(tails[i]), tail_masks[i]))

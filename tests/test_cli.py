@@ -285,6 +285,16 @@ def test_graph_report_chordal(tmp_path, capsys, three_chain_graph_file):
     assert "elimination_order" in report["results"]
 
 
+def test_graph_report_above_the_separation_cap(tmp_path, capsys,
+                                              four_cycle_graph_file):
+    code, report = run(capsys, "graph", "--graph", four_cycle_graph_file,
+                       "--separation-cap", "3")
+    assert code == 0
+    assert report["results"]["saturated_separations"] is None
+    assert report["results"]["separation_cap_exceeded"] is True
+    assert report["results"]["chordless_cycle"] == ["X1", "X2", "X3", "X4"]
+
+
 def test_roundtrip_and_determinism(tmp_path, capsys, three_chain_graph_file):
     model1 = str(tmp_path / "m1.json")
     model2 = str(tmp_path / "m2.json")
@@ -613,3 +623,39 @@ def test_read_counts_rejects_a_boolean_count(tmp_path, capsys):
         assert_format_error(capsys, [command, "--model", model, "--counts", bad],
                             f"{bad}: bad 'values' entry True: boolean True is "
                             "not a number")
+
+
+def test_check_normalize(tmp_path, capsys, three_chain_files):
+    # eight units give the report of the uniform distribution that the
+    # fixture's 1/8 values spell
+    model, basis, dist = three_chain_files
+    _, uniform = run(capsys, "check", "--model", model, "--basis", basis,
+                     "--dist", dist)
+    units = write_json(tmp_path / "units.json", {"order": "lex-last-fastest",
+                                                 "values": ["1"] * 8})
+    code, report = run(capsys, "check", "--model", model, "--basis", basis,
+                       "--dist", units, "--normalize")
+    assert code == 0
+    assert report["results"] == uniform["results"] \
+        == {"verdict": "factors", "evidence": {}}
+    zeros = write_json(tmp_path / "zeros.json", {"order": "lex-last-fastest",
+                                                 "values": ["0"] * 8})
+    assert main(["check", "--model", model, "--basis", basis, "--dist", zeros,
+                 "--normalize"]) == 2
+    assert "cannot normalize" in capsys.readouterr().err
+
+
+def test_model_out_in_a_missing_directory(tmp_path, capsys,
+                                          three_chain_graph_file):
+    out = tmp_path / "missing" / "model.json"
+    argv = ["model", "--graph", three_chain_graph_file, "--out", str(out)]
+    err = assert_format_error(capsys, argv, out)
+    assert "No such file or directory" in err
+
+
+def test_basis_out_in_a_missing_directory(tmp_path, capsys, three_chain_files):
+    model, _, _ = three_chain_files
+    out = tmp_path / "missing" / "basis.json"
+    argv = ["basis", "--model", model, "--out", str(out)]
+    err = assert_format_error(capsys, argv, out)
+    assert "No such file or directory" in err

@@ -159,6 +159,35 @@ def test_partition_validator_rejects_bad_blocks():
         validate_partition(g, bad)
 
 
+def _two_triangles():
+    return binary_graph([f"X{i}" for i in range(1, 7)],
+                        [("X1", "X2"), ("X2", "X3"), ("X1", "X3"),
+                         ("X4", "X5"), ("X5", "X6"), ("X4", "X6")])
+
+
+@pytest.mark.parametrize("g, blocks, message", [
+    (four_cycle(), [["X1"], ["X2"], ["X3"], ["X4"], ["X1"]], "not disjoint"),
+    (five_cycle(), [["X1"], ["X2"], ["X3"], ["X4"], []], "do not cover"),
+    (four_cycle(), [[], ["X1"], ["X2"], ["X3", "X4"], []], "must be nonempty"),
+    # X1 and X3 are not adjacent
+    (five_cycle(), [["X1", "X3"], ["X2"], ["X4"], ["X5"], []],
+     "block not connected"),
+    # the chord X1-X3 gives X1 and X3 three neighbours among the blocks
+    (binary_graph(["X1", "X2", "X3", "X4"],
+                  [("X1", "X2"), ("X2", "X3"), ("X3", "X4"), ("X1", "X4"),
+                   ("X1", "X3")]),
+     [["X1"], ["X2"], ["X3"], ["X4"], []], "not a cycle"),
+    # every vertex has two neighbours among the blocks, but they make two
+    # triangles
+    (_two_triangles(), [["X1"], ["X2", "X3"], ["X4"], ["X5", "X6"], []],
+     "not a cycle"),
+])
+def test_partition_validator_refusals(g, blocks, message):
+    part = NondecomposablePartition(*map(tuple, blocks))
+    with pytest.raises(ValueError, match=message):
+        validate_partition(g, part)
+
+
 def test_minimal_separators_are_cliques_for_chordal():
     # brute force on small chordal graphs: every minimal (X,Y)-separator is complete
     from itertools import combinations

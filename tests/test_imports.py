@@ -1,8 +1,9 @@
-"""Every module of the package uses each name it imports, and imports
-only at module level.
+"""Every module of the package uses each name it imports, imports only at
+module level, and uses each private function and class it defines.
 
 No linter runs in CI, so a name left imported after the code that used it
-is deleted would stay unnoticed.  `__init__.py` is exempt: its imports are
+is deleted would stay unnoticed, and so would a private helper left
+defined.  `__init__.py` is exempt from the import check: its imports are
 the package's re-exports.  An import inside a function hides a module's
 dependencies (and an import cycle) until that function first runs.
 """
@@ -61,3 +62,54 @@ def test_the_check_sees_a_function_local_import():
 @pytest.mark.parametrize("module", MODULES + ["__init__.py"])
 def test_module_imports_only_at_module_level(module):
     assert _local_imports((PACKAGE / module).read_text()) == []
+
+
+def _private_definitions(source):
+    """(line, name) of each module-level private function or class."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+
+def _references(source):
+    """(name, the module-level definition it occurs in, or None) of each
+    name read, attribute taken or name imported in the source."""
+    out = set()
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                out.add((node.attr, owner))
+            elif isinstance(node, ast.ImportFrom):
+                out.update((alias.name, owner) for alias in node.names)
+    return out
+
+
+def _unused_private_definitions(sources):
+    """(module, line, name) of each private function or class that no
+    source refers to outside the definition itself."""
+    refs = {module: _references(source) for module, source in sources.items()}
+    return sorted(
+        (module, line, name)
+        for module, source in sources.items()
+        for line, name in _private_definitions(source)
+        if not any(ref == name and (other != module or owner != name)
+                   for other, found in refs.items() for ref, owner in found))
+
+
+def test_the_check_sees_an_unused_private_definition():
+    sources = {"a.py": ("def _used():\n    return 1\n\n\n"
+                        "def _recursive(n):\n    return _recursive(n - 1)\n"
+                        "\n\nclass _Unused:\n    pass\n\n\n"
+                        "def _imported():\n    pass\n"),
+               "b.py": ("from .a import _imported\nimport a\n\n\n"
+                        "def f():\n    return a._used(), _imported()\n")}
+    assert _unused_private_definitions(sources) == [
+        ("a.py", 5, "_recursive"), ("a.py", 9, "_Unused")]
+
+
+def test_every_private_definition_is_used():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert _unused_private_definitions(sources) == []

@@ -26,6 +26,16 @@ def test_state_order_last_fastest():
     assert space.state_index((1, 0, 1)) == 5
 
 
+@pytest.mark.parametrize("state", [(1,), (1, 2), (1, 2, 1, 5)])
+def test_state_index_rejects_a_state_of_another_length(state):
+    space = StateSpace([VariableSpec("A", 2), VariableSpec("B", 3),
+                        VariableSpec("C", 2)])
+    assert space.state_index((1, 2, 1)) == 11
+    message = f"length {len(state)} in a space of 3 variables"
+    with pytest.raises(ValueError, match=message):
+        space.state_index(state)
+
+
 def test_no_three_way_matrix_matches_print():
     space = binary_space(3)
     A = build_loglinear_matrix(space, [("X1", "X2"), ("X2", "X3"), ("X1", "X3")])

@@ -31,7 +31,7 @@ from fixtures import four_cycle_matrix, random_model
 
 
 def reference_s_pair_loop(inputs, add, s_pair, leads, masks, alive, key,
-                          budget, saturated=0, tails=None):
+                          budget, saturated=0, tail_masks=None):
     pairs = {}  # open (i, j), i < j -> (lcm, mask) of the leading monomials
     heap = []
     shared = []
@@ -39,7 +39,7 @@ def reference_s_pair_loop(inputs, add, s_pair, leads, masks, alive, key,
     def update(new):
         mh = leads[new]
         mask_h = masks[new]
-        tail_h = _support_mask(tails[new]) & saturated if saturated else 0
+        tail_h = tail_masks[new] & saturated if saturated else 0
         shared.append(tail_h)
         cands = []
         for g in range(new):
@@ -92,12 +92,12 @@ def reference_s_pair_loop(inputs, add, s_pair, leads, masks, alive, key,
 
 def scripted_run(loop, seed, saturated):
     """Run loop on leads drawn at random: each input or treated pair adds
-    a random lead and tail, or nothing.  Returns the treated pairs in
-    order and the final alive flags."""
+    a random lead and the support mask of a random tail, or nothing.
+    Returns the treated pairs in order and the final alive flags."""
     rng = random.Random(seed)
     nvars = rng.randint(2, 7)
     order = TermOrder.lex(nvars) if seed % 3 == 2 else TermOrder.grevlex(nvars)
-    leads, masks, alive, tails = [], [], [], []
+    leads, masks, alive, tail_masks = [], [], [], []
     treated = []
 
     def monomial():
@@ -110,7 +110,7 @@ def scripted_run(loop, seed, saturated):
         leads.append(lead)
         masks.append(_support_mask(lead))
         alive.append(True)
-        tails.append(monomial())
+        tail_masks.append(_support_mask(monomial()))
         return len(leads) - 1
 
     def s_pair(i, j):
@@ -118,7 +118,7 @@ def scripted_run(loop, seed, saturated):
         return i, j
 
     loop(range(rng.randint(2, 12)), add, s_pair, leads, masks, alive,
-         order.key, 10 ** 6, saturated & ((1 << nvars) - 1), tails)
+         order.key, 10 ** 6, saturated & ((1 << nvars) - 1), tail_masks)
     return treated, alive
 
 
@@ -149,7 +149,7 @@ def engine_run(loop, gens, order, saturated):
                 monomial_mul(monomial_div(lcm, leads[j]), tails[j]))
 
     loop(start, add, s_pair, leads, system.masks, system.alive, order.key,
-         10 ** 6, saturated, tails)
+         10 ** 6, saturated, system.tail_masks)
     return treated, system.alive
 
 
