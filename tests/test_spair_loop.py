@@ -128,6 +128,7 @@ def engine_run(loop, gens, order, saturated):
     the engine's sparse S-binomials."""
     system = BinomialRewriter()
     leads, tails = system.leads, system.tails
+    tail_masks = []  # taken from the tails, not from the rewriter's cache
     treated = []
     start = sorted({(u, v) if order.key(u) > order.key(v) else (v, u)
                     for u, v in ((b.u, b.v) for b in gens)},
@@ -140,6 +141,7 @@ def engine_run(loop, gens, order, saturated):
             return -1
         if order.key(a) < order.key(b):
             a, b = b, a
+        tail_masks.append(_support_mask(b))
         return system.add(a, b)
 
     def s_pair(i, j):
@@ -149,7 +151,8 @@ def engine_run(loop, gens, order, saturated):
                 monomial_mul(monomial_div(lcm, leads[j]), tails[j]))
 
     loop(start, add, s_pair, leads, system.masks, system.alive, order.key,
-         10 ** 6, saturated, system.tail_masks)
+         10 ** 6, saturated, tail_masks)
+    assert system.tail_masks == tail_masks
     return treated, system.alive
 
 
