@@ -12,6 +12,7 @@ TORICGM_BUDGET overrides the S-pair budget.
 """
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -90,6 +91,9 @@ def cmd_basis(args):
     started = time.perf_counter()
     if bool(args.model) == bool(args.graph):
         raise FormatError("exactly one of --model/--graph")
+    # an --out in a missing directory fails now, not after a long basis
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FormatError(f"{args.out}: {os.strerror(errno.ENOENT)}")
     seed = None
     if args.graph:
         g = read_graph(args.graph)

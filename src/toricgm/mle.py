@@ -34,14 +34,15 @@ substitution gives.  The core is built in the ring of the k free cells:
 the pivot cells no longer occur in it, and grevlex and lex on all cells
 induce grevlex(k) and lex(k) on the free ones, so its bases are the
 whole ring's with the pivot cells dropped, on exponent tuples of length k.
-FGLM converts the core's grevlex basis, empty or not, to lex by the same
-fraction-free elimination: each monomial of its walk is one integer row,
-the normal form cleared of denominators and tagged with the monomial.
-The core's lex basis, lifted to all cells, and the pivot rows
-a_c x_c + l_c together are a lex Groebner basis of the whole system, the
-leads being coprime; its one auto-reduction (`eliminate_to_triangular`)
-reduces each pivot row to x_c + NF(l_c) / a_c, NF the normal form modulo
-the core, and gives the whole system's reduced lex basis.
+FGLM (`eliminate_to_triangular`) converts the core's grevlex basis, empty
+or not, to its reduced lex basis by the same fraction-free elimination:
+each monomial of its walk is one integer row, the normal form cleared of
+denominators and tagged with the monomial.  That basis, lifted to all
+cells, and each pivot row a_c x_c + l_c over a_c, reduced once modulo it
+to x_c + NF(l_c) / a_c, are the whole system's reduced lex basis.  l_c
+holds only free cells after c, and a lex reduction brings in no larger
+variable, so x_c stays the lead; the leads are coprime (Buchberger's first
+criterion), and every tail is in normal form.
 
 The root layer works in integers.  psi is scaled once to a content-free
 integer polynomial p, reduced to its squarefree part q = p / gcd(p, p').
@@ -60,22 +61,16 @@ The toric basis of a reduced matrix and its minimal generators are
 computed once per matrix (and budget) and memoised together, process-wide,
 in one bounded least-recently-used memo: many tables share their zero
 cells, hence their reduced matrix, and both belong to the matrix, not to
-the counts.  The memo is keyed on the matrix's rows alone: zero-cell sets
-can leave the same rows under other row and column labels, and a hit
-under other labels returns the cached binomials under the caller's
-matrix.  The memo is exact for three reasons.  A `ToricBasis` is fixed by
-its rows and order: the reduced Groebner basis is unique, `saturated` is
-planned from the matrix's own lattice basis, and neither reads a label;
-the generators are chosen from the basis alone, in its order.  A
-`BudgetExceeded`, in the basis or in the selection, is not stored, so a
-later call computes both afresh.  Entries are immutable, and `MleSystem`
-still checks the basis against the reduced matrix it is built with and
-the generators against the basis.
+the counts.  The memo is keyed on the reduced `ModelMatrix`, labels
+included, and the budget.  It is exact: the basis and the generators are
+fixed by the matrix, and a `BudgetExceeded`, in the basis or in the
+selection, is not stored, so a later call computes both afresh.  Entries
+are immutable, and `MleSystem` still checks the basis against the reduced
+matrix it is built with and the generators against the basis.
 """
 
-import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -84,8 +79,7 @@ from .linalg import _common_denominator, _content_free, reduced_echelon
 from .models import Distribution, _integral
 from .orders import TermOrder
 from .polynomials import (NotTriangular, Polynomial, PreparedBasis, buchberger,
-                          eliminate_to_triangular, monomial_divides,
-                          monomial_value)
+                          eliminate_to_triangular, monomial_value)
 from .polynomials import reduce as poly_reduce
 from .toric import ToricBasis, compute_toric_basis, minimal_generators
 
@@ -205,31 +199,16 @@ class MleSystem:
         return self.basis.binomials
 
 
-class _Rows:
-    """A model matrix that hashes and compares by its rows alone."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-
-    def __eq__(self, other):
-        return self.matrix.rows == other.matrix.rows
-
-    def __hash__(self):
-        return hash(self.matrix.rows)
-
-
 @lru_cache(maxsize=256)
 def _reduced_basis(red, budget):
-    """(toric basis, minimal generators) of the reduced matrix `red.matrix`,
-    memoised on its rows and the budget (module docstring).
+    """(toric basis, minimal generators) of the reduced matrix `red`,
+    memoised on the matrix and the budget (module docstring).
 
     A miss calls `compute_toric_basis` and `minimal_generators` as bound in
     this module at call time, so a wrapper installed on either name sees
     every miss.
     """
-    basis = compute_toric_basis(red.matrix, budget=budget)
+    basis = compute_toric_basis(red, budget=budget)
     return basis, minimal_generators(basis, budget)
 
 
@@ -244,9 +223,7 @@ def assemble_mle_system(A, n, budget=None):
     n = n if isinstance(n, CountTable) else CountTable(n)
     active, red = reduce_zero_cells(A, n)
     margins = red.apply([n.values[j] for j in active])
-    basis, generators = _reduced_basis(_Rows(red), budget)
-    if basis.matrix != red:  # the same rows under other labels
-        basis = replace(basis, matrix=red)
+    basis, generators = _reduced_basis(red, budget)
     return MleSystem(active=tuple(active), matrix=red, basis=basis,
                      generators=generators, margins=tuple(margins))
 
@@ -272,17 +249,14 @@ def solve_mle_exact(sys, budget=None):
     pivot cell a linear form in the free cells, a_c x_c = L_c.  Put into
     the minimal generators of the toric ideal, these leave a core in the
     ring of the k free cells alone.  It is brought to its reduced lex basis
-    there, by a grevlex(k) Groebner basis and FGLM order conversion
-    (fraction-free linear algebra on the finite quotient), also when it is
-    empty.  grevlex(k) and lex(k) are the orders the whole ring's grevlex
-    and lex induce on the free cells, so these are the bases the whole ring
-    would reach.  The
-    core's lex basis, lifted back to every cell, and the integer pivot rows
-    a_c x_c + l_c are a lex Groebner basis of the whole system, as the
-    leads are coprime (Buchberger's first criterion).  One
-    eliminate_to_triangular pass auto-reduces it, which reduces each pivot
-    row modulo the core, and sorts it by increasing lead: `triangular` is
-    the unique reduced lex basis of the whole system.
+    there, by a grevlex(k) Groebner basis and `eliminate_to_triangular`
+    (FGLM: fraction-free linear algebra on the finite quotient), also when
+    it is empty.  grevlex(k) and lex(k) are the orders the whole ring's
+    grevlex and lex induce on the free cells, so these are the bases the
+    whole ring would reach.  The core's lex basis, lifted back to every
+    cell, and each pivot row x_c + l_c / a_c reduced once modulo it, sorted
+    by increasing lead, are `triangular`: the unique reduced lex basis of
+    the whole system (module docstring).
 
     psi is the univariate that starts `triangular`, in the last cell, when
     that basis is in shape position: every later element linear in the one
@@ -302,13 +276,18 @@ def solve_mle_exact(sys, budget=None):
     free = [i for i in range(nvars) if i not in pivots]
     core = _core(sys.generators, rows, pivots, free)
     grev = TermOrder.grevlex(len(free))
-    core_basis = _lift(_fglm_to_lex(buchberger(core, grev, budget), grev),
-                       free, nvars)
-    # echelon row (a_c, ..., e) is the polynomial a_c x_c + ... + e
+    core_basis = _lift(eliminate_to_triangular(buchberger(core, grev, budget),
+                                               grev), free, nvars)
+    lex = TermOrder.lex(nvars)
+    prepared = PreparedBasis(core_basis, lex)
+    # echelon row (a_c, ..., e) over a_c is the polynomial x_c + l_c / a_c
     monomials = [_unit(nvars, j) for j in range(nvars)] + [(0,) * nvars]
-    triangular = eliminate_to_triangular(core_basis + [
-        Polynomial(nvars, [(m, a) for m, a in zip(monomials, row) if a])
-        for row in rows])
+    triangular = sorted(core_basis + [
+        poly_reduce(Polynomial(nvars, [(m, Fraction(a, row[c]))
+                                       for m, a in zip(monomials, row) if a]),
+                    prepared, lex)
+        for row, c in zip(rows, pivots)],
+        key=lambda p: lex.key(p.leading_term(lex)[0]))
     # with no free cell triangular is linear: the empty core_basis is untried
     for basis in (triangular, core_basis):
         shape = _shape(basis)
@@ -342,77 +321,6 @@ def solve_mle_exact(sys, budget=None):
         triangular=tuple(triangular), psi=tuple(psi), psi_variable=var,
         positive_roots=tuple(midpoints), root=value, profile=tuple(profile),
         rational=isinstance(value, Fraction))
-
-
-def _fglm_to_lex(gb, from_order):
-    """Reduced lex basis of a zero-dimensional ideal, by fraction-free FGLM,
-    in increasing lex order.
-
-    Walks the monomials m of the ring in increasing lex order.  Each m gives
-    one integer row: coordinates (0, s) hold its normal form against gb
-    (prepared once), cleared of denominators, and the tag (1, m) holds m
-    itself.  The row is reduced against the echelon as in `reduced_echelon`
-    (p * row - f * pivot row, over its content).  If its normal-form part
-    vanishes, the tag part over its coefficient of m is the reduced lex
-    basis element with lead m; else the row joins the echelon on any
-    normal-form pivot (the reduced basis is unique).  NotTriangular unless
-    the quotient is finite.
-    """
-    nvars = from_order.nvars
-    lex_order = TermOrder.lex(nvars)
-    prepared = PreparedBasis(gb, from_order)
-    leads = prepared.leads()
-    for v in range(nvars):
-        if not any(all(e == 0 or i == v for i, e in enumerate(lm)) and lm[v]
-                   for lm in leads):
-            raise NotTriangular(
-                "not triangular: core ideal is not zero-dimensional")
-
-    def augmented_row(mono):
-        nf = poly_reduce(Polynomial(nvars, [(mono, 1)]), prepared, from_order)
-        den, nums = _common_denominator([c for _, c in nf.terms])
-        row = {(0, s): k for (s, _), k in zip(nf.terms, nums)}
-        row[1, mono] = den
-        return row
-
-    one = (0,) * nvars
-    heap = [(lex_order.key(one), one)]
-    seen = {one}
-    emitted = []        # (lead monomial, polynomial)
-    echelon = []        # (pivot coordinate, row)
-    while heap:
-        _, mono = heapq.heappop(heap)
-        if any(monomial_divides(lead, mono) for lead, _ in emitted):
-            continue
-        row = augmented_row(mono)
-        for pivot, prow in echelon:
-            f = row.get(pivot)
-            if not f:
-                continue
-            p = prow[pivot]
-            row = {k: p * c for k, c in row.items()}
-            for k, c in prow.items():
-                nc = row.get(k, 0) - f * c
-                if nc:
-                    row[k] = nc
-                else:
-                    del row[k]
-            g = math.gcd(*row.values())
-            if g > 1:
-                row = {k: c // g for k, c in row.items()}
-        pivot = next((k for k in row if not k[0]), None)
-        if pivot is None:
-            lc = row[1, mono]
-            emitted.append((mono, Polynomial(
-                nvars, [(m, Fraction(c, lc)) for (_, m), c in row.items()])))
-            continue
-        echelon.append((pivot, row))
-        for v in range(nvars):
-            child = tuple(e + 1 if i == v else e for i, e in enumerate(mono))
-            if child not in seen:
-                seen.add(child)
-                heapq.heappush(heap, (lex_order.key(child), child))
-    return [p for _, p in emitted]
 
 
 def _echelonize(matrix_rows, margins, nvars):

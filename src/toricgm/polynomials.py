@@ -24,6 +24,8 @@ the support of each lead: lcm degrees come from the shared support, the M
 and F criteria test divisibility by the excess of one lead over the new
 one, and only an opened pair gets a full-width lcm.  A budget bounds the
 number of S-pairs treated and fails loudly rather than truncating.
+eliminate_to_triangular converts a Groebner basis of a zero-dimensional
+ideal under any order to the reduced lex basis, by FGLM.
 
 The binomial path computes each term-order key and each support mask
 once.  An input is keyed once per side to orient, deduplicate and sort it;
@@ -71,7 +73,8 @@ class BudgetExceeded(RuntimeError):
 
 
 class NotTriangular(ValueError):
-    """A lex basis that does not triangularize (positive-dimensional tail)."""
+    """No triangular lex basis to read: the ideal is not zero-dimensional,
+    or no lex basis of the exact MLE system is in shape position."""
 
 
 def monomial_mul(a, b):
@@ -533,22 +536,19 @@ def buchberger(F, order, budget=None):
 
     inputs = [_integer_terms(p, order)[0] for p in polys]
     _s_pair_loop(inputs, add, s_pair, leads, masks, alive, order.key, budget)
+    # the live leads are an antichain: add top-reduces each new element
+    # against them, and the update retires those its lead divides
     return _interreduce([e for e, a in zip(elements, alive) if a])
 
 
 def _interreduce(elements):
-    """Minimalize and auto-reduce prepared elements of a Groebner basis:
-    monic Polynomials, sorted by increasing leading monomial."""
-    keep = []
-    for idx, (lm, _, mask, *_) in enumerate(elements):
-        if not any(jdx != idx and not mask2 & ~mask
-                   and monomial_divides(lm2, lm) and (lm2 != lm or jdx < idx)
-                   for jdx, (lm2, _, mask2, *_) in enumerate(elements)):
-            keep.append(elements[idx])
+    """Auto-reduce the prepared elements of a minimal Groebner basis (no
+    lead divides another): monic Polynomials, sorted by increasing leading
+    monomial."""
     reduced = []
-    for i, (lead, nlead, _, lc, tail) in enumerate(keep):
+    for i, (lead, nlead, _, lc, tail) in enumerate(elements):
         rest, _ = _pseudo_reduce([(lead, nlead, lc)] + tail,
-                                 keep[:i] + keep[i + 1:])
+                                 elements[:i] + elements[i + 1:])
         lc = rest[0][2]
         reduced.append((nlead, Polynomial(
             len(lead), [(m, Fraction(c, lc)) for m, _, c in rest])))
@@ -880,31 +880,79 @@ def buchberger_binomials(inputs, order, budget=None, saturated=0,
             for i in kept]
 
 
-def eliminate_to_triangular(G):
-    """Sort a lex Groebner basis into triangular (back-substitution) shape.
+def eliminate_to_triangular(G, order):
+    """The reduced lex basis, sorted by increasing lead, of the
+    zero-dimensional ideal of G, a Groebner basis under `order`, by
+    fraction-free FGLM (Faugere, Gianni, Lazard and Mora, JSC 16, 1993).
 
-    G must be a Groebner basis under lex with x0 > x1 > ...; it is
-    auto-reduced here, so the output is the reduced lex basis, sorted by
-    increasing lead.  It starts with a polynomial univariate in the last
-    indeterminate that occurs and each later polynomial introduces at most
-    one new indeterminate.  Raises NotTriangular when the basis has a
-    positive-dimensional tail and no such shape exists.
+    Walks the monomials m of the ring in increasing lex order.  Each m gives
+    one integer row: coordinates (0, s) hold its normal form against G
+    (prepared once), cleared of denominators, and the tag (1, m) holds m
+    itself.  The row is reduced against the echelon as in `reduced_echelon`
+    (p * row - f * pivot row, over its content).  If its normal-form part
+    vanishes, the tag part over its coefficient of m is the basis element
+    with lead m; else the row joins the echelon on any normal-form pivot
+    (the reduced basis is unique).  Under lex this is the auto-reduction of
+    G.  The result is triangular: a power of each variable is a lead, so it
+    starts with a univariate in the last variable, and each later element
+    brings in at most one new variable, the largest of its lead.  Raises
+    NotTriangular unless the quotient is finite.
     """
-    polys = _polynomials(G)
-    if not polys:
-        raise NotTriangular("not triangular: empty basis")
-    polys = _interreduce(
-        PreparedBasis(polys, TermOrder.lex(polys[0].nvars)).elements)
-    seen = set()
-    for p in polys:
-        new = p.variables() - seen
-        if len(new) > 1:
-            raise NotTriangular("not triangular: "
-                                f"{len(new)} new indeterminates in one polynomial")
-        seen |= new
-    if len(polys[0].variables()) != 1:
-        raise NotTriangular("not triangular: no univariate polynomial")
-    return polys
+    nvars = order.nvars
+    lex_order = TermOrder.lex(nvars)
+    prepared = PreparedBasis(G, order)
+    leads = prepared.leads()
+    for v in range(nvars):
+        if not any(all(e == 0 or i == v for i, e in enumerate(lm)) and lm[v]
+                   for lm in leads):
+            raise NotTriangular(
+                "not triangular: the ideal is not zero-dimensional")
+
+    def augmented_row(mono):
+        nf = reduce(Polynomial(nvars, [(mono, 1)]), prepared, order)
+        den, nums = _common_denominator([c for _, c in nf.terms])
+        row = {(0, s): k for (s, _), k in zip(nf.terms, nums)}
+        row[1, mono] = den
+        return row
+
+    one = (0,) * nvars
+    heap = [(lex_order.key(one), one)]
+    seen = {one}
+    emitted = []        # (lead monomial, polynomial)
+    echelon = []        # (pivot coordinate, row)
+    while heap:
+        _, mono = heapq.heappop(heap)
+        if any(monomial_divides(lead, mono) for lead, _ in emitted):
+            continue
+        row = augmented_row(mono)
+        for pivot, prow in echelon:
+            f = row.get(pivot)
+            if not f:
+                continue
+            p = prow[pivot]
+            row = {k: p * c for k, c in row.items()}
+            for k, c in prow.items():
+                nc = row.get(k, 0) - f * c
+                if nc:
+                    row[k] = nc
+                else:
+                    del row[k]
+            g = math.gcd(*row.values())
+            if g > 1:
+                row = {k: c // g for k, c in row.items()}
+        pivot = next((k for k in row if not k[0]), None)
+        if pivot is None:
+            lc = row[1, mono]
+            emitted.append((mono, Polynomial(
+                nvars, [(m, Fraction(c, lc)) for (_, m), c in row.items()])))
+            continue
+        echelon.append((pivot, row))
+        for v in range(nvars):
+            child = tuple(e + 1 if i == v else e for i, e in enumerate(mono))
+            if child not in seen:
+                seen.add(child)
+                heapq.heappush(heap, (lex_order.key(child), child))
+    return [p for _, p in emitted]
 
 
 def ideal_equal(F, G, order, budget=None):

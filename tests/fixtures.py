@@ -1,10 +1,12 @@
 """Shared fixtures: standard graphs, printed matrices and binomial sets, the
-rational linear algebra the integer kernels are checked against, and the
+rational linear algebra the integer kernels are checked against, the
 rational polynomial arithmetic the integer Buchberger engine is checked
-against."""
+against, and the benchmark's workload module."""
 
+import importlib.util
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 from toricgm.graphs import binary_graph, build_graph_matrix
 from toricgm.models import ModelMatrix
@@ -14,6 +16,15 @@ BIN3 = ["".join(map(str, s)) for s in product((0, 1), repeat=3)]
 BIN4 = ["".join(map(str, s)) for s in product((0, 1), repeat=4)]
 IDX4 = {s: i for i, s in enumerate(BIN4)}
 IDX3 = {s: i for i, s in enumerate(BIN3)}
+
+
+def perfbench_workloads():
+    """`perfbench/workloads.py`, loaded by path (it is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_model(rng, d, m):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from toricgm import cli
 from toricgm.cli import main
 
 from fixtures import FOUR_CYCLE_COUNTS, FOUR_CYCLE_MATRIX, MOUSSOURIS_SUPPORT
@@ -659,3 +660,55 @@ def test_basis_out_in_a_missing_directory(tmp_path, capsys, three_chain_files):
     argv = ["basis", "--model", model, "--out", str(out)]
     err = assert_format_error(capsys, argv, out)
     assert "No such file or directory" in err
+
+
+def test_basis_refuses_a_missing_out_directory_before_the_basis(
+        tmp_path, capsys, monkeypatch, three_chain_files):
+    model, _, _ = three_chain_files
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the basis was computed")
+
+    monkeypatch.setattr(cli, "compute_toric_basis", unreachable)
+    out = tmp_path / "missing" / "basis.json"
+    argv = ["basis", "--model", model, "--out", str(out)]
+    err = assert_format_error(capsys, argv, out)
+    assert "No such file or directory" in err
+
+
+@pytest.mark.parametrize("sources", [[], ["--graph", "--matrix"]])
+def test_model_needs_exactly_one_source(tmp_path, capsys,
+                                        three_chain_graph_file, sources):
+    argv = ["model", "--out", str(tmp_path / "m.json")]
+    for flag in sources:
+        argv += [flag, three_chain_graph_file]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: exactly one of --graph/--generators/--matrix\n"
+
+
+def test_basis_needs_exactly_one_source(tmp_path, capsys, three_chain_files,
+                                        three_chain_graph_file):
+    model, _, _ = three_chain_files
+    assert main(["basis", "--model", model, "--graph", three_chain_graph_file,
+                 "--out", str(tmp_path / "b.json")]) == 2
+    assert capsys.readouterr().err == "error: exactly one of --model/--graph\n"
+
+
+def test_basis_refuses_seed_pairwise_with_a_model(tmp_path, capsys,
+                                                  three_chain_files):
+    model, _, _ = three_chain_files
+    assert main(["basis", "--model", model, "--seed-pairwise",
+                 "--out", str(tmp_path / "b.json")]) == 2
+    assert "--seed-pairwise needs --graph" in capsys.readouterr().err
+
+
+def test_check_refuses_a_distribution_of_the_wrong_length(tmp_path, capsys,
+                                                         three_chain_files):
+    model, basis, _ = three_chain_files
+    dist = write_json(tmp_path / "d7.json", {"order": "lex-last-fastest",
+                                             "values": ["1/7"] * 7})
+    assert main(["check", "--model", model, "--basis", basis,
+                 "--dist", dist]) == 2
+    assert capsys.readouterr().err == \
+        "error: distribution length does not match the model\n"

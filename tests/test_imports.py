@@ -1,19 +1,24 @@
 """Every module of the package uses each name it imports, imports only at
-module level, and uses each private function and class it defines.
+module level, and uses each private function and class it defines; each
+public one is used somewhere in the repository.
 
 No linter runs in CI, so a name left imported after the code that used it
 is deleted would stay unnoticed, and so would a private helper left
-defined.  `__init__.py` is exempt from the import check: its imports are
-the package's re-exports.  An import inside a function hides a module's
-dependencies (and an import cycle) until that function first runs.
+defined, or a public helper that nothing calls.  `__init__.py` is exempt
+from the import check: its imports are the package's re-exports, and they
+do not count as a use of a public name.  An import inside a function hides
+a module's dependencies (and an import cycle) until that function first
+runs.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricgm"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "toricgm"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -87,16 +92,32 @@ def _references(source):
     return out
 
 
-def _unused_private_definitions(sources):
-    """(module, line, name) of each private function or class that no
-    source refers to outside the definition itself."""
-    refs = {module: _references(source) for module, source in sources.items()}
+def _unreferenced(sources, definitions, others=None, texts=()):
+    """(module, line, name) of each definition that `definitions` lists in
+    a source and that no source, nor any of `others`, refers to outside
+    the definition itself, and that no text names as a word."""
+    refs = {module: _references(source)
+            for module, source in {**sources, **(others or {})}.items()}
     return sorted(
         (module, line, name)
         for module, source in sources.items()
-        for line, name in _private_definitions(source)
+        for line, name in definitions(source)
         if not any(ref == name and (other != module or owner != name)
-                   for other, found in refs.items() for ref, owner in found))
+                   for other, found in refs.items() for ref, owner in found)
+        and not any(re.search(rf"\b{name}\b", text) for text in texts))
+
+
+def _unused_private_definitions(sources):
+    """(module, line, name) of each private function or class that no
+    source refers to outside the definition itself."""
+    return _unreferenced(sources, _private_definitions)
+
+
+def _public_definitions(source):
+    """(line, name) of each module-level public function or class."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
 
 
 def test_the_check_sees_an_unused_private_definition():
@@ -113,3 +134,27 @@ def test_the_check_sees_an_unused_private_definition():
 def test_every_private_definition_is_used():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert _unused_private_definitions(sources) == []
+
+
+def test_the_check_sees_an_unused_public_definition():
+    sources = {"a.py": ("def documented():\n    return 1\n\n\n"
+                        "def recursive(n):\n    return recursive(n - 1)\n\n\n"
+                        "class _Private:\n    pass\n\n\n"
+                        "def tested():\n    pass\n\n\n"
+                        "class Used:\n    pass\n"),
+               "b.py": "from .a import Used\n"}
+    others = {"test_a.py": "import a\n\n\ndef test():\n    a.tested()\n"}
+    texts = ["`documented()` returns 1"]
+    assert _unreferenced(sources, _public_definitions, others, texts) == [
+        ("a.py", 5, "recursive")]
+
+
+def test_every_public_definition_is_used():
+    # a use in another module of the package, in a test, in the benchmark
+    # or in the README; the package's re-exports do not count
+    sources = {str(p.relative_to(ROOT)): p.read_text()
+               for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    others = {str(p.relative_to(ROOT)): p.read_text()
+              for folder in ("tests", "perfbench") for p in (ROOT / folder).glob("*.py")}
+    texts = [(ROOT / "README.md").read_text()]
+    assert _unreferenced(sources, _public_definitions, others, texts) == []

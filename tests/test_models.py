@@ -1,9 +1,7 @@
-import importlib.util
 import math
 import random
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 
 import pytest
 
@@ -12,7 +10,8 @@ from toricgm.models import (Distribution, ModelMatrix, StateSpace, VariableSpec,
                             build_loglinear_matrix, monomial_map,
                             validate_generators)
 
-from fixtures import FOUR_CYCLE_MATRIX, NO_THREE_WAY_MATRIX, four_cycle_matrix
+from fixtures import (FOUR_CYCLE_MATRIX, NO_THREE_WAY_MATRIX, four_cycle_matrix,
+                      perfbench_workloads)
 
 
 def binary_space(n):
@@ -155,11 +154,7 @@ def reference_loglinear_matrix(space, generators):
 
 
 def _named_model_specs():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return [spec for _, spec, *_ in module.NAMED_MODELS]
+    return [spec for _, spec, *_ in perfbench_workloads().NAMED_MODELS]
 
 
 def test_marginal_cells_partition_states_in_product_order():

@@ -4,6 +4,7 @@ from operator import add
 
 import pytest
 
+from toricgm import mle, polynomials
 from toricgm.factorization import in_variety_via_basis
 from toricgm.models import Distribution, ModelMatrix, monomial_map
 from toricgm.orders import TermOrder
@@ -11,7 +12,8 @@ from toricgm.polynomials import (Binomial, BudgetExceeded, NotTriangular,
                                  Polynomial, PreparedBasis, buchberger,
                                  buchberger_binomials, eliminate_to_triangular,
                                  ideal_equal, monomial_divides, reduce)
-from fixtures import CheapestOrder, fraction_normal_form, s_polynomial
+from fixtures import (CheapestOrder, fraction_normal_form, perfbench_workloads,
+                      s_polynomial)
 
 
 def poly(nvars, *terms):
@@ -213,6 +215,47 @@ def test_buchberger_criterion_on_output(seed):
             assert reduce(s, gb, order).is_zero()
 
 
+@pytest.fixture
+def interreduce_inputs(monkeypatch):
+    """Wrap the final auto-reduction of the generic engine: assert that no
+    lead of its input divides another, and list the leads of each call."""
+    calls = []
+    inner = polynomials._interreduce
+
+    def checked(elements):
+        leads = [e[0] for e in elements]
+        assert not any(i != j and monomial_divides(a, b)
+                       for i, a in enumerate(leads) for j, b in enumerate(leads))
+        calls.append(leads)
+        return inner(elements)
+
+    monkeypatch.setattr(polynomials, "_interreduce", checked)
+    return calls
+
+
+def test_generic_engine_leaves_a_minimal_basis_to_auto_reduce(
+        interreduce_inputs):
+    for seed in SYSTEM_SEEDS:
+        F, order = random_system(seed)
+        buchberger(F, order)
+    assert len(interreduce_inputs) == len(SYSTEM_SEEDS)
+    assert any(len(leads) > 2 for leads in interreduce_inputs)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mle_cores_leave_a_minimal_basis_to_auto_reduce(seed,
+                                                        interreduce_inputs):
+    # the cores of the benchmark's exact-MLE tables, first four rounds
+    workload = perfbench_workloads().MleFits(seed)
+    rounds = workload.rounds()
+    tables = [op.args[0] for _ in range(4) for op in next(rounds)]
+    for counts in tables:
+        mle.solve_mle_exact(mle.assemble_mle_system(workload.A,
+                                                     mle.CountTable(counts)))
+    assert len(interreduce_inputs) >= len(tables) // 2
+    assert any(len(leads) > 2 for leads in interreduce_inputs)
+
+
 def test_binomial_inputs_give_binomial_output():
     order = TermOrder.grevlex(4)
     b1 = Binomial((1, 0, 1, 0), (0, 2, 0, 0))
@@ -298,7 +341,7 @@ def test_reduce_refuses_another_arity():
 def test_triangular_simple():
     f = poly(2, ((1, 0), 1), ((0, 1), -1))          # x - y
     g = poly(2, ((0, 1), 1), ((0, 0), -1))          # y - 1
-    tri = eliminate_to_triangular([f, g])
+    tri = eliminate_to_triangular([f, g], TermOrder.lex(2))
     # univariate-in-lowest first; the second element is x - 1 once reduced
     assert tri[0] == poly(2, ((0, 1), 1), ((0, 0), -1))
     assert len(tri) == 2
@@ -309,14 +352,21 @@ def test_triangular_reduces_tails():
     # {x^2 - y, y} -> [y, x^2]
     f = poly(2, ((2, 0), 1), ((0, 1), -1))
     g = poly(2, ((0, 1), 1))
-    tri = eliminate_to_triangular([f, g])
+    tri = eliminate_to_triangular([f, g], TermOrder.lex(2))
     assert tri == [poly(2, ((0, 1), 1)), poly(2, ((2, 0), 1))]
 
 
 def test_not_triangular_raises():
     f = poly(2, ((1, 0), 1), ((0, 1), -1))  # x - y alone: positive-dimensional
     with pytest.raises(NotTriangular):
-        eliminate_to_triangular([f])
+        eliminate_to_triangular([f], TermOrder.lex(2))
+
+
+def test_triangular_looking_basis_of_a_positive_dimensional_ideal_raises():
+    # [x0^2] is univariate, but x1 is free: the quotient is infinite
+    f = poly(2, ((2, 0), 1))
+    with pytest.raises(NotTriangular, match="not zero-dimensional"):
+        eliminate_to_triangular([f], TermOrder.lex(2))
 
 
 # --- ideal equality ---------------------------------------------------------
