@@ -62,10 +62,21 @@ def _report(command, inputs, results, started):
 
 
 def _budget(args):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("TORICGM_BUDGET")
-    return int(env) if env else None
+    """The S-pair budget: --budget, else TORICGM_BUDGET, else None (the
+    engine's default).  A negative or non-integer value is a format error
+    that names its source."""
+    source, raw = "--budget", getattr(args, "budget", None)
+    if raw is None:
+        source, raw = "TORICGM_BUDGET", os.environ.get("TORICGM_BUDGET")
+        if not raw:
+            return None
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise FormatError(f"{source} must be a nonnegative integer, not {raw!r}")
+    return budget
 
 
 def cmd_model(args):
@@ -134,6 +145,12 @@ def cmd_check(args):
     order_name, binomials = read_basis(args.basis, A.ncols)
     if order_name not in ORDERS:
         raise FormatError(f"{args.basis}: unknown term order {order_name!r}")
+    # a bad distribution fails now, not after the model's whole basis
+    P = read_distribution(args.dist)
+    if len(P) != A.ncols:
+        raise FormatError("distribution length does not match the model")
+    if args.normalize:
+        P = P.normalized()
     names = A.indeterminate_names()
     for b in binomials:
         if not binomial_in_kernel(b, A):
@@ -146,11 +163,6 @@ def cmd_check(args):
         raise FormatError(f"{args.basis}: the binomials do not generate the "
                           f"model's toric ideal ({missing.render(names)} is "
                           "not in their ideal)")
-    P = read_distribution(args.dist)
-    if len(P) != A.ncols:
-        raise FormatError("distribution length does not match the model")
-    if args.normalize:
-        P = P.normalized()
     verdict = classify(A, binomials, P)
     evidence = {}
     if verdict.failed_binomial is not None:

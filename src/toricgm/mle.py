@@ -3,10 +3,12 @@
 Numeric route: iterative proportional scaling on the zero-reduced table,
 cycling through the sufficient-statistic rows.  Exact route: the cell
 parametrization of the MLE as a polynomial system (toric binomials of the
-reduced matrix plus all marginal-matching linear equations), eliminated by
-a lexicographic Groebner basis whose triangular form ends in a univariate
-polynomial psi; one pass over that basis lists the cell each element
-fixes, and back-substitution from a positive root along it gives the cell
+reduced matrix plus all marginal-matching linear equations).  The linear
+equations fix the pivot cells; the rest, a core in the free cells, is
+eliminated by a lexicographic Groebner basis whose triangular form starts
+with a univariate polynomial psi.  One pass over the core's basis lists
+the free cell each element fixes, and back-substitution from a positive
+root along it, then through the linear equations, gives the cell
 profile.  Every rational MLE, whatever the degree of psi, is reported
 exactly, with the profile back-substituted from the exact root.
 
@@ -36,8 +38,8 @@ induce grevlex(k) and lex(k) on the free ones, so its bases are the
 whole ring's with the pivot cells dropped, on exponent tuples of length k.
 FGLM (`eliminate_to_triangular`) converts the core's grevlex basis, empty
 or not, to its reduced lex basis by the same fraction-free elimination:
-each monomial of its walk is one integer row, the normal form cleared of
-denominators and tagged with the monomial.  That basis, lifted to all
+each monomial of its walk is one integer row, its pseudo-remainder
+tagged with the monomial times the multipliers.  That basis, lifted to all
 cells, and each pivot row a_c x_c + l_c over a_c, reduced once modulo it
 to x_c + NF(l_c) / a_c, are the whole system's reduced lex basis.  l_c
 holds only free cells after c, and a lex reduction brings in no larger
@@ -78,7 +80,7 @@ from operator import add
 from .linalg import _common_denominator, _content_free, reduced_echelon
 from .models import Distribution, _integral
 from .orders import TermOrder
-from .polynomials import (NotTriangular, Polynomial, PreparedBasis, buchberger,
+from .polynomials import (NotTriangular, Polynomial, buchberger,
                           eliminate_to_triangular, monomial_value)
 from .polynomials import reduce as poly_reduce
 from .toric import ToricBasis, compute_toric_basis, minimal_generators
@@ -258,18 +260,18 @@ def solve_mle_exact(sys, budget=None):
     by increasing lead, are `triangular`: the unique reduced lex basis of
     the whole system (module docstring).
 
-    psi is the univariate that starts `triangular`, in the last cell, when
-    that basis is in shape position: every later element linear in the one
-    cell it introduces, so that back-substitution from a root of psi
-    fixes every cell.  When the last cell is a pivot that does not
-    separate the solutions, it is not, and psi is the core's univariate in
-    its last free cell instead: the other free cells follow through the
-    core's basis and the pivot cells from the echelon.  (With the last
-    cell free the two bases agree: the same psi and the same shape.)  Each
-    basis tried is read once, by `_shape`, for all roots.
-    Raises NotTriangular when the ideal fails to be zero-dimensional or
-    neither basis is in shape position, and ArithmeticError unless exactly
-    one positive root of psi back-substitutes to a nonnegative profile.
+    psi is the univariate that starts the core's lex basis, in the last
+    free cell, and that basis is read once, by `_shape`, for all roots: in
+    shape position every later element is linear in the one cell it
+    introduces, so back-substitution from a root of psi fixes every free
+    cell, and the echelon rows then fix the pivot cells.  With no free cell
+    the core is empty and `triangular`, then linear, is read instead.
+    Whenever `triangular` is in shape position so is the core's basis, and
+    with the last cell free both give the same psi.
+    Raises NotTriangular when the ideal fails to be zero-dimensional or the
+    basis read is not in shape position, and ArithmeticError unless
+    exactly one positive root of psi back-substitutes to a nonnegative
+    profile.
     """
     nvars = len(sys.active)
     rows, pivots = _echelonize(sys.matrix.rows, sys.margins, nvars)
@@ -279,24 +281,21 @@ def solve_mle_exact(sys, budget=None):
     core_basis = _lift(eliminate_to_triangular(buchberger(core, grev, budget),
                                                grev), free, nvars)
     lex = TermOrder.lex(nvars)
-    prepared = PreparedBasis(core_basis, lex)
     # echelon row (a_c, ..., e) over a_c is the polynomial x_c + l_c / a_c
     monomials = [_unit(nvars, j) for j in range(nvars)] + [(0,) * nvars]
     triangular = sorted(core_basis + [
         poly_reduce(Polynomial(nvars, [(m, Fraction(a, row[c]))
                                        for m, a in zip(monomials, row) if a]),
-                    prepared, lex)
+                    core_basis, lex)
         for row, c in zip(rows, pivots)],
         key=lambda p: lex.key(p.leading_term(lex)[0]))
-    # with no free cell triangular is linear: the empty core_basis is untried
-    for basis in (triangular, core_basis):
-        shape = _shape(basis)
-        if shape is not None:
-            break
-    else:
+    # with no free cell the core is empty and triangular is linear
+    basis = core_basis or triangular
+    shape = _shape(basis)
+    if shape is None:
         raise NotTriangular(
-            "not triangular: no lex basis in shape position for the table "
-            f"with margins {list(sys.margins)} on the cells "
+            "not triangular: the core's lex basis is not in shape position "
+            f"for the table with margins {list(sys.margins)} on the cells "
             f"{list(sys.matrix.col_labels)}")
     var, steps = shape
     psi = _univariate_coeffs(basis[0], var)
@@ -444,8 +443,9 @@ def _back_substitute(steps, rows, pivots, psi_var, root_value, nvars):
     """Every cell, given the value of the univariate's variable.
 
     Each step (p, v) of the shape-position basis is linear in v, which it
-    fixes from the cells before it; then each pivot cell the basis left
-    open is read off its echelon row.  Exact for a Fraction root.
+    fixes from the cells before it; then every pivot cell is read off its
+    echelon row, a form in the free cells alone.  Exact for a Fraction
+    root.
     Returns None when a division degenerates.
     """
     exact = isinstance(root_value, Fraction)
@@ -465,8 +465,6 @@ def _back_substitute(steps, rows, pivots, psi_var, root_value, nvars):
             return None
         values[v] = -const / lin
     for row, c in zip(rows, pivots):
-        if values[c] is not None:
-            continue
         rest = zero + row[nvars]
         for j, b in enumerate(row[:nvars]):
             if b and j != c:

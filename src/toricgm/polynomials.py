@@ -25,7 +25,8 @@ and F criteria test divisibility by the excess of one lead over the new
 one, and only an opened pair gets a full-width lcm.  A budget bounds the
 number of S-pairs treated and fails loudly rather than truncating.
 eliminate_to_triangular converts a Groebner basis of a zero-dimensional
-ideal under any order to the reduced lex basis, by FGLM.
+ideal under any order to the reduced lex basis, by FGLM on the integer
+rows the pseudo-division gives.
 
 The binomial path computes each term-order key and each support mask
 once.  An input is keyed once per side to orient, deduplicate and sort it;
@@ -74,7 +75,7 @@ class BudgetExceeded(RuntimeError):
 
 class NotTriangular(ValueError):
     """No triangular lex basis to read: the ideal is not zero-dimensional,
-    or no lex basis of the exact MLE system is in shape position."""
+    or the lex basis of the exact MLE's core is not in shape position."""
 
 
 def monomial_mul(a, b):
@@ -358,10 +359,19 @@ def _check_arity(nvars, order):
                          "variables of the term order")
 
 
-def _prepare(p, order):
-    terms, _ = _integer_terms(p, order)
-    i = min(range(len(terms)), key=lambda t: terms[t][1])
-    return _element(terms[i], terms[:i] + terms[i + 1:])
+def _prepared(G, order):
+    """The nonzero members of G as elements under order, each prepared
+    once: scaled to integer coefficients of content one with a positive
+    leading coefficient, its lead monomial, lead key, and tail terms with
+    their keys computed here.  Scaling a reducer does not change a normal
+    form.  Raises ValueError when a member's arity is not the order's."""
+    elements = []
+    for g in _polynomials(G):
+        _check_arity(g.nvars, order)
+        terms, _ = _integer_terms(g, order)
+        i = min(range(len(terms)), key=lambda t: terms[t][1])
+        elements.append(_element(terms[i], terms[:i] + terms[i + 1:]))
+    return elements
 
 
 def _pseudo_reduce(terms, elements, top=False):
@@ -424,50 +434,24 @@ def _pseudo_reduce(terms, elements, top=False):
     return [(m, nk, c * (mult // at)) for m, nk, c, at in rest], mult
 
 
-class PreparedBasis:
-    """Polynomials prepared once under one order for repeated `reduce`.
-
-    Each nonzero polynomial is scaled to integer coefficients of content
-    one with a positive leading coefficient; its lead monomial, lead key,
-    and tail terms with their keys are computed here and never again.
-    Scaling a reducer does not change a normal form.
-    """
-
-    __slots__ = ("order", "elements")
-
-    def __init__(self, G, order):
-        self.order = order
-        polys = _polynomials(G)
-        for g in polys:
-            _check_arity(g.nvars, order)
-        self.elements = [_prepare(g, order) for g in polys]
-
-    def leads(self):
-        return [e[0] for e in self.elements]
-
-
 def reduce(f, G, order):
     """Full normal form of f modulo the polynomial list G.
 
     No term of the result is divisible by any leading monomial of G, and
     f minus the result lies in the ideal generated by G.  Reducers are
-    tried in list order, so the result is deterministic.  G may be a
-    PreparedBasis under the same order.  The reduction runs on integers;
-    the remainder is divided once by the product of its multipliers, so
-    the result is the exact normal form with Fraction coefficients.
-    Raises ValueError when the arity of f or of a member of G is not the
-    order's.
+    tried in list order, so the result is deterministic.  The reduction
+    runs on integers; the remainder is divided once by the product of its
+    multipliers, so the result is the exact normal form with Fraction
+    coefficients.  Raises ValueError when the arity of f or of a member of
+    G is not the order's.
     """
     _check_arity(f.nvars, order)
-    if not isinstance(G, PreparedBasis):
-        G = PreparedBasis(G, order)
-    elif G.order != order:
-        raise ValueError("prepared basis is for another term order")
+    elements = _prepared(G, order)
     polys = _polynomials([f])
     if not polys:
         return f  # the zero polynomial
     terms, den = _integer_terms(polys[0], order)
-    rest, mult = _pseudo_reduce(terms, G.elements)
+    rest, mult = _pseudo_reduce(terms, elements)
     scale = den * mult
     return Polynomial(f.nvars, [(m, Fraction(c, scale)) for m, _, c in rest])
 
@@ -886,33 +870,34 @@ def eliminate_to_triangular(G, order):
     fraction-free FGLM (Faugere, Gianni, Lazard and Mora, JSC 16, 1993).
 
     Walks the monomials m of the ring in increasing lex order.  Each m gives
-    one integer row: coordinates (0, s) hold its normal form against G
-    (prepared once), cleared of denominators, and the tag (1, m) holds m
-    itself.  The row is reduced against the echelon as in `reduced_echelon`
-    (p * row - f * pivot row, over its content).  If its normal-form part
-    vanishes, the tag part over its coefficient of m is the basis element
-    with lead m; else the row joins the echelon on any normal-form pivot
-    (the reduced basis is unique).  Under lex this is the auto-reduction of
-    G.  The result is triangular: a power of each variable is a lead, so it
-    starts with a univariate in the last variable, and each later element
-    brings in at most one new variable, the largest of its lead.  Raises
-    NotTriangular unless the quotient is finite.
+    one integer row, straight from the pseudo-division of m against G
+    (prepared once): coordinates (0, s) hold the integer remainder, and
+    the tag (1, m) holds the product of the multipliers.  So the row is
+    that product times the normal form of m beside m itself, and no
+    Fraction is formed per monomial.  The row is reduced against the
+    echelon as in `reduced_echelon` (p * row - f * pivot row, over its
+    content).  If its normal-form part vanishes, the tag part over its
+    coefficient of m is the basis element with lead m; else the row joins
+    the echelon on any normal-form pivot (the reduced basis is unique).
+    Under lex this is the auto-reduction of G.  The result is triangular:
+    a power of each variable is a lead, so it starts with a univariate in
+    the last variable, and each later element brings in at most one new
+    variable, the largest of its lead.  Raises NotTriangular unless the
+    quotient is finite.
     """
     nvars = order.nvars
     lex_order = TermOrder.lex(nvars)
-    prepared = PreparedBasis(G, order)
-    leads = prepared.leads()
+    elements = _prepared(G, order)
     for v in range(nvars):
         if not any(all(e == 0 or i == v for i, e in enumerate(lm)) and lm[v]
-                   for lm in leads):
+                   for lm, *_ in elements):
             raise NotTriangular(
                 "not triangular: the ideal is not zero-dimensional")
 
     def augmented_row(mono):
-        nf = reduce(Polynomial(nvars, [(mono, 1)]), prepared, order)
-        den, nums = _common_denominator([c for _, c in nf.terms])
-        row = {(0, s): k for (s, _), k in zip(nf.terms, nums)}
-        row[1, mono] = den
+        rest, mult = _pseudo_reduce([(mono, order.neg_key(mono), 1)], elements)
+        row = {(0, m): c for m, _, c in rest}
+        row[1, mono] = mult
         return row
 
     one = (0,) * nvars

@@ -134,6 +134,34 @@ def test_basis_budget_exit_code(tmp_path, capsys, four_cycle_graph_file):
     assert code == 3
 
 
+def test_basis_refuses_a_negative_budget(tmp_path, capsys,
+                                        three_chain_files):
+    model, _, _ = three_chain_files
+    argv = ["basis", "--model", model, "--out", str(tmp_path / "b.json"),
+            "--budget", "-1"]
+    assert_format_error(capsys, argv, "--budget must be a nonnegative "
+                                      "integer, not -1")
+
+
+@pytest.mark.parametrize("value", ["-1", "abc"])
+def test_budget_variable_must_be_a_nonnegative_integer(
+        tmp_path, capsys, monkeypatch, three_chain_files, value):
+    model, _, _ = three_chain_files
+    monkeypatch.setenv("TORICGM_BUDGET", value)
+    argv = ["basis", "--model", model, "--out", str(tmp_path / "b.json")]
+    assert_format_error(capsys, argv, "TORICGM_BUDGET must be a nonnegative "
+                                      f"integer, not {value!r}")
+
+
+def test_budget_of_zero_stays_valid(tmp_path, capsys, monkeypatch,
+                                    three_chain_files):
+    model, _, _ = three_chain_files
+    monkeypatch.setenv("TORICGM_BUDGET", "0")
+    code, report = run(capsys, "basis", "--model", model,
+                       "--out", str(tmp_path / "b.json"))
+    assert code == 0 and report["results"]["size"] == 2
+
+
 def test_check_verdicts(tmp_path, capsys, four_cycle_graph_file):
     model = str(tmp_path / "model.json")
     run(capsys, "model", "--graph", four_cycle_graph_file, "--out", model)
@@ -701,6 +729,26 @@ def test_basis_refuses_seed_pairwise_with_a_model(tmp_path, capsys,
     assert main(["basis", "--model", model, "--seed-pairwise",
                  "--out", str(tmp_path / "b.json")]) == 2
     assert "--seed-pairwise needs --graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values, message", [
+    (None, "No such file or directory"),
+    (["1/7"] * 7, "distribution length does not match the model")])
+def test_check_reads_the_distribution_before_the_basis(
+        tmp_path, capsys, monkeypatch, three_chain_files, values, message):
+    # a missing or wrong-length distribution fails before the model's
+    # whole basis is computed
+    model, basis, _ = three_chain_files
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the basis was computed")
+
+    monkeypatch.setattr(cli, "compute_toric_basis", unreachable)
+    dist = tmp_path / "d7.json"
+    if values is not None:
+        write_json(dist, {"order": "lex-last-fastest", "values": values})
+    assert_format_error(capsys, ["check", "--model", model, "--basis", basis,
+                                 "--dist", str(dist)], message)
 
 
 def test_check_refuses_a_distribution_of_the_wrong_length(tmp_path, capsys,

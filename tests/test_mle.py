@@ -667,8 +667,9 @@ def _assert_agrees_with_ips(A, counts, res):
 
 def test_nine_cell_table_with_a_pivot_as_last_cell():
     # x8 is a pivot of the echelon and takes the value 1 at both solutions
-    # of the core, so the whole system's basis is not in shape position;
-    # psi comes from the core's univariate in its last free cell, x7
+    # of the core, so the whole system's basis, which starts with x8 - 1,
+    # is not in shape position; the core's basis is, and psi is its
+    # univariate in its last free cell, x7
     A = four_cycle_matrix()
     counts = CountTable([1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0])
     sys_ = assemble_mle_system(A, counts)
@@ -687,6 +688,35 @@ def test_nine_cell_table_with_a_pivot_as_last_cell():
     assert res.rational
     assert res.root == Fraction(1) and isinstance(res.root, Fraction)
     assert all(isinstance(x, Fraction) and x == 1 for x in res.profile)
+
+
+# tables whose last cell is a pivot and whose core is linear: the whole
+# system's basis starts with x_last - c, and psi is the core's linear
+# univariate in the last free cell
+LINEAR_CORE_PIVOT_LAST_TABLES = [
+    [1, 0, 1, 0, 2, 0, 1, 0, 1, 2, 1, 1, 0, 0, 0, 0],
+    [1, 1, 0, 1, 2, 1, 0, 1, 1, 0, 0, 0, 2, 0, 0, 0],
+    [1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 1, 2, 1],
+    [1, 0, 1, 0, 1, 0, 2, 0, 0, 0, 0, 0, 1, 2, 1, 1]]
+
+
+@pytest.mark.parametrize("counts", LINEAR_CORE_PIVOT_LAST_TABLES)
+def test_psi_lives_in_the_last_free_cell_when_the_last_cell_is_a_pivot(
+        counts):
+    A = four_cycle_matrix()
+    sys_ = assemble_mle_system(A, CountTable(counts))
+    nvars = len(sys_.active)
+    _, pivots = _echelonize(sys_.matrix.rows, sys_.margins, nvars)
+    assert nvars - 1 in pivots
+    res = solve_mle_exact(sys_)
+    assert res.psi_variable == max(set(range(nvars)) - set(pivots))
+    assert len(res.psi) == 2 and res.rational
+    assert all(isinstance(x, Fraction) for x in res.profile)
+    assert sys_.matrix.apply(res.profile) == sys_.margins
+    assert all(b.evaluate(res.profile) == 0 for b in sys_.generators)
+    fit = ips_fit(A, counts, tol=1e-10)
+    for pos, j in enumerate(sys_.active):
+        assert abs(float(res.profile[pos]) - fit.values[j]) <= 1e-9
 
 
 @pytest.mark.parametrize("counts", NINE_CELL_TABLES)

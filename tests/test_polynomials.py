@@ -9,7 +9,7 @@ from toricgm.factorization import in_variety_via_basis
 from toricgm.models import Distribution, ModelMatrix, monomial_map
 from toricgm.orders import TermOrder
 from toricgm.polynomials import (Binomial, BudgetExceeded, NotTriangular,
-                                 Polynomial, PreparedBasis, buchberger,
+                                 Polynomial, buchberger,
                                  buchberger_binomials, eliminate_to_triangular,
                                  ideal_equal, monomial_divides, reduce)
 from fixtures import (CheapestOrder, fraction_normal_form, perfbench_workloads,
@@ -176,15 +176,7 @@ def test_reduce_is_the_exact_normal_form(seed):
     want = fraction_normal_form(f, gb, order)
     assert reduce(f, gb, order) == want
     assert reduce(f, scaled, order) == want
-    assert reduce(f, PreparedBasis(scaled, order), order) == want
     assert reduce(f - want, scaled, order).is_zero()
-
-
-def test_reduce_rejects_a_basis_prepared_for_another_order():
-    g = poly(2, ((1, 0), 2), ((0, 1), -1))
-    prepared = PreparedBasis([g], TermOrder.lex(2))
-    with pytest.raises(ValueError):
-        reduce(g, prepared, TermOrder.grevlex(2))
 
 
 # --- buchberger -------------------------------------------------------------
@@ -327,13 +319,13 @@ def test_buchberger_refuses_another_arity(f):
 def test_reduce_refuses_another_arity():
     f = poly(4, ((1, 0, 0, 0), 1), ((0, 0, 1, 1), 2))
     order = TermOrder.grevlex(2)
+    g = poly(2, ((1, 0), 1), ((0, 1), -1))
     with pytest.raises(ValueError, match="arity 4 does not match the 2"):
         reduce(f, [f], order)
     with pytest.raises(ValueError, match="arity 4 does not match the 2"):
-        PreparedBasis([f], order)
-    g = poly(2, ((1, 0), 1), ((0, 1), -1))
+        reduce(g, [f], order)
     with pytest.raises(ValueError, match="arity 4 does not match the 2"):
-        reduce(f, PreparedBasis([g], order), order)
+        reduce(f, [g], order)
 
 
 # --- triangular shape -------------------------------------------------------
@@ -367,6 +359,45 @@ def test_triangular_looking_basis_of_a_positive_dimensional_ideal_raises():
     f = poly(2, ((2, 0), 1))
     with pytest.raises(NotTriangular, match="not zero-dimensional"):
         eliminate_to_triangular([f], TermOrder.lex(2))
+
+
+def zero_dimensional_system(seed):
+    """Per variable x_v, x_v^d plus random Fraction terms of lower total
+    degree, in 2 or 3 variables: x_v^d leads under every degree order, so
+    the ideal is zero-dimensional, its quotient of dimension prod d."""
+    rng = random.Random(seed)
+    nvars = 2 + seed % 2
+    F = []
+    for v in range(nvars):
+        d = rng.randint(2, 5 - nvars)
+        terms = [(tuple(d if i == v else 0 for i in range(nvars)), 1)]
+        while len(terms) < 4:
+            m = random_monomial(rng, nvars, d - 1)
+            if sum(m) < d:
+                terms.append((m, random_fraction(rng)))
+        F.append(Polynomial(nvars, terms))
+    return F
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+@pytest.mark.parametrize("seed", range(12))
+def test_fglm_reaches_the_lex_basis_of_random_zero_dimensional_systems(
+        seed, kind):
+    # the input basis under grevlex with a permuted priority list, or
+    # under lex, converts to what lex Buchberger reaches directly
+    F = zero_dimensional_system(seed)
+    nvars = F[0].nvars
+    if kind == "lex":
+        order = TermOrder.lex(nvars)
+    else:
+        rng = random.Random(seed)
+        priority = list(range(nvars))
+        while priority == sorted(priority):
+            rng.shuffle(priority)
+        order = TermOrder.grevlex(nvars, priority)
+    lex = TermOrder.lex(nvars)
+    assert eliminate_to_triangular(buchberger(F, order), order) == \
+        buchberger(F, lex)
 
 
 # --- ideal equality ---------------------------------------------------------

@@ -1,6 +1,8 @@
-"""The README's library tour runs and prints what its comments say."""
+"""The README's tours run as written, and its module table names only
+what each module has."""
 
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -39,3 +41,16 @@ def test_command_line_tour_writes_every_file_it_reads():
             reads += 1
         written.update(re.findall(r"--out (\S+)", line))
     assert reads == 11
+
+
+def test_module_table_names_resolve():
+    # every backticked identifier in a row of the module table is an
+    # attribute of that row's module
+    rows = re.findall(r"^\| `(toricgm\.\w+)` \| (.*) \|$", README.read_text(),
+                      re.M)
+    assert len(rows) == 12
+    for module, text in rows:
+        names = re.findall(r"`([A-Za-z_]\w*)`", text)
+        missing = [n for n in names
+                   if not hasattr(importlib.import_module(module), n)]
+        assert not missing, f"{module}: {missing}"
