@@ -40,11 +40,12 @@ FGLM (`eliminate_to_triangular`) converts the core's grevlex basis, empty
 or not, to its reduced lex basis by the same fraction-free elimination:
 each monomial of its walk is one integer row, its pseudo-remainder
 tagged with the monomial times the multipliers.  That basis, lifted to all
-cells, and each pivot row a_c x_c + l_c over a_c, reduced once modulo it
-to x_c + NF(l_c) / a_c, are the whole system's reduced lex basis.  l_c
-holds only free cells after c, and a lex reduction brings in no larger
-variable, so x_c stays the lead; the leads are coprime (Buchberger's first
-criterion), and every tail is in normal form.
+cells, is all the solve reads.  With each pivot row a_c x_c + l_c over
+a_c, reduced once modulo it to x_c + NF(l_c) / a_c, it makes the whole
+system's reduced lex basis, which `MleExactResult.triangular` builds when
+it is read.  l_c holds only free cells after c, and a lex reduction brings
+in no larger variable, so x_c stays the lead; the leads are coprime
+(Buchberger's first criterion), and every tail is in normal form.
 
 The root layer works in integers.  psi is scaled once to a content-free
 integer polynomial p, reduced to its squarefree part q = p / gcd(p, p').
@@ -146,10 +147,13 @@ def ips_fit(A, n, tol=1e-9, max_cycles=10 ** 5):
     touched cells by the observed/fitted margin ratio (to the power of the
     matrix entry; entries are 0/1 for log-linear models, where convergence
     is guaranteed).  Returns a full-length numeric distribution with exact
-    zeros on dropped cells once margins match within tol.
+    zeros on dropped cells once margins match within tol.  tol must be a
+    positive number (not nan) and max_cycles at least 1 (ValueError).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, not {tol}")
+    if max_cycles < 1:
+        raise ValueError(f"max_cycles must be at least 1, not {max_cycles}")
     n = n if isinstance(n, CountTable) else CountTable(n)
     active, red = reduce_zero_cells(A, n)
     observed = [float(x) for x in red.apply([n.values[j] for j in active])]
@@ -232,7 +236,14 @@ def assemble_mle_system(A, n, budget=None):
 
 @dataclass(frozen=True)
 class MleExactResult:
-    triangular: tuple          # reduced lex basis in back-substitution order
+    basis: tuple               # the core's reduced lex basis, lifted to all
+                               # cells, by increasing lead; psi and the
+                               # shape are read from it (empty, with psi
+                               # read from `triangular`, when no cell is free)
+    echelon: tuple             # (row, pivot c) of each echelonized marginal
+                               # equation a_c x_c + l_c = 0: its integer
+                               # coefficients on the active cells, then
+                               # its constant
     psi: tuple                 # univariate coefficients, ascending degree
     psi_variable: int          # active-cell index the univariate lives in
     positive_roots: tuple      # floats: midpoints of the isolating intervals
@@ -241,6 +252,16 @@ class MleExactResult:
                                # its interval was the degenerate (r, r)
     profile: tuple             # cell values at that root, in active order
     rational: bool             # root rational; root and profile then exact
+
+    @property
+    def triangular(self):
+        """The whole system's reduced lex basis, in back-substitution order,
+        built from `basis` and `echelon` on each access: one `poly_reduce`
+        per pivot row."""
+        rows = [row for row, _ in self.echelon]
+        pivots = [c for _, c in self.echelon]
+        return tuple(_triangular(list(self.basis), rows, pivots,
+                                 len(self.profile)))
 
 
 def solve_mle_exact(sys, budget=None):
@@ -255,19 +276,20 @@ def solve_mle_exact(sys, budget=None):
     (FGLM: fraction-free linear algebra on the finite quotient), also when
     it is empty.  grevlex(k) and lex(k) are the orders the whole ring's
     grevlex and lex induce on the free cells, so these are the bases the
-    whole ring would reach.  The core's lex basis, lifted back to every
-    cell, and each pivot row x_c + l_c / a_c reduced once modulo it, sorted
-    by increasing lead, are `triangular`: the unique reduced lex basis of
-    the whole system (module docstring).
+    whole ring would reach.  The result keeps the core's lex basis, lifted
+    back to every cell, as `basis`, and the echelon rows as `echelon`.
+    Its `triangular`, the unique reduced lex basis of the whole system
+    (`basis` and each pivot row x_c + l_c / a_c reduced once modulo it,
+    sorted by increasing lead; module docstring), is built only when read.
 
     psi is the univariate that starts the core's lex basis, in the last
     free cell, and that basis is read once, by `_shape`, for all roots: in
     shape position every later element is linear in the one cell it
     introduces, so back-substitution from a root of psi fixes every free
     cell, and the echelon rows then fix the pivot cells.  With no free cell
-    the core is empty and `triangular`, then linear, is read instead.
-    Whenever `triangular` is in shape position so is the core's basis, and
-    with the last cell free both give the same psi.
+    the core is empty and `triangular`, then linear, is built and read
+    instead.  Whenever `triangular` is in shape position so is the core's
+    basis, and with the last cell free both give the same psi.
     Raises NotTriangular when the ideal fails to be zero-dimensional or the
     basis read is not in shape position, and ArithmeticError unless
     exactly one positive root of psi back-substitutes to a nonnegative
@@ -280,17 +302,8 @@ def solve_mle_exact(sys, budget=None):
     grev = TermOrder.grevlex(len(free))
     core_basis = _lift(eliminate_to_triangular(buchberger(core, grev, budget),
                                                grev), free, nvars)
-    lex = TermOrder.lex(nvars)
-    # echelon row (a_c, ..., e) over a_c is the polynomial x_c + l_c / a_c
-    monomials = [_unit(nvars, j) for j in range(nvars)] + [(0,) * nvars]
-    triangular = sorted(core_basis + [
-        poly_reduce(Polynomial(nvars, [(m, Fraction(a, row[c]))
-                                       for m, a in zip(monomials, row) if a]),
-                    core_basis, lex)
-        for row, c in zip(rows, pivots)],
-        key=lambda p: lex.key(p.leading_term(lex)[0]))
     # with no free cell the core is empty and triangular is linear
-    basis = core_basis or triangular
+    basis = core_basis or _triangular(core_basis, rows, pivots, nvars)
     shape = _shape(basis)
     if shape is None:
         raise NotTriangular(
@@ -317,9 +330,26 @@ def solve_mle_exact(sys, budget=None):
             f"{list(sys.margins)} on the cells {list(sys.matrix.col_labels)}")
     ((value, profile),) = candidates
     return MleExactResult(
-        triangular=tuple(triangular), psi=tuple(psi), psi_variable=var,
-        positive_roots=tuple(midpoints), root=value, profile=tuple(profile),
+        basis=tuple(core_basis),
+        echelon=tuple((tuple(row), c) for row, c in zip(rows, pivots)),
+        psi=tuple(psi), psi_variable=var, positive_roots=tuple(midpoints),
+        root=value, profile=tuple(profile),
         rational=isinstance(value, Fraction))
+
+
+def _triangular(core_basis, rows, pivots, nvars):
+    """The whole system's reduced lex basis, sorted by increasing lead: the
+    lifted core lex basis and each echelon row a_c x_c + l_c over a_c,
+    reduced once modulo it (module docstring)."""
+    lex = TermOrder.lex(nvars)
+    # echelon row (a_c, ..., e) over a_c is the polynomial x_c + l_c / a_c
+    monomials = [_unit(nvars, j) for j in range(nvars)] + [(0,) * nvars]
+    return sorted(core_basis + [
+        poly_reduce(Polynomial(nvars, [(m, Fraction(a, row[c]))
+                                       for m, a in zip(monomials, row) if a]),
+                    core_basis, lex)
+        for row, c in zip(rows, pivots)],
+        key=lambda p: lex.key(p.leading_term(lex)[0]))
 
 
 def _echelonize(matrix_rows, margins, nvars):

@@ -282,6 +282,25 @@ def test_ips_nonconvergence_exits_4(tmp_path, capsys, four_cycle_graph_file):
     assert captured.err == "error: IPS did not converge in 1 cycles\n"
 
 
+def test_ips_with_an_unusable_tolerance_or_cycle_budget_exits_2(
+        tmp_path, capsys, four_cycle_graph_file):
+    model = str(tmp_path / "model.json")
+    run(capsys, "model", "--graph", four_cycle_graph_file, "--out", model)
+    counts = write_json(tmp_path / "n.json", {
+        "order": "lex-last-fastest",
+        "values": [str(x) for x in FOUR_CYCLE_COUNTS]})
+    for option, value, message in (
+            ("--tol", "nan", "error: tol must be positive, not nan\n"),
+            ("--tol", "0", "error: tol must be positive, not 0.0\n"),
+            ("--max-cycles", "0",
+             "error: max_cycles must be at least 1, not 0\n")):
+        code = main(["ips", "--model", model, "--counts", counts,
+                     option, value])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == message
+
+
 def test_graph_report(tmp_path, capsys, four_cycle_graph_file):
     code, report = run(capsys, "graph", "--graph", four_cycle_graph_file)
     assert code == 0

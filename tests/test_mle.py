@@ -328,6 +328,16 @@ def test_budget_exceeded_in_the_selection_is_not_memoised(basis_misses,
     assert len(sys_.basis) == 28 and len(sys_.generators) == 16
 
 
+def test_ips_refuses_a_tolerance_or_cycle_budget_it_cannot_meet():
+    A = ModelMatrix([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]])
+    for tol in (0.0, -1e-9, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            ips_fit(A, [1, 2, 3, 4], tol=tol)
+    for cycles in (0, -3):
+        with pytest.raises(ValueError, match="max_cycles must be at least 1"):
+            ips_fit(A, [1, 2, 3, 4], max_cycles=cycles)
+
+
 def test_ips_loglikelihood_monotone():
     A = four_cycle_matrix()
     n = CountTable(FOUR_CYCLE_COUNTS)
@@ -427,6 +437,22 @@ def test_solve_exact_paper_psi():
     assert coeff[4] == Fraction(6539, 22304)
     assert not res.rational
     assert rational_root_check(res.psi) == []
+
+
+def test_solve_reduces_no_pivot_row(monkeypatch):
+    # psi, the shape and the back-substitution come from the core's lex
+    # basis alone; the pivot-row reductions wait until `triangular` is read
+    def refuse(*args):
+        raise AssertionError("poly_reduce called")
+
+    monkeypatch.setattr(mle, "poly_reduce", refuse)
+    res = solve_mle_exact(assemble_mle_system(four_cycle_matrix(),
+                                              CountTable(FOUR_CYCLE_COUNTS)))
+    assert list(res.psi) == [Fraction(480, 13), Fraction(-2368, 39),
+                             Fraction(110, 9), Fraction(6713, 351),
+                             Fraction(-362, 39), Fraction(1)]
+    with pytest.raises(AssertionError, match="poly_reduce called"):
+        res.triangular
 
 
 def test_solve_exact_agrees_with_ips():

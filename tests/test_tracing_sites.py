@@ -4,13 +4,20 @@
 or import would only show up when a traced benchmark run fails.  These
 tests load that file by path, resolve every site, and require each call
 site to be called in its module: a name that is imported but no longer
-called would leave its per-layer metric silently at zero.
+called would leave its per-layer metric silently at zero.  One more test
+installs the tracer and checks that the `polynomials.reduce` site counts
+every reduction a read of `MleExactResult.triangular` makes.
 """
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+from toricgm import mle
+from toricgm.mle import CountTable, assemble_mle_system
+
+from fixtures import FOUR_CYCLE_COUNTS, four_cycle_matrix
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -44,3 +51,16 @@ def test_every_call_site_is_called_in_its_module():
         called = {node.func.id for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
         assert attr in called, f"{module_name} never calls {attr} ({span})"
+
+
+def test_the_reduce_site_sees_every_pivot_row_of_a_triangular_read():
+    tracing = _load_tracing()
+    system = assemble_mle_system(four_cycle_matrix(),
+                                 CountTable(FOUR_CYCLE_COUNTS))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        res = mle.solve_mle_exact(system)
+        assert tracer.calls["polynomials.reduce"] == 0
+        triangular = res.triangular
+    assert tracer.calls["polynomials.reduce"] == len(res.echelon) == 8
+    assert len(triangular) == 12
