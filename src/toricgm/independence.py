@@ -31,7 +31,8 @@ from .graphs import binary_graph, build_graph_matrix, \
 from .linalg import integer_span_member
 from .models import Distribution
 from .orders import TermOrder
-from .polynomials import Binomial, Polynomial
+from .polynomials import Binomial, Polynomial, monomial_of
+from .toric import binomial_in_kernel
 
 
 @dataclass(frozen=True)
@@ -102,16 +103,8 @@ def _cpd_from_cells(m, cells):
     """p(x,y,z) p(x2,y2,z) - p(x2,y,z) p(x,y2,z) in marginal sums over the
     four cells; they are disjoint, so no two terms meet."""
     xy, x2y2, x2y, xy2 = cells
-    return Polynomial(m, [(_pair(m, a, b), 1) for a in xy for b in x2y2]
-                      + [(_pair(m, c, d), -1) for c in x2y for d in xy2])
-
-
-def _pair(m, a, b):
-    """Exponent vector of the monomial p_a p_b."""
-    mono = [0] * m
-    mono[a] += 1
-    mono[b] += 1
-    return tuple(mono)
+    return Polynomial(m, [(monomial_of(m, (a, b)), 1) for a in xy for b in x2y2]
+                      + [(monomial_of(m, (c, d)), -1) for c in x2y for d in xy2])
 
 
 def cpd_polynomial(spec, space):
@@ -146,7 +139,7 @@ def saturated_cpd_binomials(stmt, space, order=None):
     key = order.key
     out = []
     for _, ((a,), (b,), (c,), (d,)) in _instances_with_cells(stmt, space):
-        u, v = _pair(m, a, b), _pair(m, c, d)
+        u, v = monomial_of(m, (a, b)), monomial_of(m, (c, d))
         out.append(Binomial(u, v) if key(u) > key(v) else Binomial(v, u))
     return out
 
@@ -221,25 +214,23 @@ def exponential_degree_witness(n, cap=6):
              if j - i != n]
     g = binary_graph(names, edges)
     space = g.space()
-    m = space.size
-    u = [0] * m
-    v = [0] * m
+    u, v = [], []
     for c in (0, 1):
         for evens in product((0, 1), repeat=n):
-            state = []
-            for k in range(n):
-                state.append(c)        # odd position 2k+1
-                state.append(evens[k])  # even position 2k+2
-            idx = space.state_index(tuple(state))
-            if sum(evens) % 2 == c:
-                u[idx] += 1
-            else:
-                v[idx] += 1
-    witness = Binomial(tuple(u), tuple(v))
-    A = build_graph_matrix(g)
-    if A.apply(witness.u) != A.apply(witness.v):
-        raise AssertionError("witness violates the kernel condition")
-    return g, witness
+            # c at each odd position 2k+1, evens[k] at the even one 2k+2
+            idx = space.state_index(tuple(x for e in evens for x in (c, e)))
+            (u if sum(evens) % 2 == c else v).append(idx)
+    return g, _kernel_witness(g, u, v, "witness")
+
+
+def _kernel_witness(g, u_states, v_states, what):
+    """The binomial whose sides multiply the listed states of g; an
+    AssertionError naming `what` unless it is in the kernel of g's model."""
+    m = g.space().size
+    witness = Binomial(monomial_of(m, u_states), monomial_of(m, v_states))
+    if not binomial_in_kernel(witness, build_graph_matrix(g)):
+        raise AssertionError(f"{what} violates the kernel condition")
+    return witness
 
 
 def _require_binary(g):
@@ -280,21 +271,11 @@ def lift_ci_counterexample(g, part):
     _require_binary(g)
     validate_partition(g, part)
     space = g.space()
-    m = space.size
-    values = [Fraction(0)] * m
-    u = [0] * m
-    v = [0] * m
-    for pattern in _ATOM_PATTERNS:
-        idx = space.state_index(_block_state(g, part, pattern))
-        values[idx] = Fraction(1, 4)
-        u[idx] += 1
-    for pattern in _SWAP_PATTERNS:
-        v[space.state_index(_block_state(g, part, pattern))] += 1
-    witness = Binomial(tuple(u), tuple(v))
-    A = build_graph_matrix(g)
-    if A.apply(witness.u) != A.apply(witness.v):
-        raise AssertionError("lifted witness violates the kernel condition")
-    return Distribution(values), witness
+    atoms = [space.state_index(_block_state(g, part, p)) for p in _ATOM_PATTERNS]
+    swaps = [space.state_index(_block_state(g, part, p)) for p in _SWAP_PATTERNS]
+    values = [Fraction(1, 4) if j in atoms else 0 for j in range(space.size)]
+    return (Distribution(values),
+            _kernel_witness(g, atoms, swaps, "lifted witness"))
 
 
 def lift_limit_potentials(g, part, n):

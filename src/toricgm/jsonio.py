@@ -1,9 +1,10 @@
 """Bit-exact JSON file formats for the command line.
 
 Rationals travel as strings ("1/8" or "0.125") so nothing is rounded; a
-number literal in a distribution file is read as the exact decimal it
-spells.  State order is declared explicitly in distribution files.  Parse
-errors carry line/column positions from the JSON decoder.
+number literal in any file is read as the exact decimal it spells, and an
+error quotes it as written.  State order is declared explicitly in
+distribution files.  Parse errors carry line/column positions from the
+JSON decoder.
 """
 
 import json
@@ -11,16 +12,15 @@ import re
 from fractions import Fraction
 
 from .graphs import UndirectedGraph
-from .mle import CountTable
-from .models import (Distribution, ModelMatrix, StateSpace, VariableSpec,
-                     _integral)
+from .models import (CountTable, Distribution, ModelMatrix, StateSpace,
+                     VariableSpec, _integral)
 from .polynomials import Binomial
 
 STATE_ORDER = "lex-last-fastest"
-# A number in a distribution or count file, a literal or a string, is read
-# exactly, which builds 10 ** |exponent|; a larger exponent is refused, so
-# that a short number such as 1e999999999 fails at once rather than after
-# minutes.
+# A number, a literal in any file or a string in a distribution or count
+# file, is read exactly, which builds 10 ** |exponent|; a larger exponent
+# is refused, so that a short number such as 1e999999999 fails at once
+# rather than after minutes.
 MAX_LITERAL_EXPONENT = 1000
 # An error message quotes at most this many characters of a refused input.
 EXCERPT = 80
@@ -30,10 +30,10 @@ class FormatError(ValueError):
     """Malformed input file (bad JSON or a violated schema/invariant)."""
 
 
-def _load(path, parse_float=None):
+def _load(path):
     try:
         with open(path) as fh:
-            return json.load(fh, parse_float=parse_float)
+            return json.load(fh, parse_float=_exact_literal)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: "
                           f"{exc.msg}") from None
@@ -139,14 +139,15 @@ def write_matrix(A, path):
 def parse_value(text):
     """Exact Fraction for rational/decimal strings, float for the strings
     that spell a value that is not finite ("inf", "nan"); a JSON boolean
-    is not a number.  A string whose exact value would cost more than its
-    length suggests is refused: one with a decimal exponent beyond
+    is not a number, and any other number read from a file comes back as
+    it is.  A string whose exact value would cost more than its length
+    suggests is refused: one with a decimal exponent beyond
     MAX_LITERAL_EXPONENT, and one with more digits than int() converts
     (4,300 by default), which Fraction refuses and float would round."""
     if isinstance(text, bool):
         raise FormatError(f"boolean {text!r} is not a number")
-    if isinstance(text, (int, float)):
-        return Fraction(text) if isinstance(text, int) else float(text)
+    if isinstance(text, (int, float, Fraction)):
+        return text
     if isinstance(text, str):
         _bound_exponent(text)
     try:
@@ -181,37 +182,57 @@ def _bound_exponent(text):
                           f"beyond {MAX_LITERAL_EXPONENT}")
 
 
+class _Literal(Fraction):
+    """A Fraction that prints as the text it was built from, such as the
+    JSON number literal 2.50, so that an error quotes it as written."""
+
+    __slots__ = ("text",)
+
+    def __new__(cls, numerator=0, denominator=None):
+        # Fraction's own methods, such as from_float, may pass two integers
+        literal = super().__new__(cls, numerator, denominator)
+        literal.text = (str(numerator) if denominator is None
+                        else f"{numerator}/{denominator}")
+        return literal
+
+    def __repr__(self):
+        return self.text
+
+    def __format__(self, spec):
+        return format(self.text, spec)
+
+    __str__ = __repr__
+
+
 def _exact_literal(text):
     """The exact value of a JSON number literal such as 0.03 or 3e-2."""
     _bound_exponent(text)
-    return Fraction(text)
+    return _Literal(text)
+
+
+def _read_values(path, build):
+    """build(values) for the values of a distribution or count file; a
+    ValueError of build is a FormatError naming the file."""
+    data = _load(path)
+    order = _require(data, "order", path)
+    if order != STATE_ORDER:
+        raise FormatError(f"{path}: unsupported state order {order!r}")
+    values = _each(data, "values", parse_value, path)
+    try:
+        return build(values)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def read_distribution(path):
     """The Distribution in a file.  A number literal such as 0.03 reads as
     the exact decimal 3/100, as the string "0.03" does: values are compared
     exactly, and the float nearest 0.03 is not 3/100."""
-    data = _load(path, parse_float=_exact_literal)
-    order = _require(data, "order", path)
-    if order != STATE_ORDER:
-        raise FormatError(f"{path}: unsupported state order {order!r}")
-    values = _each(data, "values", parse_value, path)
-    try:
-        return Distribution(values)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return _read_values(path, Distribution)
 
 
 def read_counts(path):
-    data = _load(path)
-    order = _require(data, "order", path)
-    if order != STATE_ORDER:
-        raise FormatError(f"{path}: unsupported state order {order!r}")
-    counts = _each(data, "values", parse_value, path)
-    try:  # CountTable rejects a count that is not an integer
-        return CountTable(counts)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return _read_values(path, CountTable)
 
 
 def write_basis(basis, names, path):

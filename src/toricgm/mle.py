@@ -48,10 +48,12 @@ in no larger variable, so x_c stays the lead; the leads are coprime
 (Buchberger's first criterion), and every tail is in normal form.
 
 The root layer works in integers.  psi is scaled once to a content-free
-integer polynomial p, reduced to its squarefree part q = p / gcd(p, p').
-Its positive roots are isolated by bisecting (0, Cauchy bound] with Sturm
-counts (a chain built with positive scalings only) and refined by the sign
-of q alone.  Every sign read is the sign of the integer d^deg q(a / d),
+integer polynomial p, whose one remainder sequence p, p', -rem, ...
+(positive scalings only), divided by its last element gcd(p, p'), is the
+squarefree part q = p / gcd(p, p') and a Sturm chain of q.  The positive
+roots of q (and of q(-x), for the rational roots) are isolated by
+bisecting (0, Cauchy bound] with Sturm counts and refined by the sign of
+q alone.  Every sign read is the sign of the integer d^deg q(a / d),
 computed by homogeneous Horner, so no comparison rests on rounding: the
 intervals are exact.  Rational roots need no search over divisors: a root
 a / d in lowest terms of the integer q has d dividing lc(q), so once an
@@ -76,44 +78,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 from .linalg import _common_denominator, _content_free, reduced_echelon
-from .models import Distribution, _integral
+from .models import CountTable, Distribution
 from .orders import TermOrder
 from .polynomials import (NotTriangular, Polynomial, buchberger,
-                          eliminate_to_triangular, monomial_value)
+                          eliminate_to_triangular, monomial_of,
+                          monomial_value, terms_product)
 from .polynomials import reduce as poly_reduce
 from .toric import ToricBasis, compute_toric_basis, minimal_generators
-
-
-class CountTable:
-    """Nonnegative integer cell counts with a positive total.
-
-    A count may be any number with an integral value (2, 2.0, Fraction(4,
-    2)); any other value raises ValueError naming its index, rather than
-    being truncated to a different table.
-    """
-
-    __slots__ = ("values", "total")
-
-    def __init__(self, values):
-        vals = tuple(x if type(x) is int
-                     else _integral(x, f"count {x} at index {i}")
-                     for i, x in enumerate(values))
-        if any(x < 0 for x in vals):
-            raise ValueError("negative cell count")
-        total = sum(vals)
-        if total <= 0:
-            raise ValueError("count table must have a positive total")
-        self.values = vals
-        self.total = total
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
 
 
 def sufficient_stats(A, n):
@@ -290,10 +263,10 @@ def solve_mle_exact(sys, budget=None):
     the core is empty and `triangular`, then linear, is built and read
     instead.  Whenever `triangular` is in shape position so is the core's
     basis, and with the last cell free both give the same psi.
-    Raises NotTriangular when the ideal fails to be zero-dimensional or the
-    basis read is not in shape position, and ArithmeticError unless
-    exactly one positive root of psi back-substitutes to a nonnegative
-    profile.
+    Raises NotTriangular, an ArithmeticError, when the ideal fails to be
+    zero-dimensional or the basis read is not in shape position, and
+    ArithmeticError unless exactly one positive root of psi
+    back-substitutes to a nonnegative profile.
     """
     nvars = len(sys.active)
     rows, pivots = _echelonize(sys.matrix.rows, sys.margins, nvars)
@@ -343,7 +316,8 @@ def _triangular(core_basis, rows, pivots, nvars):
     reduced once modulo it (module docstring)."""
     lex = TermOrder.lex(nvars)
     # echelon row (a_c, ..., e) over a_c is the polynomial x_c + l_c / a_c
-    monomials = [_unit(nvars, j) for j in range(nvars)] + [(0,) * nvars]
+    monomials = [monomial_of(nvars, [j]) for j in range(nvars)]
+    monomials.append((0,) * nvars)
     return sorted(core_basis + [
         poly_reduce(Polynomial(nvars, [(m, Fraction(a, row[c]))
                                        for m, a in zip(monomials, row) if a]),
@@ -367,20 +341,6 @@ def _echelonize(matrix_rows, margins, nvars):
     return rows[:len(pivots)], pivots
 
 
-def _unit(k, i):
-    return tuple(1 if j == i else 0 for j in range(k))
-
-
-def _mul(p, q):
-    """Product of two integer polynomials held as monomial -> int maps."""
-    out = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(map(add, m1, m2))
-            out[m] = out.get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
-
-
 def _core(binomials, rows, pivots, free):
     """The binomials with the pivot cells eliminated, over the integers, as
     polynomials in the free cells alone (variable i is the cell free[i]).
@@ -398,7 +358,8 @@ def _core(binomials, rows, pivots, free):
     one = (0,) * k
     forms = {}  # pivot -> (a_c, [L_c^0, L_c^1, ...])
     for row, c in zip(rows, pivots):
-        form = {_unit(k, i): -row[j] for i, j in enumerate(free) if row[j]}
+        form = {monomial_of(k, [i]): -row[j]
+                for i, j in enumerate(free) if row[j]}
         if row[nvars]:
             form[one] = -row[nvars]
         forms[c] = (row[c], [{one: 1}, form])
@@ -406,7 +367,8 @@ def _core(binomials, rows, pivots, free):
     def power(c, e):
         powers = forms[c][1]
         while len(powers) <= e:
-            powers.append(_mul(powers[-1], powers[1]))
+            powers.append(terms_product(powers[-1].items(),
+                                        powers[1].items()))
         return powers[e]
 
     core = []
@@ -417,7 +379,7 @@ def _core(binomials, rows, pivots, free):
             side = {tuple(mono[j] for j in free): 1}
             scale = sign
             for c, top in tops:
-                side = _mul(side, power(c, mono[c]))
+                side = terms_product(side.items(), power(c, mono[c]).items())
                 scale *= forms[c][0] ** (top - mono[c])
             for m, x in side.items():
                 p[m] = p.get(m, 0) + scale * x
@@ -567,31 +529,35 @@ def _exact_quotient(p, g):
     return q
 
 
-def _squarefree_part(coeffs):
-    """Content-free squarefree integer polynomial q with the nonzero roots
-    of coeffs and q(0) != 0.
+def _sturm_chain(coeffs):
+    """A Sturm chain of q, the content-free squarefree integer polynomial
+    with the nonzero roots of coeffs and q(0) != 0; q comes first.
 
-    q is p / gcd(p, p') for p, a positive rational multiple of coeffs with
-    integer coefficients, after its factors of x are divided out.
-    """
+    p is coeffs times a positive rational, integral, with its factors of x
+    divided out.  Its remainder sequence p, p', -rem, ... ends with
+    g = gcd(p, p'); each element over g (exact, by Gauss's lemma) gives
+    q = p / g and a chain of q: at a root of p of multiplicity k, p' / g
+    has the sign of k q', and the last quotient is constant."""
     p = [Fraction(c) for c in coeffs]
     while p and p[-1] == 0:
         p.pop()
     if not p:
         raise ValueError("zero polynomial")
     p = _primitive(_common_denominator(p)[1])
-    p = p[next(i for i, c in enumerate(p) if c):]
-    a, b = p, _primitive(_derivative(p))
+    chain = [p[next(i for i, c in enumerate(p) if c):]]
+    b = _primitive(_derivative(chain[0]))
     while b:
-        a, b = b, _neg_rem(a, b)
-    return p if len(a) == 1 else _exact_quotient(p, a)
+        chain.append(b)
+        b = _neg_rem(chain[-2], b)
+    g = chain[-1]
+    return chain if len(g) == 1 else [_exact_quotient(f, g) for f in chain]
 
 
-def _sturm_chain(q):
-    chain = [q, _primitive(_derivative(q))]
-    while len(chain[-1]) > 1:
-        chain.append(_neg_rem(chain[-2], chain[-1]))
-    return chain
+def _reflect(chain):
+    """The Sturm chain of q(-x) from one of q(x): element i, f(x), becomes
+    (-1)^i f(-x), which keeps every sign rule of the chain."""
+    return [[-c if (i + k) % 2 else c for k, c in enumerate(f)]
+            for i, f in enumerate(chain)]
 
 
 def _variations(chain, a, d):
@@ -600,15 +566,16 @@ def _variations(chain, a, d):
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _isolate(q):
-    """One interval per positive root of a squarefree q with q(0) != 0.
+def _isolate(chain):
+    """One interval per positive root of q = chain[0], given its Sturm
+    chain; q is squarefree with q(0) != 0.
 
     Bisects (0, B], B the Cauchy bound, by Sturm counts: V(x) - V(y) is
     the number of roots in (x, y], also when y is itself a root, so a
     midpoint root stays the right end of its left half.  The counts at
     both ends ride on the stack, so a split costs one chain evaluation.
     """
-    chain = _sturm_chain(q)
+    q = chain[0]
     bound = 1 + math.ceil(Fraction(max(map(abs, q[:-1])), abs(q[-1])))
     stack = [(0, bound, 1, _variations(chain, 0, 1),
               _variations(chain, bound, 1))]
@@ -625,10 +592,10 @@ def _isolate(q):
     return out
 
 
-def _positive_roots(q, width):
-    """One interval (lo, hi] per positive root of a squarefree integer q
-    with q(0) != 0, at most min(width, 1 / (2 lc(q))) wide; a rational
-    root r comes back as (r, r).
+def _positive_roots(chain, width):
+    """One interval (lo, hi] per positive root of the squarefree integer q
+    = chain[0], q(0) != 0, given its Sturm chain, at most min(width,
+    1 / (2 lc(q))) wide; a rational root r comes back as (r, r).
 
     Each isolating interval is bisected by the sign of q alone: the root
     lies on the side where q changes sign, and a midpoint where q vanishes
@@ -638,12 +605,13 @@ def _positive_roots(q, width):
     k / lc(q) with k = floor(lc(q) hi): the root is rational iff k / lc(q)
     lies inside and q(k / lc(q)) == 0.
     """
+    q = chain[0]
     if len(q) < 2:
         return []
     lc = abs(q[-1])
     width = min(width, Fraction(1, 2 * lc))
     out = []
-    for a, b, d in _isolate(q):
+    for a, b, d in _isolate(chain):
         vb = _value(q, b, d)
         while vb and (b - a) * width.denominator > width.numerator * d:
             m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
@@ -669,7 +637,7 @@ def isolate_positive_roots(coeffs):
     the degenerate (r, r) iff its root r is rational; every other interval
     holds an irrational root.
     """
-    return sorted(_positive_roots(_squarefree_part(coeffs), ISOLATION_WIDTH))
+    return sorted(_positive_roots(_sturm_chain(coeffs), ISOLATION_WIDTH))
 
 
 def rational_root_check(psi):
@@ -681,11 +649,11 @@ def rational_root_check(psi):
     needs.  Every reported root is verified by exact evaluation of psi
     itself.
     """
-    q = _squarefree_part(psi)
+    chain = _sturm_chain(psi)
     roots = [Fraction(0)] if psi[0] == 0 else []
-    for sign in (1, -1):
-        qs = [c * sign ** i for i, c in enumerate(q)]
-        roots += [sign * lo for lo, hi in _positive_roots(qs, 1) if lo == hi]
+    for sign, signed in ((1, chain), (-1, _reflect(chain))):
+        roots += [sign * lo for lo, hi in _positive_roots(signed, 1)
+                  if lo == hi]
     for r in roots:
         if sum(Fraction(c) * r ** i for i, c in enumerate(psi)) != 0:
             raise ArithmeticError(f"rational root {r} does not annihilate psi")

@@ -1,11 +1,12 @@
 """State spaces and their marginal cells, log-linear generator sets, model
-matrices and the monomial parametrization map.
+matrices, count tables and the monomial parametrization map.
 
 States are enumerated in mixed-radix order with the last variable varying
 fastest, so binary states read 000, 001, 010, ... and match the usual
 probability-subscript convention.  Model matrices are validated on
 construction: nonnegative integer entries (an entry with no integral value
-is rejected, not truncated) and equal, positive column sums.
+is rejected, not truncated) and equal, positive column sums.  Count tables
+hold nonnegative integer counts, read by the same integrality test.
 """
 
 import math
@@ -127,6 +128,35 @@ def _integral(x, what):
     if k is None or k != x:
         raise ValueError(f"{what} is not an integer")
     return k
+
+
+class CountTable:
+    """Nonnegative integer cell counts with a positive total.
+
+    A count may be any number with an integral value (2, 2.0, Fraction(4,
+    2)); any other value raises ValueError naming its index, rather than
+    being truncated to a different table.
+    """
+
+    __slots__ = ("values", "total")
+
+    def __init__(self, values):
+        vals = tuple(x if type(x) is int
+                     else _integral(x, f"count {x} at index {i}")
+                     for i, x in enumerate(values))
+        if any(x < 0 for x in vals):
+            raise ValueError("negative cell count")
+        total = sum(vals)
+        if total <= 0:
+            raise ValueError("count table must have a positive total")
+        self.values = vals
+        self.total = total
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        return self.values[i]
 
 
 class ModelMatrix:

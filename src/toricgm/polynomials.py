@@ -73,9 +73,18 @@ class BudgetExceeded(RuntimeError):
     """The S-pair budget ran out before the basis was finished."""
 
 
-class NotTriangular(ValueError):
+class NotTriangular(ArithmeticError):
     """No triangular lex basis to read: the ideal is not zero-dimensional,
     or the lex basis of the exact MLE's core is not in shape position."""
+
+
+def monomial_of(nvars, indices):
+    """Exponent vector over nvars variables of the product of the listed
+    variables: one listed k times gets exponent k."""
+    mono = [0] * nvars
+    for i in indices:
+        mono[i] += 1
+    return tuple(mono)
 
 
 def monomial_mul(a, b):
@@ -145,8 +154,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, nvars, i, exponent=1):
-        mono = tuple(exponent if j == i else 0 for j in range(nvars))
-        return cls(nvars, [(mono, 1)])
+        return cls(nvars, [(monomial_of(nvars, [i] * exponent), 1)])
 
     def is_zero(self):
         return not self.terms
@@ -178,13 +186,8 @@ class Polynomial:
             if other == 0:
                 return Polynomial.zero(self.nvars)
             return Polynomial(self.nvars, [(m, c * other) for m, c in self.terms])
-        other = self._coerce(other)
-        acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = monomial_mul(m1, m2)
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return Polynomial(self.nvars, acc)
+        return Polynomial(self.nvars,
+                          terms_product(self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -261,6 +264,17 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.nvars}, {list(self.terms)!r})"
+
+
+def terms_product(p, q):
+    """The product of two polynomials given as (monomial, coefficient)
+    pairs, as a map from monomial to its nonzero coefficient."""
+    out = {}
+    for m1, c1 in p:
+        for m2, c2 in q:
+            m = tuple(map(_add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 class Binomial:

@@ -94,7 +94,7 @@ from .linalg import integer_kernel_lattice
 from .models import ModelMatrix
 from .orders import TermOrder
 from .polynomials import (Binomial, BinomialRewriter, _support_mask,
-                          buchberger_binomials)
+                          buchberger_binomials, monomial_of)
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class ToricBasis:
 
     def __post_init__(self):
         for b in self.binomials:
-            if self.matrix.apply(b.u) != self.matrix.apply(b.v):
+            if not binomial_in_kernel(b, self.matrix):
                 raise ValueError("binomial violates the kernel condition")
             if not b.is_coprime():
                 raise ValueError("basis binomial not in coprime form")
@@ -152,18 +152,9 @@ def _quadratic_moves(A):
     for k, (a, ca) in enumerate(codes):
         for b, cb in codes[k:]:
             fibers.setdefault(ca + cb, []).append((a, b))
-    m = A.ncols
-    moves = []
-    for pairs in fibers.values():
-        for (a, b), (c, d) in zip(pairs, pairs[1:]):
-            u = [0] * m
-            v = [0] * m
-            u[a] += 1
-            u[b] += 1
-            v[c] += 1
-            v[d] += 1
-            moves.append(Binomial(u, v))
-    return moves
+    return [Binomial(monomial_of(A.ncols, ab), monomial_of(A.ncols, cd))
+            for pairs in fibers.values()
+            for ab, cd in zip(pairs, pairs[1:])]
 
 
 def _saturation_plan(gens):
@@ -213,7 +204,7 @@ def compute_toric_basis(A, order=None, seed=None, budget=None):
         gens += _quadratic_moves(A)
     sigma = _saturation_plan(gens)
     for b in (seed or ()):
-        if A.apply(b.u) != A.apply(b.v):
+        if not binomial_in_kernel(b, A):
             raise ValueError("seed binomial violates the kernel condition")
         gens.append(b)
     gens = [b.strip_common() for b in gens]

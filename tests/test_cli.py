@@ -6,6 +6,7 @@ import pytest
 
 from toricgm import cli
 from toricgm.cli import main
+from toricgm.jsonio import read_counts, read_matrix
 
 from fixtures import FOUR_CYCLE_COUNTS, FOUR_CYCLE_MATRIX, MOUSSOURIS_SUPPORT
 
@@ -267,6 +268,22 @@ def test_mle_exact_without_an_exact_mle_exits_4(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert captured.err.startswith("error: 0 of 0 positive roots of psi")
+
+
+def test_mle_exact_without_a_triangular_basis_exits_4(tmp_path, capsys,
+                                                     four_cycle_graph_file):
+    # the all-ones table on the binary four-cycle: its MLE is the uniform
+    # table, but the core's ideal is not zero-dimensional.  That is no
+    # fault of the input, so it exits as no exact MLE, not as one
+    model = str(tmp_path / "model.json")
+    run(capsys, "model", "--graph", four_cycle_graph_file, "--out", model)
+    counts = write_json(tmp_path / "n.json", {
+        "order": "lex-last-fastest", "values": [1] * 16})
+    code = main(["mle-exact", "--model", model, "--counts", counts])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith(
+        "error: not triangular: the ideal is not zero-dimensional")
 
 
 def test_ips_nonconvergence_exits_4(tmp_path, capsys, four_cycle_graph_file):
@@ -647,6 +664,58 @@ def test_read_matrix_rejects_an_entry_that_is_not_an_integer(tmp_path,
                         f"{bad}: entry 1.5 at row 0, column 0 is not an "
                         "integer")
     assert not out.exists()
+
+
+# The float nearest each literal is an integer (1.0, 2.0), so a reader
+# that parses a float first takes it for one
+NEAR_ONE = "1.0000000000000001"
+
+
+@pytest.mark.parametrize("kind", ["counts", "matrix", "basis", "graph",
+                                  "generators"])
+def test_a_literal_beside_an_integer_is_not_rounded_to_it(
+        tmp_path, capsys, independence_files, kind):
+    model, basis, dist = independence_files
+    bad = tmp_path / "bad.json"
+    levels = '[{"name": "X", "levels": 2.0000000000000001}]'
+    text, argv, message = {
+        "counts": ('{"order": "lex-last-fastest", "values": [1, 1, 1, %s]}'
+                   % NEAR_ONE, ["ips", "--model", model, "--counts"],
+                   f"count {NEAR_ONE} at index 3 is not an integer"),
+        "matrix": ('{"rows": [{"label": "r0", "entries": [1, %s]}], '
+                   '"columns": ["0", "1"]}' % NEAR_ONE,
+                   ["model", "--out", str(tmp_path / "m.json"), "--matrix"],
+                   f"entry {NEAR_ONE} at row 0, column 1 is not an integer"),
+        "basis": ('{"binomials": [{"u": [%s, 0, 0, 1], "v": [0, 1, 1, 0]}]}'
+                  % NEAR_ONE,
+                  ["check", "--model", model, "--dist", dist, "--basis"],
+                  f"bad 'binomials' entry {{'u': [{NEAR_ONE}, 0, 0, 1], "
+                  f"'v': [0, 1, 1, 0]}}: exponent {NEAR_ONE} is not an "
+                  "integer"),
+        "graph": ('{"variables": %s, "edges": []}' % levels,
+                  ["graph", "--graph"],
+                  "levels 2.0000000000000001 is not an integer"),
+        "generators": ('{"variables": %s, "generators": [["X"]]}' % levels,
+                       ["model", "--out", str(tmp_path / "m.json"),
+                        "--generators"],
+                       "levels 2.0000000000000001 is not an integer"),
+    }[kind]
+    bad.write_text(text)
+    err = assert_format_error(capsys, argv + [str(bad)], message)
+    assert err.startswith(f"error: {bad}: ")
+
+
+def test_an_integral_literal_is_read_exactly(tmp_path):
+    # the float nearest 12345678901234567891.0 is 12345678901234567168
+    big = 12345678901234567891
+    counts = tmp_path / "n.json"
+    counts.write_text('{"order": "lex-last-fastest", "values": [1, %d.0]}'
+                      % big)
+    assert read_counts(str(counts)).values == (1, big)
+    matrix = tmp_path / "m.json"
+    matrix.write_text('{"rows": [{"label": "r0", "entries": [%d.0, %d]}], '
+                      '"columns": ["0", "1"]}' % (big, big))
+    assert read_matrix(str(matrix)).rows == ((big, big),)
 
 
 @pytest.mark.parametrize("entries", [[True, False], [False, True]])

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, imports only at
 module level, and uses each private function and class it defines; each
-public one is used somewhere in the repository.
+public one is used somewhere in the repository.  The private names that
+one module imports from another are listed, so a new one shows.
 
 No linter runs in CI, so a name left imported after the code that used it
 is deleted would stay unnoticed, and so would a private helper left
@@ -8,7 +9,8 @@ defined, or a public helper that nothing calls.  `__init__.py` is exempt
 from the import check: its imports are the package's re-exports, and they
 do not count as a use of a public name.  An import inside a function hides
 a module's dependencies (and an import cycle) until that function first
-runs.
+runs.  A private name imported from another module is a detail that two
+modules share: the list below keeps their number from growing unseen.
 """
 
 import ast
@@ -158,3 +160,39 @@ def test_every_public_definition_is_used():
               for folder in ("tests", "perfbench") for p in (ROOT / folder).glob("*.py")}
     texts = [(ROOT / "README.md").read_text()]
     assert _unreferenced(sources, _public_definitions, others, texts) == []
+
+
+# (importing module, name) of each private name that one module of the
+# package imports from another
+PRIVATE_IMPORTS = [
+    ("factorization.py", "_common_denominator"),
+    ("jsonio.py", "_integral"),
+    ("mle.py", "_common_denominator"),
+    ("mle.py", "_content_free"),
+    ("polynomials.py", "_common_denominator"),
+    ("toric.py", "_support_mask"),
+]
+
+
+def _private_imports(sources):
+    """(module, name) of each private name that a source imports from
+    another module of its package (a relative import)."""
+    return sorted((module, alias.name) for module, source in sources.items()
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level
+                  for alias in node.names
+                  if alias.name.startswith("_")
+                  and not alias.name.endswith("__"))
+
+
+def test_the_check_sees_a_private_import():
+    sources = {"a.py": ("from .b import _shared, public\n"
+                        "from os import _exit\nfrom . import __version__\n"),
+               "b.py": "from .c.d import _deep as deep\nimport _thread\n"}
+    assert _private_imports(sources) == [("a.py", "_shared"),
+                                         ("b.py", "_deep")]
+
+
+def test_no_new_private_name_crosses_a_module_boundary():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert _private_imports(sources) == PRIVATE_IMPORTS

@@ -646,6 +646,18 @@ def test_rational_root_next_to_an_irrational_one():
         assert hi - lo <= ISOLATION_WIDTH
 
 
+def test_repeated_irrational_root():
+    # (x^2 - 2)^2 (x - 3): gcd(p, p') = x^2 - 2, so the Sturm chain is the
+    # remainder sequence divided by it; sqrt(2) is isolated once, and 3
+    # comes back exactly
+    p = _poly_mul(_poly_mul([-2, 0, 1], [-2, 0, 1]), [-3, 1])
+    assert p == [-12, 4, 12, -4, -3, 1]
+    (lo, hi), three = isolate_positive_roots(p)
+    assert 0 < hi - lo <= ISOLATION_WIDTH and lo * lo < 2 < hi * hi
+    assert three == (3, 3)
+    assert rational_root_check(p) == [3]
+
+
 def test_heavy_table_root_layer():
     # counts 1-9 with one zeroed margin: the univariate's constant and
     # leading coefficients have many divisors
