@@ -29,7 +29,7 @@ from operator import mul
 from .linalg import (_common_denominator, integer_kernel_lattice,
                      reduced_echelon)
 from .models import monomial_map
-from .polynomials import monomial_value
+from .polynomials import Binomial, monomial_value
 from .simplex import find_facial_certificate
 
 FACTORS = "factors"
@@ -56,8 +56,10 @@ class FacialCertificate:
         return FacialCertificate(c)
 
 
-def _balanced(N, den, u, v):
-    """N^u * den^|v| == N^v * den^|u| for integer numerators N over den."""
+def _balanced(N, den, b):
+    """N^u * den^|v| == N^v * den^|u| for the binomial x^u - x^v and
+    integer numerators N over den."""
+    u, v = b.u, b.v
     lhs = monomial_value(N, u)
     rhs = monomial_value(N, v)
     shift = sum(u) - sum(v)
@@ -171,7 +173,7 @@ def in_variety_via_basis(P, basis, tol=None):
     if getattr(P, "is_exact", True):
         den, N = _common_denominator(P.values)
         for b in binomials:
-            if not _balanced(N, den, b.u, b.v):
+            if not _balanced(N, den, b):
                 return False, b
         return True, None
     for b in binomials:
@@ -219,10 +221,8 @@ def _kernel_balances(A, P, F):
     the product of P_j ** w_j over w_j > 0 equals that of P_j ** -w_j over
     w_j < 0, compared on integer numerators."""
     den, N = _common_denominator([P.values[j] for j in F])
-    for w in integer_kernel_lattice([[row[j] for j in F] for row in A.rows]):
-        if not _balanced(N, den, [max(e, 0) for e in w], [max(-e, 0) for e in w]):
-            return False
-    return True
+    return all(_balanced(N, den, Binomial.from_difference(w)) for w in
+               integer_kernel_lattice([[row[j] for j in F] for row in A.rows]))
 
 
 def classify(A, basis, P):

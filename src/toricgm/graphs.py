@@ -3,7 +3,8 @@
 Cliques, graph separation, chordality, chordless cycles and the five-block
 partitions that contract a non-chordal graph onto a chordless four-cycle.
 Graphs are small (desk scale), so the algorithms favor exactness and
-determinism over asymptotic cleverness.
+determinism over asymptotic cleverness.  One breadth-first search, in
+variable order, serves separation, block connectivity and chordless cycles.
 """
 
 from dataclasses import dataclass
@@ -34,11 +35,10 @@ class UndirectedGraph:
         self.variables = variables
         self.edges = tuple(sorted(canon, key=lambda e: (index[e[0]], index[e[1]])))
         self._index = index
-        adj = {v.name: set() for v in variables}
+        # the edges are sorted, so each vertex's neighbours come in order
+        self._adj = {v.name: {} for v in variables}
         for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        self._adj = {k: frozenset(v) for k, v in adj.items()}
+            self._adj[a][b] = self._adj[b][a] = None
 
     @property
     def names(self):
@@ -48,7 +48,8 @@ class UndirectedGraph:
         return self._index[name]
 
     def neighbors(self, name):
-        return self._adj[name]
+        """The neighbours of a vertex, a set-like view in variable order."""
+        return self._adj[name].keys()
 
     def has_edge(self, a, b):
         return b in self._adj[a]
@@ -97,17 +98,18 @@ def build_graph_matrix(g):
 
 
 def _reachable(g, start, allowed):
-    """The start vertices and every vertex that a path from one of them
-    reaches through vertices of the set allowed alone."""
-    reached = set(start)
-    frontier = list(reached)
-    while frontier:
-        v = frontier.pop()
+    """Breadth-first search from the start vertices through vertices of the
+    set allowed alone, visiting neighbours in variable order: {vertex
+    reached: the vertex it was reached from}, each start vertex mapped to
+    None."""
+    parent = dict.fromkeys(start)
+    queue = list(parent)
+    for v in queue:
         for w in g.neighbors(v):
-            if w in allowed and w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    return reached
+            if w in allowed and w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return parent
 
 
 def separates(g, X, Y, Z):
@@ -115,7 +117,7 @@ def separates(g, X, Y, Z):
     X, Y, Z = set(X), set(Y), set(Z)
     if (X & Y) or (X & Z) or (Y & Z):
         raise ValueError("X, Y, Z must be disjoint")
-    return _reachable(g, X, g._adj.keys() - Z).isdisjoint(Y)
+    return _reachable(g, X, g._adj.keys() - Z).keys().isdisjoint(Y)
 
 
 @dataclass(frozen=True)
@@ -206,18 +208,8 @@ def chordless_cycle(g):
         common = sorted(g.neighbors(x) & g.neighbors(y), key=g.var_index)
         for v in common:
             banned = (g.neighbors(v) | {v}) - {x, y}
-            # BFS shortest x-y path in g minus banned
-            prev = {x: None}
-            queue = [x]
-            while queue:
-                cur = queue.pop(0)
-                if cur == y:
-                    break
-                for w in sorted(g.neighbors(cur), key=g.var_index):
-                    if w in banned or w in prev:
-                        continue
-                    prev[w] = cur
-                    queue.append(w)
+            # BFS from x: its path to y is a shortest one
+            prev = _reachable(g, [x], g._adj.keys() - banned)
             if y not in prev:
                 continue
             path = []
@@ -268,7 +260,7 @@ class NondecomposablePartition:
 
 def _connected(g, vertices):
     vertices = set(vertices)
-    return _reachable(g, [next(iter(vertices))], vertices) == vertices
+    return _reachable(g, [next(iter(vertices))], vertices).keys() == vertices
 
 
 def _blocks_adjacent(g, P, Q):

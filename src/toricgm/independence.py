@@ -34,6 +34,9 @@ from .orders import TermOrder
 from .polynomials import Binomial, Polynomial, monomial_of
 from .toric import binomial_in_kernel
 
+# the largest n of exponential_degree_witness (a degree-2^n binomial, 4^n cells)
+WITNESS_CAP = 6
+
 
 @dataclass(frozen=True)
 class CIStatement:
@@ -168,10 +171,10 @@ def pairwise_ideal(g):
         g.space())
 
 
-def global_ideal(g, cap=12):
+def global_ideal(g):
     """Generators from all saturated separation statements of the graph."""
     return _saturated_binomials(
-        (CIStatement(sep.X, sep.Y, sep.Z) for sep in saturated_separations(g, cap)),
+        (CIStatement(sep.X, sep.Y, sep.Z) for sep in saturated_separations(g)),
         g.space())
 
 
@@ -196,19 +199,19 @@ def hc_zspan_check(basis, pairwise):
     return True
 
 
-def exponential_degree_witness(n, cap=6):
+def exponential_degree_witness(n):
     """Graph of n noninteracting binary pairs plus a degree-2^n witness.
 
     The graph on 2n binary variables has every edge except {X_i, X_{i+n}}.
     The witness binomial multiplies the states whose odd coordinates agree
     and whose even-coordinate parity matches (left side) or differs (right
     side); it lies in the toric ideal of the graph model and is of degree
-    exactly 2^n per side.
+    exactly 2^n per side.  n runs from 1 to WITNESS_CAP (ValueError).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds cap {cap}")
+    if n > WITNESS_CAP:
+        raise ValueError(f"n={n} exceeds cap {WITNESS_CAP}")
     names = [f"X{i}" for i in range(1, 2 * n + 1)]
     edges = [(names[i], names[j]) for i in range(2 * n) for j in range(i + 1, 2 * n)
              if j - i != n]

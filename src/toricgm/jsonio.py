@@ -3,7 +3,8 @@
 Rationals travel as strings ("1/8" or "0.125") so nothing is rounded; a
 number literal in any file is read as the exact decimal it spells, and an
 error quotes it as written.  State order is declared explicitly in
-distribution files.  Parse errors carry line/column positions from the
+distribution files; a basis file's term order must be one of those that
+`orders` names.  Parse errors carry line/column positions from the
 JSON decoder.
 """
 
@@ -14,6 +15,7 @@ from fractions import Fraction
 from .graphs import UndirectedGraph
 from .models import (CountTable, Distribution, ModelMatrix, StateSpace,
                      VariableSpec, _integral)
+from .orders import KINDS
 from .polynomials import Binomial
 
 STATE_ORDER = "lex-last-fastest"
@@ -251,6 +253,7 @@ def _exponents(entry):
 
 
 def read_basis(path, ncols=None):
+    """(order name, binomials) of a basis file; the order defaults to grevlex."""
     data = _load(path)
     out = _each(data, "binomials",
                 lambda e: Binomial(_exponents(e["u"]), _exponents(e["v"])),
@@ -259,7 +262,10 @@ def read_basis(path, ncols=None):
         if ncols is not None and b.nvars != ncols:
             raise FormatError(f"{path}: binomial arity {b.nvars} does not "
                               f"match the model ({ncols} cells)")
-    return data.get("order", "grevlex"), out
+    order = data.get("order", "grevlex")
+    if order not in KINDS:
+        raise FormatError(f"{path}: unknown term order {_excerpt(repr(order))}")
+    return order, out
 
 
 def _dump(payload, path):

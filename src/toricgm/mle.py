@@ -89,8 +89,14 @@ from .polynomials import reduce as poly_reduce
 from .toric import ToricBasis, compute_toric_basis, minimal_generators
 
 
+def _count_table(n):
+    """n as a CountTable (built when n is a plain sequence of counts)."""
+    return n if isinstance(n, CountTable) else CountTable(n)
+
+
 def sufficient_stats(A, n):
-    """The sufficient-statistic vector A times the count table."""
+    """The sufficient-statistic vector A n of a table or list of counts."""
+    n = _count_table(n)
     if len(n) != A.ncols:
         raise ValueError("count table length must match the column count")
     return A.apply(n.values)
@@ -103,6 +109,7 @@ def reduce_zero_cells(A, n):
     the extended MLE and dropped; rows with zero margins are dropped too.
     The test reads only the observed margins, which dropping a cell (with
     its zero count) cannot change, so one pass is already the fixpoint.
+    n may be a table or list of counts, as in sufficient_stats.
     """
     stats = sufficient_stats(A, n)
     active = [j for j in range(A.ncols)
@@ -127,7 +134,7 @@ def ips_fit(A, n, tol=1e-9, max_cycles=10 ** 5):
         raise ValueError(f"tol must be positive, not {tol}")
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be at least 1, not {max_cycles}")
-    n = n if isinstance(n, CountTable) else CountTable(n)
+    n = _count_table(n)
     active, red = reduce_zero_cells(A, n)
     observed = [float(x) for x in red.apply([n.values[j] for j in active])]
     cells = [n.total / len(active)] * len(active)
@@ -199,7 +206,7 @@ def assemble_mle_system(A, n, budget=None):
     and budget (see the module docstring); the linear part keeps every
     reduced row's marginal equation, redundancy included.
     """
-    n = n if isinstance(n, CountTable) else CountTable(n)
+    n = _count_table(n)
     active, red = reduce_zero_cells(A, n)
     margins = red.apply([n.values[j] for j in active])
     basis, generators = _reduced_basis(red, budget)

@@ -17,6 +17,9 @@ elementwise sum of key(u) and key(v).  The generic Buchberger engine in
 instead of a recomputation.
 """
 
+# the kind names, which --order and a basis file's order are checked against
+KINDS = ("lex", "grevlex")
+
 
 class TermOrder:
     """A term order of fixed arity with an indeterminate priority list."""
@@ -24,7 +27,7 @@ class TermOrder:
     __slots__ = ("kind", "nvars", "priority", "_rev")
 
     def __init__(self, kind, nvars, priority=None):
-        if kind not in ("lex", "grevlex"):
+        if kind not in KINDS:
             raise ValueError(f"unknown term order kind {kind!r}")
         if priority is None:
             priority = tuple(range(nvars))

@@ -87,10 +87,6 @@ def monomial_of(nvars, indices):
     return tuple(mono)
 
 
-def monomial_mul(a, b):
-    return tuple(map(_add, a, b))
-
-
 def monomial_lcm(a, b):
     return tuple(map(max, a, b))
 
@@ -289,6 +285,12 @@ class Binomial:
             raise ValueError("exponent vectors must share arity")
         if self.u == self.v:
             raise ValueError("binomial sides must differ")
+
+    @classmethod
+    def from_difference(cls, w):
+        """x^(w+) - x^(w-) for an integer vector w: the inverse of
+        exponent_diff."""
+        return cls([e if e > 0 else 0 for e in w], [-e if e < 0 else 0 for e in w])
 
     @property
     def nvars(self):
@@ -704,8 +706,7 @@ class BinomialRewriter:
     prefilter; a monomial visits the buckets of its own support variables
     in increasing order, so the first live lead that divides it is the
     reducer.  Each element also keeps its lead and tail as sparse lists of
-    (variable, exponent), and the support masks of both, built from those
-    lists: a rewriting step changes the monomial and its support mask on
+    (variable, exponent), and the support masks of both: a rewriting step changes the monomial and its support mask on
     those variables only, rather than rebuilding every entry and
     recomputing the mask.  A monomial whose mask is already known (an
     S-binomial side, a tail) is rewritten from that mask, with no pass over
@@ -736,8 +737,8 @@ class BinomialRewriter:
         tail_terms = [(v, e) for v, e in enumerate(tail) if e]
         self.leads.append(lead)
         self.tails.append(tail)
-        self.masks.append(_terms_mask(lead_terms))
-        self.tail_masks.append(_terms_mask(tail_terms))
+        self.masks.append(_support_mask(lead))
+        self.tail_masks.append(_support_mask(tail))
         self.alive.append(True)
         self.lead_terms.append(lead_terms)
         self.tail_terms.append(tail_terms)
@@ -779,14 +780,6 @@ class BinomialRewriter:
                 mask |= 1 << v
             hit = self.find_reducer(m, mask)
         return tuple(m)
-
-
-def _terms_mask(terms):
-    """Support mask of a monomial from its sparse (variable, exponent) list."""
-    mask = 0
-    for v, _ in terms:
-        mask |= 1 << v
-    return mask
 
 
 def buchberger_binomials(inputs, order, budget=None, saturated=0,

@@ -125,12 +125,7 @@ class ToricBasis:
 
 
 def _kernel_binomials(A):
-    out = []
-    for w in integer_kernel_lattice(A.rows):
-        u = tuple(x if x > 0 else 0 for x in w)
-        v = tuple(-x if x < 0 else 0 for x in w)
-        out.append(Binomial(u, v))
-    return out
+    return [Binomial.from_difference(w) for w in integer_kernel_lattice(A.rows)]
 
 
 def _quadratic_moves(A):

@@ -1,16 +1,18 @@
 """Shared fixtures: standard graphs, printed matrices and binomial sets, the
 rational linear algebra the integer kernels are checked against, the
 rational polynomial arithmetic the integer Buchberger engine is checked
+against, the fiber-connectivity oracle that toric bases are checked
 against, and the benchmark's workload module."""
 
 import importlib.util
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 from toricgm.graphs import binary_graph, build_graph_matrix
 from toricgm.models import ModelMatrix
-from toricgm.polynomials import Binomial, Polynomial, monomial_divides
+from toricgm.polynomials import (Binomial, Polynomial, monomial_divides,
+                                 monomial_of)
 
 BIN3 = ["".join(map(str, s)) for s in product((0, 1), repeat=3)]
 BIN4 = ["".join(map(str, s)) for s in product((0, 1), repeat=4)]
@@ -360,3 +362,54 @@ def full_width_rows(G):
     n = len(G)
     return [list(g) + [-x for x in g] + [-int(i == r) for i in range(n)]
             for r, g in enumerate(G)]
+
+
+# --- fiber connectivity -------------------------------------------------------
+
+def fiber_oracle(A, binomials, max_degree):
+    """(disconnected, counts) for the moves x^u - x^v of the binomials on
+    the fibers {u >= 0 : A u = b} of degree 1 to max_degree, found with no
+    Groebner basis.
+
+    The monomials of each degree d are grouped by A u, and a union-find
+    joins m with m - u + v wherever u divides m (the reverse move is the
+    same edge seen from the other end).  counts[d] is the sum over the
+    degree-d fibers of (their components under the moves of degree below
+    d) - 1: the number of degree-d elements of every minimal Markov basis
+    (Takemura and Aoki, Ann. Inst. Statist. Math. 56, 2004).
+    disconnected lists the (degree, A u) of each fiber that the moves of
+    every degree leave in more than one component.  A set of moves is a
+    Markov basis iff it connects every fiber (Diaconis and Sturmfels, Ann.
+    Statist. 26, 1998); this checks the fibers up to max_degree.
+    """
+    disconnected = []
+    counts = {}
+    for d in range(1, max_degree + 1):
+        monomials = [monomial_of(A.ncols, cells) for cells in
+                     combinations_with_replacement(range(A.ncols), d)]
+        fibers = {}
+        for m in monomials:
+            fibers.setdefault(tuple(A.apply(m)), []).append(m)
+        parent = {m: m for m in monomials}
+
+        def find(m):
+            while parent[m] != m:
+                parent[m] = m = parent[parent[m]]
+            return m
+
+        def join(moves):
+            for b in moves:
+                for m in monomials:
+                    if monomial_divides(b.u, m):
+                        moved = tuple(x - y + z for x, y, z in zip(m, b.u, b.v))
+                        parent[find(m)] = find(moved)
+
+        def components(fiber):
+            return len({find(m) for m in fiber})
+
+        join(b for b in binomials if sum(b.u) < d)
+        counts[d] = sum(components(f) - 1 for f in fibers.values())
+        join(b for b in binomials if sum(b.u) == d)
+        disconnected += [(d, image) for image, f in fibers.items()
+                         if components(f) > 1]
+    return disconnected, counts

@@ -498,6 +498,24 @@ def test_check_rejects_a_basis_that_does_not_generate_the_ideal(
         f"{unknown}: unknown term order 'deglex'")
 
 
+
+@pytest.mark.parametrize("order, quoted", [
+    (["lex"], "['lex']"),
+    ({"a": 1}, "{'a': 1}"),
+    ("lex" * 40, f"'{'lex' * 26}l... (122 characters)"),
+], ids=["list", "object", "long"])
+def test_check_refuses_a_basis_order_outside_the_term_orders(
+        tmp_path, capsys, three_chain_files, order, quoted):
+    # the order is read with the file, so a value that is not a name
+    # exits 2 naming the file (a list or object was a TypeError)
+    model, basis, dist = three_chain_files
+    data = dict(json.loads(Path(basis).read_text()), order=order)
+    bad = write_json(tmp_path / "bad.json", data)
+    err = assert_format_error(
+        capsys, ["check", "--model", model, "--basis", bad, "--dist", dist],
+        f"{bad}: unknown term order {quoted}")
+    assert "Traceback" not in err
+
 def test_read_counts_null_value(tmp_path, capsys, three_chain_files):
     model, _, _ = three_chain_files
     bad = write_json(tmp_path / "bad.json", {"order": "lex-last-fastest",

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, imports only at
 module level, and uses each private function and class it defines; each
 public one is used somewhere in the repository.  The private names that
-one module imports from another are listed, so a new one shows.
+one module imports from another are listed, so a new one shows.  No
+module holds an `assert` statement.
 
 No linter runs in CI, so a name left imported after the code that used it
 is deleted would stay unnoticed, and so would a private helper left
@@ -11,6 +12,8 @@ do not count as a use of a public name.  An import inside a function hides
 a module's dependencies (and an import cycle) until that function first
 runs.  A private name imported from another module is a detail that two
 modules share: the list below keeps their number from growing unseen.
+`python -O` strips every `assert` statement, so a check written as one
+would silently stop running; the package raises instead.
 """
 
 import ast
@@ -196,3 +199,21 @@ def test_the_check_sees_a_private_import():
 def test_no_new_private_name_crosses_a_module_boundary():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert _private_imports(sources) == PRIVATE_IMPORTS
+
+
+def _assert_statements(source):
+    """Line of each `assert` statement in the source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_the_check_sees_an_assert_statement():
+    source = ("def f(x):\n    assert x, 'x'\n    if not x:\n"
+              "        raise AssertionError('x')\n\n\n"
+              "class C:\n    def g(self):\n        assert self\n")
+    assert _assert_statements(source) == [2, 9]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_module_holds_no_assert_statement(module):
+    assert _assert_statements((PACKAGE / module).read_text()) == []

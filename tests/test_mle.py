@@ -106,6 +106,18 @@ def test_reduce_zero_cells_identity_when_positive():
     assert red.rows == A.rows
 
 
+def test_zero_cell_helpers_take_a_list_of_counts_as_a_table():
+    # all four helpers coerce a plain list the same way
+    A = four_cycle_matrix()
+    table = CountTable(FOUR_CYCLE_COUNTS)
+    counts = list(FOUR_CYCLE_COUNTS)
+    assert sufficient_stats(A, counts) == sufficient_stats(A, table)
+    assert reduce_zero_cells(A, counts) == reduce_zero_cells(A, table)
+    assert assemble_mle_system(A, counts) == assemble_mle_system(A, table)
+    assert ips_fit(A, counts).values == ips_fit(A, table).values
+    with pytest.raises(ValueError, match="count 1.5 at index 0"):
+        reduce_zero_cells(A, [1.5] + counts[1:])
+
 def test_reduce_zero_cells_lifted_five_cycle():
     from toricgm.graphs import nondecomposable_partition
     g = five_cycle()

@@ -14,7 +14,7 @@ import hashlib
 import heapq
 import random
 from collections import Counter
-from operator import le
+from operator import add as _add, le
 
 import pytest
 
@@ -25,7 +25,7 @@ from toricgm.orders import TermOrder
 from toricgm.polynomials import (BinomialRewriter, BudgetExceeded,
                                  _s_pair_loop, _support_mask,
                                  buchberger_binomials, monomial_div,
-                                 monomial_lcm, monomial_mul)
+                                 monomial_lcm)
 
 from fixtures import four_cycle_matrix, random_model
 
@@ -147,8 +147,8 @@ def engine_run(loop, gens, order, saturated):
     def s_pair(i, j):
         treated.append((i, j))
         lcm = monomial_lcm(leads[i], leads[j])
-        return (monomial_mul(monomial_div(lcm, leads[i]), tails[i]),
-                monomial_mul(monomial_div(lcm, leads[j]), tails[j]))
+        return (tuple(map(_add, monomial_div(lcm, leads[i]), tails[i])),
+                tuple(map(_add, monomial_div(lcm, leads[j]), tails[j])))
 
     loop(start, add, s_pair, leads, system.masks, system.alive, order.key,
          10 ** 6, saturated, tail_masks)

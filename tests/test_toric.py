@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -12,15 +14,16 @@ from toricgm.models import (Distribution, ModelMatrix, StateSpace,
 from toricgm.orders import TermOrder
 from toricgm.polynomials import (Binomial, BinomialRewriter, BudgetExceeded,
                                  buchberger_binomials, ideal_equal,
-                                 monomial_divides)
+                                 monomial_divides, monomial_of)
 from toricgm.toric import (_quadratic_moves, binomial_in_ideal,
                            binomial_in_kernel, compute_toric_basis,
                            evaluate_binomial, is_quadratic_basis,
                            minimal_generators)
 
 from fixtures import (FOUR_CYCLE_SIXTEEN, IDX4, THREE_CHAIN_BINOMIALS,
-                      CheapestOrder, binomial4, canonical, four_chain,
-                      four_cycle, four_cycle_matrix, random_model, three_chain)
+                      CheapestOrder, binomial4, canonical, fiber_oracle,
+                      four_chain, four_cycle, four_cycle_matrix, random_model,
+                      three_chain)
 
 
 def test_three_chain_exact_basis():
@@ -454,7 +457,7 @@ def test_quadratic_moves_connect_every_fiber_of_distinct_columns():
         groups = {}
         for k, a in enumerate(reps):
             for b in reps[k:]:
-                mono = _pair(A.ncols, a, b)
+                mono = monomial_of(A.ncols, (a, b))
                 groups.setdefault(A.apply(mono), set()).add(mono)
         parent = {}
 
@@ -469,13 +472,6 @@ def test_quadratic_moves_connect_every_fiber_of_distinct_columns():
         for group in groups.values():
             assert len({find(x) for x in group}) == 1, (name, group)
         assert len(moves) == sum(len(g) - 1 for g in groups.values()), name
-
-
-def _pair(m, a, b):
-    mono = [0] * m
-    mono[a] += 1
-    mono[b] += 1
-    return tuple(mono)
 
 
 def test_models_without_quadratic_moves():
@@ -558,6 +554,28 @@ def test_minimal_generators_of_the_binary_four_cycle(order, size):
     assert set(gens) <= set(basis.binomials)
     assert ideal_equal(gens, basis.binomials, basis.order)
 
+
+@pytest.mark.parametrize("graph, profile", [
+    (three_chain, {2: 2}), (four_chain, {2: 20}), (four_cycle, {2: 8, 4: 8})])
+def test_minimal_generators_against_the_fiber_oracle(graph, profile):
+    # an outside check of the basis and of minimal_generators' union-find:
+    # no Groebner basis, just every fiber up to the basis degree, with the
+    # Takemura-Aoki count of each degree.  Bound: 5 s per model (the
+    # four-cycle takes about 0.4 s on a 2-core x86-64 host, Python 3.11).
+    started = time.perf_counter()
+    A = build_graph_matrix(graph())
+    basis = compute_toric_basis(A)
+    degree = basis.max_degree()
+    disconnected, counts = fiber_oracle(A, basis.binomials, degree)
+    assert disconnected == []
+    assert {d: c for d, c in counts.items() if c} == profile
+    gens = minimal_generators(basis)
+    assert Counter(_degrees(gens)) == profile
+    # without its last minimal generator, the fiber of that move splits
+    last = gens[-1]
+    disconnected, _ = fiber_oracle(A, gens[:-1], degree)
+    assert (sum(last.u), tuple(A.apply(last.u))) in disconnected
+    assert time.perf_counter() - started < 5
 
 def _named(name):
     def graph(levels, edges):
