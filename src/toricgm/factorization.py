@@ -44,8 +44,14 @@ class FacialCertificate:
 
     @staticmethod
     def validated(A, F, c):
-        F = set(F)
+        """FacialCertificate(c) once c is checked against every column of A;
+        ValueError for a failed check, a c without one entry per row of A or
+        a support index outside the columns."""
+        F = _columns(A, F)
         c = tuple(map(Fraction, c))
+        if len(c) != A.nrows:
+            raise ValueError(f"certificate has {len(c)} entries, but the "
+                             f"model matrix has {A.nrows} rows")
         L, scaled = _common_denominator(c)
         for j, col in enumerate(zip(*A.rows)):
             dot = sum(map(mul, scaled, col))
@@ -219,10 +225,14 @@ def _facial_and_balanced(A, P, F):
 def _kernel_balances(A, P, F):
     """Every generator w of ker_Z(A_F) balances at P on the sorted support F:
     the product of P_j ** w_j over w_j > 0 equals that of P_j ** -w_j over
-    w_j < 0, compared on integer numerators."""
+    w_j < 0, compared on integer numerators.  The lattice is that of the
+    rows of A's row basis restricted to F: every row of A is a rational
+    combination of them, so both have the same kernel over Q and over Z."""
     den, N = _common_denominator([P.values[j] for j in F])
+    rows = A.rows
     return all(_balanced(N, den, Binomial.from_difference(w)) for w in
-               integer_kernel_lattice([[row[j] for j in F] for row in A.rows]))
+               integer_kernel_lattice([[rows[i][j] for j in F]
+                                       for i in A.independent_rows()]))
 
 
 def classify(A, basis, P):

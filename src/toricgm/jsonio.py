@@ -218,7 +218,8 @@ def _read_values(path, build):
     data = _load(path)
     order = _require(data, "order", path)
     if order != STATE_ORDER:
-        raise FormatError(f"{path}: unsupported state order {order!r}")
+        raise FormatError(f"{path}: unsupported state order "
+                          f"{_excerpt(repr(order))}")
     values = _each(data, "values", parse_value, path)
     try:
         return build(values)

@@ -4,7 +4,8 @@ Two row-reduction loops, one per kind of answer.  A Hermite-style row
 echelon loop (unimodular row operations only) gives integer kernel
 lattices, lattice-membership tests and the facial LP's certificate space:
 these ask about the integer span, which a rational elimination does not
-preserve.  A fraction-free Gauss-Jordan loop gives the reduced echelon
+preserve.  It also finds a model matrix's row basis, from the pivots of
+its columns.  A fraction-free Gauss-Jordan loop gives the reduced echelon
 form, the one rational elimination would reach, scaled to integers: it
 solves linear systems over the rationals (the MLE's marginal equations,
 the Gram system of the limit sequence's log-linear equations).  All

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import product
 from operator import mul
 
+from .linalg import integer_row_echelon
 from .polynomials import monomial_value
 
 
@@ -162,9 +163,11 @@ class CountTable:
 class ModelMatrix:
     """Nonnegative integer matrix with labeled rows/columns and equal,
     positive column sums (the column degree), so its toric ideal is
-    homogeneous."""
+    homogeneous.  Its row basis (`independent_rows`) is computed on first
+    use and kept."""
 
-    __slots__ = ("rows", "row_labels", "col_labels", "column_degree")
+    __slots__ = ("rows", "row_labels", "col_labels", "column_degree",
+                 "_independent_rows")
 
     def __init__(self, rows, row_labels=None, col_labels=None):
         rows = tuple(tuple(
@@ -193,6 +196,7 @@ class ModelMatrix:
         self.row_labels = tuple(row_labels)
         self.col_labels = tuple(col_labels)
         self.column_degree = sums[0] if sums else 0
+        self._independent_rows = None
 
     @property
     def nrows(self):
@@ -201,6 +205,18 @@ class ModelMatrix:
     @property
     def ncols(self):
         return len(self.rows[0])
+
+    def independent_rows(self):
+        """Indices of the first rank(A) linearly independent rows, increasing.
+
+        They are the pivot columns of one integer row echelon of the columns
+        of A (a column of A^T gets a pivot iff it is not in the span of the
+        columns before it).  Computed on the first call and cached.
+        """
+        if self._independent_rows is None:
+            _, pivots = integer_row_echelon(list(zip(*self.rows)))
+            self._independent_rows = tuple(c for _, c in pivots)
+        return self._independent_rows
 
     def column(self, j):
         return tuple(row[j] for row in self.rows)

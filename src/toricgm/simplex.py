@@ -2,21 +2,26 @@
 
 A support F of a model matrix A is facial when some vector c has
 c . a_j = 0 for the columns j in F and c . a_j >= 1 for every other column.
-The equalities are solved once, not by the LP.  One integer row echelon of
-the rows [A_F | A_off | I] of A (unimodular row operations, pivots sought
-in the columns of A with those of F first) turns each row into u A next to
-its multiplier u.  The multipliers of the rows that vanish on A_F form a
-lattice basis of {c : c . a_j = 0 for j in F}.  Those that also vanish on
-A_off lie in the left kernel of A and change no c . a_j, so the
-certificate space is taken modulo the left kernel: its basis N keeps only
-the multipliers of the rows that pivot off F.  What is left is one
-inequality per column off the support,
+Only the functional c A matters, and every row of A is a rational
+combination of its row basis: the first rank A linearly independent rows
+R (`ModelMatrix.independent_rows`, computed once per matrix).  So c is
+sought on those rows alone and is 0 on every other row.  The equalities
+are solved once, not by the LP.  One integer row echelon of the rows
+[R_F | R_off | I] (unimodular row operations, pivots sought in the columns
+of A with those of F first) turns each row into u R next to its
+multiplier u.  The rows of R are independent, so no row of the echelon
+form vanishes on A: there is no left kernel to drop, and each row pivots
+either on F or off it.  The multipliers of the rows that pivot off F are
+those that vanish on R_F, and they form a lattice basis N of
+{u : u R_F = 0}.  What is left is one inequality per column off the
+support,
 
     G y - s = 1,   s >= 0,   row j of G is a_j^T N,
 
-where column k of G is the off part of the k-th kept row.  G has full
-column rank, rank A - rank A_F, and y is free (split as p - q).  A full
-support leaves no rows and c = 0.
+where column k of G is the off part of the k-th row that pivots off F.
+G has full column rank, rank A - rank A_F, and y is free (split as
+p - q).  A full support leaves no rows and c = 0.  The certificate N y is
+re-expanded to one entry per row of A, with 0 on the rows outside R.
 
 Feasibility is decided by a textbook phase-1 simplex with Bland's rule
 (smallest eligible index), which terminates.  Its tableau over the columns
@@ -34,8 +39,8 @@ positive, so D stays positive: sign tests read the stored entries directly
 and ratio tests compare by cross-multiplication.  Nothing rounds; the
 certificate must be exact because the limit-sequence construction
 exponentiates it.  It is returned unchecked: its one caller,
-`factorization.is_facial_lp`, checks it against every column of the model
-matrix in integers (`FacialCertificate.validated`).
+`factorization.is_facial_lp`, checks it against every column of the full
+model matrix in integers (`FacialCertificate.validated`).
 """
 
 from fractions import Fraction
@@ -134,19 +139,21 @@ def _phase_one(G, rhs):
 def find_facial_certificate(A, F):
     """An exact certificate c for a facial support, or None.
 
-    Solves G y - s = 1, s >= 0 over c = N y (see the module docstring).
+    Solves G y - s = 1, s >= 0 over c = N y on the row basis of A (see the
+    module docstring); c has one entry per row of A, 0 off the row basis.
     """
     support = sorted(set(F))
     inside = set(support)
     off = [j for j in range(A.ncols) if j not in inside]
     m = A.ncols
-    kept = []  # echelon rows u [A_F | A_off | I] that pivot off the support
+    basis_rows = A.independent_rows()
+    kept = []  # echelon rows u [R_F | R_off | I] that pivot off the support
     if off:
-        d, order = A.nrows, support + off
-        rows = [[row[j] for j in order] + [int(i == r) for i in range(d)]
-                for r, row in enumerate(A.rows)]
+        r, order = len(basis_rows), support + off
+        rows = [[A.rows[i][j] for j in order] + [int(k == t) for t in range(r)]
+                for k, i in enumerate(basis_rows)]
         mat, pivots = integer_row_echelon(rows, m)
-        kept = [mat[r] for r, c in pivots if c >= len(support)]
+        kept = [mat[k] for k, c in pivots if c >= len(support)]
     G = [[row[j] for row in kept] for j in range(len(support), m)]
     solution = _phase_one(G, [1] * len(off))
     if solution is None:
@@ -154,5 +161,7 @@ def find_facial_certificate(A, F):
     den, basic = solution
     dim = len(kept)
     y = [basic.get(k, 0) - basic.get(dim + k, 0) for k in range(dim)]
-    return tuple(Fraction(sum(yk * row[m + i] for yk, row in zip(y, kept) if yk), den)
-                 for i in range(A.nrows))
+    c = [0] * A.nrows
+    for k, i in enumerate(basis_rows):
+        c[i] = Fraction(sum(yk * row[m + k] for yk, row in zip(y, kept) if yk), den)
+    return tuple(c)

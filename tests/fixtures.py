@@ -269,6 +269,11 @@ def rat_kernel_basis(rows):
     return basis
 
 
+def rank(rows):
+    """Rank of a rational matrix given by its rows (0 for no rows)."""
+    return len(rows[0]) - len(rat_kernel_basis(rows)) if rows else 0
+
+
 def mat_vec(rows, x):
     """Matrix times column vector, exact."""
     return tuple(sum(a * b for a, b in zip(row, x)) for row in rows)

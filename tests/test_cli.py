@@ -6,7 +6,7 @@ import pytest
 
 from toricgm import cli
 from toricgm.cli import main
-from toricgm.jsonio import read_counts, read_matrix
+from toricgm.jsonio import EXCERPT, read_counts, read_matrix
 
 from fixtures import FOUR_CYCLE_COUNTS, FOUR_CYCLE_MATRIX, MOUSSOURIS_SUPPORT
 
@@ -638,6 +638,21 @@ def test_long_refused_values_are_quoted_in_part(
         f"characters): {message}")
     assert value[:200] not in err
     assert len(err) < len(str(dist)) + 400
+
+
+def test_a_long_refused_state_order_is_quoted_in_part(
+        tmp_path, capsys, three_chain_files):
+    # the order quotes at most EXCERPT characters of its repr, then its
+    # length, as every other refused value does
+    model, _, _ = three_chain_files
+    order = "x" * 3000
+    counts = write_json(tmp_path / "counts.json",
+                        {"order": order, "values": [1] * 8})
+    err = assert_format_error(
+        capsys, ["ips", "--model", model, "--counts", counts],
+        f"{counts}: unsupported state order '{'x' * 79}... (3002 characters)")
+    assert order[:200] not in err
+    assert len(err) < len(counts) + EXCERPT + 100
 
 
 @pytest.mark.parametrize("u, v, message", [

@@ -16,7 +16,7 @@ from toricgm.factorization import (FACTORS, LIMIT_ONLY, OUTSIDE,
                                    is_facial_lp, is_facial_via_basis,
                                    limit_sequence)
 from toricgm.factorization import _kernel_balances, _least_norm
-from toricgm.linalg import integer_kernel_lattice, reduced_echelon
+from toricgm.linalg import integer_kernel_lattice
 from toricgm.models import Distribution, ModelMatrix, monomial_map
 from toricgm.polynomials import Binomial
 from toricgm.simplex import _phase_one
@@ -24,7 +24,7 @@ from toricgm.toric import compute_toric_basis
 
 from fixtures import (FOUR_CYCLE_QUARTICS, FOUR_CYCLE_SIXTEEN, IDX4,
                       MOUSSOURIS_SUPPORT, four_cycle_matrix, full_width_phase_one,
-                      full_width_rows, random_model)
+                      full_width_rows, random_model, rank)
 
 
 def moussouris_distribution():
@@ -189,11 +189,6 @@ def lp_shapes(monkeypatch):
     return shapes
 
 
-def _rank(rows):
-    """Rank of an integer matrix given by its rows (0 for no rows)."""
-    return len(reduced_echelon(rows, len(rows[0]))[1]) if rows else 0
-
-
 def test_full_support_certificate_solves_no_lp_rows(lp_shapes):
     A = four_cycle_matrix()
     facial, cert = is_facial_lp(A, range(16))
@@ -209,12 +204,12 @@ def test_full_support_certificate_solves_no_lp_rows(lp_shapes):
 ])
 def test_lp_has_one_row_per_column_off_the_support(support, lp_shapes):
     # one row per column off F; one column per basis vector of the
-    # certificate space modulo the left kernel of A: rank A - rank A_F
+    # certificate space on the row basis of A: rank A - rank A_F
     A = four_cycle_matrix()
     is_facial_lp(A, support)
     off = A.ncols - len(support)
-    rank_F = _rank([A.column(j) for j in support])
-    assert lp_shapes == [(off, _rank(A.rows) - rank_F)]
+    rank_F = rank([A.column(j) for j in support])
+    assert lp_shapes == [(off, rank(A.rows) - rank_F)]
 
 
 def _random_lp_matrix(rng):
@@ -283,6 +278,60 @@ def test_certificates_on_classify_models_and_random_models():
             assert facial == (cert is not None)
             verdicts.append(facial)
     assert any(verdicts) and not all(verdicts)
+
+
+def _rank_deficient_supports():
+    """(name, A, supports): all 256 supports of no-three-way 2x2x2, and
+    sampled ones of the binary four-cycle (with the level flips of the
+    Moussouris support) and of all pairwise interactions of four binary
+    variables.  Each matrix has more rows than its rank."""
+    four_cycle, no3way, _, k4 = _classify_models()
+    rng = random.Random(3232)
+    moussouris = [IDX4[s] for s in MOUSSOURIS_SUPPORT]
+    return [
+        ("no3way_2x2x2", no3way,
+         [[j for j in range(8) if mask >> j & 1] for mask in range(256)]),
+        ("four_cycle", four_cycle,
+         [sorted(j ^ flip for j in moussouris) for flip in range(16)]
+         + [sorted(rng.sample(range(16), rng.randint(1, 15))) for _ in range(60)]),
+        ("pairwise_k4", k4,
+         [sorted(rng.sample(range(16), rng.randint(1, 15))) for _ in range(60)]),
+    ]
+
+
+@pytest.mark.parametrize("name, A, supports", [
+    pytest.param(*case, id=case[0]) for case in _rank_deficient_supports()])
+def test_lp_and_oracle_on_the_row_basis_of_rank_deficient_models(
+        name, A, supports, lp_shapes):
+    # the LP and the kernel lattice use only the rows of A.independent_rows():
+    # the facial flag is the basis route's, the certificate is 0 on every
+    # other row and passes the check against all of A, the LP has
+    # |off F| x (rank A - rank A_F) entries, and the kernel oracle agrees
+    # with the basis at a uniform and at a random point on the support
+    basis = compute_toric_basis(A)
+    rows = A.independent_rows()
+    assert len(rows) == rank(A.rows) < A.nrows
+    rng = random.Random(name)
+    facial_seen = set()
+    for F in supports:
+        del lp_shapes[:]
+        facial, cert = is_facial_lp(A, F)
+        assert facial == is_facial_via_basis(basis, F), F
+        off = A.ncols - len(F)
+        assert lp_shapes == [(off, len(rows) - rank([A.column(j) for j in F]))
+                             if off else (0, 0)], F
+        facial_seen.add(facial)
+        if facial:
+            assert all(x == 0 for i, x in enumerate(cert.c) if i not in rows)
+            assert FacialCertificate.validated(A, F, cert.c) == cert
+        if not F:
+            continue
+        for values in ([1] * len(F), [rng.randint(1, 6) for _ in F]):
+            P = Distribution([values[F.index(j)] if j in F else 0
+                              for j in range(A.ncols)])
+            assert in_variety_kernel_oracle(A, P) == \
+                in_variety_via_basis(P, basis)[0], (F, values)
+    assert facial_seen == {True, False}
 
 
 def test_phase_one_without_leaving_row_raises(monkeypatch):
@@ -584,6 +633,25 @@ def test_certificate_near_misses_rejected(c, message, monkeypatch):
     monkeypatch.setattr(fz, "find_facial_certificate", lambda A, F: c)
     with pytest.raises(ValueError, match=message):
         is_facial_lp(A, [2])
+
+
+@pytest.mark.parametrize("c", [
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(1, 2), Fraction(1, 2), 0, 0, 0),
+], ids=["short", "long"])
+def test_certificate_of_the_wrong_length_rejected(c):
+    # a zip of c against each column would check only a common prefix
+    A = ModelMatrix([[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, 0]])
+    with pytest.raises(ValueError, match=f"certificate has {len(c)} entries, "
+                                         "but the model matrix has 3 rows"):
+        FacialCertificate.validated(A, [2], c)
+
+
+def test_certificate_support_index_outside_the_columns_rejected():
+    A = ModelMatrix([[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, 0]])
+    with pytest.raises(ValueError, match="support index 99 is not a column "
+                                         "of the 3x4 model matrix"):
+        FacialCertificate.validated(A, [2, 99], (Fraction(1, 2), Fraction(1, 2), 0))
 
 
 def test_certificate_exactly_one_with_thirds_accepted():

@@ -1,17 +1,18 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from toricgm.graphs import build_graph_matrix, cliques
+from toricgm.linalg import integer_row_echelon
 from toricgm.models import (Distribution, ModelMatrix, StateSpace, VariableSpec,
                             build_loglinear_matrix, monomial_map,
                             validate_generators)
 
 from fixtures import (FOUR_CYCLE_MATRIX, NO_THREE_WAY_MATRIX, four_cycle_matrix,
-                      perfbench_workloads)
+                      perfbench_workloads, random_model, rank)
 
 
 def binary_space(n):
@@ -197,3 +198,58 @@ def test_matrix_matches_state_scan_on_random_generators():
         got = build_loglinear_matrix(space, gens)
         want = reference_loglinear_matrix(space, gens)
         assert got == want  # rows, row labels and column labels
+
+
+# --- the row basis -----------------------------------------------------------
+
+def _first_independent(rows):
+    """Indices of the rows that raise the rank of the rows before them."""
+    return tuple(i for i in range(len(rows))
+                 if rank(rows[:i + 1]) > rank(rows[:i]))
+
+
+def _no_three_way(levels):
+    space = StateSpace([VariableSpec(f"X{i + 1}", k) for i, k in enumerate(levels)])
+    return build_loglinear_matrix(space, [("X1", "X2"), ("X1", "X3"), ("X2", "X3")])
+
+
+@pytest.mark.parametrize("name, nrows, r", [
+    ("four_cycle", 16, 9), ("no3way_2x2x2", 12, 7), ("no3way_2x3x3", 21, 14),
+    ("pairwise_k4", 24, 11)])
+def test_independent_rows_of_rank_deficient_models(name, nrows, r):
+    # the first rank(A) independent rows: they have full rank, so they
+    # span every row of A
+    A = {"four_cycle": four_cycle_matrix,
+         "no3way_2x2x2": lambda: _no_three_way((2, 2, 2)),
+         "no3way_2x3x3": lambda: _no_three_way((2, 3, 3)),
+         "pairwise_k4": lambda: build_loglinear_matrix(
+             binary_space(4), list(combinations(binary_space(4).names, 2)))}[name]()
+    rows = A.independent_rows()
+    assert (A.nrows, len(rows), rank(A.rows)) == (nrows, r, r)
+    assert rank([A.rows[i] for i in rows]) == r
+    assert rows == _first_independent(A.rows)
+
+
+def test_independent_rows_of_random_models():
+    rng = random.Random(31)
+    for _ in range(60):
+        A = random_model(rng, rng.randint(1, 6), rng.randint(2, 6))
+        rows = A.independent_rows()
+        assert rows == _first_independent(A.rows), A.rows
+        assert len(rows) == rank(A.rows)
+
+
+def test_row_basis_is_computed_on_first_use_and_kept(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return integer_row_echelon(rows)
+
+    monkeypatch.setattr("toricgm.models.integer_row_echelon", counted)
+    A = ModelMatrix(NO_THREE_WAY_MATRIX)
+    assert calls == []  # building a matrix costs no echelon
+    rows = A.independent_rows()
+    assert calls == [A.ncols]  # one echelon, of the columns
+    assert A.independent_rows() is rows
+    assert calls == [A.ncols]

@@ -2,7 +2,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -587,9 +587,35 @@ def _named(name):
     if name == "chain3_3level":
         return graph((("X1", 3), ("X2", 3), ("X3", 3)),
                      (("X1", "X2"), ("X2", "X3")))
+    if name == "pairwise_k4":
+        space = StateSpace([VariableSpec(f"X{i}", 2) for i in range(1, 5)])
+        return build_loglinear_matrix(space, list(combinations(space.names, 2)))
     space = StateSpace([VariableSpec("A", 2), VariableSpec("B", 3),
                         VariableSpec("C", 3)])
     return build_loglinear_matrix(space, [("A", "B"), ("A", "C"), ("B", "C")])
+
+
+@pytest.mark.parametrize("name, cap, profile, bound", [
+    ("no3way_2x3x3", 5, {4: 9, 6: 6}, 5),
+    ("pairwise_k4", 6, {4: 20, 6: 40}, 15)])
+def test_minimal_generators_against_the_fiber_oracle_capped(
+        name, cap, profile, bound):
+    # models whose fibers up to the basis degree are too many to walk, so
+    # the oracle stops at degree `cap`: 5 for no3way_2x3x3 (basis degree 6,
+    # whose fibers alone take about 8 s) and 6 for pairwise_k4 (basis
+    # degree 9).  Up to the cap every fiber is connected and the
+    # Takemura-Aoki counts are those of minimal_generators (the whole
+    # profile for pairwise_k4).  Bound: `bound` seconds (about 0.8 s and
+    # 2.7 s on a 2-core x86-64 host, Python 3.11).
+    started = time.perf_counter()
+    A = _named(name)
+    basis = compute_toric_basis(A)
+    disconnected, counts = fiber_oracle(A, basis.binomials, cap)
+    assert disconnected == []
+    assert {d: c for d, c in counts.items() if c} == \
+        {d: c for d, c in profile.items() if d <= cap}
+    assert Counter(_degrees(minimal_generators(basis))) == profile
+    assert time.perf_counter() - started < bound
 
 
 @pytest.mark.parametrize("name, degrees", [
