@@ -7,7 +7,8 @@ Artifacts go to --out files (byte-deterministic); a run report with
 timing, input digests and the result summary goes to standard output.
 
 Exit codes: 0 success, 2 parse/validation error, 3 resource budget
-exceeded, 4 nonconvergence, or no exact MLE.  The environment variable
+exceeded, 4 nonconvergence, no exact MLE, or a kernel oracle that
+disagrees with the basis verdict.  The environment variable
 TORICGM_BUDGET overrides the S-pair budget.
 """
 
@@ -20,7 +21,7 @@ import sys
 import time
 
 from . import __version__
-from .factorization import classify
+from .factorization import OUTSIDE, classify, in_variety_kernel_oracle
 from .graphs import (build_graph_matrix, cliques, is_chordal,
                      nondecomposable_partition, saturated_separations)
 from .independence import pairwise_ideal
@@ -168,8 +169,15 @@ def cmd_check(args):
         evidence["infeasible_column"] = A.col_labels[verdict.infeasible_column]
         evidence["covered_rows"] = sorted(A.row_labels[i]
                                           for i in verdict.covered_rows)
+    # the independent route: facial LP plus kernel products, exact input only
+    oracle = in_variety_kernel_oracle(A, P) if P.is_exact else None
     _report("check", [args.model, args.basis, args.dist], {
-        "verdict": verdict.kind, "evidence": evidence}, started)
+        "verdict": verdict.kind, "evidence": evidence,
+        "kernel_oracle": oracle}, started)
+    if oracle is not None and oracle != (verdict.kind != OUTSIDE):
+        print(f"error: the kernel oracle says member={oracle}, but the "
+              f"basis verdict is {verdict.kind}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     return EXIT_OK
 
 

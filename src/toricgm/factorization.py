@@ -8,6 +8,14 @@ are provided (basis evaluation versus an LP-certificate plus kernel
 products on the support) and must agree; the limit-sequence construction
 realizes closure points as explicit images.
 
+Both the kernel oracle and the limit sequence need the face of P's
+support F on A: the validated facial certificate of F (or None) and
+whether the kernel products balance on F.  It is computed once per point
+and matrix, by one facial LP and one kernel lattice, and kept on the
+point (`Distribution.faces`, keyed by the matrix), so the oracle followed
+by any number of limit-sequence calls on the same point solves it once.
+The memo ends with the point; an equal but distinct point solves afresh.
+
 Every exact check runs on integers.  An exact P is written once over the
 least common denominator den of its values, P_j = N_j / den with integer
 numerators N_j.  A binomial x^u - x^v vanishes at P iff
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .linalg import (_common_denominator, integer_kernel_lattice,
+from .linalg import (common_denominator, integer_kernel_lattice,
                      reduced_echelon)
 from .models import monomial_map
 from .polynomials import Binomial, monomial_value
@@ -52,7 +60,7 @@ class FacialCertificate:
         if len(c) != A.nrows:
             raise ValueError(f"certificate has {len(c)} entries, but the "
                              f"model matrix has {A.nrows} rows")
-        L, scaled = _common_denominator(c)
+        L, scaled = common_denominator(c)
         for j, col in enumerate(zip(*A.rows)):
             dot = sum(map(mul, scaled, col))
             if j in F and dot != 0:
@@ -177,7 +185,7 @@ def in_variety_via_basis(P, basis, tol=None):
         for b in binomials:
             _check_length(P, b.nvars)
     if getattr(P, "is_exact", True):
-        den, N = _common_denominator(P.values)
+        den, N = common_denominator(P.values)
         for b in binomials:
             if not _balanced(N, den, b):
                 return False, b
@@ -205,21 +213,26 @@ def in_variety_kernel_oracle(A, P):
     if not P.is_exact:
         raise ValueError("kernel oracle needs an exact rational distribution")
     _check_length(P, A.ncols)
-    _, balanced = _facial_and_balanced(A, P, sorted(P.support))
-    return balanced
+    return _facial_and_balanced(A, P)[1]
 
 
-def _facial_and_balanced(A, P, F):
-    """(certificate, balanced) for the sorted support F of an exact P.
+def _facial_and_balanced(A, P):
+    """(certificate, balanced) for the support F of an exact P on A.
 
-    The certificate is None when F is not facial, and then balanced is
-    False; otherwise balanced says whether the kernel products hold on F
-    (vacuously on an empty F).
+    The certificate is the validated FacialCertificate of F, or None when F
+    is not facial, and then balanced is False; otherwise balanced says
+    whether the kernel products hold on F (vacuously on an empty F).  The
+    pair is computed on the first call for this point and matrix and kept in
+    P.faces(), so later calls solve no LP and take no kernel lattice.
     """
-    facial, cert = is_facial_lp(A, F)
-    if not facial:
-        return None, False
-    return cert, not F or _kernel_balances(A, P, F)
+    faces = P.faces()
+    face = faces.get(A)
+    if face is None:
+        F = sorted(P.support)
+        facial, cert = is_facial_lp(A, F)
+        face = faces[A] = ((cert, not F or _kernel_balances(A, P, F))
+                           if facial else (None, False))
+    return face
 
 
 def _kernel_balances(A, P, F):
@@ -228,7 +241,7 @@ def _kernel_balances(A, P, F):
     w_j < 0, compared on integer numerators.  The lattice is that of the
     rows of A's row basis restricted to F: every row of A is a rational
     combination of them, so both have the same kernel over Q and over Z."""
-    den, N = _common_denominator([P.values[j] for j in F])
+    den, N = common_denominator([P.values[j] for j in F])
     rows = A.rows
     return all(_balanced(N, den, Binomial.from_difference(w)) for w in
                integer_kernel_lattice([[rows[i][j] for j in F]
@@ -280,17 +293,24 @@ def limit_sequence(A, P, epsilon):
     power of the facial certificate, and zeroes the parameters of rows
     untouched by the support.  The image is a genuine model point for every
     positive epsilon, exactly zero off the support whenever the support is
-    feasible, and converges to P as eps -> 0.
+    feasible, and converges to P as eps -> 0.  ValueError unless float(epsilon)
+    is positive and finite, and when some t_i(eps) is not a positive finite
+    float (an overflow, or an underflow to 0).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    try:
+        eps = float(epsilon)
+    except OverflowError:
+        eps = math.inf
+    if not 0 < eps < math.inf:
+        raise ValueError("epsilon must have a positive finite float value, "
+                         f"and float(epsilon) is {eps}")
     if not P.is_exact:
         raise ValueError("limit sequences start from exact distributions")
     _check_length(P, A.ncols)
     F = sorted(P.support)
     if not F:
         raise ValueError("cannot build a limit sequence for the zero vector")
-    cert, balanced = _facial_and_balanced(A, P, F)
+    cert, balanced = _facial_and_balanced(A, P)
     if cert is None:
         raise ValueError("not in variety: support is not facial")
     if not balanced:
@@ -303,12 +323,14 @@ def limit_sequence(A, P, epsilon):
     scale = max(1.0, max(abs(x) for x in logs))
     if residual > 1e-8 * scale:
         raise ValueError("log system did not solve; point not in variety")
-    eps = float(epsilon)
-    t_eps = []
-    pos = {i: k for k, i in enumerate(rows_touched)}
-    for i in range(A.nrows):
-        if i in pos:
-            t_eps.append(eps ** float(cert.c[i]) * math.exp(tau[pos[i]]))
-        else:
-            t_eps.append(0.0)
+    t_eps = [0.0] * A.nrows
+    for k, i in enumerate(rows_touched):
+        try:
+            t = eps ** float(cert.c[i]) * math.exp(tau[k])
+        except OverflowError:
+            t = math.inf
+        if not 0 < t < math.inf:
+            raise ValueError(f"t_{i}(eps) = {t} at epsilon {eps} is not a "
+                             "positive finite float")
+        t_eps[i] = t
     return tuple(t_eps), monomial_map(A, t_eps)

@@ -120,7 +120,7 @@ def _content_free(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _common_denominator(values):
+def common_denominator(values):
     """(den, numerators): the least common denominator of exact rationals
     and the integers x * den, in order."""
     den = math.lcm(*(x.denominator for x in values))

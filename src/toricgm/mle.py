@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import _common_denominator, _content_free, reduced_echelon
+from .linalg import _content_free, common_denominator, reduced_echelon
 from .models import CountTable, Distribution
 from .orders import TermOrder
 from .polynomials import (NotTriangular, Polynomial, buchberger,
@@ -550,7 +550,7 @@ def _sturm_chain(coeffs):
         p.pop()
     if not p:
         raise ValueError("zero polynomial")
-    p = _primitive(_common_denominator(p)[1])
+    p = _primitive(common_denominator(p)[1])
     chain = [p[next(i for i, c in enumerate(p) if c):]]
     b = _primitive(_derivative(chain[0]))
     while b:

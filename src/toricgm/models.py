@@ -277,9 +277,11 @@ def build_loglinear_matrix(space, generators):
 
 class Distribution:
     """Nonnegative finite vector over the state space; exact (Fractions) or
-    numeric.  A value that is not finite raises ValueError naming its index."""
+    numeric.  A value that is not finite raises ValueError naming its index.
+    The face of its support on a model matrix, once computed, is kept on the
+    point (`faces`)."""
 
-    __slots__ = ("values", "is_exact")
+    __slots__ = ("values", "is_exact", "_faces")
 
     def __init__(self, values):
         vals = []
@@ -297,6 +299,16 @@ class Distribution:
             raise ValueError("negative probability")
         self.values = tuple(vals)
         self.is_exact = exact
+        self._faces = None
+
+    def faces(self):
+        """{model matrix: face of the support on it}, created on the first
+        call.  `factorization` fills it, so that the facial LP and the kernel
+        lattice of a point's support run once per matrix; the dict ends with
+        the point, and an equal but distinct point starts with an empty one."""
+        if self._faces is None:
+            self._faces = {}
+        return self._faces
 
     def __len__(self):
         return len(self.values)

@@ -63,7 +63,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import add as _add, le as _le, sub as _sub
 
-from .linalg import _common_denominator
+from .linalg import common_denominator
 from .orders import TermOrder
 
 DEFAULT_SPAIR_BUDGET = 10 ** 6
@@ -345,7 +345,7 @@ class Binomial:
 
 def _integer_terms(p, order):
     """(terms of p times the lcm of its denominators, that lcm)."""
-    den, nums = _common_denominator([c for _, c in p.terms])
+    den, nums = common_denominator([c for _, c in p.terms])
     return [(m, order.neg_key(m), k) for (m, _), k in zip(p.terms, nums)], den
 
 

@@ -7,6 +7,7 @@ import pytest
 from toricgm import cli
 from toricgm.cli import main
 from toricgm.jsonio import EXCERPT, read_counts, read_matrix
+from toricgm.models import Distribution
 
 from fixtures import FOUR_CYCLE_COUNTS, FOUR_CYCLE_MATRIX, MOUSSOURIS_SUPPORT
 
@@ -163,31 +164,42 @@ def test_budget_of_zero_stays_valid(tmp_path, capsys, monkeypatch,
     assert code == 0 and report["results"]["size"] == 2
 
 
-def test_check_verdicts(tmp_path, capsys, four_cycle_graph_file):
+STATES4 = [format(i, "04b") for i in range(16)]
+MOUSSOURIS = ["1/8" if s in MOUSSOURIS_SUPPORT else "0" for s in STATES4]
+
+
+@pytest.fixture
+def four_cycle_files(tmp_path, capsys, four_cycle_graph_file):
     model = str(tmp_path / "model.json")
     run(capsys, "model", "--graph", four_cycle_graph_file, "--out", model)
     basis = str(tmp_path / "basis.json")
     run(capsys, "basis", "--graph", four_cycle_graph_file, "--seed-pairwise",
         "--out", basis)
+    return model, basis
 
-    states = [format(i, "04b") for i in range(16)]
-    moussouris = ["1/8" if s in MOUSSOURIS_SUPPORT else "0" for s in states]
+
+def test_check_verdicts(tmp_path, capsys, four_cycle_files):
+    # the kernel oracle agrees with each verdict
+    model, basis = four_cycle_files
+    # the README tour's limit-only point
     dist = write_json(tmp_path / "m.json",
-                      {"order": "lex-last-fastest", "values": moussouris})
+                      {"order": "lex-last-fastest", "values": MOUSSOURIS})
     code, report = run(capsys, "check", "--model", model, "--basis", basis,
                        "--dist", dist)
     assert code == 0
     assert report["results"]["verdict"] == "limit_only"
     assert len(report["results"]["evidence"]["covered_rows"]) == 16
+    assert report["results"]["kernel_oracle"] is True
 
     swap = ["1/4" if s in ("0100", "0111", "1001", "1010") else "0"
-            for s in states]
+            for s in STATES4]
     dist = write_json(tmp_path / "s.json",
                       {"order": "lex-last-fastest", "values": swap})
     code, report = run(capsys, "check", "--model", model, "--basis", basis,
                        "--dist", dist)
     assert report["results"]["verdict"] == "outside"
     assert "failed_binomial" in report["results"]["evidence"]
+    assert report["results"]["kernel_oracle"] is False
 
     image = [str(Fraction(1, 16))] * 16
     dist = write_json(tmp_path / "u.json",
@@ -195,6 +207,47 @@ def test_check_verdicts(tmp_path, capsys, four_cycle_graph_file):
     code, report = run(capsys, "check", "--model", model, "--basis", basis,
                        "--dist", dist)
     assert report["results"]["verdict"] == "factors"
+    assert report["results"]["kernel_oracle"] is True
+
+    # the uniform point with one value perturbed: the support is full, so
+    # facial, and the kernel products fail on it
+    dist = write_json(tmp_path / "p.json", {"order": "lex-last-fastest",
+                                            "values": ["1001/16000"] + image[1:]})
+    code, report = run(capsys, "check", "--model", model, "--basis", basis,
+                       "--dist", dist)
+    assert code == 0
+    assert report["results"]["verdict"] == "outside"
+    assert report["results"]["kernel_oracle"] is False
+
+
+def test_check_reports_no_kernel_oracle_for_a_float_distribution(
+        tmp_path, capsys, monkeypatch, four_cycle_files):
+    # every file value is read exactly, so a float point comes from a reader
+    # that returns floats
+    model, basis = four_cycle_files
+    monkeypatch.setattr(cli, "read_distribution",
+                        lambda path: Distribution([1 / 16] * 16))
+    dist = write_json(tmp_path / "d.json",
+                      {"order": "lex-last-fastest", "values": ["1/16"] * 16})
+    code, report = run(capsys, "check", "--model", model, "--basis", basis,
+                       "--dist", dist)
+    assert code == 0
+    assert report["results"]["verdict"] == "factors"
+    assert report["results"]["kernel_oracle"] is None
+
+
+def test_check_exits_4_when_the_kernel_oracle_disagrees(
+        tmp_path, capsys, monkeypatch, four_cycle_files):
+    model, basis = four_cycle_files
+    monkeypatch.setattr(cli, "in_variety_kernel_oracle", lambda A, P: False)
+    dist = write_json(tmp_path / "d.json",
+                      {"order": "lex-last-fastest", "values": MOUSSOURIS})
+    assert main(["check", "--model", model, "--basis", basis,
+                 "--dist", dist]) == 4
+    out, err = capsys.readouterr()
+    assert json.loads(out)["results"]["kernel_oracle"] is False
+    assert err == ("error: the kernel oracle says member=False, but the "
+                   "basis verdict is limit_only\n")
 
 
 def test_ips_and_mle_reports(tmp_path, capsys, four_cycle_graph_file):
@@ -563,7 +616,8 @@ def test_check_reads_number_literals_as_exact_decimals(tmp_path, capsys,
         code, report = run(capsys, "check", "--model", model, "--basis", basis,
                            "--dist", str(dist))
         assert code == 0
-        assert report["results"] == {"verdict": "factors", "evidence": {}}
+        assert report["results"] == {"verdict": "factors", "evidence": {},
+                                     "kernel_oracle": True}
 
 
 @pytest.mark.parametrize("literal", ["1e1001", "1E-1001", "-2.5e+1001"])
@@ -787,7 +841,7 @@ def test_check_normalize(tmp_path, capsys, three_chain_files):
                        "--dist", units, "--normalize")
     assert code == 0
     assert report["results"] == uniform["results"] \
-        == {"verdict": "factors", "evidence": {}}
+        == {"verdict": "factors", "evidence": {}, "kernel_oracle": True}
     zeros = write_json(tmp_path / "zeros.json", {"order": "lex-last-fastest",
                                                  "values": ["0"] * 8})
     assert main(["check", "--model", model, "--basis", basis, "--dist", zeros,

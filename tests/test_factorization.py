@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -16,6 +17,7 @@ from toricgm.factorization import (FACTORS, LIMIT_ONLY, OUTSIDE,
                                    is_facial_lp, is_facial_via_basis,
                                    limit_sequence)
 from toricgm.factorization import _kernel_balances, _least_norm
+from toricgm.graphs import build_graph_matrix
 from toricgm.linalg import integer_kernel_lattice
 from toricgm.models import Distribution, ModelMatrix, monomial_map
 from toricgm.polynomials import Binomial
@@ -23,8 +25,9 @@ from toricgm.simplex import _phase_one
 from toricgm.toric import compute_toric_basis
 
 from fixtures import (FOUR_CYCLE_QUARTICS, FOUR_CYCLE_SIXTEEN, IDX4,
-                      MOUSSOURIS_SUPPORT, four_cycle_matrix, full_width_phase_one,
-                      full_width_rows, random_model, rank)
+                      MOUSSOURIS_SUPPORT, four_chain, four_cycle_matrix,
+                      full_width_phase_one, full_width_rows,
+                      perfbench_workloads, random_model, rank)
 
 
 def moussouris_distribution():
@@ -604,7 +607,7 @@ def test_float_point_takes_the_float_path(four_cycle_basis, monkeypatch):
     def no_integers(values):
         raise AssertionError("a float point reached the integer route")
 
-    monkeypatch.setattr("toricgm.factorization._common_denominator", no_integers)
+    monkeypatch.setattr("toricgm.factorization.common_denominator", no_integers)
     assert in_variety_via_basis(P, four_cycle_basis, tol=1e-9) == (True, None)
     vals = list(P.values)
     vals[5] *= 1 + 1e-6
@@ -688,8 +691,137 @@ def test_work_counts_per_call(four_cycle_basis, work_counts):
     assert work_counts == {"lp": 0, "kernel": 0}
     assert in_variety_kernel_oracle(A, P)
     assert work_counts == {"lp": 1, "kernel": 1}
+    # limit_sequence reads the face the oracle kept on the point
     limit_sequence(A, P, Fraction(1, 10))
-    assert work_counts == {"lp": 2, "kernel": 2}
+    assert work_counts == {"lp": 1, "kernel": 1}
     # a support that is not facial stops after the LP
     assert not in_variety_kernel_oracle(A, swap_support_distribution())
-    assert work_counts == {"lp": 3, "kernel": 2}
+    assert work_counts == {"lp": 2, "kernel": 1}
+
+
+# --- one face per point and matrix ------------------------------------------
+
+def imbalanced_distribution():
+    # the uniform point (full support, so facial) with one value doubled
+    return Distribution([Fraction(2 if j == 5 else 1, 17) for j in range(16)])
+
+
+def test_oracle_and_limit_sequence_share_one_face(work_counts):
+    A = four_cycle_matrix()
+    P = moussouris_distribution()
+    assert in_variety_kernel_oracle(A, P)
+    t1, _ = limit_sequence(A, P, Fraction(1, 10))
+    t2, P2 = limit_sequence(A, P, Fraction(1, 100))
+    assert work_counts == {"lp": 1, "kernel": 1}
+    # the kept face gives what a fresh point computes
+    assert limit_sequence(A, moussouris_distribution(), Fraction(1, 100)) \
+        == (t2, P2)
+    assert t1 != t2
+    assert work_counts == {"lp": 2, "kernel": 2}
+
+
+def test_an_equal_but_distinct_point_computes_its_face_afresh(work_counts):
+    A = four_cycle_matrix()
+    P, Q = moussouris_distribution(), moussouris_distribution()
+    assert P == Q and P is not Q
+    assert in_variety_kernel_oracle(A, P)
+    assert Q.faces() == {}
+    assert in_variety_kernel_oracle(A, Q)
+    assert work_counts == {"lp": 2, "kernel": 2}
+    assert P.faces() == Q.faces() and P.faces() is not Q.faces()
+
+
+def test_one_point_keeps_one_face_per_matrix(work_counts):
+    four_cycle, chain = four_cycle_matrix(), build_graph_matrix(four_chain())
+    P = moussouris_distribution()
+    # the support is facial on the four-cycle, not on the four-chain
+    assert [in_variety_kernel_oracle(A, P)
+            for A in (four_cycle, chain)] == [True, False]
+    assert work_counts == {"lp": 2, "kernel": 1}
+    assert set(P.faces()) == {four_cycle, chain}
+    # each matrix reads back its own face
+    assert [in_variety_kernel_oracle(A, P)
+            for A in (four_cycle, chain)] == [True, False]
+    assert work_counts == {"lp": 2, "kernel": 1}
+
+
+def test_threads_sharing_a_point_get_one_answer():
+    # the memo's check-then-store may race: a lost store costs a second
+    # solve, never a wrong face
+    A = four_cycle_matrix()
+    P = moussouris_distribution()
+    epsilons = (Fraction(1, 10), Fraction(1, 100))
+    results = []
+
+    def work():
+        for eps in epsilons:
+            results.append((eps, in_variety_kernel_oracle(A, P),
+                            limit_sequence(A, P, eps)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    Q = moussouris_distribution()
+    expect = {eps: limit_sequence(A, Q, eps) for eps in epsilons}
+    assert len(results) == 12
+    assert all(member and limit == expect[eps]
+               for eps, member, limit in results)
+    assert P.faces() == Q.faces()
+
+
+@pytest.mark.parametrize("point, message", [
+    (swap_support_distribution, "support is not facial"),
+    (imbalanced_distribution, "kernel relation fails on support"),
+], ids=["not_facial", "imbalanced"])
+def test_a_kept_face_outside_the_variety_still_raises(point, message):
+    A = four_cycle_matrix()
+    P = point()
+    assert not in_variety_kernel_oracle(A, P)
+    assert len(P.faces()) == 1
+    for eps in (Fraction(1, 10), Fraction(1, 100)):
+        with pytest.raises(ValueError, match=message):
+            limit_sequence(A, P, eps)
+
+
+def test_classify_stream_solves_one_face_per_op(work_counts):
+    # two rounds of the benchmark's classify_stream (seed 1): each op runs
+    # classify, the kernel oracle, and on a limit-only point limit_sequence
+    # at epsilon and, in the check, at epsilon squared
+    workload = perfbench_workloads().ClassifyStream(1)
+    rounds = workload.rounds()
+    kinds = set()
+    for ops in (next(rounds), next(rounds)):
+        for op in ops:
+            work_counts.update(lp=0, kernel=0)
+            workload.check(op, workload.run(op))
+            assert work_counts == {"lp": 1, "kernel": 1}, op.expect
+            kinds.add(op.expect)
+    assert kinds == {FACTORS, LIMIT_ONLY, OUTSIDE}
+
+
+# --- unusable epsilon --------------------------------------------------------
+
+@pytest.mark.parametrize("epsilon", [
+    Fraction(1, 10**400), float("nan"), float("inf"),
+], ids=["float_zero", "nan", "inf"])
+def test_limit_sequence_refuses_an_epsilon_without_a_usable_float(epsilon):
+    with pytest.raises(ValueError, match="epsilon must have a positive "
+                                         "finite float value"):
+        limit_sequence(four_cycle_matrix(), moussouris_distribution(), epsilon)
+
+
+def test_limit_sequence_refuses_a_parameter_that_overflows():
+    # the Moussouris certificate has a -1 entry, at row 12: eps ** -1 is
+    # 1e320, beyond the largest float
+    with pytest.raises(ValueError, match=r"t_12\(eps\) = inf at epsilon "
+                                         "1e-320 is not a positive finite"):
+        limit_sequence(four_cycle_matrix(), moussouris_distribution(),
+                       Fraction(1, 10**320))

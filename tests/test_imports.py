@@ -168,11 +168,8 @@ def test_every_public_definition_is_used():
 # (importing module, name) of each private name that one module of the
 # package imports from another
 PRIVATE_IMPORTS = [
-    ("factorization.py", "_common_denominator"),
     ("jsonio.py", "_integral"),
-    ("mle.py", "_common_denominator"),
     ("mle.py", "_content_free"),
-    ("polynomials.py", "_common_denominator"),
     ("toric.py", "_support_mask"),
 ]
 
