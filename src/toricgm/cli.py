@@ -169,12 +169,13 @@ def cmd_check(args):
         evidence["infeasible_column"] = A.col_labels[verdict.infeasible_column]
         evidence["covered_rows"] = sorted(A.row_labels[i]
                                           for i in verdict.covered_rows)
-    # the independent route: facial LP plus kernel products, exact input only
-    oracle = in_variety_kernel_oracle(A, P) if P.is_exact else None
+    # the independent route: facial LP plus kernel products (every value
+    # read from a file is exact)
+    oracle = in_variety_kernel_oracle(A, P)
     _report("check", [args.model, args.basis, args.dist], {
         "verdict": verdict.kind, "evidence": evidence,
         "kernel_oracle": oracle}, started)
-    if oracle is not None and oracle != (verdict.kind != OUTSIDE):
+    if oracle != (verdict.kind != OUTSIDE):
         print(f"error: the kernel oracle says member={oracle}, but the "
               f"basis verdict is {verdict.kind}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

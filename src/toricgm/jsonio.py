@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .graphs import UndirectedGraph
 from .models import (CountTable, Distribution, ModelMatrix, StateSpace,
-                     VariableSpec, _integral)
+                     VariableSpec, _integral, validate_generators)
 from .orders import KINDS
 from .polynomials import Binomial
 
@@ -109,7 +109,12 @@ def read_generators(path):
     data = _load(path)
     variables = _variables(data, path)
     gens = _each(data, "generators", _names, path)
-    return StateSpace(variables), gens
+    try:
+        space = StateSpace(variables)
+        validate_generators(space, gens)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return space, gens
 
 
 def read_matrix(path):

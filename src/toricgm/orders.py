@@ -14,7 +14,8 @@ Both are total, multiplicative and well-orders on nonnegative exponent
 vectors.  Every key is linear in the exponent vector: key(u + v) is the
 elementwise sum of key(u) and key(v).  The generic Buchberger engine in
 `polynomials` relies on this to key a shifted term by one addition
-instead of a recomputation.
+instead of a recomputation; its heap holds neg_key, the key negated, so
+that the largest term comes first.
 """
 
 # the kind names, which --order and a basis file's order are checked against
@@ -55,11 +56,9 @@ class TermOrder:
         return (sum(m), *(-m[p] for p in self._rev))
 
     def neg_key(self, m):
-        """key(m) negated elementwise, built in one pass: the heap key of
-        the generic Buchberger engine, which pops the largest term first."""
-        if self.kind == "lex":
-            return tuple(-m[p] for p in self.priority)
-        return (-sum(m), *map(m.__getitem__, self._rev))
+        """key(m) negated elementwise: the heap key of the generic
+        Buchberger engine, which pops the largest term first."""
+        return tuple(-k for k in self.key(m))
 
     def name(self):
         return self.kind

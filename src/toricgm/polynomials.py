@@ -12,12 +12,15 @@ key is linear in the exponent vector.  Fractions appear only in public
 results: the monic reduced bases, and the exact normal forms of reduce,
 whose integer remainder is divided once by the product of its multipliers.
 
-A binomial fast path covers pure differences x^u - x^v (S-polynomials and
-reductions of pure differences stay pure differences, so no coefficient
-bookkeeping is needed).  buchberger() returns the unique reduced Groebner
-basis: monic, fully auto-reduced, sorted by increasing leading monomial.
-One S-pair routine serves both engines.  It sees leading monomials only:
-pairs are pruned by the Gebauer-Moeller update (Gebauer and Moeller, On an
+buchberger() returns the unique reduced Groebner basis: monic, fully
+auto-reduced, sorted by increasing leading monomial.  It runs the generic
+engine on every input, pure differences too, and fully reduces each new
+element: reduced tails keep later S-polynomials short.  The binomial
+engine buchberger_binomials, which `toric` calls, takes pure differences
+x^u - x^v alone (their S-polynomials and reductions stay pure
+differences, so no coefficient bookkeeping is needed).  One S-pair
+routine serves both engines.  It sees leading monomials only: pairs are
+pruned by the Gebauer-Moeller update (Gebauer and Moeller, On an
 installation of Buchberger's algorithm, JSC 6, 1988) and selected by the
 normal strategy (smallest lcm, ties by index pair).  The update works on
 the support of each lead: lcm degrees come from the shared support, the M
@@ -28,7 +31,7 @@ eliminate_to_triangular converts a Groebner basis of a zero-dimensional
 ideal under any order to the reduced lex basis, by FGLM on the integer
 rows the pseudo-division gives.
 
-The binomial path computes each term-order key and each support mask
+The binomial engine computes each term-order key and each support mask
 once.  An input is keyed once per side to orient, deduplicate and sort it;
 a new element is keyed once per side to orient it, and its lead key is
 kept for the final sort.  Each element keeps its lead and tail as sparse
@@ -390,18 +393,17 @@ def _prepared(G, order):
     return elements
 
 
-def _pseudo_reduce(terms, elements, top=False):
+def _pseudo_reduce(terms, elements):
     """Pseudo-remainder of an integer polynomial modulo prepared elements.
 
     terms are the polynomial's terms, one per monomial.  Its largest term
     c x^m whose monomial is divisible by a lead (elements are tried in list
     order) is cancelled by f <- (lc/d) f - (c/d) x^s g, with d = gcd(c, lc)
     and x^s = x^m / lead(g); all coefficients stay integers.  Returns
-    (rest, mult): the terms of the remainder, largest first, and the
-    product mult > 0 of the multipliers lc/d, so that rest / mult is the
-    normal form that division over the rationals gives.  With top=True the
-    reduction stops at the first irreducible term, and rest holds that
-    term followed by the unreduced tail (in no particular order).
+    (rest, mult): the terms of the remainder, largest first, none of them
+    divisible by a lead, and the product mult > 0 of the multipliers lc/d,
+    so that rest / mult is the normal form that division over the
+    rationals gives.
     """
     coeffs = {m: c for m, _, c in terms}
     heap = [(nk, m) for m, nk, _ in terms]
@@ -419,12 +421,6 @@ def _pseudo_reduce(terms, elements, top=False):
                 break
         else:
             rest.append((m, nk, c, mult))
-            if top:
-                for nk2, m2 in heap:
-                    c2 = coeffs.pop(m2, 0)
-                    if c2:
-                        rest.append((m2, nk2, c2, mult))
-                break
             continue
         d = math.gcd(c, lc)
         if d != lc:
@@ -475,14 +471,13 @@ def reduce(f, G, order):
 def buchberger(F, order, budget=None):
     """The unique reduced Groebner basis of <F> under the given order.
 
-    When every input is a pure difference the computation runs on the
-    binomial fast path.  Otherwise each input and each S-polynomial is
-    pseudo-reduced at the top against the live elements and, when nonzero,
-    kept with integer coefficients of content one; the S-pair routine
-    retires the elements whose leads a newer lead divides.  Raises
-    BudgetExceeded when more than `budget` S-pairs would have to be
-    treated (never returns a wrong partial answer), and ValueError when
-    an input's arity is not the order's.
+    Each input and each S-polynomial, pure differences too, is fully
+    pseudo-reduced against the live elements and, when nonzero, kept with
+    integer coefficients of content one; the S-pair routine retires the
+    elements whose leads a newer lead divides.  Raises BudgetExceeded when
+    more than `budget` S-pairs would have to be treated (never returns a
+    wrong partial answer), and ValueError when an input's arity is not
+    the order's.
     """
     if budget is None:
         budget = DEFAULT_SPAIR_BUDGET
@@ -491,12 +486,6 @@ def buchberger(F, order, budget=None):
         _check_arity(p.nvars, order)
     if not polys:
         return []
-    diffs = [p.as_pure_difference() for p in polys]
-    if all(d is not None for d in diffs):
-        binomials = buchberger_binomials([Binomial(u, v) for u, v in diffs],
-                                         order, budget)
-        return [b.to_polynomial() for b in binomials]
-
     elements = []
     leads = []
     masks = []
@@ -504,7 +493,7 @@ def buchberger(F, order, budget=None):
 
     def add(terms):
         live = [e for e, a in zip(elements, alive) if a]
-        rest, _ = _pseudo_reduce(terms, live, top=True)
+        rest, _ = _pseudo_reduce(terms, live)
         if not rest:
             return -1
         e = _element(rest[0], rest[1:])
@@ -536,7 +525,7 @@ def buchberger(F, order, budget=None):
 
     inputs = [_integer_terms(p, order)[0] for p in polys]
     _s_pair_loop(inputs, add, s_pair, leads, masks, alive, order.key, budget)
-    # the live leads are an antichain: add top-reduces each new element
+    # the live leads are an antichain: add reduces each new element
     # against them, and the update retires those its lead divides
     return _interreduce([e for e, a in zip(elements, alive) if a])
 
@@ -556,7 +545,7 @@ def _interreduce(elements):
     return [p for _, p in reduced]
 
 
-# --- binomial fast path ---------------------------------------------------
+# --- binomial engine and the shared S-pair loop ----------------------------
 
 
 def _support_mask(m):

@@ -7,7 +7,6 @@ import pytest
 from toricgm import cli
 from toricgm.cli import main
 from toricgm.jsonio import EXCERPT, read_counts, read_matrix
-from toricgm.models import Distribution
 
 from fixtures import FOUR_CYCLE_COUNTS, FOUR_CYCLE_MATRIX, MOUSSOURIS_SUPPORT
 
@@ -218,22 +217,6 @@ def test_check_verdicts(tmp_path, capsys, four_cycle_files):
     assert code == 0
     assert report["results"]["verdict"] == "outside"
     assert report["results"]["kernel_oracle"] is False
-
-
-def test_check_reports_no_kernel_oracle_for_a_float_distribution(
-        tmp_path, capsys, monkeypatch, four_cycle_files):
-    # every file value is read exactly, so a float point comes from a reader
-    # that returns floats
-    model, basis = four_cycle_files
-    monkeypatch.setattr(cli, "read_distribution",
-                        lambda path: Distribution([1 / 16] * 16))
-    dist = write_json(tmp_path / "d.json",
-                      {"order": "lex-last-fastest", "values": ["1/16"] * 16})
-    code, report = run(capsys, "check", "--model", model, "--basis", basis,
-                       "--dist", dist)
-    assert code == 0
-    assert report["results"]["verdict"] == "factors"
-    assert report["results"]["kernel_oracle"] is None
 
 
 def test_check_exits_4_when_the_kernel_oracle_disagrees(
@@ -473,12 +456,59 @@ def test_read_generators_malformed(tmp_path, capsys):
                                  "--out", str(tmp_path / "m.json")], bad)
 
 
+def test_read_graph_refuses_a_loop(tmp_path, capsys):
+    # the graph's own constructor refuses it; the error names the file
+    bad = write_json(tmp_path / "bad.json",
+                     {"variables": VARS3, "edges": [["X1", "X1"]]})
+    assert_format_error(capsys, ["graph", "--graph", bad],
+                        f"{bad}: loop at 'X1'")
+
+
+def test_read_generators_refuses_a_duplicate_variable(tmp_path, capsys):
+    bad = write_json(tmp_path / "bad.json",
+                     {"variables": VARS3 + VARS3[:1], "generators": [["X1"]]})
+    out = tmp_path / "m.json"
+    assert_format_error(capsys, ["model", "--generators", bad,
+                                 "--out", str(out)],
+                        f"{bad}: duplicate variable names")
+    assert not out.exists()
+
+
+def test_read_generators_refuses_an_unknown_variable(tmp_path, capsys):
+    bad = write_json(tmp_path / "bad.json",
+                     {"variables": VARS3, "generators": [["X1", "C"]]})
+    out = tmp_path / "m.json"
+    assert_format_error(capsys, ["model", "--generators", bad,
+                                 "--out", str(out)],
+                        f"{bad}: unknown variable 'C'")
+    assert not out.exists()
+
+
+def test_read_matrix_refuses_a_row_without_entries(tmp_path, capsys):
+    bad = write_json(tmp_path / "bad.json",
+                     {"rows": [{"label": "r0"}], "columns": ["0", "1"]})
+    assert_format_error(capsys, ["model", "--matrix", bad,
+                                 "--out", str(tmp_path / "m.json")],
+                        f"{bad}: bad matrix entry: 'entries'")
+
+
 @pytest.mark.parametrize("entry", [{"v": [0] * 8}, [[1] + [0] * 7, [0] * 8]])
 def test_read_basis_malformed(tmp_path, capsys, three_chain_files, entry):
     model, _, dist = three_chain_files
     bad = write_json(tmp_path / "bad.json", {"binomials": [entry]})
     assert_format_error(capsys, ["check", "--model", model, "--basis", bad,
                                  "--dist", dist], bad)
+
+
+def test_read_basis_refuses_a_binomial_of_another_arity(tmp_path, capsys,
+                                                       three_chain_files):
+    model, _, dist = three_chain_files
+    bad = write_json(tmp_path / "bad.json", {"binomials": [
+        {"u": [1, 0, 0, 1], "v": [0, 1, 1, 0]}]})
+    assert_format_error(capsys, ["check", "--model", model, "--basis", bad,
+                                 "--dist", dist],
+                        f"{bad}: binomial arity 4 does not match the model "
+                        "(8 cells)")
 
 
 def test_read_distribution_null_value(tmp_path, capsys, three_chain_files):

@@ -4,8 +4,10 @@ from itertools import combinations, product
 
 import pytest
 
-from toricgm.graphs import UndirectedGraph, binary_graph, build_graph_matrix, \
-    cliques, nondecomposable_partition, saturated_separations
+from toricgm.factorization import in_variety_kernel_oracle
+from toricgm.graphs import NondecomposablePartition, UndirectedGraph, \
+    binary_graph, build_graph_matrix, cliques, nondecomposable_partition, \
+    saturated_separations
 from toricgm.independence import (CIStatement, CpdSpec, cpd_instances,
                                   cpd_polynomial,
                                   cpd_polynomials, cpr,
@@ -486,6 +488,51 @@ def test_lift_potentials_uniform_at_one():
     assert set(P.values) == {Fraction(1, 16)}
 
 
+def _assert_uniform_then_in_the_model(g, part):
+    P = lift_limit_potentials(g, part, 1)
+    assert set(P.values) == {Fraction(1, 2 ** len(g.names))}
+    A = build_graph_matrix(g)
+    for n in (2, 3):
+        assert in_variety_kernel_oracle(A, lift_limit_potentials(g, part, n))
+
+
+def test_lift_potentials_leave_the_e_block_at_one():
+    # the four-cycle plus a pendant vertex X5 on X1: X5 forms the E block
+    g = binary_graph(["X1", "X2", "X3", "X4", "X5"],
+                     [("X1", "X2"), ("X2", "X3"), ("X3", "X4"), ("X1", "X4"),
+                      ("X1", "X5")])
+    part = nondecomposable_partition(g)
+    assert part.E == ("X5",)
+    _assert_uniform_then_in_the_model(g, part)
+    # X5 is independent of the rest: the distribution is the four-cycle's
+    # own, times the uniform distribution on X5
+    cycle = four_cycle()
+    Q = lift_limit_potentials(cycle, nondecomposable_partition(cycle), 3)
+    P = lift_limit_potentials(g, part, 3)
+    assert P.values == tuple(v / 2 for v in Q.values for _ in range(2))
+
+
+def test_lift_potentials_of_blocks_against_variable_order():
+    # A=(X2,), B=(X1,), C=(X4,), D=(X3,): the edge X1-X2 crosses from B to
+    # A, and X3-X4 from D to C
+    g = four_cycle()
+    standard = nondecomposable_partition(g)
+    relabelled = NondecomposablePartition(("X2",), ("X1",), ("X4",), ("X3",),
+                                          ())
+    _assert_uniform_then_in_the_model(g, relabelled)
+    # the reflection X1 <-> X2, X3 <-> X4 of the cycle maps one partition
+    # onto the other, so it permutes the states of one distribution into
+    # those of the other
+    space = g.space()
+    states = space.states()
+    reflected = [space.state_index((x2, x1, x4, x3))
+                 for x1, x2, x3, x4 in states]
+    for n in (2, 3, 7):
+        P = lift_limit_potentials(g, relabelled, n)
+        Q = lift_limit_potentials(g, standard, n)
+        assert P.values == tuple(Q.values[j] for j in reflected)
+
+
 def test_lift_potentials_converge_to_uniform_eight_atoms():
     g = four_cycle()
     part = nondecomposable_partition(g)
@@ -515,5 +562,4 @@ def test_lift_potentials_factor_along_graph():
     part = nondecomposable_partition(g)
     P = lift_limit_potentials(g, part, 7)
     A = build_graph_matrix(g)
-    from toricgm.factorization import in_variety_kernel_oracle
     assert in_variety_kernel_oracle(A, P)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from toricgm import mle
+from toricgm.cli import main
 from toricgm.graphs import build_graph_matrix
+from toricgm.jsonio import write_matrix
 from toricgm.mle import (ISOLATION_WIDTH, CountTable, _echelonize,
                          _reduced_basis, assemble_mle_system, ips_fit,
                          isolate_positive_roots, rational_root_check,
@@ -14,7 +17,8 @@ from toricgm.mle import (ISOLATION_WIDTH, CountTable, _echelonize,
 from toricgm.models import ModelMatrix, monomial_map
 from toricgm.orders import TermOrder
 from toricgm.polynomials import (Binomial, BudgetExceeded, NotTriangular,
-                                 Polynomial, buchberger, eliminate_to_triangular)
+                                 Polynomial, buchberger,
+                                 eliminate_to_triangular, monomial_of)
 from toricgm.polynomials import reduce as poly_reduce
 from toricgm.toric import compute_toric_basis, minimal_generators
 from fixtures import (FOUR_CYCLE_COUNTS, IDX4, five_cycle,
@@ -857,6 +861,37 @@ def test_last_free_cell_that_does_not_separate_the_solutions(counts):
     assert max(m[10] for m, _ in p.terms) == 1
     assert any(m[10] and m[11] for m, _ in p.terms)
     _assert_agrees_with_ips(A, counts, res)
+
+
+def test_solve_refuses_a_core_basis_out_of_shape_position(monkeypatch,
+                                                         tmp_path, capsys):
+    # <x_last^2 - 1, x_prev^2 - 1> in the free cells' ring is a reduced lex
+    # basis of a zero-dimensional ideal, but its second element is
+    # quadratic in the cell it brings in: no shape position to read
+    def unshaped(G, order):
+        k = order.nvars
+        return [Polynomial(k, [(monomial_of(k, [v, v]), 1), ((0,) * k, -1)])
+                for v in (k - 1, k - 2)]
+
+    monkeypatch.setattr(mle, "eliminate_to_triangular", unshaped)
+    A = four_cycle_matrix()
+    sys_ = assemble_mle_system(A, CountTable(FOUR_CYCLE_COUNTS))
+    message = ("not triangular: the core's lex basis is not in shape "
+               f"position for the table with margins {list(sys_.margins)} "
+               f"on the cells {list(sys_.matrix.col_labels)}")
+    with pytest.raises(NotTriangular) as refused:
+        solve_mle_exact(sys_)
+    assert str(refused.value) == message
+    # the command line reports it as no exact MLE
+    model = str(tmp_path / "model.json")
+    write_matrix(A, model)
+    counts = tmp_path / "n.json"
+    counts.write_text(json.dumps({"order": "lex-last-fastest",
+                                  "values": list(FOUR_CYCLE_COUNTS)}))
+    code = main(["mle-exact", "--model", model, "--counts", str(counts)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_fglm_rejects_a_basis_that_is_not_zero_dimensional():

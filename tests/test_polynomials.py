@@ -12,8 +12,8 @@ from toricgm.polynomials import (Binomial, BudgetExceeded, NotTriangular,
                                  Polynomial, buchberger,
                                  buchberger_binomials, eliminate_to_triangular,
                                  ideal_equal, monomial_divides, reduce)
-from fixtures import (CheapestOrder, fraction_normal_form, perfbench_workloads,
-                      s_polynomial)
+from fixtures import (FOUR_CYCLE_PAIRWISE, CheapestOrder,
+                      fraction_normal_form, perfbench_workloads, s_polynomial)
 
 
 def poly(nvars, *terms):
@@ -83,7 +83,7 @@ def test_term_order_keys_are_linear(order):
         v = random_monomial(rng, 4)
         uv = tuple(map(add, u, v))
         assert order.key(uv) == tuple(map(add, order.key(u), order.key(v)))
-        # the engine's heap key is the negated key, built in one pass
+        # the engine's heap key is the negated key
         assert order.neg_key(u) == tuple(-x for x in order.key(u))
 
 
@@ -269,10 +269,15 @@ def test_binomial_engine_matches_generic():
         if not bins:
             continue
         gb_fast = [b.to_polynomial() for b in buchberger_binomials(bins, order)]
-        # force generic route by going through one non-pure scaled copy
-        polys = [b.to_polynomial() * Fraction(3, 2) for b in bins]
-        gb_slow = buchberger(polys + [polys[0] + polys[0] - 2 * polys[0]], order)
-        assert gb_fast == gb_slow
+        assert gb_fast == buchberger(bins, order)
+
+
+@pytest.mark.parametrize("order", [TermOrder.grevlex(16), TermOrder.lex(16)])
+def test_generic_engine_gives_the_binomial_basis_of_the_pairwise_ideal(order):
+    # the four-cycle's pairwise ideal, a pure-difference input of buchberger
+    gb_fast = [b.to_polynomial()
+               for b in buchberger_binomials(FOUR_CYCLE_PAIRWISE, order)]
+    assert buchberger(FOUR_CYCLE_PAIRWISE, order) == gb_fast
 
 
 def test_budget_exceeded_is_loud():
@@ -309,7 +314,7 @@ def test_buchberger_binomials_refuses_another_arity(inputs, nvars):
 
 @pytest.mark.parametrize("f", [
     poly(4, ((1, 0, 0, 0), 1), ((0, 0, 1, 1), 2)),  # the generic engine
-    WIDE.to_polynomial(),  # the binomial fast path
+    WIDE.to_polynomial(),  # a pure difference
 ])
 def test_buchberger_refuses_another_arity(f):
     with pytest.raises(ValueError, match="arity 4 does not match the 3"):
