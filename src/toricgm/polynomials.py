@@ -21,12 +21,19 @@ x^u - x^v alone (their S-polynomials and reductions stay pure
 differences, so no coefficient bookkeeping is needed).  One S-pair
 routine serves both engines.  It sees leading monomials only: pairs are
 pruned by the Gebauer-Moeller update (Gebauer and Moeller, On an
-installation of Buchberger's algorithm, JSC 6, 1988) and selected by the
-normal strategy (smallest lcm, ties by index pair).  The update works on
-the support of each lead: lcm degrees come from the shared support, the M
-and F criteria test divisibility by the excess of one lead over the new
-one, and only an opened pair gets a full-width lcm.  A budget bounds the
-number of S-pairs treated and fails loudly rather than truncating.
+installation of Buchberger's algorithm, JSC 6, 1988) and selected smallest
+first, ties by index pair.  The generic engine ranks pairs by their lcm
+under the order, the normal strategy; the binomial engine by the degree of
+their lcm.  On homogeneous input that is the sugar strategy (Giovini et
+al., "One sugar cube, please", ISSAC 1991): under grevlex it only reorders
+pairs of one degree, and under lex it keeps lcms of high degree but small
+under lex from coming first, which made lex toric bases of 7-8 columns
+exceed thousands of S-pairs.  The update works on the support of each
+lead: lcm degrees come from the shared support, the M, F and chain
+criteria test divisibility on the support masks and the exponents above
+one, and only the normal strategy forms a full-width lcm, once per opened
+pair, to key it.  A budget bounds the number of S-pairs treated and fails
+loudly rather than truncating.
 eliminate_to_triangular converts a Groebner basis of a zero-dimensional
 ideal under any order to the reduced lex basis, by FGLM on the integer
 rows the pseudo-division gives.
@@ -56,8 +63,12 @@ so does h, and then x_j h has a standard representation with every term
 below L.  A skipped pair thus behaves as one that reduced to zero, and
 the other criteria, whose arguments only use pairs of lower or equal
 degree, stay exact; so a skipped pair still dominates in the M and F
-criteria.  Under lex, pairs are not selected by degree and the induction
-does not hold, so S stays empty there.
+criteria.  The induction needs the pairs in non-decreasing degree: the
+engine takes them by lcm degree, and on homogeneous input a new element
+has the degree of its pair.  An inhomogeneous input breaks this (a pair
+can give an element of lower degree), so buchberger_binomials refuses a
+nonzero S then, and under any order but grevlex, the one order `toric`
+masks and the tests check.
 """
 
 import heapq
@@ -220,17 +231,6 @@ class Polynomial:
         for m, c in self.terms:
             total += monomial_value(point, m, c)
         return total
-
-    def as_pure_difference(self):
-        """Return (u, v) if the (scaled) polynomial is x^u - x^v, else None."""
-        if len(self.terms) != 2:
-            return None
-        (m1, c1), (m2, c2) = self.terms
-        if c1 + c2 != 0:
-            return None
-        if c1 > 0:
-            return (m1, m2)
-        return (m2, m1)
 
     def render(self, names, order=None):
         """Human-readable string, terms sorted descending under order."""
@@ -569,9 +569,9 @@ def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget,
     keep, closes the open pairs the chain criterion covers, and retires
     (alive[g] = False) the elements whose lead its lead divides.  A
     retired element stops reducing, but its open pairs stay.  Open pairs
-    are treated by the normal strategy: smallest lcm under key first, ties
-    by index pair.  Raises BudgetExceeded once more than `budget` pairs
-    would be treated.
+    are treated smallest first, ties by index pair: by the lcm under key,
+    the normal strategy, or, when key is None, by the degree of the lcm.
+    Raises BudgetExceeded once more than `budget` pairs would be treated.
 
     The update reads the support of each lead, not its full exponent
     vector: per element it keeps the lead's degree and its exponents above
@@ -591,17 +591,20 @@ def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget,
       alone does not settle.
     - The chain criterion closes (i, j) when h divides lcm(i, j) and
       differs from lcm(i, h) and lcm(j, h); since these divide lcm(i, j),
-      they differ iff their degrees do.
-    Only a pair that is opened gets its lcm tuple and heap key.
+      they differ iff their degrees do.  h divides lcm(i, j) iff its
+      support lies in the pair's mask and each exponent of h above one is
+      reached by lead i or lead j.
+    An open pair is kept as the support mask and degree of its lcm; only
+    the normal strategy forms the lcm, once, to key it.
 
     saturated is a bitmask of variables that are nonzerodivisors modulo
     the ideal; with it, tail_masks[i] is the support mask of the tail of
     binomial element i, and a pair whose two tails share a saturated
     variable is never opened (it still dominates in the M and F criteria,
-    as a coprime pair does).  The caller guarantees what makes this exact
-    (module docstring): a homogeneous ideal and a degree-compatible order.
+    as a coprime pair does).  buchberger_binomials checks what makes this
+    exact (module docstring): homogeneous inputs under grevlex.
     """
-    pairs = {}  # open (i, j), i < j -> (lcm, support mask, degree) of leads
+    pairs = {}  # open (i, j), i < j -> (support mask, degree) of the lcm
     heap = []
     degs = []  # per element: the degree of its lead
     highs = []  # per element: the (variable, exponent) of its lead above one
@@ -651,16 +654,20 @@ def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget,
                 kept.append((ex_mask, ex_high))
                 if not mask_h & mask_g or tail_h & shared[g]:
                     continue  # coprime, or tails share a saturated variable
-                lcm = tuple(map(max, mh, lg))
-                pairs[(g, new)] = (lcm, mask_h | mask_g, d)
-                heapq.heappush(heap, (key(lcm), g, new))
+                pairs[(g, new)] = (mask_h | mask_g, d)
+                heapq.heappush(heap, (
+                    d if key is None else key(tuple(map(max, mh, lg))),
+                    g, new))
         # close old pairs whose lcm the new lead divides (chain criterion)
         stale = []
-        for pair, (lcm_ij, mask_ij, d_ij) in pairs.items():
+        for pair, (mask_ij, d_ij) in pairs.items():
             i, j = pair
-            if j == new or mask_h & ~mask_ij \
-                    or not all(lcm_ij[v] >= e for v, e in high_h):
+            if j == new or mask_h & ~mask_ij:
                 continue
+            if high_h:
+                li, lj = leads[i], leads[j]
+                if not all(li[v] >= e or lj[v] >= e for v, e in high_h):
+                    continue
             if lcm_degree(i) != d_ij and lcm_degree(j) != d_ij:
                 stale.append(pair)
         for pair in stale:
@@ -781,17 +788,19 @@ def buchberger_binomials(inputs, order, budget=None, saturated=0,
     under the order once: an input side to orient, deduplicate and sort
     the inputs, a new element's two sides to orient it, and its lead key
     is kept for the final sort.  S-pairs run through the shared routine on
-    a BinomialRewriter's own arrays.  The S-binomial of elements i and j
+    a BinomialRewriter's own arrays, smallest lcm degree first, ties by
+    index pair, so no pair is keyed.  The S-binomial of elements i and j
     is built from the sparse leads: its i side x^(lcm - l_i) t_i is the
     tail t_i raised by l_j - l_i where l_j exceeds l_i, and its support
     mask is the tail mask of i plus those variables, so both sides are
     rewritten from known masks.  `saturated` is a bitmask of variables
     that are nonzerodivisors modulo the ideal of the inputs; the S-pairs
-    whose tails share one of them are skipped.  It is exact only for
-    homogeneous inputs under a degree-compatible order (grevlex); the
-    default 0 skips nothing.  With `strip_common`, each new element has
-    the common monomial factor of its two sides divided out right after
-    they are rewritten to normal form, so the run returns the reduced
+    whose tails share one of them are skipped.  That is exact only for
+    homogeneous inputs under grevlex (module docstring), so a nonzero mask
+    with any other input or order raises ValueError; the default 0 skips
+    nothing.  With `strip_common`, each new element has the common
+    monomial factor of its two sides divided out right after they are
+    rewritten to normal form, so the run returns the reduced
     basis of an ideal between <inputs> and <inputs> : (x_1 ... x_n)^inf
     rather than of <inputs> itself: a new element x^c (x^a - x^b) reduces
     to zero through x^a - x^b, so every S-pair still has a standard
@@ -800,11 +809,17 @@ def buchberger_binomials(inputs, order, budget=None, saturated=0,
     """
     if budget is None:
         budget = DEFAULT_SPAIR_BUDGET
+    if saturated and order.kind != "grevlex":
+        raise ValueError("a saturated-tail mask needs the grevlex order, "
+                         f"not {order.kind}")
     key = order.key
     start = set()  # (lead key, tail, lead) of each oriented input
     for b in inputs:
         u, v = b.u, b.v
         _check_arity(len(u), order)
+        if saturated and sum(u) != sum(v):
+            raise ValueError("a saturated-tail mask needs homogeneous "
+                             "inputs")
         ku, kv = key(u), key(v)
         start.add((ku, v, u) if ku > kv else (kv, u, v))
     if not start:
@@ -853,7 +868,7 @@ def buchberger_binomials(inputs, order, budget=None, saturated=0,
         return side(i, j), side(j, i)
 
     _s_pair_loop(items, add, s_pair, leads, system.masks, system.alive,
-                 key, budget, saturated, tail_masks)
+                 None, budget, saturated, tail_masks)
     kept = sorted(compress(range(len(leads)), system.alive),
                   key=lead_keys.__getitem__)
     return [Binomial(leads[i], normal_form(list(tails[i]), tail_masks[i]))

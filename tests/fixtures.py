@@ -219,6 +219,16 @@ def canonical(b, order):
     return b if order.key(b.u) >= order.key(b.v) else Binomial(b.v, b.u)
 
 
+def pure_difference(p):
+    """(u, v) if the Polynomial p is a multiple of x^u - x^v, else None."""
+    if len(p.terms) != 2:
+        return None
+    (m1, c1), (m2, c2) = p.terms
+    if c1 + c2 != 0:
+        return None
+    return (m1, m2) if c1 > 0 else (m2, m1)
+
+
 # --- rational linear algebra oracles -----------------------------------------
 
 def rat_kernel_basis(rows):

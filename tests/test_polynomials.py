@@ -13,7 +13,8 @@ from toricgm.polynomials import (Binomial, BudgetExceeded, NotTriangular,
                                  buchberger_binomials, eliminate_to_triangular,
                                  ideal_equal, monomial_divides, reduce)
 from fixtures import (FOUR_CYCLE_PAIRWISE, CheapestOrder,
-                      fraction_normal_form, perfbench_workloads, s_polynomial)
+                      fraction_normal_form, perfbench_workloads,
+                      pure_difference, s_polynomial)
 
 
 def poly(nvars, *terms):
@@ -253,7 +254,7 @@ def test_binomial_inputs_give_binomial_output():
     b1 = Binomial((1, 0, 1, 0), (0, 2, 0, 0))
     b2 = Binomial((1, 0, 0, 1), (0, 1, 1, 0))
     gb = buchberger([b1, b2], order)
-    assert all(p.as_pure_difference() is not None for p in gb)
+    assert all(pure_difference(p) is not None for p in gb)
 
 
 def test_binomial_engine_matches_generic():
@@ -310,6 +311,26 @@ def test_buchberger_binomials_refuses_another_arity(inputs, nvars):
     with pytest.raises(ValueError, match=f"arity {nvars} does not match "
                                          "the 3 variables"):
         buchberger_binomials(inputs, TermOrder.grevlex(3))
+
+
+def test_saturated_tails_refuse_an_inhomogeneous_input():
+    # x0 - x2^2 and x0 - x1*x2: the pair of the two leads x2^2 and x1*x2
+    # has tails sharing x0, and its S-binomial x0*x1 - x0*x2 is not a
+    # multiple of a lower-degree element of the ideal, so skipping the
+    # pair would return a basis that is not a Groebner basis
+    inputs = [Binomial((1, 0, 0), (0, 0, 2)), Binomial((1, 0, 0), (0, 1, 1))]
+    order = TermOrder.grevlex(3)
+    assert Binomial((1, 1, 0), (1, 0, 1)) in buchberger_binomials(inputs, order)
+    with pytest.raises(ValueError, match="homogeneous inputs"):
+        buchberger_binomials(inputs, order, saturated=0b111)
+
+
+def test_saturated_tails_refuse_lex():
+    inputs = [Binomial((1, 0, 0, 1), (0, 1, 1, 0))]
+    with pytest.raises(ValueError, match="grevlex order, not lex"):
+        buchberger_binomials(inputs, TermOrder.lex(4), saturated=0b1111)
+    assert buchberger_binomials(inputs, TermOrder.grevlex(4), saturated=0b1111) \
+        == [Binomial((0, 1, 1, 0), (1, 0, 0, 1))]
 
 
 @pytest.mark.parametrize("f", [

@@ -123,6 +123,33 @@ def test_lex_order_variant():
         set(b.sign_free() for b in THREE_CHAIN_BINOMIALS)
 
 
+@pytest.mark.parametrize("rows, size", [
+    (((3, 8, 0, 3, 2, 6, 0, 9), (1, 0, 8, 2, 2, 0, 1, 2),
+      (5, 3, 2, 3, 7, 3, 2, 0), (2, 0, 1, 3, 0, 2, 8, 0)), 107),
+    (((2, 3, 1, 1, 0, 6, 0, 2), (0, 3, 0, 0, 0, 3, 6, 1),
+      (3, 1, 2, 10, 1, 0, 1, 1), (3, 3, 2, 0, 7, 2, 1, 3),
+      (3, 1, 6, 0, 3, 0, 3, 4)), 110),
+    (((0, 1, 1, 0, 1, 0, 5, 3), (0, 1, 0, 8, 1, 2, 3, 3),
+      (0, 9, 10, 1, 1, 0, 3, 3), (11, 0, 0, 2, 8, 9, 0, 2)), 166),
+])
+def test_lex_bases_of_eight_column_models_within_budget(rows, size):
+    # lex bases that exceeded 3,000 S-pairs while the binomial engine took
+    # its pairs by smallest lcm under lex; taken by lcm degree, each takes
+    # well under 0.1 s on a 2-core x86-64 host, Python 3.11.  Bound: 5 s
+    started = time.perf_counter()
+    A = ModelMatrix(rows)
+    lex = compute_toric_basis(A, TermOrder.lex(8), budget=3000)
+    assert len(lex) == size
+    grevlex = compute_toric_basis(A, budget=3000)
+    # the two bases generate the same ideal
+    for basis, other in ((lex, grevlex), (grevlex, lex)):
+        system = BinomialRewriter(other.binomials)
+        assert all(system.normal_form(b.u) == system.normal_form(b.v)
+                   for b in basis)
+    assert all(binomial_in_ideal(b, lex) for b in _lattice_binomials(A))
+    assert time.perf_counter() - started < 5
+
+
 def enumerate_monomials(m, maxdeg):
     out = []
     for deg in range(maxdeg + 1):
