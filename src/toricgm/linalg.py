@@ -114,7 +114,7 @@ def integer_span_member(v, rows):
     return all(x == 0 for x in v)
 
 
-def _content_free(row):
+def content_free(row):
     """row divided by its content, the (positive) gcd of its entries."""
     g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else row
@@ -141,7 +141,7 @@ def reduced_echelon(rows, npivot):
     step.  Returns all rows, the pivot row of pivots[k] at position k and
     after them the rows that are zero in the first npivot columns.
     """
-    rows = [_content_free(list(row)) for row in rows]
+    rows = [content_free(list(row)) for row in rows]
     pivots = []
     r = 0
     for c in range(npivot):
@@ -155,7 +155,7 @@ def reduced_echelon(rows, npivot):
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
-                rows[i] = _content_free([p * x - f * y for x, y in zip(row, piv)])
+                rows[i] = content_free([p * x - f * y for x, y in zip(row, piv)])
         pivots.append(c)
         r += 1
     return rows, pivots

@@ -52,26 +52,40 @@ integer polynomial p, whose one remainder sequence p, p', -rem, ...
 (positive scalings only), divided by its last element gcd(p, p'), is the
 squarefree part q = p / gcd(p, p') and a Sturm chain of q.  The positive
 roots of q (and of q(-x), for the rational roots) are isolated by
-bisecting (0, Cauchy bound] with Sturm counts and refined by the sign of
-q alone.  Every sign read is the sign of the integer d^deg q(a / d),
-computed by homogeneous Horner, so no comparison rests on rounding: the
-intervals are exact.  Rational roots need no search over divisors: a root
-a / d in lowest terms of the integer q has d dividing lc(q), so once an
-interval is narrower than 1 / lc(q) it holds at most one candidate, and
-that one is tested exactly where the root is isolated.  A rational root
-so comes back as the degenerate interval (r, r), and any other interval
-holds an irrational root.
+bisecting (0, Cauchy bound] with Sturm counts.  Every sign read is the
+sign of the integer d^deg q(a / d), computed by homogeneous Horner, so no
+comparison rests on rounding: the intervals are exact.  Each isolating
+interval is then refined to the cell where bisection by the sign of q
+alone would end.  The number of halvings is known in advance, so a float
+Newton estimate of the root names the cell of that depth, and exact
+signs at its two ends accept it or, failing that, one neighbour; only
+when no candidate is confirmed (the float misses by more than a cell, or
+q's coefficients are beyond float range) does the step-by-step bisection
+run.  A float so only saves evaluations: the cell is bisection's either
+way.  Rational roots need no search over divisors: a root a / d in lowest
+terms of the integer q has d dividing lc(q), so once an interval is
+narrower than 1 / lc(q) it holds at most one candidate, and that one is
+tested exactly where the root is isolated.  A rational root so comes back
+as the degenerate interval (r, r), and any other interval holds an
+irrational root.
 
-The toric basis of a reduced matrix and its minimal generators are
-computed once per matrix (and budget) and memoised together, process-wide,
-in one bounded least-recently-used memo: many tables share their zero
-cells, hence their reduced matrix, and both belong to the matrix, not to
-the counts.  The memo is keyed on the reduced `ModelMatrix`, labels
-included, and the budget.  It is exact: the basis and the generators are
-fixed by the matrix, and a `BudgetExceeded`, in the basis or in the
-selection, is not stored, so a later call computes both afresh.  Entries
-are immutable, and `MleSystem` still checks the basis against the reduced
-matrix it is built with and the generators against the basis.
+Three bounded least-recently-used memos, process-wide, keep the work
+that many tables or calls share; each is exact, stores only immutable
+values and stores no exception, so a call that raises raises again.
+Many tables share their zero cells, hence their reduced matrix: the
+active cells and the reduced `ModelMatrix` are kept per matrix and
+pattern of zero sufficient statistics (`reduce_zero_cells`, which both
+`assemble_mle_system` and `ips_fit` call).  The toric basis of a reduced
+matrix and its minimal generators are kept together per reduced matrix,
+labels included, and budget: both belong to the matrix, not to the
+counts, and a `BudgetExceeded`, in the basis or in the selection, leaves
+nothing behind.  `MleSystem` still checks the basis against the reduced
+matrix it is built with and the generators against the basis.  The Sturm
+chain and positive isolation of a psi are kept per psi, so
+`rational_root_check` after `solve_mle_exact` (or
+`isolate_positive_roots`) on the same psi reads them and isolates only
+the roots of q(-x).  A list a call returns is fresh on every call; the
+matrices, bases and generators it returns are immutable and shared.
 """
 
 import math
@@ -79,7 +93,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import _content_free, common_denominator, reduced_echelon
+from .linalg import common_denominator, content_free, reduced_echelon
 from .models import CountTable, Distribution
 from .orders import TermOrder
 from .polynomials import (NotTriangular, Polynomial, buchberger,
@@ -110,14 +124,26 @@ def reduce_zero_cells(A, n):
     The test reads only the observed margins, which dropping a cell (with
     its zero count) cannot change, so one pass is already the fixpoint.
     n may be a table or list of counts, as in sufficient_stats.
+
+    Both depend only on A and on which statistics are zero, so they are
+    kept per (A, zero pattern) in a bounded memo (module docstring); each
+    call returns a fresh list of the active cells, and the "all cells
+    dropped" ValueError is raised on every call, never stored.
     """
     stats = sufficient_stats(A, n)
-    active = [j for j in range(A.ncols)
-              if not any(row[j] > 0 and x == 0 for row, x in zip(A.rows, stats))]
+    active, red = _zero_reduction(A, tuple(x == 0 for x in stats))
+    return list(active), red
+
+
+@lru_cache(maxsize=256)
+def _zero_reduction(A, zero):
+    """(active cells, reduced matrix) of A once the rows flagged in `zero`
+    have a zero statistic: reduce_zero_cells, memoised on its key."""
+    active = tuple(j for j in range(A.ncols)
+                   if not any(row[j] and z for row, z in zip(A.rows, zero)))
     if not active:
         raise ValueError("all cells dropped: empty extended model")
-    keep_rows = [i for i in range(A.nrows) if stats[i] > 0]
-    return active, A.restrict(active, keep_rows)
+    return active, A.restrict(active, [i for i, z in enumerate(zero) if not z])
 
 
 def ips_fit(A, n, tol=1e-9, max_cycles=10 ** 5):
@@ -140,15 +166,22 @@ def ips_fit(A, n, tol=1e-9, max_cycles=10 ** 5):
     cells = [n.total / len(active)] * len(active)
     rows = [[float(x) for x in row] for row in red.rows]
     supports = [[j for j, e in enumerate(row) if e] for row in red.rows]
-    for _ in range(max_cycles):
+    for cycle in range(1, max_cycles + 1):
         for i, row in enumerate(rows):
             current = sum(row[j] * cells[j] for j in supports[i])
             if current <= 0:
                 raise ArithmeticError("fitted margin collapsed to zero")
             ratio = observed[i] / current
-            for j in supports[i]:
-                e = row[j]
-                cells[j] *= ratio if e == 1 else ratio ** e
+            try:
+                for j in supports[i]:
+                    e = row[j]
+                    cells[j] *= ratio if e == 1 else ratio ** e
+            except OverflowError:
+                raise ArithmeticError(
+                    f"ips_fit: the margin ratio {ratio!r} raised to an entry "
+                    f"of row {red.row_labels[i]} overflows a float in cycle "
+                    f"{cycle}; scaling by entries other than 0/1 need not "
+                    "converge") from None
         err = max(abs(sum(row[j] * cells[j] for j in supports[i]) - observed[i])
                   for i, row in enumerate(rows))
         if err <= tol:
@@ -474,19 +507,24 @@ def _back_substitute(steps, rows, pivots, psi_var, root_value, nvars):
 
 # --- exact univariate real-root machinery ----------------------------------
 #
-# Polynomials here are lists of Python ints in ascending degree.  A point
+# Polynomials here are sequences of Python ints in ascending degree.  A point
 # of the line is a pair (a, d) with d > 0 standing for a / d, and an
 # interval (a, b, d) is the half-open (a / d, b / d].
 
 # Width to which isolate_positive_roots refines its intervals.
 ISOLATION_WIDTH = Fraction(1, 10 ** 12)
+# The float root estimate is skipped for coefficients of more bits (so that
+# they and the Cauchy bound stay finite floats) and stops after this many
+# steps; it only proposes a cell, which exact signs then confirm.
+_FLOAT_ROOT_BITS = 1000
+_FLOAT_ROOT_STEPS = 100
 
 
 def _primitive(p):
     """p divided by its (positive) content; trailing zeros dropped."""
     while p and p[-1] == 0:
         p.pop()
-    return _content_free(p)
+    return content_free(p)
 
 
 def _derivative(p):
@@ -604,13 +642,17 @@ def _positive_roots(chain, width):
     = chain[0], q(0) != 0, given its Sturm chain, at most min(width,
     1 / (2 lc(q))) wide; a rational root r comes back as (r, r).
 
-    Each isolating interval is bisected by the sign of q alone: the root
-    lies on the side where q changes sign, and a midpoint where q vanishes
-    ends the bisection as the right end.  By the rational root theorem a
-    rational root lies on the grid of multiples of 1 / lc(q), and an
-    interval narrower than half that step holds at most one of them,
-    k / lc(q) with k = floor(lc(q) hi): the root is rational iff k / lc(q)
-    lies inside and q(k / lc(q)) == 0.
+    Each isolating interval is refined to the cell where bisection by the
+    sign of q ends: the root lies on the side where q changes sign, and a
+    midpoint where q vanishes ends the bisection as the right end.  The
+    number of halvings that brings the interval under the width is known
+    in advance, so `_final_cell` jumps to that depth from a float estimate
+    of the root and confirms the cell by exact signs; only when it cannot
+    does `_bisect` halve step by step.  Both give the same cell.  By the
+    rational root theorem a rational root lies on the grid of multiples of
+    1 / lc(q), and an interval narrower than half that step holds at most
+    one of them, k / lc(q) with k = floor(lc(q) hi): the root is rational
+    iff k / lc(q) lies inside and q(k / lc(q)) == 0.
     """
     q = chain[0]
     if len(q) < 2:
@@ -620,13 +662,13 @@ def _positive_roots(chain, width):
     out = []
     for a, b, d in _isolate(chain):
         vb = _value(q, b, d)
-        while vb and (b - a) * width.denominator > width.numerator * d:
-            m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
-            vm = _value(q, m, d)
-            if vm == 0 or (vm > 0) == (vb > 0):
-                b, vb = m, vm
-            else:
-                a = m
+        if vb:
+            # the fewest halvings n with (b - a) / (d 2^n) <= width
+            n = (-(-(b - a) * width.denominator // (width.numerator * d))
+                 - 1).bit_length()
+            if n:
+                a, b, d = (_final_cell(q, a, b, d, vb, n)
+                           or _bisect(q, a, b, d, vb, n))
         k = b * lc // d
         if k * d > a * lc and _value(q, k, lc) == 0:
             a, b, d = k, k, lc
@@ -634,33 +676,136 @@ def _positive_roots(chain, width):
     return out
 
 
+def _bisect(q, a, b, d, vb, n):
+    """The cell (a', b', d') that n halvings of (a / d, b / d] by the sign
+    of q reach, vb the sign-carrying q at b / d; a midpoint where q
+    vanishes stops them as the right end of its cell."""
+    for _ in range(n):
+        m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        vm = _value(q, m, d)
+        if vm == 0:
+            return a, m, d
+        if (vm > 0) == (vb > 0):
+            b = m
+        else:
+            a = m
+    return a, b, d
+
+
+def _final_cell(q, a, b, d, vb, n):
+    """The cell `_bisect(q, a, b, d, vb, n)` reaches, found from a float
+    estimate of the root; None when no candidate is confirmed.
+
+    Cell t of depth n, 1 <= t <= 2^n, is (g(t - 1), g(t)] with grid point
+    g(t) = (a 2^n + t (b - a)) / (d 2^n).  The root lies right of g(t)
+    when q there is nonzero with the sign opposite to vb; g(0) = a / d is
+    left of it by isolation, and g(2^n) = b / d is not.  The cell that
+    holds the estimate is tried first, then the neighbour its ends point
+    to, each accepted only on the exact signs at both of its ends.  A root
+    on g(t) stops bisection at the first depth where it is a grid point, as
+    the right end of that depth's cell.
+    """
+    x = _float_root(q, a, b, d, vb)
+    if x is None:
+        return None
+    last, span = 1 << n, b - a
+    top, den = a << n, d << n
+    p, s = x.as_integer_ratio()
+    t = min(max(-(-(p * den - top * s) // (s * span)), 1), last)
+    sides = {0: -1, last: 1}    # i -> -1, 0 or 1: g(i) left of, at or
+                                # right of the root
+
+    def side(i):
+        if i not in sides:
+            v = _value(q, top + i * span, den)
+            sides[i] = 0 if v == 0 else 1 if (v > 0) == (vb > 0) else -1
+        return sides[i]
+
+    for _ in range(2):
+        if side(t) < 0:
+            t += 1
+        elif side(t - 1) >= 0:
+            t -= 1
+        else:
+            if side(t) == 0:
+                shift = (t & -t).bit_length() - 1
+                t, top, den = t >> shift, a << n - shift, d << n - shift
+            return top + (t - 1) * span, top + t * span, den
+    return None
+
+
+def _float_root(q, a, b, d, vb):
+    """A float estimate of the one root of q in (a / d, b / d], with vb
+    the sign of q right of it: Newton's method, kept inside a bracket that
+    bisects whenever a step leaves it.  None when a coefficient is beyond
+    float range or an iterate's value is not finite."""
+    if max(map(abs, q)).bit_length() > _FLOAT_ROOT_BITS:
+        return None
+    sign = 1.0 if vb > 0 else -1.0
+    f = [sign * c for c in q]
+    lo, hi = a / d, b / d
+    x = (lo + hi) / 2
+    for _ in range(_FLOAT_ROOT_STEPS):
+        v = dv = 0.0
+        for c in reversed(f):
+            dv = dv * x + v
+            v = v * x + c
+        if not (math.isfinite(v) and math.isfinite(dv)):
+            return None
+        if v == 0:
+            return x
+        if v < 0:
+            lo = x
+        else:
+            hi = x
+        nxt = x - v / dv if dv else hi
+        if not lo < nxt < hi:
+            nxt = (lo + hi) / 2
+        if nxt == x:
+            return x
+        x = nxt
+    return x
+
+
+@lru_cache(maxsize=64)
+def _isolation(psi):
+    """(Sturm chain, sorted positive isolating intervals at ISOLATION_WIDTH)
+    of the squarefree integer part of psi, a tuple: computed once per psi
+    and shared by isolate_positive_roots and rational_root_check."""
+    chain = tuple(map(tuple, _sturm_chain(psi)))
+    return chain, tuple(sorted(_positive_roots(chain, ISOLATION_WIDTH)))
+
+
 def isolate_positive_roots(coeffs):
     """Disjoint rational intervals (lo, hi], one per distinct positive root.
 
     coeffs are rational, in ascending degree.  Every sign is that of an
     integer, d ** deg * q(a / d) for the squarefree integer part q, so the
-    Sturm counts that isolate the roots and the sign bisection that
-    refines each interval to ISOLATION_WIDTH are exact.  An interval is
-    the degenerate (r, r) iff its root r is rational; every other interval
-    holds an irrational root.
+    Sturm counts that isolate the roots and the refinement of each interval
+    to ISOLATION_WIDTH are exact; a float estimate only proposes the cell
+    that exact signs then confirm.  An interval is the degenerate (r, r)
+    iff its root r is rational; every other interval holds an irrational
+    root.  The isolation is memoised on the coefficients (module
+    docstring); each call returns a fresh list.
     """
-    return sorted(_positive_roots(_sturm_chain(coeffs), ISOLATION_WIDTH))
+    return list(_isolation(tuple(coeffs))[1])
 
 
 def rational_root_check(psi):
     """All rational roots of a rational-coefficient univariate, sorted.
 
-    Zero is handled up front; the other rational roots are the degenerate
-    intervals of the positive roots of q(x) and q(-x), q the squarefree
-    integer part of psi, each narrowed only as far as the rational test
-    needs.  Every reported root is verified by exact evaluation of psi
-    itself.
+    Zero is handled up front.  The positive rational roots are the
+    degenerate intervals of psi's memoised positive isolation (the one
+    isolate_positive_roots returns); the negative ones are those of the
+    positive roots of q(-x), q the squarefree integer part of psi, each
+    narrowed only as far as the rational test needs.  Every reported root
+    is verified by exact evaluation of psi itself.
     """
-    chain = _sturm_chain(psi)
+    chain, positive = _isolation(tuple(psi))
     roots = [Fraction(0)] if psi[0] == 0 else []
-    for sign, signed in ((1, chain), (-1, _reflect(chain))):
-        roots += [sign * lo for lo, hi in _positive_roots(signed, 1)
-                  if lo == hi]
+    roots += [lo for lo, hi in positive if lo == hi]
+    roots += [-lo for lo, hi in _positive_roots(_reflect(chain), 1)
+              if lo == hi]
     for r in roots:
         if sum(Fraction(c) * r ** i for i, c in enumerate(psi)) != 0:
             raise ArithmeticError(f"rational root {r} does not annihilate psi")

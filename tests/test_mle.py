@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -901,3 +902,213 @@ def test_fglm_rejects_a_basis_that_is_not_zero_dimensional():
     gb = [Polynomial(2, [((2, 0), 1), ((0, 1), -1)])]
     with pytest.raises(NotTriangular, match="not zero-dimensional"):
         eliminate_to_triangular(gb, grev)
+
+
+# --- IPS on a matrix whose entries are not all 0/1 ------------------------------
+
+OVERFLOW_MATRIX = ((0, 2, 3, 6, 3, 3, 6), (6, 4, 3, 0, 3, 3, 0))
+OVERFLOW_COUNTS = [1, 5, 1, 4, 2, 4, 1]
+OVERFLOW_MESSAGE = (r"ips_fit: the margin ratio .* raised to an entry of row "
+                    r"r\d overflows a float in cycle \d+")
+
+
+def test_ips_overflow_is_a_named_arithmetic_error():
+    # scaling by ratio ** entry does not converge here: the ratio grows
+    # until its sixth power leaves float range
+    with pytest.raises(ArithmeticError, match=OVERFLOW_MESSAGE) as refused:
+        ips_fit(ModelMatrix(OVERFLOW_MATRIX), OVERFLOW_COUNTS)
+    assert type(refused.value) is ArithmeticError
+
+
+def test_cli_ips_reports_the_overflow_and_exits_4(tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    write_matrix(ModelMatrix(OVERFLOW_MATRIX), model)
+    counts = tmp_path / "n.json"
+    counts.write_text(json.dumps({"order": "lex-last-fastest",
+                                  "values": OVERFLOW_COUNTS}))
+    code = main(["ips", "--model", model, "--counts", str(counts)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert re.fullmatch(f"error: {OVERFLOW_MESSAGE}; .*\n", captured.err)
+
+
+# --- root refinement against plain bisection -----------------------------------
+
+def _bisection_reference(chain, width):
+    """The refinement by plain bisection: each isolating interval halved by
+    the sign of q until it is narrow enough or a midpoint is the root,
+    then the rational-root test (the oracle the jump must match)."""
+    q = chain[0]
+    if len(q) < 2:
+        return []
+    lc = abs(q[-1])
+    width = min(width, Fraction(1, 2 * lc))
+    out = []
+    for a, b, d in mle._isolate(chain):
+        vb = mle._value(q, b, d)
+        while vb and (b - a) * width.denominator > width.numerator * d:
+            m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+            vm = mle._value(q, m, d)
+            if vm == 0 or (vm > 0) == (vb > 0):
+                b, vb = m, vm
+            else:
+                a = m
+        cell = (Fraction(a, d), Fraction(b, d))
+        k = b * lc // d
+        if k * d > a * lc and mle._value(q, k, lc) == 0:
+            a, b, d = k, k, lc
+        out.append((cell, (Fraction(a, d), Fraction(b, d))))
+    return out
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """List the calls of the step-by-step bisection."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    bisect = mle._bisect
+    monkeypatch.setattr(mle, "_bisect", counting)
+    return calls
+
+
+def _assert_refines_like_bisection(coeffs):
+    """Every cell the refinement reaches, by the jump or by bisection, and
+    every interval it returns, at both widths and for q(-x), equal plain
+    bisection's."""
+    chain = mle._sturm_chain(coeffs)
+    for signed in (chain, mle._reflect(chain)):
+        q = signed[0]
+        for width in (ISOLATION_WIDTH, Fraction(1)):
+            reference = _bisection_reference(signed, width)
+            assert mle._positive_roots(signed, width) == [
+                interval for _, interval in reference]
+            lc = abs(q[-1]) if len(q) > 1 else 1
+            narrow = min(width, Fraction(1, 2 * lc))
+            for (a, b, d), (cell, _) in zip(mle._isolate(signed), reference):
+                n = 0
+                while Fraction(b - a, d << n) > narrow:
+                    n += 1
+                vb = mle._value(q, b, d)
+                if n and vb:
+                    jumped = mle._final_cell(q, a, b, d, vb, n)
+                    if jumped is not None:
+                        a, b, d = jumped
+                        assert (Fraction(a, d), Fraction(b, d)) == cell
+
+
+def test_refinement_matches_bisection_on_planted_polynomials(fallbacks):
+    rng = random.Random(2024)
+    for _ in range(200):
+        coeffs, _ = _planted_polynomial(rng)
+        _assert_refines_like_bisection(coeffs)
+    # roots near 1e9 are finer than a float's spacing there: some of those
+    # fall back to bisection
+    assert fallbacks
+
+
+def test_refinement_matches_bisection_on_benchmark_psis(fallbacks):
+    tables = (_zeroed_tables(11, 12, 4, zeroed=1) + _zeroed_tables(12, 10, 4)
+              + _zeroed_tables(13, 8, 2) + [FOUR_CYCLE_COUNTS])
+    A = four_cycle_matrix()
+    for counts in tables:
+        res = solve_mle_exact(assemble_mle_system(A, CountTable(counts)))
+        _assert_refines_like_bisection(res.psi)
+    # the float estimate finds every cell of these roots
+    assert fallbacks == []
+
+
+def test_coefficients_beyond_float_range_skip_the_jump(fallbacks):
+    # -10^400 x^4 + 7 10^400 x - 3 10^400 + 1: primitive, no coefficient is
+    # a float, so the jump is skipped, not an OverflowError raised
+    p = [-3 * 10 ** 400 + 1, 7 * 10 ** 400, 0, 0, -10 ** 400]
+    _assert_refines_like_bisection(p)
+    before = len(fallbacks)
+    mle._isolation.cache_clear()
+    intervals = isolate_positive_roots(p)
+    assert len(intervals) == 2 and len(fallbacks) == before + 2
+    for lo, hi in intervals:
+        assert 0 < hi - lo <= ISOLATION_WIDTH
+
+
+def test_a_float_estimate_that_misses_falls_back_to_bisection(fallbacks):
+    # (x^2 - 2)(10^8 x^2 - 2 10^8 - 1): two irrational roots 3.5e-9 apart,
+    # where rounding moves the float estimate by more than a cell
+    p = _poly_mul([-2, 0, 1], [-2 * 10 ** 8 - 1, 0, 10 ** 8])
+    mle._isolation.cache_clear()
+    (lo1, hi1), (lo2, hi2) = isolate_positive_roots(p)
+    assert len(fallbacks) == 2
+    assert lo1 * lo1 < 2 < hi1 * hi1 and hi1 < lo2
+    _assert_refines_like_bisection(p)
+
+
+def test_the_jump_tries_the_estimated_cell_and_its_two_neighbours(monkeypatch):
+    # an estimate one cell off is corrected by exact signs; two cells off,
+    # no candidate is confirmed and bisection has to run
+    # 351 times the paper's quintic psi: four positive irrational roots
+    chain = mle._sturm_chain([12960, -21312, 4290, 6713, -3258, 351])
+    q = chain[0]
+    for a, b, d in mle._isolate(chain):
+        vb = mle._value(q, b, d)
+        n = 40
+        lo, hi, den = mle._bisect(q, a, b, d, vb, n)
+        cell = Fraction(hi - lo, den)
+        for offset, found in ((-2, False), (-1, True), (0, True), (1, True),
+                              (2, False)):
+            estimate = float(Fraction(lo + hi, 2 * den) + offset * cell)
+            monkeypatch.setattr(mle, "_float_root", lambda *args: estimate)
+            jumped = mle._final_cell(q, a, b, d, vb, n)
+            assert jumped == ((lo, hi, den) if found else None)
+
+
+# --- memo contracts -------------------------------------------------------------
+
+def test_isolation_returns_a_fresh_list():
+    p = [Fraction(6), Fraction(-7), Fraction(0), Fraction(1)]
+    first = isolate_positive_roots(p)
+    first.clear()
+    assert len(isolate_positive_roots(p)) == 2
+
+
+def test_zero_cell_reduction_returns_a_fresh_list():
+    A = four_cycle_matrix()
+    active, red = reduce_zero_cells(A, FOUR_CYCLE_COUNTS)
+    active.append(99)
+    again, red2 = reduce_zero_cells(A, [2 * c for c in FOUR_CYCLE_COUNTS])
+    assert len(again) == 12 and 99 not in again
+    assert red2 is red
+
+
+def test_an_empty_extended_model_is_refused_on_every_call():
+    # no count table reaches it (a cell with a positive count touches only
+    # positive statistics), so the memo is called with every row zero
+    A = four_cycle_matrix()
+    zero = (True,) * A.nrows
+    for _ in range(2):
+        with pytest.raises(ValueError, match="all cells dropped"):
+            mle._zero_reduction(A, zero)
+    mle._zero_reduction.cache_clear()
+    with pytest.raises(ValueError, match="all cells dropped"):
+        mle._zero_reduction(A, zero)
+    assert mle._zero_reduction.cache_info().currsize == 0
+
+
+def test_rational_root_check_reuses_the_solve_isolation(monkeypatch):
+    chains = []
+
+    def counting(coeffs):
+        chains.append(coeffs)
+        return sturm_chain(coeffs)
+
+    sturm_chain = mle._sturm_chain
+    monkeypatch.setattr(mle, "_sturm_chain", counting)
+    mle._isolation.cache_clear()
+    A = four_cycle_matrix()
+    res = solve_mle_exact(assemble_mle_system(A, CountTable(FOUR_CYCLE_COUNTS)))
+    assert len(chains) == 1
+    assert rational_root_check(res.psi) == []
+    assert isolate_positive_roots(res.psi)
+    assert len(chains) == 1
