@@ -518,6 +518,9 @@ ISOLATION_WIDTH = Fraction(1, 10 ** 12)
 # steps; it only proposes a cell, which exact signs then confirm.
 _FLOAT_ROOT_BITS = 1000
 _FLOAT_ROOT_STEPS = 100
+# The jump goes no deeper than cells of this many float spacings at the
+# estimate; bisection does the halvings left.
+_FLOAT_CELL_ULPS = 8
 
 
 def _primitive(p):
@@ -646,13 +649,15 @@ def _positive_roots(chain, width):
     sign of q ends: the root lies on the side where q changes sign, and a
     midpoint where q vanishes ends the bisection as the right end.  The
     number of halvings that brings the interval under the width is known
-    in advance, so `_final_cell` jumps to that depth from a float estimate
-    of the root and confirms the cell by exact signs; only when it cannot
-    does `_bisect` halve step by step.  Both give the same cell.  By the
-    rational root theorem a rational root lies on the grid of multiples of
-    1 / lc(q), and an interval narrower than half that step holds at most
-    one of them, k / lc(q) with k = floor(lc(q) hi): the root is rational
-    iff k / lc(q) lies inside and q(k / lc(q)) == 0.
+    in advance, so `_final_cell` jumps towards that depth from a float
+    estimate of the root, as deep as the float resolves, confirms the cell
+    by exact signs and bisects the halvings left; only when it confirms no
+    cell does `_bisect` halve step by step from the start.  Both give the
+    same cell.  By the rational root theorem a rational root lies on the
+    grid of multiples of 1 / lc(q), and an interval narrower than half
+    that step holds at most one of them, k / lc(q) with k = floor(lc(q)
+    hi): the root is rational iff k / lc(q) lies inside and q(k / lc(q))
+    == 0.
     """
     q = chain[0]
     if len(q) < 2:
@@ -696,20 +701,32 @@ def _final_cell(q, a, b, d, vb, n):
     """The cell `_bisect(q, a, b, d, vb, n)` reaches, found from a float
     estimate of the root; None when no candidate is confirmed.
 
-    Cell t of depth n, 1 <= t <= 2^n, is (g(t - 1), g(t)] with grid point
-    g(t) = (a 2^n + t (b - a)) / (d 2^n).  The root lies right of g(t)
-    when q there is nonzero with the sign opposite to vb; g(0) = a / d is
-    left of it by isolation, and g(2^n) = b / d is not.  The cell that
-    holds the estimate is tried first, then the neighbour its ends point
-    to, each accepted only on the exact signs at both of its ends.  A root
-    on g(t) stops bisection at the first depth where it is a grid point, as
-    the right end of that depth's cell.
+    The jump goes to depth k: n, or less where a cell of depth n would
+    span fewer than _FLOAT_CELL_ULPS float spacings at the estimate, which
+    cannot name it (a root near 1e9 has a spacing near 1e-7).  Cell t of
+    depth k, 1 <= t <= 2^k, is (g(t - 1), g(t)] with grid point g(t) =
+    (a 2^k + t (b - a)) / (d 2^k).  The root lies right of g(t) when q
+    there is nonzero with the sign opposite to vb; g(0) = a / d is left of
+    it by isolation, and g(2^k) = b / d is not.  The cell that holds the
+    estimate is tried first, then the neighbour its ends point to, each
+    accepted only on the exact signs at both of its ends.  A root on g(t)
+    stops bisection at the first depth where it is a grid point, as the
+    right end of that depth's cell.  Otherwise the root lies inside the
+    confirmed cell, which is the one bisection reaches at depth k, and
+    `_bisect` makes the n - k halvings left from there: the sign of q
+    right of the root is still that of vb.
     """
     x = _float_root(q, a, b, d, vb)
     if x is None:
         return None
-    last, span = 1 << n, b - a
-    top, den = a << n, d << n
+    span = b - a
+    # how many cells of _FLOAT_CELL_ULPS float spacings the interval holds
+    ulp_num, ulp_den = math.ulp(x).as_integer_ratio()
+    cells = span * ulp_den // (d * ulp_num * _FLOAT_CELL_ULPS)
+    k = min(n, cells.bit_length() - 1)
+    if k < 1:
+        return None
+    last, top, den = 1 << k, a << k, d << k
     p, s = x.as_integer_ratio()
     t = min(max(-(-(p * den - top * s) // (s * span)), 1), last)
     sides = {0: -1, last: 1}    # i -> -1, 0 or 1: g(i) left of, at or
@@ -729,7 +746,10 @@ def _final_cell(q, a, b, d, vb, n):
         else:
             if side(t) == 0:
                 shift = (t & -t).bit_length() - 1
-                t, top, den = t >> shift, a << n - shift, d << n - shift
+                t, top, den = t >> shift, a << k - shift, d << k - shift
+            elif k < n:
+                return _bisect(q, top + (t - 1) * span, top + t * span, den,
+                               vb, n - k)
             return top + (t - 1) * span, top + t * span, den
     return None
 

@@ -32,8 +32,15 @@ exceed thousands of S-pairs.  The update works on the support of each
 lead: lcm degrees come from the shared support, the M, F and chain
 criteria test divisibility on the support masks and the exponents above
 one, and only the normal strategy forms a full-width lcm, once per opened
-pair, to key it.  A budget bounds the number of S-pairs treated and fails
-loudly rather than truncating.
+pair, to key it.  Only the generic engine runs the chain criterion: its
+pass over the open pairs saves dear S-polynomial reductions there, while
+in the binomial engine it costs more than the cheap S-binomials it
+closes, so that engine keeps its pair loop lean, as 4ti2 does (Hemmecke
+and Malkin, JSC 44, 2009).  A budget bounds the number of S-pairs
+treated and fails loudly rather than truncating; the binomial engine
+can instead be asked to stop at an lcm degree (`max_degree`), which on
+homogeneous input gives a degree-truncated Groebner basis, exact for the
+normal forms of every monomial up to that degree.
 eliminate_to_triangular converts a Groebner basis of a zero-dimensional
 ideal under any order to the reduced lex basis, by FGLM on the integer
 rows the pseudo-division gives.
@@ -42,7 +49,9 @@ The binomial engine computes each term-order key and each support mask
 once.  An input is keyed once per side to orient, deduplicate and sort it;
 a new element is keyed once per side to orient it, and its lead key is
 kept for the final sort.  Each element keeps its lead and tail as sparse
-(variable, exponent) lists with their support masks.  The S-binomial of
+(variable, exponent) lists with their support masks, and its divisor test
+reads the support masks first and then only the lead's exponents above
+one, which the masks do not settle.  The S-binomial of
 elements i and j is built from those: its i side x^(lcm - l_i) t_i raises
 the tail t_i by l_j - l_i on the support of l_j, where l_j exceeds l_i,
 and its mask is the tail mask of i plus those variables.  So no
@@ -362,7 +371,7 @@ def _element(lead_term, tail):
     if g != 1:
         lc //= g
         tail = [(m, k, c // g) for m, k, c in tail]
-    return lead, nlead, _support_mask(lead), lc, tail
+    return lead, nlead, support_mask(lead), lc, tail
 
 
 def _polynomials(F):
@@ -415,7 +424,7 @@ def _pseudo_reduce(terms, elements):
         c = coeffs.pop(m, 0)
         if not c:
             continue
-        mmask = _support_mask(m)
+        mmask = support_mask(m)
         for lead, nlead, mask, lc, tail in elements:
             if not mask & ~mmask and all(map(_le, lead, m)):
                 break
@@ -548,7 +557,9 @@ def _interreduce(elements):
 # --- binomial engine and the shared S-pair loop ----------------------------
 
 
-def _support_mask(m):
+def support_mask(m):
+    """Bitmask of the variables that occur in the monomial m: bit i is set
+    iff m_i > 0."""
     mask = 0
     for i, e in enumerate(m):
         if e:
@@ -557,7 +568,7 @@ def _support_mask(m):
 
 
 def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget,
-                 saturated=0, tail_masks=None):
+                 saturated=0, tail_masks=None, max_degree=None):
     """Buchberger's S-pair loop, run on leading monomials alone.
 
     add(item) reduces an input, or the S-polynomial s_pair(i, j) of
@@ -566,12 +577,19 @@ def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget,
     and alive, and add returns its index; otherwise add returns -1.  Each
     new element runs the Gebauer-Moeller update: it opens the pairs with
     the live elements that the M, F, product and saturated-tail criteria
-    keep, closes the open pairs the chain criterion covers, and retires
-    (alive[g] = False) the elements whose lead its lead divides.  A
-    retired element stops reducing, but its open pairs stay.  Open pairs
-    are treated smallest first, ties by index pair: by the lcm under key,
-    the normal strategy, or, when key is None, by the degree of the lcm.
-    Raises BudgetExceeded once more than `budget` pairs would be treated.
+    keep and retires (alive[g] = False) the elements whose lead its lead
+    divides.  A retired element stops reducing, but its open pairs stay.
+    Open pairs are treated smallest first, ties by index pair: by the lcm
+    under key, the normal strategy of the generic engine, or, when key is
+    None, by the degree of the lcm, as the binomial engine does.  Raises
+    BudgetExceeded once more than `budget` pairs would be treated.
+
+    Only the generic engine runs the chain criterion, which closes open
+    pairs.  Its pass over every open pair, made once per new element,
+    costs the binomial engine more than the few pairs it closes save
+    (binomial S-pairs are cheap to reduce), while the generic engine's
+    S-polynomials are dear and it needs the pass.  So with key None no
+    open pair closes, and the pairs are kept in the heap alone.
 
     The update reads the support of each lead, not its full exponent
     vector: per element it keeps the lead's degree and its exponents above
@@ -594,17 +612,21 @@ def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget,
       they differ iff their degrees do.  h divides lcm(i, j) iff its
       support lies in the pair's mask and each exponent of h above one is
       reached by lead i or lead j.
-    An open pair is kept as the support mask and degree of its lcm; only
-    the normal strategy forms the lcm, once, to key it.
+    An open pair of the generic engine is kept as the support mask and
+    degree of its lcm, which the chain criterion reads, and its lcm is
+    formed once, to key it; the binomial engine forms no lcm.
 
     saturated is a bitmask of variables that are nonzerodivisors modulo
     the ideal; with it, tail_masks[i] is the support mask of the tail of
     binomial element i, and a pair whose two tails share a saturated
     variable is never opened (it still dominates in the M and F criteria,
-    as a coprime pair does).  buchberger_binomials checks what makes this
-    exact (module docstring): homogeneous inputs under grevlex.
+    as a coprime pair does).  With key None, max_degree stops the loop
+    once the next pair's lcm degree exceeds it.  buchberger_binomials
+    checks what makes both exact (module docstring): homogeneous inputs,
+    and grevlex for the mask.
     """
-    pairs = {}  # open (i, j), i < j -> (support mask, degree) of the lcm
+    chain = key is not None
+    pairs = {}  # generic engine: open (i, j), i < j -> (mask, degree) of lcm
     heap = []
     degs = []  # per element: the degree of its lead
     highs = []  # per element: the (variable, exponent) of its lead above one
@@ -654,11 +676,14 @@ def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget,
                 kept.append((ex_mask, ex_high))
                 if not mask_h & mask_g or tail_h & shared[g]:
                     continue  # coprime, or tails share a saturated variable
-                pairs[(g, new)] = (mask_h | mask_g, d)
-                heapq.heappush(heap, (
-                    d if key is None else key(tuple(map(max, mh, lg))),
-                    g, new))
-        # close old pairs whose lcm the new lead divides (chain criterion)
+                if chain:
+                    pairs[(g, new)] = (mask_h | mask_g, d)
+                    heapq.heappush(heap, (key(tuple(map(max, mh, lg))),
+                                          g, new))
+                else:
+                    heapq.heappush(heap, (d, g, new))
+        # close old pairs whose lcm the new lead divides (chain criterion;
+        # pairs stays empty in the binomial engine)
         stale = []
         for pair, (mask_ij, d_ij) in pairs.items():
             i, j = pair
@@ -680,10 +705,13 @@ def _s_pair_loop(inputs, add, s_pair, leads, masks, alive, key, budget,
         if new >= 0:
             update(new)
     treated = 0
-    while pairs:
-        _, i, j = heapq.heappop(heap)
-        if pairs.pop((i, j), None) is None:
-            continue
+    while heap:
+        rank, i, j = heapq.heappop(heap)
+        if chain:
+            if pairs.pop((i, j), None) is None:
+                continue
+        elif max_degree is not None and rank > max_degree:
+            break
         treated += 1
         if treated > budget:
             raise BudgetExceeded(f"S-pair budget of {budget} exceeded")
@@ -698,21 +726,25 @@ class BinomialRewriter:
     BinomialRewriter(basis) loads a finished reduced basis, each x^u - x^v
     as u -> v; normal_form(m) is then the standard monomial of the fiber of
     m.  The binomial engine starts from an empty one and adds elements.
-    Leads are bucketed on their smallest support variable, with a bitmask
-    prefilter; a monomial visits the buckets of its own support variables
-    in increasing order, so the first live lead that divides it is the
-    reducer.  Each element also keeps its lead and tail as sparse lists of
-    (variable, exponent), and the support masks of both: a rewriting step changes the monomial and its support mask on
-    those variables only, rather than rebuilding every entry and
-    recomputing the mask.  A monomial whose mask is already known (an
-    S-binomial side, a tail) is rewritten from that mask, with no pass over
-    its entries.  The leads, masks and alive arrays are the ones the
-    S-pair routine reads and writes: a retired element (its lead divisible
-    by a newer lead) keeps its open S-pairs but stops reducing.
+    Leads are bucketed on their smallest support variable; a monomial
+    visits the buckets of its own support variables in increasing order,
+    so the first live lead that divides it is the reducer.  The divisor
+    test reads the support masks first: once the lead's support lies in
+    the monomial's, every exponent of one in the lead is reached, and only
+    the lead's exponents above one, kept per element, are compared.  Each
+    element also keeps its lead and tail as sparse lists of (variable,
+    exponent), and the support masks of both: a rewriting step changes
+    the monomial and its support mask on those variables only, rather than
+    rebuilding every entry and recomputing the mask.  A monomial whose mask
+    is already known (an S-binomial side, a tail) is rewritten from that
+    mask, with no pass over its entries.  The leads, masks and alive
+    arrays are the ones the S-pair routine reads and writes: a retired
+    element (its lead divisible by a newer lead) keeps its open S-pairs
+    but stops reducing.
     """
 
     __slots__ = ("leads", "tails", "masks", "tail_masks", "alive", "buckets",
-                 "firsts", "lead_terms", "tail_terms")
+                 "firsts", "lead_terms", "tail_terms", "highs")
 
     def __init__(self, binomials=()):
         self.leads = []
@@ -724,6 +756,7 @@ class BinomialRewriter:
         self.firsts = 0
         self.lead_terms = []
         self.tail_terms = []
+        self.highs = []
         for b in binomials:
             self.add(b.u, b.v)
 
@@ -733,33 +766,39 @@ class BinomialRewriter:
         tail_terms = [(v, e) for v, e in enumerate(tail) if e]
         self.leads.append(lead)
         self.tails.append(tail)
-        self.masks.append(_support_mask(lead))
-        self.tail_masks.append(_support_mask(tail))
+        self.masks.append(support_mask(lead))
+        self.tail_masks.append(support_mask(tail))
         self.alive.append(True)
         self.lead_terms.append(lead_terms)
         self.tail_terms.append(tail_terms)
+        self.highs.append([(v, e) for v, e in lead_terms if e > 1])
         first = 1 << lead_terms[0][0]
         self.firsts |= first
         self.buckets.setdefault(first, []).append(idx)
         return idx
 
     def find_reducer(self, m, mmask):
-        leads = self.leads
+        """Index of the first live lead that divides the monomial m, whose
+        support mask is mmask, or -1."""
         masks = self.masks
         alive = self.alive
+        highs = self.highs
         buckets = self.buckets
         live = mmask & self.firsts
         while live:
             low = live & -live
             live ^= low
             for idx in buckets[low]:
-                if alive[idx] and not masks[idx] & ~mmask \
-                        and all(map(_le, leads[idx], m)):
-                    return idx
+                if alive[idx] and not masks[idx] & ~mmask:
+                    for v, e in highs[idx]:
+                        if m[v] < e:
+                            break
+                    else:
+                        return idx
         return -1
 
     def normal_form(self, m):
-        return self._normal_form(list(m), _support_mask(m))
+        return self._normal_form(list(m), support_mask(m))
 
     def _normal_form(self, m, mask):
         """The normal form, as a tuple, of the monomial in the list m
@@ -779,7 +818,7 @@ class BinomialRewriter:
 
 
 def buchberger_binomials(inputs, order, budget=None, saturated=0,
-                         strip_common=False):
+                         strip_common=False, max_degree=None):
     """Reduced Groebner basis of an ideal generated by pure differences.
 
     Input and output are Binomial values; the output is the reduced basis
@@ -789,7 +828,10 @@ def buchberger_binomials(inputs, order, budget=None, saturated=0,
     the inputs, a new element's two sides to orient it, and its lead key
     is kept for the final sort.  S-pairs run through the shared routine on
     a BinomialRewriter's own arrays, smallest lcm degree first, ties by
-    index pair, so no pair is keyed.  The S-binomial of elements i and j
+    index pair, so no pair is keyed, and without the chain criterion,
+    whose pass over the open pairs costs this engine more than it saves
+    (see _s_pair_loop): every pair the M, F, product and saturated-tail
+    criteria open is treated.  The S-binomial of elements i and j
     is built from the sparse leads: its i side x^(lcm - l_i) t_i is the
     tail t_i raised by l_j - l_i where l_j exceeds l_i, and its support
     mask is the tail mask of i plus those variables, so both sides are
@@ -804,8 +846,16 @@ def buchberger_binomials(inputs, order, budget=None, saturated=0,
     basis of an ideal between <inputs> and <inputs> : (x_1 ... x_n)^inf
     rather than of <inputs> itself: a new element x^c (x^a - x^b) reduces
     to zero through x^a - x^b, so every S-pair still has a standard
-    representation.  Raises ValueError when an input's arity is not the
-    order's.
+    representation.  With `max_degree` d, the run stops once the next
+    S-pair's lcm degree exceeds d and returns the elements found by then,
+    sorted and with reduced tails as above: a d-truncated Groebner basis.
+    On homogeneous inputs the pairs come in non-decreasing degree and each
+    new element has its pair's degree, so every S-pair of degree at most
+    d has been treated: its elements of degree at most d are those of the
+    reduced basis, and the normal form of every monomial of degree at most
+    d is exact; beyond d it need not be.  An inhomogeneous input raises
+    ValueError then, as it does with a saturated-tail mask.  Raises
+    ValueError when an input's arity is not the order's.
     """
     if budget is None:
         budget = DEFAULT_SPAIR_BUDGET
@@ -817,14 +867,14 @@ def buchberger_binomials(inputs, order, budget=None, saturated=0,
     for b in inputs:
         u, v = b.u, b.v
         _check_arity(len(u), order)
-        if saturated and sum(u) != sum(v):
-            raise ValueError("a saturated-tail mask needs homogeneous "
-                             "inputs")
+        if (saturated or max_degree is not None) and sum(u) != sum(v):
+            raise ValueError("a saturated-tail mask or a max_degree needs "
+                             "homogeneous inputs")
         ku, kv = key(u), key(v)
         start.add((ku, v, u) if ku > kv else (kv, u, v))
     if not start:
         return []
-    items = [((list(u), _support_mask(u)), (list(v), _support_mask(v)))
+    items = [((list(u), support_mask(u)), (list(v), support_mask(v)))
              for _, v, u in sorted(start)]
 
     system = BinomialRewriter()
@@ -868,7 +918,7 @@ def buchberger_binomials(inputs, order, budget=None, saturated=0,
         return side(i, j), side(j, i)
 
     _s_pair_loop(items, add, s_pair, leads, system.masks, system.alive,
-                 None, budget, saturated, tail_masks)
+                 None, budget, saturated, tail_masks, max_degree)
     kept = sorted(compress(range(len(leads)), system.alive),
                   key=lead_keys.__getitem__)
     return [Binomial(leads[i], normal_form(list(tails[i]), tail_masks[i]))

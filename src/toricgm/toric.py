@@ -93,7 +93,7 @@ from dataclasses import dataclass
 from .linalg import integer_kernel_lattice
 from .models import ModelMatrix
 from .orders import TermOrder
-from .polynomials import (Binomial, BinomialRewriter, _support_mask,
+from .polynomials import (Binomial, BinomialRewriter, support_mask,
                           buchberger_binomials, monomial_of)
 
 
@@ -155,7 +155,7 @@ def _quadratic_moves(A):
 def _saturation_plan(gens):
     """Sorted column indices to saturate by: the sigma of the module
     docstring, planned by a greedy walk over the generators."""
-    sides = [(_support_mask(b.u), _support_mask(b.v)) for b in gens]
+    sides = [(support_mask(b.u), support_mask(b.v)) for b in gens]
     free = 0
     for pos, neg in sides:
         free |= pos | neg
@@ -214,7 +214,7 @@ def compute_toric_basis(A, order=None, seed=None, budget=None):
         run = buchberger_binomials(gens, last, budget, strip_common=True)
         leads = 0
         for b in run:
-            leads |= _support_mask(b.u)
+            leads |= support_mask(b.u)
         # a column that divides no lead is certified (module docstring)
         left = [j for j in left if leads >> j & 1]
         gens = [b.strip_common() for b in run]
@@ -231,23 +231,27 @@ def minimal_generators(basis, budget=None):
     in increasing degree: a minimal Markov basis of the toric ideal.
 
     Degree d at a time: the ideal K of the elements kept below d gets its
-    reduced basis under the basis's order (one `buchberger_binomials` run,
-    `budget` bounding its S-pairs), and x^u - x^v of degree d is kept only
-    when a union-find has not yet joined the normal forms of u and v.  The
-    ideal is a pure-difference ideal, so modulo K every monomial is its
-    normal-form monomial, and the degree-d part of I_A is K_d plus the span
-    of the kept differences: an element whose normal forms are joined is a
-    combination of the kept ones (so the kept set still generates I_A),
-    and the kept ones form a forest on the normal forms, whose edges are
-    linearly independent (so none of them is generated by the others).
+    reduced d-truncated Groebner basis under the basis's order (one
+    `buchberger_binomials` run with `max_degree` d, `budget` bounding its
+    S-pairs), and x^u - x^v of degree d is kept only when a union-find has
+    not yet joined the normal forms of u and v.  K is homogeneous, so the
+    truncated basis gives every monomial of degree d its exact normal form
+    modulo K, and the S-pairs of higher degree, which these normal forms
+    never read, are not treated.  The ideal is a pure-difference ideal, so
+    modulo K every monomial is its normal-form monomial, and the degree-d
+    part of I_A is K_d plus the span of the kept differences: an element
+    whose normal forms are joined is a combination of the kept ones (so
+    the kept set still generates I_A), and the kept ones form a forest on
+    the normal forms, whose edges are linearly independent (so none of
+    them is generated by the others).
     """
     by_degree = {}
     for b in basis.binomials:
         by_degree.setdefault(sum(b.u), []).append(b)
     kept = []
     for degree in sorted(by_degree):
-        system = BinomialRewriter(buchberger_binomials(kept, basis.order,
-                                                       budget))
+        system = BinomialRewriter(buchberger_binomials(
+            kept, basis.order, budget, max_degree=degree))
         parent = {}
 
         def find(m):

@@ -169,7 +169,6 @@ def test_every_public_definition_is_used():
 # package imports from another
 PRIVATE_IMPORTS = [
     ("jsonio.py", "_integral"),
-    ("toric.py", "_support_mask"),
 ]
 
 

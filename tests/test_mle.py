@@ -1005,9 +1005,31 @@ def test_refinement_matches_bisection_on_planted_polynomials(fallbacks):
     for _ in range(200):
         coeffs, _ = _planted_polynomial(rng)
         _assert_refines_like_bisection(coeffs)
-    # roots near 1e9 are finer than a float's spacing there: some of those
-    # fall back to bisection
+    # cells of roots near 1e9 are finer than a float's spacing there: the
+    # jump bisects the halvings past the float's resolution, and some
+    # estimates miss, so bisection runs
     assert fallbacks
+
+
+def test_the_jump_goes_as_deep_as_the_float_resolves(monkeypatch):
+    # of the 493 jumps that refine the roots of the planted polynomials,
+    # 40 confirm no cell: there the float estimate misses the root.  When
+    # the jump went to the full depth or not at all, 93 did, among them
+    # every root whose final cell spans less than a float's spacing
+    final_cell = mle._final_cell
+    jumps = []
+
+    def recorded(*args):
+        jumps.append(final_cell(*args))
+        return jumps[-1]
+
+    monkeypatch.setattr(mle, "_final_cell", recorded)
+    mle._isolation.cache_clear()
+    rng = random.Random(2024)
+    for _ in range(200):
+        coeffs, roots = _planted_polynomial(rng)
+        assert rational_root_check(coeffs) == roots
+    assert len(jumps) == 493 and jumps.count(None) == 40
 
 
 def test_refinement_matches_bisection_on_benchmark_psis(fallbacks):

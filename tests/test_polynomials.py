@@ -325,6 +325,15 @@ def test_saturated_tails_refuse_an_inhomogeneous_input():
         buchberger_binomials(inputs, order, saturated=0b111)
 
 
+def test_max_degree_refuses_an_inhomogeneous_input():
+    # the same inputs: a truncated run relies on each new element having
+    # the degree of its pair, which an inhomogeneous input breaks
+    inputs = [Binomial((1, 0, 0), (0, 0, 2)), Binomial((1, 0, 0), (0, 1, 1))]
+    for order in (TermOrder.grevlex(3), TermOrder.lex(3)):
+        with pytest.raises(ValueError, match="homogeneous inputs"):
+            buchberger_binomials(inputs, order, max_degree=3)
+
+
 def test_saturated_tails_refuse_lex():
     inputs = [Binomial((1, 0, 0, 1), (0, 1, 1, 0))]
     with pytest.raises(ValueError, match="grevlex order, not lex"):

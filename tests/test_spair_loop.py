@@ -7,10 +7,15 @@ lcm, index), the M and F criteria as divisibility of one lcm by another,
 the chain criterion by comparing lcm tuples.  Open pairs are ranked by
 the lcm's key under the order (the normal strategy, which the generic
 engine uses) or, with no key, by the lcm's degree (the binomial engine),
-ties by index pair in both.  Both must treat the same pairs in the same
+ties by index pair in both.  The chain criterion closes pairs in the
+normal strategy only: the binomial engine treats every pair it opens, up
+to an optional lcm degree.  Both must treat the same pairs in the same
 order and retire the same elements, and so must `buchberger_binomials`
 itself, which builds its S-binomials from sparse leads and carried
-support masks.
+support masks.  The rewriter's divisor test, which reads only the
+exponents above one once the support masks agree, is checked against
+full-width divisibility, and the exact S-pair counts of both engines are
+pinned.
 """
 
 import hashlib
@@ -23,10 +28,11 @@ import pytest
 
 from toricgm import polynomials, toric
 from toricgm.graphs import UndirectedGraph, build_graph_matrix
+from toricgm.mle import CountTable, assemble_mle_system, solve_mle_exact
 from toricgm.models import StateSpace, VariableSpec, build_loglinear_matrix
 from toricgm.orders import TermOrder
 from toricgm.polynomials import (BinomialRewriter, BudgetExceeded,
-                                 _s_pair_loop, _support_mask,
+                                 _s_pair_loop, support_mask,
                                  buchberger_binomials, monomial_div,
                                  monomial_lcm)
 
@@ -34,7 +40,8 @@ from fixtures import four_cycle_matrix, random_model
 
 
 def reference_s_pair_loop(inputs, add, s_pair, leads, masks, alive, key,
-                          budget, saturated=0, tail_masks=None):
+                          budget, saturated=0, tail_masks=None,
+                          max_degree=None):
     pairs = {}  # open (i, j), i < j -> (lcm, mask) of the leading monomials
     heap = []
     shared = []
@@ -64,7 +71,8 @@ def reference_s_pair_loop(inputs, add, s_pair, leads, masks, alive, key,
             rank = sum(lcm_hg) if key is None else key(lcm_hg)
             heapq.heappush(heap, (rank, g, new))
         stale = []
-        for (i, j), (lcm_ij, mask_ij) in pairs.items():
+        # the chain criterion, in the normal strategy only
+        for (i, j), (lcm_ij, mask_ij) in pairs.items() if key else ():
             if j == new or mask_h & ~mask_ij or not all(map(le, mh, lcm_ij)):
                 continue
             if (tuple(map(max, leads[i], mh)) != lcm_ij
@@ -83,9 +91,11 @@ def reference_s_pair_loop(inputs, add, s_pair, leads, masks, alive, key,
             update(new)
     treated = 0
     while pairs:
-        _, i, j = heapq.heappop(heap)
+        rank, i, j = heapq.heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
+        if key is None and max_degree is not None and rank > max_degree:
+            break
         treated += 1
         if treated > budget:
             raise BudgetExceeded(f"S-pair budget of {budget} exceeded")
@@ -94,12 +104,12 @@ def reference_s_pair_loop(inputs, add, s_pair, leads, masks, alive, key,
             update(new)
 
 
-def scripted_run(loop, seed, saturated, normal):
+def scripted_run(loop, seed, saturated, normal, max_degree=None):
     """Run loop on leads drawn at random: each input or treated pair adds
     a random lead and the support mask of a random tail, or nothing.  With
     normal, pairs are ranked by the order's key of their lcm, else by its
-    degree.  Returns the treated pairs in order and the final alive
-    flags."""
+    degree, up to max_degree.  Returns the treated pairs in order and the
+    final alive flags."""
     rng = random.Random(seed)
     nvars = rng.randint(2, 7)
     order = TermOrder.lex(nvars) if seed % 3 == 2 else TermOrder.grevlex(nvars)
@@ -114,9 +124,9 @@ def scripted_run(loop, seed, saturated, normal):
         if len(leads) >= 40 or not any(lead) or rng.random() < 0.25:
             return -1
         leads.append(lead)
-        masks.append(_support_mask(lead))
+        masks.append(support_mask(lead))
         alive.append(True)
-        tail_masks.append(_support_mask(monomial()))
+        tail_masks.append(support_mask(monomial()))
         return len(leads) - 1
 
     def s_pair(i, j):
@@ -125,7 +135,7 @@ def scripted_run(loop, seed, saturated, normal):
 
     loop(range(rng.randint(2, 12)), add, s_pair, leads, masks, alive,
          order.key if normal else None, 10 ** 6,
-         saturated & ((1 << nvars) - 1), tail_masks)
+         saturated & ((1 << nvars) - 1), tail_masks, max_degree)
     return treated, alive
 
 
@@ -148,7 +158,7 @@ def engine_run(loop, gens, order, saturated):
             return -1
         if order.key(a) < order.key(b):
             a, b = b, a
-        tail_masks.append(_support_mask(b))
+        tail_masks.append(support_mask(b))
         return system.add(a, b)
 
     def s_pair(i, j):
@@ -175,6 +185,56 @@ def test_same_pairs_as_the_reference_on_random_leads(saturated):
                 == ref, (seed, normal)
             total += len(ref[0])
         assert total > 1000  # the draws open and treat pairs
+
+
+def test_max_degree_stops_like_the_reference_on_random_leads():
+    # the binomial engine's ranking, stopped once the next pair's lcm
+    # degree exceeds max_degree
+    total = stopped = 0
+    for seed in range(300):
+        full = scripted_run(reference_s_pair_loop, seed, 0, False)
+        for max_degree in (2, 4, 6):
+            ref = scripted_run(reference_s_pair_loop, seed, 0, False,
+                               max_degree)
+            assert scripted_run(_s_pair_loop, seed, 0, False, max_degree) \
+                == ref, (seed, max_degree)
+            total += len(ref[0])
+            stopped += ref != full
+    assert total > 1000 and stopped > 100
+
+
+def test_find_reducer_against_full_width_divisibility():
+    # the rewriter tests the support masks, then the lead's exponents
+    # above one only; the reference compares every entry.  Buckets are
+    # visited by the smallest variable of the lead, each in the order its
+    # leads were added
+    rng = random.Random("find-reducer")
+    hits = misses = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 9)
+
+        def monomial(top):
+            return tuple(rng.choice((0, 0, 0, 1, 1, 2, 3, top))
+                         for _ in range(nvars))
+
+        system = BinomialRewriter()
+        for _ in range(rng.randint(1, 30)):
+            lead = monomial(3)
+            if any(lead):
+                system.add(lead, monomial(3))
+        for idx in range(len(system.leads)):
+            system.alive[idx] = rng.random() > 0.2
+        for _ in range(40):
+            m = monomial(5)
+            divisors = [i for i, lead in enumerate(system.leads)
+                        if system.alive[i] and all(map(le, lead, m))]
+            expect = min(divisors, default=-1, key=lambda i: (
+                support_mask(system.leads[i]) & -support_mask(system.leads[i]),
+                i))
+            assert system.find_reducer(list(m), support_mask(m)) == expect
+            hits += expect >= 0
+            misses += expect < 0
+    assert hits > 1000 and misses > 1000
 
 
 def recording_loop(runs):
@@ -270,12 +330,12 @@ def _runs(A):
     ("cycle4_binary", four_cycle_matrix, [96, 88, 24]),
     # the first saturation run of the four-cycle with one three-level
     # variable, the heaviest named model of the markov_bases benchmark
-    ("cycle4_one_3level", _cycle4_one_3level, [762]),
+    ("cycle4_one_3level", _cycle4_one_3level, [802]),
     # every run on the 3x3x3 no-three-way model, the former heavy tail:
     # when the saturation runs kept common factors its first run alone
     # treated 36,368 S-pairs
-    ("no3way_3x3x3", _no3way_3x3x3, [972, 1034, 1050, 1021, 1015, 1014,
-                                     1006, 1020, 1058, 1012, 1023, 29]),
+    ("no3way_3x3x3", _no3way_3x3x3, [1090, 1145, 1144, 1107, 1110, 1095,
+                                     1084, 1092, 1135, 1089, 1098, 88]),
 ])
 def test_s_pairs_treated_per_run(name, make, pairs):
     # the budget is the probe: a run treating exactly n S-pairs succeeds
@@ -288,6 +348,18 @@ def test_s_pairs_treated_per_run(name, make, pairs):
         assert basis == buchberger_binomials(gens, order, None, **options)
         with pytest.raises(BudgetExceeded):
             buchberger_binomials(gens, order, n - 1, **options)
+
+
+def test_s_pairs_treated_by_the_generic_engine_on_criterion_11():
+    # the generic engine keeps the chain criterion: the grevlex basis of
+    # criterion 11's core, which solve_mle_exact computes with its budget,
+    # treats exactly 104 S-pairs.  Without the chain pass the solve took
+    # 2.5x as long
+    system = assemble_mle_system(four_cycle_matrix(), CountTable(
+        [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3]))
+    assert len(solve_mle_exact(system, budget=104).psi) == 14
+    with pytest.raises(BudgetExceeded):
+        solve_mle_exact(system, budget=103)
 
 
 def test_replayed_runs_give_the_toric_basis():
