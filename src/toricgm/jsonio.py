@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .graphs import UndirectedGraph
 from .models import (CountTable, Distribution, ModelMatrix, StateSpace,
-                     VariableSpec, _integral, validate_generators)
+                     VariableSpec, integer_value, validate_generators)
 from .orders import KINDS
 from .polynomials import Binomial
 
@@ -80,7 +80,7 @@ def _integer(x, what):
     false is not a number there, though Python takes it as 1 or 0."""
     if isinstance(x, bool):
         raise ValueError(f"{what} is not an integer")
-    return _integral(x, what)
+    return integer_value(x, what)
 
 
 def _names(entry):

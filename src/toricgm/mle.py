@@ -36,16 +36,28 @@ substitution gives.  The core is built in the ring of the k free cells:
 the pivot cells no longer occur in it, and grevlex and lex on all cells
 induce grevlex(k) and lex(k) on the free ones, so its bases are the
 whole ring's with the pivot cells dropped, on exponent tuples of length k.
-FGLM (`eliminate_to_triangular`) converts the core's grevlex basis, empty
-or not, to its reduced lex basis by the same fraction-free elimination:
-each monomial of its walk is one integer row, its pseudo-remainder
-tagged with the monomial times the multipliers.  That basis, lifted to all
-cells, is all the solve reads.  With each pivot row a_c x_c + l_c over
-a_c, reduced once modulo it to x_c + NF(l_c) / a_c, it makes the whole
-system's reduced lex basis, which `MleExactResult.triangular` builds when
-it is read.  l_c holds only free cells after c, and a lex reduction brings
-in no larger variable, so x_c stays the lead; the leads are coprime
-(Buchberger's first criterion), and every tail is in normal form.
+
+The core's reduced lex basis is reached by one of two routes, picked from
+the core.  Lex Buchberger reaches it directly.  A grevlex basis, cheaper
+to compute, reaches it through FGLM (`eliminate_to_triangular`), which
+walks the finite quotient by the same fraction-free elimination: each
+monomial of its walk is one integer row, its pseudo-remainder tagged with
+the monomial times the multipliers.  A reduced Groebner basis is unique,
+so both routes return the same basis and only the cost differs.  FGLM's
+cost grows with the quotient, whose dimension B, the product of the k
+largest total degrees among the core's polynomials, bounds (Bezout).  So a
+core with k <= 1 free cells (where lex and grevlex are one order and FGLM
+only copies the basis) or with B <= LEX_DIRECT_BOUND goes to lex
+Buchberger, and every other core to grevlex and FGLM; the sweep behind the
+bound is in its docstring.  Both routes test zero-dimensionality alike: a
+pure power of every free cell must lead an element
+(`require_zero_dimensional`).  That basis, lifted to all cells, is all the
+solve reads.  With each pivot row a_c x_c + l_c over a_c, reduced once
+modulo it to x_c + NF(l_c) / a_c, it makes the whole system's reduced lex
+basis, which `MleExactResult.triangular` builds when it is read.  l_c
+holds only free cells after c, and a lex reduction brings in no larger
+variable, so x_c stays the lead; the leads are coprime (Buchberger's first
+criterion), and every tail is in normal form.
 
 The root layer works in integers.  psi is scaled once to a content-free
 integer polynomial p, whose one remainder sequence p, p', -rem, ...
@@ -58,7 +70,10 @@ comparison rests on rounding: the intervals are exact.  Each isolating
 interval is then refined to the cell where bisection by the sign of q
 alone would end.  The number of halvings is known in advance, so a float
 Newton estimate of the root names the cell of that depth, and exact
-signs at its two ends accept it or, failing that, one neighbour; only
+signs at its two ends accept it or, failing that, one neighbour.  Newton
+runs in a bracket that halves, by geometric means over a wide bracket,
+whenever a step does not halve, and stops where the float no longer knows
+the sign of q (`_float_root`); only
 when no candidate is confirmed (the float misses by more than a cell, or
 q's coefficients are beyond float range) does the step-by-step bisection
 run.  A float so only saves evaluations: the cell is bisection's either
@@ -98,7 +113,8 @@ from .models import CountTable, Distribution
 from .orders import TermOrder
 from .polynomials import (NotTriangular, Polynomial, buchberger,
                           eliminate_to_triangular, monomial_of,
-                          monomial_value, terms_product)
+                          monomial_value, require_zero_dimensional,
+                          terms_product)
 from .polynomials import reduce as poly_reduce
 from .toric import ToricBasis, compute_toric_basis, minimal_generators
 
@@ -282,18 +298,23 @@ def solve_mle_exact(sys, budget=None):
 
     Variable priority is the active cells in ascending state order.  The
     marginal equations are echelonized over the integers, which makes each
-    pivot cell a linear form in the free cells, a_c x_c = L_c.  Put into
-    the minimal generators of the toric ideal, these leave a core in the
-    ring of the k free cells alone.  It is brought to its reduced lex basis
-    there, by a grevlex(k) Groebner basis and `eliminate_to_triangular`
-    (FGLM: fraction-free linear algebra on the finite quotient), also when
-    it is empty.  grevlex(k) and lex(k) are the orders the whole ring's
-    grevlex and lex induce on the free cells, so these are the bases the
-    whole ring would reach.  The result keeps the core's lex basis, lifted
-    back to every cell, as `basis`, and the echelon rows as `echelon`.
-    Its `triangular`, the unique reduced lex basis of the whole system
-    (`basis` and each pivot row x_c + l_c / a_c reduced once modulo it,
-    sorted by increasing lead; module docstring), is built only when read.
+    pivot cell a linear form in the free cells, a_c x_c = L_c.  Put into the
+    minimal generators of the toric ideal, these leave a core in the ring of
+    the k free cells alone.  It is brought to its reduced lex basis there,
+    also when it is empty, by one of two routes that reach the same unique
+    basis (module docstring): lex(k) Buchberger directly when k <= 1 or B,
+    the product of the k largest total degrees among the core's polynomials,
+    is at most LEX_DIRECT_BOUND; otherwise a grevlex(k) Groebner basis and
+    `eliminate_to_triangular` (FGLM: fraction-free linear algebra on the
+    finite quotient), which pays off on the larger quotients that B bounds.
+    The S-pair `budget` bounds whichever Buchberger run is made.  grevlex(k)
+    and lex(k) are the orders the whole ring's grevlex and lex induce on the
+    free cells, so these are the bases the whole ring would reach.  The
+    result keeps the core's lex basis, lifted back to every cell, as
+    `basis`, and the echelon rows as `echelon`.  Its `triangular`, the unique
+    reduced lex basis of the whole system (`basis` and each pivot row x_c +
+    l_c / a_c reduced once modulo it, sorted by increasing lead; module
+    docstring), is built only when read.
 
     psi is the univariate that starts the core's lex basis, in the last
     free cell, and that basis is read once, by `_shape`, for all roots: in
@@ -312,9 +333,7 @@ def solve_mle_exact(sys, budget=None):
     rows, pivots = _echelonize(sys.matrix.rows, sys.margins, nvars)
     free = [i for i in range(nvars) if i not in pivots]
     core = _core(sys.generators, rows, pivots, free)
-    grev = TermOrder.grevlex(len(free))
-    core_basis = _lift(eliminate_to_triangular(buchberger(core, grev, budget),
-                                               grev), free, nvars)
+    core_basis = _lift(_core_lex_basis(core, len(free), budget), free, nvars)
     # with no free cell the core is empty and triangular is linear
     basis = core_basis or _triangular(core_basis, rows, pivots, nvars)
     shape = _shape(basis)
@@ -348,6 +367,60 @@ def solve_mle_exact(sys, budget=None):
         psi=tuple(psi), psi_variable=var, positive_roots=tuple(midpoints),
         root=value, profile=tuple(profile),
         rational=isinstance(value, Fraction))
+
+
+LEX_DIRECT_BOUND = 16
+"""Cores up to this bound go to lex Buchberger directly (`_core_lex_basis`).
+
+The bound is B, the product of the k largest total degrees among the
+core's polynomials: a Bezout-style bound on the dimension of the quotient
+that FGLM walks, so it predicts when FGLM's fixed cost outweighs what a
+grevlex run saves over a lex one.  With k <= 1 free cells the route is
+direct whatever B: in one variable lex and grevlex are one order, and FGLM
+only copies the basis.  A sweep of median ms per core, grevlex + FGLM
+against lex direct, each capped at 3 s (2-core x86-64 host, Python 3.11):
+
+- `mle_fits` eight-cell cores, k = 1, B = 1: 0.09 against 0.03;
+- ten-cell cores, k = 2, B = 1: 0.21 against 0.08; k = 3, B = 8: 0.60
+  against 0.34;
+- four-cycle cores of 9 cells, k = 3, B = 8: 0.65 against 0.35;
+- a random general model, k = 1, B = 141: 17.4 against 3.2;
+- random general models with B <= 18: lex faster on every core but one
+  (k = 4, B = 16: 2.16 against 2.85);
+- twelve-cell cores, k = 4, B = 24: 2.09 against 5.30; four-cycle cores,
+  k = 4, B = 24: 2.37 against 13.1; k = 7, B = 16,384: 131 against more
+  than 3 s;
+- random general models with B from 32 to 52,675: FGLM faster, or both
+  past 3 s, but at B = 36 (2.19 against 2.37) and B = 54 (1.42 against
+  1.92); a 3 x 5 model with k = 2 and B = 81 takes 3.6 s by FGLM and
+  12.5 s by lex, so k alone does not decide.
+
+`tests/mle_routes.py` checks both routes against each other on a wider
+pool and prints the timings per B, to check the bound again on another
+host.
+"""
+
+
+def _bezout_bound(core, k):
+    """The product of the k largest total degrees among the core's
+    polynomials, inf when it has fewer than k."""
+    degrees = sorted((p.total_degree() for p in core), reverse=True)
+    return math.prod(degrees[:k]) if len(degrees) >= k else math.inf
+
+
+def _core_lex_basis(core, k, budget):
+    """The reduced lex(k) basis of the core in the ring of its k free
+    cells, by lex Buchberger directly when k <= 1 or the Bezout bound is at
+    most LEX_DIRECT_BOUND, else by a grevlex(k) basis and FGLM.  Both
+    routes raise the same NotTriangular on an ideal that is not
+    zero-dimensional, and `budget` bounds the one run made."""
+    if k <= 1 or _bezout_bound(core, k) <= LEX_DIRECT_BOUND:
+        lex = TermOrder.lex(k)
+        basis = buchberger(core, lex, budget)
+        require_zero_dimensional([p.leading_term(lex)[0] for p in basis], k)
+        return basis
+    grev = TermOrder.grevlex(k)
+    return eliminate_to_triangular(buchberger(core, grev, budget), grev)
 
 
 def _triangular(core_basis, rows, pivots, nvars):
@@ -521,6 +594,11 @@ _FLOAT_ROOT_STEPS = 100
 # The jump goes no deeper than cells of this many float spacings at the
 # estimate; bisection does the halvings left.
 _FLOAT_CELL_ULPS = 8
+# Horner's rule in floats, y <- x y + c_i from y = 0, computes q(x) within
+# u (2 sum |y_i| |x|^i - |q(x)|), u the unit roundoff, to first order: the
+# running error bound (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, Algorithm 5.1)
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _primitive(p):
@@ -757,33 +835,48 @@ def _final_cell(q, a, b, d, vb, n):
 def _float_root(q, a, b, d, vb):
     """A float estimate of the one root of q in (a / d, b / d], with vb
     the sign of q right of it: Newton's method, kept inside a bracket that
-    bisects whenever a step leaves it.  None when a coefficient is beyond
-    float range or an iterate's value is not finite."""
+    is halved instead whenever a step leaves it or shrinks less than by
+    half from the step before (as `rtsafe` in Press et al., Numerical
+    Recipes).  Far from a cluster of n roots a Newton step moves only 1 / n
+    of the way, and the bracket can span 1e26, so it is halved at its
+    geometric mean while its ends are more than a factor 4 apart, from a
+    lower end no smaller than the least a root of q can be.  The estimate
+    is returned once |q(x)| is within the running rounding bound of its
+    Horner evaluation, where the float no longer knows the sign of q.
+    None when a coefficient is beyond float range or an iterate's value is
+    not finite."""
     if max(map(abs, q)).bit_length() > _FLOAT_ROOT_BITS:
         return None
     sign = 1.0 if vb > 0 else -1.0
     f = [sign * c for c in q]
-    lo, hi = a / d, b / d
+    # q(0) != 0, so every positive root is at least |q(0)| / (|q(0)| +
+    # max |c_i|), the reciprocal of the reversed polynomial's Cauchy bound
+    lo = max(a / d, abs(f[0]) / (abs(f[0]) + max(map(abs, f[1:]))))
+    hi = b / d
     x = (lo + hi) / 2
+    step = hi - lo
     for _ in range(_FLOAT_ROOT_STEPS):
-        v = dv = 0.0
+        v = dv = mu = 0.0
+        ax = abs(x)
         for c in reversed(f):
             dv = dv * x + v
             v = v * x + c
+            mu = mu * ax + abs(v)
         if not (math.isfinite(v) and math.isfinite(dv)):
             return None
-        if v == 0:
+        if abs(v) <= _UNIT_ROUNDOFF * (2 * mu - abs(v)):
             return x
         if v < 0:
             lo = x
         else:
             hi = x
         nxt = x - v / dv if dv else hi
-        if not lo < nxt < hi:
-            nxt = (lo + hi) / 2
+        if not lo < nxt < hi or abs(2 * v) > abs(step * dv):
+            nxt = (math.sqrt(lo) * math.sqrt(hi) if hi > 4 * lo
+                   else (lo + hi) / 2)
         if nxt == x:
             return x
-        x = nxt
+        step, x = nxt - x, nxt
     return x
 
 

@@ -119,7 +119,7 @@ def validate_generators(space, generators):
     return tuple(norm)
 
 
-def _integral(x, what):
+def integer_value(x, what):
     """The integer value of x; ValueError saying that `what` (x as the
     caller names it) is not an integer when x has none (nan and inf too)."""
     try:
@@ -143,7 +143,7 @@ class CountTable:
 
     def __init__(self, values):
         vals = tuple(x if type(x) is int
-                     else _integral(x, f"count {x} at index {i}")
+                     else integer_value(x, f"count {x} at index {i}")
                      for i, x in enumerate(values))
         if any(x < 0 for x in vals):
             raise ValueError("negative cell count")
@@ -172,7 +172,7 @@ class ModelMatrix:
     def __init__(self, rows, row_labels=None, col_labels=None):
         rows = tuple(tuple(
             x if type(x) is int
-            else _integral(x, f"entry {x!r} at row {i}, column {j}")
+            else integer_value(x, f"entry {x!r} at row {i}, column {j}")
             for j, x in enumerate(row)) for i, row in enumerate(rows))
         if not rows:
             raise ValueError("model matrix needs at least one row")

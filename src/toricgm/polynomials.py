@@ -925,6 +925,16 @@ def buchberger_binomials(inputs, order, budget=None, saturated=0,
             for i in kept]
 
 
+def require_zero_dimensional(leads, nvars):
+    """Raise NotTriangular unless a pure power of each of the nvars
+    variables is among `leads`, the leading monomials of a Groebner basis:
+    exactly then is the quotient by its ideal finite."""
+    for v in range(nvars):
+        if not any(lead[v] and support_mask(lead) == 1 << v for lead in leads):
+            raise NotTriangular(
+                "not triangular: the ideal is not zero-dimensional")
+
+
 def eliminate_to_triangular(G, order):
     """The reduced lex basis, sorted by increasing lead, of the
     zero-dimensional ideal of G, a Groebner basis under `order`, by
@@ -949,11 +959,7 @@ def eliminate_to_triangular(G, order):
     nvars = order.nvars
     lex_order = TermOrder.lex(nvars)
     elements = _prepared(G, order)
-    for v in range(nvars):
-        if not any(all(e == 0 or i == v for i, e in enumerate(lm)) and lm[v]
-                   for lm, *_ in elements):
-            raise NotTriangular(
-                "not triangular: the ideal is not zero-dimensional")
+    require_zero_dimensional([lead for lead, *_ in elements], nvars)
 
     def augmented_row(mono):
         rest, mult = _pseudo_reduce([(mono, order.neg_key(mono), 1)], elements)

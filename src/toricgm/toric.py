@@ -293,13 +293,6 @@ def binomial_in_ideal(b, basis):
     return reduces
 
 
-def evaluate_binomial(b, P):
-    """P^u - P^v, exact for rational distributions."""
-    if len(P) != len(b.u):
-        raise ValueError("dimension mismatch")
-    return b.evaluate(P.values)
-
-
 def is_quadratic_basis(basis):
     """True iff every element has total degree two per side."""
     return all(sum(b.u) == 2 and sum(b.v) == 2 for b in basis.binomials)

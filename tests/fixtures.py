@@ -1,17 +1,22 @@
-"""Shared fixtures: standard graphs, printed matrices and binomial sets, the
+"""Shared fixtures: standard graphs, printed matrices and binomial sets,
+seeded table pools and the two routes to an exact-MLE core's lex basis, the
 rational linear algebra the integer kernels are checked against, the
 rational polynomial arithmetic the integer Buchberger engine is checked
 against, the fiber-connectivity oracle that toric bases are checked
 against, and the benchmark's workload module."""
 
 import importlib.util
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 from toricgm.graphs import binary_graph, build_graph_matrix
+from toricgm.mle import CountTable, _core, _echelonize, assemble_mle_system
 from toricgm.models import ModelMatrix
-from toricgm.polynomials import (Binomial, Polynomial, monomial_divides,
+from toricgm.orders import TermOrder
+from toricgm.polynomials import (Binomial, Polynomial, buchberger,
+                                 eliminate_to_triangular, monomial_divides,
                                  monomial_of)
 
 BIN3 = ["".join(map(str, s)) for s in product((0, 1), repeat=3)]
@@ -194,6 +199,76 @@ FOUR_CYCLE_COUNTS = [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 0, 0, 0, 0]
 
 def four_cycle_matrix():
     return build_graph_matrix(four_cycle())
+
+
+def zeroed_tables(seed, active, count, zeroed=2):
+    """Distinct four-cycle tables drawn like the benchmark's: every cell 1
+    but three cells at 2, then the cells of `zeroed` random clique margins
+    set to zero, drawn again until `active` cells are left."""
+    A = four_cycle_matrix()
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < count:
+        counts = [1] * A.ncols
+        for j in rng.sample(range(A.ncols), 3):
+            counts[j] = 2
+        for r in rng.sample(range(A.nrows), zeroed):
+            for j in range(A.ncols):
+                if A.rows[r][j]:
+                    counts[j] = 0
+        if sum(c > 0 for c in counts) == active and counts not in tables:
+            tables.append(counts)
+    return tables
+
+
+def four_cycle_tables(seed, count, zeroed):
+    """Four-cycle tables with every cell drawn from 1-9, then the cells of
+    `zeroed` random clique margins set to zero."""
+    A = four_cycle_matrix()
+    rng = random.Random(seed)
+    tables = []
+    for _ in range(count):
+        counts = [rng.randint(1, 9) for _ in range(A.ncols)]
+        for r in rng.sample(range(A.nrows), zeroed):
+            for j in range(A.ncols):
+                if A.rows[r][j]:
+                    counts[j] = 0
+        tables.append(counts)
+    return tables
+
+
+def random_model_tables(seed, count):
+    """(model, counts) of random general models, 1-4 rows and 3-7 columns
+    (`random_model`), with every count drawn from 1-5."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        A = random_model(rng, rng.randint(1, 4), rng.randint(3, 7))
+        out.append((A, [rng.randint(1, 5) for _ in range(A.ncols)]))
+    return out
+
+
+# --- the two routes to the reduced lex basis of an exact-MLE core -------------
+
+def mle_core(A, counts, budget=None):
+    """(core, k): the exact-MLE core of the table, its minimal generators
+    with the pivot cells eliminated, in the ring of its k free cells."""
+    system = assemble_mle_system(A, CountTable(counts), budget)
+    nvars = len(system.active)
+    rows, pivots = _echelonize(system.matrix.rows, system.margins, nvars)
+    free = [i for i in range(nvars) if i not in pivots]
+    return _core(system.generators, rows, pivots, free), len(free)
+
+
+def lex_direct(core, k, budget=None):
+    """The core's reduced lex basis, by lex Buchberger."""
+    return buchberger(core, TermOrder.lex(k), budget)
+
+
+def grevlex_fglm(core, k, budget=None):
+    """The core's reduced lex basis, by a grevlex basis and FGLM."""
+    grev = TermOrder.grevlex(k)
+    return eliminate_to_triangular(buchberger(core, grev, budget), grev)
 
 
 # --- the saturation order before grevlex-with-x_i-last ------------------------

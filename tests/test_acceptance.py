@@ -25,7 +25,7 @@ from toricgm.models import Distribution, monomial_map
 from toricgm.orders import TermOrder
 from toricgm.polynomials import ideal_equal
 from toricgm.toric import (binomial_in_kernel, compute_toric_basis,
-                           evaluate_binomial, is_quadratic_basis)
+                           is_quadratic_basis)
 
 from fixtures import (FOUR_CHAIN_PAIRWISE, FOUR_CYCLE_COUNTS,
                       FOUR_CYCLE_QUARTICS, FOUR_CYCLE_SIXTEEN, IDX4,
@@ -92,7 +92,7 @@ def test_criterion_03_trichotomy_fixtures():
     assert verdict.failed_binomial == FOUR_CYCLE_QUARTICS["f12diff"]
     others = [b for b in FOUR_CYCLE_SIXTEEN
               if b != FOUR_CYCLE_QUARTICS["f12diff"]]
-    assert all(evaluate_binomial(b, P) == 0 for b in others)
+    assert all(b.evaluate(P.values) == 0 for b in others)
     elapsed_s = time.perf_counter() - start
     assert elapsed_s < 1.0
 
@@ -101,9 +101,9 @@ def test_criterion_03_trichotomy_fixtures():
     chain_point[IDX4["0010"]] = Fraction(1, 2)
     chain_point[IDX4["1111"]] = Fraction(1, 2)
     Q = Distribution(chain_point)
-    assert all(evaluate_binomial(b, Q) == 0 for b in FOUR_CHAIN_PAIRWISE)
+    assert all(b.evaluate(Q.values) == 0 for b in FOUR_CHAIN_PAIRWISE)
     wit = binomial4(("0011", "1110"), ("0010", "1111"))
-    assert evaluate_binomial(wit, Q) == Fraction(-1, 4)
+    assert wit.evaluate(Q.values) == Fraction(-1, 4)
     elapsed_c = time.perf_counter() - start
     assert elapsed_c < 1.0
     report(3, elapsed_m + elapsed_s + elapsed_c, 3,

@@ -167,9 +167,7 @@ def test_every_public_definition_is_used():
 
 # (importing module, name) of each private name that one module of the
 # package imports from another
-PRIVATE_IMPORTS = [
-    ("jsonio.py", "_integral"),
-]
+PRIVATE_IMPORTS = []
 
 
 def _private_imports(sources):

@@ -22,8 +22,9 @@ from toricgm.polynomials import (Binomial, BudgetExceeded, NotTriangular,
                                  eliminate_to_triangular, monomial_of)
 from toricgm.polynomials import reduce as poly_reduce
 from toricgm.toric import compute_toric_basis, minimal_generators
-from fixtures import (FOUR_CYCLE_COUNTS, IDX4, five_cycle,
-                      four_cycle_matrix, three_chain)
+from fixtures import (FOUR_CYCLE_COUNTS, IDX4, five_cycle, four_cycle_matrix,
+                      four_cycle_tables, grevlex_fglm, lex_direct, mle_core,
+                      random_model_tables, three_chain, zeroed_tables)
 
 
 def three_chain_matrix():
@@ -689,27 +690,7 @@ def test_heavy_table_root_layer():
 
 # --- nine active cells: the last cell can be a pivot ---------------------------
 
-def _zeroed_tables(seed, active, count, zeroed=2):
-    """Distinct four-cycle tables drawn like the benchmark's: every cell 1
-    but three cells at 2, then the cells of `zeroed` random clique margins
-    set to zero, drawn again until `active` cells are left."""
-    A = four_cycle_matrix()
-    rng = random.Random(seed)
-    tables = []
-    while len(tables) < count:
-        counts = [1] * A.ncols
-        for j in rng.sample(range(A.ncols), 3):
-            counts[j] = 2
-        for r in rng.sample(range(A.nrows), zeroed):
-            for j in range(A.ncols):
-                if A.rows[r][j]:
-                    counts[j] = 0
-        if sum(c > 0 for c in counts) == active and counts not in tables:
-            tables.append(counts)
-    return tables
-
-
-NINE_CELL_TABLES = _zeroed_tables(7, 9, 12)
+NINE_CELL_TABLES = zeroed_tables(7, 9, 12)
 
 
 def _assert_agrees_with_ips(A, counts, res):
@@ -818,10 +799,10 @@ UNSEPARATED_TABLES = [[0, 1, 0, 1, 0, 1, 0, 1, 1, 2, 1, 1, 1, 1, 1, 1],
                       [0, 0, 0, 0, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 1]]
 
 
-@pytest.mark.parametrize("counts", _zeroed_tables(11, 8, 7)
-                         + _zeroed_tables(11, 9, 7) + _zeroed_tables(11, 10, 6)
-                         + _zeroed_tables(11, 12, 6, zeroed=1)
-                         + _zeroed_tables(13, 10, 4) + _zeroed_tables(13, 8, 4)
+@pytest.mark.parametrize("counts", zeroed_tables(11, 8, 7)
+                         + zeroed_tables(11, 9, 7) + zeroed_tables(11, 10, 6)
+                         + zeroed_tables(11, 12, 6, zeroed=1)
+                         + zeroed_tables(13, 10, 4) + zeroed_tables(13, 8, 4)
                          + [PIVOT_LAST_TABLE] + UNSEPARATED_TABLES)
 def test_triangular_is_the_direct_lex_basis_of_the_whole_system(counts):
     # the echelon, the integer core of the minimal generators in the free
@@ -837,7 +818,7 @@ def test_triangular_is_the_direct_lex_basis_of_the_whole_system(counts):
 def test_direct_lex_sample_has_a_pivot_as_last_cell():
     A = four_cycle_matrix()
     last_is_pivot = set()
-    for counts in _zeroed_tables(11, 8, 7) + _zeroed_tables(13, 8, 4) \
+    for counts in zeroed_tables(11, 8, 7) + zeroed_tables(13, 8, 4) \
             + [PIVOT_LAST_TABLE]:
         sys_ = assemble_mle_system(A, CountTable(counts))
         nvars = len(sys_.active)
@@ -902,6 +883,73 @@ def test_fglm_rejects_a_basis_that_is_not_zero_dimensional():
     gb = [Polynomial(2, [((2, 0), 1), ((0, 1), -1)])]
     with pytest.raises(NotTriangular, match="not zero-dimensional"):
         eliminate_to_triangular(gb, grev)
+
+
+# --- the route to the core's reduced lex basis ----------------------------------
+
+def test_both_routes_reach_the_same_lex_basis():
+    # cores of the three families the route rule was swept on: tables drawn
+    # like mle_fits, four-cycle tables with counts 1-9 and one zeroed
+    # margin, and random general models (a draw whose cores take
+    # milliseconds; tests/mle_routes.py runs the wide pool)
+    A = four_cycle_matrix()
+    tables = [(A, counts) for counts in
+              zeroed_tables(3, 8, 3) + zeroed_tables(3, 10, 3)
+              + zeroed_tables(3, 12, 2, zeroed=1)
+              + four_cycle_tables(3, 2, zeroed=1)]
+    tables += random_model_tables(6, 8)
+    direct = set()
+    for model, counts in tables:
+        core, k = mle_core(model, counts)
+        lex = lex_direct(core, k)
+        assert grevlex_fglm(core, k) == lex
+        assert mle._core_lex_basis(core, k, None) == lex
+        direct.add(k <= 1 or mle._bezout_bound(core, k) <= mle.LEX_DIRECT_BOUND)
+    assert direct == {True, False}
+
+
+def test_the_route_rule_sends_a_two_cell_core_of_bound_81_to_fglm(
+        monkeypatch):
+    # ROADMAP item 3's table: k = 2 alone would pick lex, which takes 12.5 s
+    # there against 3.6 s by grevlex and FGLM; B = 9 * 9 sends it to FGLM
+    A = ModelMatrix(((2, 7, 0, 2, 1), (3, 1, 0, 2, 6), (3, 0, 8, 4, 1)))
+    counts = [1, 5, 5, 2, 5]
+    core, k = mle_core(A, counts)
+    assert k == 2 and mle._bezout_bound(core, k) == 81
+    orders = []
+
+    class FirstRun(Exception):
+        pass
+
+    def first_run(F, order, budget=None):
+        orders.append(order)
+        raise FirstRun
+
+    monkeypatch.setattr(mle, "buchberger", first_run)
+    with pytest.raises(FirstRun):
+        solve_mle_exact(assemble_mle_system(A, counts))
+    assert orders == [TermOrder.grevlex(2)]
+
+
+def test_the_lex_route_refuses_an_ideal_that_is_not_zero_dimensional():
+    # <x0^2 - x1> again, from two generators: B = 2 * 3 takes the lex
+    # route, which raises FGLM's error; so does an empty core in one cell
+    x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    for core, k in (([x0 * x0 - x1, x0 * x0 * x0 - x0 * x1], 2), ([], 1)):
+        assert k <= 1 or mle._bezout_bound(core, k) <= mle.LEX_DIRECT_BOUND
+        with pytest.raises(NotTriangular) as fglm:
+            grevlex_fglm(core, k)
+        with pytest.raises(NotTriangular) as lex:
+            mle._core_lex_basis(core, k, None)
+        assert str(lex.value) == str(fglm.value) == (
+            "not triangular: the ideal is not zero-dimensional")
+
+
+def test_the_budget_bounds_the_lex_route():
+    core, k = mle_core(four_cycle_matrix(), zeroed_tables(3, 10, 1)[0])
+    assert mle._bezout_bound(core, k) <= mle.LEX_DIRECT_BOUND
+    with pytest.raises(BudgetExceeded):
+        mle._core_lex_basis(core, k, 0)
 
 
 # --- IPS on a matrix whose entries are not all 0/1 ------------------------------
@@ -1012,10 +1060,11 @@ def test_refinement_matches_bisection_on_planted_polynomials(fallbacks):
 
 
 def test_the_jump_goes_as_deep_as_the_float_resolves(monkeypatch):
-    # of the 493 jumps that refine the roots of the planted polynomials,
-    # 40 confirm no cell: there the float estimate misses the root.  When
-    # the jump went to the full depth or not at all, 93 did, among them
-    # every root whose final cell spans less than a float's spacing
+    # every one of the 493 jumps that refine the roots of the planted
+    # polynomials confirms a cell.  When the jump went to the full depth or
+    # not at all, 93 confirmed none, among them every root whose final
+    # cell spans less than a float's spacing; when Newton's method crept
+    # towards a far cluster of roots without halving its bracket, 40 did
     final_cell = mle._final_cell
     jumps = []
 
@@ -1029,12 +1078,27 @@ def test_the_jump_goes_as_deep_as_the_float_resolves(monkeypatch):
     for _ in range(200):
         coeffs, roots = _planted_polynomial(rng)
         assert rational_root_check(coeffs) == roots
-    assert len(jumps) == 493 and jumps.count(None) == 40
+    assert len(jumps) == 493 and jumps.count(None) == 0
+
+
+def test_the_float_estimate_reaches_a_root_far_below_its_bracket():
+    # (x - 2)(x^2 + 10^6)(x^2 + 2 10^6)(x^2 + 3 10^6)(x^2 + 4 10^6): one
+    # positive root, isolated in (0, 4.8e25].  From the bracket's middle a
+    # Newton step moves only a ninth of the way to the complex cluster;
+    # the halvings, by geometric means, reach the root
+    q = [-2, 1]
+    for c in (10 ** 6, 2 * 10 ** 6, 3 * 10 ** 6, 4 * 10 ** 6):
+        q = _poly_mul(q, [c, 0, 1])
+    chain = mle._sturm_chain(q)
+    ((a, b, d),) = mle._isolate(chain)
+    assert (a, d) == (0, 1) and b > 10 ** 25
+    assert mle._float_root(chain[0], a, b, d, mle._value(chain[0], b, d)) \
+        == pytest.approx(2, rel=1e-15)
 
 
 def test_refinement_matches_bisection_on_benchmark_psis(fallbacks):
-    tables = (_zeroed_tables(11, 12, 4, zeroed=1) + _zeroed_tables(12, 10, 4)
-              + _zeroed_tables(13, 8, 2) + [FOUR_CYCLE_COUNTS])
+    tables = (zeroed_tables(11, 12, 4, zeroed=1) + zeroed_tables(12, 10, 4)
+              + zeroed_tables(13, 8, 2) + [FOUR_CYCLE_COUNTS])
     A = four_cycle_matrix()
     for counts in tables:
         res = solve_mle_exact(assemble_mle_system(A, CountTable(counts)))
