@@ -201,6 +201,15 @@ def four_cycle_matrix():
     return build_graph_matrix(four_cycle())
 
 
+def _zero_margins(A, counts, rng, zeroed):
+    """Set the cells of `zeroed` random rows (clique margins) to zero."""
+    for r in rng.sample(range(A.nrows), zeroed):
+        for j in range(A.ncols):
+            if A.rows[r][j]:
+                counts[j] = 0
+    return counts
+
+
 def zeroed_tables(seed, active, count, zeroed=2):
     """Distinct four-cycle tables drawn like the benchmark's: every cell 1
     but three cells at 2, then the cells of `zeroed` random clique margins
@@ -212,10 +221,7 @@ def zeroed_tables(seed, active, count, zeroed=2):
         counts = [1] * A.ncols
         for j in rng.sample(range(A.ncols), 3):
             counts[j] = 2
-        for r in rng.sample(range(A.nrows), zeroed):
-            for j in range(A.ncols):
-                if A.rows[r][j]:
-                    counts[j] = 0
+        counts = _zero_margins(A, counts, rng, zeroed)
         if sum(c > 0 for c in counts) == active and counts not in tables:
             tables.append(counts)
     return tables
@@ -226,15 +232,8 @@ def four_cycle_tables(seed, count, zeroed):
     `zeroed` random clique margins set to zero."""
     A = four_cycle_matrix()
     rng = random.Random(seed)
-    tables = []
-    for _ in range(count):
-        counts = [rng.randint(1, 9) for _ in range(A.ncols)]
-        for r in rng.sample(range(A.nrows), zeroed):
-            for j in range(A.ncols):
-                if A.rows[r][j]:
-                    counts[j] = 0
-        tables.append(counts)
-    return tables
+    return [_zero_margins(A, [rng.randint(1, 9) for _ in range(A.ncols)],
+                          rng, zeroed) for _ in range(count)]
 
 
 def random_model_tables(seed, count):
