@@ -8,10 +8,12 @@ preserve.  It also finds a model matrix's row basis, from the pivots of
 its columns.  A fraction-free Gauss-Jordan loop gives the reduced echelon
 form, the one rational elimination would reach, scaled to integers: it
 solves linear systems over the rationals (the MLE's marginal equations,
-the Gram system of the limit sequence's log-linear equations).  All
-pivoting follows a fixed scan so repeated runs return identical results.
-Matrices are plain sequences of rows; vectors are tuples.  Entries are
-Python ints, which gives arbitrary precision for free.
+the Gram system of the limit sequence's log-linear equations); run once
+on [A | I], it gives the reduced echelon form of A x = b for every b by
+integer products alone.  All pivoting follows a fixed scan so repeated
+runs return identical results.  Matrices are plain sequences of rows;
+vectors are tuples.  Entries are Python ints, which gives arbitrary
+precision for free.
 """
 
 import math
@@ -159,3 +161,27 @@ def reduced_echelon(rows, npivot):
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def echelon_transform(rows):
+    """(pivots, pivot rows, transforms, null transforms): the fraction-free
+    reduced echelon form of [A | I] (`reduced_echelon`), A given by its
+    rows, pivoting on the A part.
+
+    Pivot row k is [c_k R_k | M_k]: R_k is row k of the reduced echelon
+    form of A over the rationals, c_k > 0, and M_k A = c_k R_k.  A null
+    row is [0 | N] with N A = 0; the null rows span the left kernel of A.
+    So the reduced echelon form of [A | v] is read off without another
+    elimination: its pivot row k is a positive multiple of [c_k R_k |
+    M_k v], and v is in the column space of A iff N v = 0 for every null
+    row.  Each part comes back as a tuple of int tuples.
+    """
+    ncols = len(rows[0])
+    eye = range(len(rows))
+    full, pivots = reduced_echelon(
+        [[*row, *(int(i == j) for j in eye)] for i, row in enumerate(rows)],
+        ncols)
+    r = len(pivots)
+    return (tuple(pivots), tuple(tuple(row[:ncols]) for row in full[:r]),
+            tuple(tuple(row[ncols:]) for row in full[:r]),
+            tuple(tuple(row[ncols:]) for row in full[r:]))

@@ -26,16 +26,21 @@ multiplies the row by the positive pivot entry, subtracts a multiple of
 the pivot row and divides by the row's content.  Each row so stays a
 positive integer multiple of the row rational Gauss-Jordan would hold:
 the same pivots, the same solutions, and entries that cannot grow from
-step to step.  A pivot row reads a_c x_c = L_c, with L_c an integer linear
-form in the free cells.  Each binomial x^u - x^v is multiplied by the
-positive integer prod_c a_c^max(u_c, v_c) before x_c is replaced by
-L_c / a_c, which makes the substituted binomial an integer polynomial;
-scaling a generator by a nonzero constant leaves the ideal and its reduced
-Groebner basis unchanged, so the core is exactly the one rational
-substitution gives.  The core is built in the ring of the k free cells:
-the pivot cells no longer occur in it, and grevlex and lex on all cells
-induce grevlex(k) and lex(k) on the free ones, so its bases are the
-whole ring's with the pivot cells dropped, on exponent tuples of length k.
+step to step.  The elimination reads the reduced matrix alone, so it is
+made once per matrix, on [A | I] (`ModelMatrix.echelon_transform`): each
+table's echelon rows are then one integer product of a transform row with
+its margins and one content division per pivot row, and its consistency
+one product per null row (`_echelonize`).  A pivot row reads a_c x_c =
+L_c, with L_c an integer linear form in the free cells.  Each binomial
+x^u - x^v is multiplied by the positive integer prod_c a_c^max(u_c, v_c)
+before x_c is replaced by L_c / a_c, which makes the substituted binomial
+an integer polynomial; scaling a generator by a nonzero constant leaves
+the ideal and its reduced Groebner basis unchanged, so the core is exactly
+the one rational substitution gives.  The core is built in the ring of
+the k free cells: the pivot cells no longer occur in it, and grevlex and
+lex on all cells induce grevlex(k) and lex(k) on the free ones, so its
+bases are the whole ring's with the pivot cells dropped, on exponent
+tuples of length k.
 
 The core's reduced lex basis is reached by one of two routes, picked from
 the core.  Lex Buchberger reaches it directly.  A grevlex basis, cheaper
@@ -101,14 +106,25 @@ chain and positive isolation of a psi are kept per psi, so
 `isolate_positive_roots`) on the same psi reads them and isolates only
 the roots of q(-x).  A list a call returns is fresh on every call; the
 matrices, bases and generators it returns are immutable and shared.
+
+Two more constants of a reduced matrix are no memo of their own: they are
+kept on the `ModelMatrix`, as its row basis is, and computed on its first
+use.  Its echelon transform is what `_echelonize` reads, and its row
+supports (the columns of each row, an itemgetter of them, and the entries
+when they are not all 1) are what `ips_fit` sums and scales along.  They
+live as long as the matrix does.  Every table of a zero pattern gets the
+one reduced matrix the zero-reduction memo keeps, so a run holds them
+only for the matrices its memos hold (at most 256 each); a matrix made
+outside the memos keeps its own.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .linalg import common_denominator, content_free, reduced_echelon
+from .linalg import common_denominator, content_free
 from .models import CountTable, Distribution
 from .orders import TermOrder
 from .polynomials import (NotTriangular, Polynomial, buchberger,
@@ -171,6 +187,13 @@ def ips_fit(A, n, tol=1e-9, max_cycles=10 ** 5):
     is guaranteed).  Returns a full-length numeric distribution with exact
     zeros on dropped cells once margins match within tol.  tol must be a
     positive number (not nan) and max_cycles at least 1 (ValueError).
+
+    The rows are read through the reduced matrix's row supports
+    (`ModelMatrix.row_supports`, kept with the matrix; module docstring):
+    a 0/1 row sums its cells through an itemgetter and scales them by the
+    ratio, and any other row multiplies by its entries.  Either way every
+    float is the one a loop over float copies of the rows computes, in the
+    same order, bit for bit.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, not {tol}")
@@ -180,17 +203,20 @@ def ips_fit(A, n, tol=1e-9, max_cycles=10 ** 5):
     active, red = reduce_zero_cells(A, n)
     observed = [float(x) for x in red.apply([n.values[j] for j in active])]
     cells = [n.total / len(active)] * len(active)
-    rows = [[float(x) for x in row] for row in red.rows]
-    supports = [[j for j, e in enumerate(row) if e] for row in red.rows]
+    rows = red.row_supports()
     for cycle in range(1, max_cycles + 1):
-        for i, row in enumerate(rows):
-            current = sum(row[j] * cells[j] for j in supports[i])
+        for i, (cols, pick, entries) in enumerate(rows):
+            current = sum(pick(cells) if entries is None
+                          else map(mul, entries, pick(cells)))
             if current <= 0:
                 raise ArithmeticError("fitted margin collapsed to zero")
             ratio = observed[i] / current
+            if entries is None:
+                for j in cols:
+                    cells[j] *= ratio
+                continue
             try:
-                for j in supports[i]:
-                    e = row[j]
+                for j, e in zip(cols, entries):
                     cells[j] *= ratio if e == 1 else ratio ** e
             except OverflowError:
                 raise ArithmeticError(
@@ -198,8 +224,9 @@ def ips_fit(A, n, tol=1e-9, max_cycles=10 ** 5):
                     f"of row {red.row_labels[i]} overflows a float in cycle "
                     f"{cycle}; scaling by entries other than 0/1 need not "
                     "converge") from None
-        err = max(abs(sum(row[j] * cells[j] for j in supports[i]) - observed[i])
-                  for i, row in enumerate(rows))
+        err = max(abs(sum(pick(cells) if entries is None
+                          else map(mul, entries, pick(cells))) - x)
+                  for (_, pick, entries), x in zip(rows, observed))
         if err <= tol:
             break
     else:
@@ -220,6 +247,13 @@ class MleSystem:
     margins: tuple             # observed sufficient statistics, kept rows
 
     def __post_init__(self):
+        if len(self.margins) != self.matrix.nrows:
+            raise ValueError(f"{len(self.margins)} margins for the "
+                             f"{self.matrix.nrows} rows of the reduced matrix")
+        if len(self.active) != self.matrix.ncols:
+            raise ValueError(f"{len(self.active)} active cells for the "
+                             f"{self.matrix.ncols} columns of the reduced "
+                             "matrix")
         if any(x <= 0 for x in self.margins):
             raise ValueError("kept rows must have positive margins")
         # ToricBasis has checked its binomials against its own matrix
@@ -330,7 +364,7 @@ def solve_mle_exact(sys, budget=None):
     back-substitutes to a nonnegative profile.
     """
     nvars = len(sys.active)
-    rows, pivots = _echelonize(sys.matrix.rows, sys.margins, nvars)
+    rows, pivots = _echelonize(sys.matrix, sys.margins)
     free = [i for i in range(nvars) if i not in pivots]
     core = _core(sys.generators, rows, pivots, free)
     core_basis = _lift(_core_lex_basis(core, len(free), budget), free, nvars)
@@ -439,19 +473,30 @@ def _triangular(core_basis, rows, pivots, nvars):
         key=lambda p: lex.key(p.leading_term(lex)[0]))
 
 
-def _echelonize(matrix_rows, margins, nvars):
-    """Fraction-free Gauss-Jordan (`reduced_echelon`) on the marginal
-    equations A x = b, each written as the integer row (A_i, -b_i).
+def _echelonize(matrix, margins):
+    """The reduced echelon form, fraction-free, of the marginal equations
+    A x = b, each written as the integer row (A_i, -b_i): what
+    `reduced_echelon` gives on those rows, read off the matrix's echelon
+    transform (`ModelMatrix.echelon_transform`), which is computed once
+    per matrix.
+
+    Pivot row k of the transform is [c_k R_k | M_k], so the equations'
+    pivot row is [c_k R_k | -M_k b] over its content.  M_k = c_k E_k for a
+    row E_k of a rational transform, so that is a positive multiple of the
+    rational row [R_k | -E_k b], which is unique once the equations are
+    consistent, that is once N b = 0 for every null row N.  A
+    content-free row with a positive pivot is unique too, so these are
+    the rows Gauss-Jordan on (A_i, -b_i) keeps.
 
     Returns (rows, pivots), one row per pivot c: a x_c + sum of b_j x_j
     over the free cells j + e = 0, with a > 0.  Raises ValueError when the
     equations are inconsistent.
     """
-    rows, pivots = reduced_echelon(
-        [[*row, -rhs] for row, rhs in zip(matrix_rows, margins)], nvars)
-    if any(row[nvars] for row in rows[len(pivots):]):
+    pivots, pivot_rows, transforms, null = matrix.echelon_transform()
+    if any(sum(map(mul, n, margins)) for n in null):
         raise ValueError("inconsistent marginal equations")
-    return rows[:len(pivots)], pivots
+    return [content_free([*row, -sum(map(mul, m, margins))])
+            for row, m in zip(pivot_rows, transforms)], list(pivots)
 
 
 def _core(binomials, rows, pivots, free):
@@ -463,9 +508,11 @@ def _core(binomials, rows, pivots, free):
     prod_c a_c^max(u_c, v_c) is, once each x_c is replaced by L_c / a_c,
     the integer polynomial whose side u is the free part of x^u times
     prod_c L_c^u_c a_c^(max(u_c, v_c) - u_c), so no fraction arises.  The
-    powers of each L_c are computed once per call.  Zero polynomials are
-    dropped; a nonzero constant means the margins contradict the binomials
-    (ValueError).
+    powers of each L_c are computed once per call, and a side multiplies
+    only by the positive ones.  The core's polynomials are built straight
+    from their sorted terms (`Polynomial.from_sorted_terms`).  Zero
+    polynomials are dropped; a nonzero constant means the margins
+    contradict the binomials (ValueError).
     """
     k, nvars = len(free), len(free) + len(pivots)
     one = (0,) * k
@@ -492,7 +539,9 @@ def _core(binomials, rows, pivots, free):
             side = {tuple(mono[j] for j in free): 1}
             scale = sign
             for c, top in tops:
-                side = terms_product(side.items(), power(c, mono[c]).items())
+                if mono[c]:
+                    side = terms_product(side.items(),
+                                         power(c, mono[c]).items())
                 scale *= forms[c][0] ** (top - mono[c])
             for m, x in side.items():
                 p[m] = p.get(m, 0) + scale * x
@@ -501,7 +550,8 @@ def _core(binomials, rows, pivots, free):
             continue
         if list(p) == [one]:
             raise ValueError("inconsistent system: margins contradict binomials")
-        core.append(Polynomial(k, p))
+        core.append(Polynomial.from_sorted_terms(
+            k, tuple(sorted((m, Fraction(x)) for m, x in p.items()))))
     return core
 
 
@@ -514,7 +564,9 @@ def _lift(basis, free, nvars):
             full[j] = e
         return tuple(full)
 
-    return [Polynomial(nvars, [(lift(m), c) for m, c in p.terms]) for p in basis]
+    # lifting keeps the order of the monomials: free is increasing
+    return [Polynomial.from_sorted_terms(
+        nvars, tuple((lift(m), c) for m, c in p.terms)) for p in basis]
 
 
 def _shape(basis):

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import mul
+from operator import itemgetter, mul
 
-from .linalg import integer_row_echelon
+from .linalg import echelon_transform, integer_row_echelon
 from .polynomials import monomial_value
 
 
@@ -163,11 +163,12 @@ class CountTable:
 class ModelMatrix:
     """Nonnegative integer matrix with labeled rows/columns and equal,
     positive column sums (the column degree), so its toric ideal is
-    homogeneous.  Its row basis (`independent_rows`) is computed on first
-    use and kept."""
+    homogeneous.  Its row basis (`independent_rows`), the echelon
+    transform of its rows (`echelon_transform`) and its row supports
+    (`row_supports`) are each computed on first use and kept."""
 
     __slots__ = ("rows", "row_labels", "col_labels", "column_degree",
-                 "_independent_rows")
+                 "_independent_rows", "_echelon_transform", "_row_supports")
 
     def __init__(self, rows, row_labels=None, col_labels=None):
         rows = tuple(tuple(
@@ -197,6 +198,8 @@ class ModelMatrix:
         self.col_labels = tuple(col_labels)
         self.column_degree = sums[0] if sums else 0
         self._independent_rows = None
+        self._echelon_transform = None
+        self._row_supports = None
 
     @property
     def nrows(self):
@@ -217,6 +220,39 @@ class ModelMatrix:
             _, pivots = integer_row_echelon(list(zip(*self.rows)))
             self._independent_rows = tuple(c for _, c in pivots)
         return self._independent_rows
+
+    def echelon_transform(self):
+        """(pivots, pivot rows, transforms, null transforms) of the
+        fraction-free reduced echelon form of [A | I]
+        (`linalg.echelon_transform`): with it, A x = b is brought to reduced
+        echelon form, or found inconsistent, by one integer product per
+        row.  Computed on the first call and kept."""
+        if self._echelon_transform is None:
+            self._echelon_transform = echelon_transform(self.rows)
+        return self._echelon_transform
+
+    def row_supports(self):
+        """Per row, (columns, pick, entries): the columns of its nonzero
+        entries, in increasing order; an itemgetter that picks them from a
+        vector (as a one-element list when there is one column), so that
+        sum(pick(x)) is the row times x for a 0/1 row; and the entries
+        there, or None when every one is 1.  Computed on the first call and
+        kept."""
+        if self._row_supports is None:
+            supports = []
+            for row in self.rows:
+                cols = tuple(j for j, e in enumerate(row) if e)
+                if len(cols) > 1:
+                    pick = itemgetter(*cols)
+                elif cols:
+                    pick = itemgetter(slice(cols[0], cols[0] + 1))
+                else:
+                    pick = itemgetter(slice(0))
+                entries = tuple(row[j] for j in cols)
+                supports.append((cols, pick, None if set(entries) == {1}
+                                 else entries))
+            self._row_supports = tuple(supports)
+        return self._row_supports
 
     def column(self, j):
         return tuple(row[j] for row in self.rows)

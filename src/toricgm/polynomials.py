@@ -11,6 +11,9 @@ key of a shifted term is the sum of two known keys, since every TermOrder
 key is linear in the exponent vector.  Fractions appear only in public
 results: the monic reduced bases, and the exact normal forms of reduce,
 whose integer remainder is divided once by the product of its multipliers.
+The engine's bases, which it normalises itself, are built straight from
+their sorted terms (`Polynomial.from_sorted_terms`), with no second pass
+through the checks and coercion of `Polynomial()`.
 
 buchberger() returns the unique reduced Groebner basis: monic, fully
 auto-reduced, sorted by increasing leading monomial.  It runs the generic
@@ -162,6 +165,19 @@ class Polynomial:
                 del combined[mono]
         self.nvars = nvars
         self.terms = tuple(sorted(combined.items()))
+
+    @classmethod
+    def from_sorted_terms(cls, nvars, terms):
+        """The polynomial whose `terms` are `terms`, taken as they are: a
+        tuple of (exponent tuple of length nvars, nonzero Fraction), one
+        per monomial, in increasing monomial order, as a Polynomial holds
+        them.  Nothing is checked, so only code that built such terms
+        itself calls this: the generic engine for its bases, the exact
+        MLE for its core."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, nvars):
@@ -356,8 +372,13 @@ class Binomial:
 
 
 def _integer_terms(p, order):
-    """(terms of p times the lcm of its denominators, that lcm)."""
-    den, nums = common_denominator([c for _, c in p.terms])
+    """(terms of p times the lcm of its denominators, that lcm); an
+    integral p, an exact-MLE core say, skips the lcm."""
+    coeffs = [c for _, c in p.terms]
+    if all(c.denominator == 1 for c in coeffs):
+        den, nums = 1, [c.numerator for c in coeffs]
+    else:
+        den, nums = common_denominator(coeffs)
     return [(m, order.neg_key(m), k) for (m, _), k in zip(p.terms, nums)], den
 
 
@@ -548,8 +569,8 @@ def _interreduce(elements):
         rest, _ = _pseudo_reduce([(lead, nlead, lc)] + tail,
                                  elements[:i] + elements[i + 1:])
         lc = rest[0][2]
-        reduced.append((nlead, Polynomial(
-            len(lead), [(m, Fraction(c, lc)) for m, _, c in rest])))
+        reduced.append((nlead, Polynomial.from_sorted_terms(len(lead), tuple(
+            sorted((m, Fraction(c, lc)) for m, _, c in rest)))))
     reduced.sort(key=lambda e: e[0], reverse=True)
     return [p for _, p in reduced]
 
@@ -995,8 +1016,8 @@ def eliminate_to_triangular(G, order):
         pivot = next((k for k in row if not k[0]), None)
         if pivot is None:
             lc = row[1, mono]
-            emitted.append((mono, Polynomial(
-                nvars, [(m, Fraction(c, lc)) for (_, m), c in row.items()])))
+            emitted.append((mono, Polynomial.from_sorted_terms(nvars, tuple(
+                sorted((m, Fraction(c, lc)) for (_, m), c in row.items())))))
             continue
         echelon.append((pivot, row))
         for v in range(nvars):

@@ -254,7 +254,7 @@ def mle_core(A, counts, budget=None):
     with the pivot cells eliminated, in the ring of its k free cells."""
     system = assemble_mle_system(A, CountTable(counts), budget)
     nvars = len(system.active)
-    rows, pivots = _echelonize(system.matrix.rows, system.margins, nvars)
+    rows, pivots = _echelonize(system.matrix, system.margins)
     free = [i for i in range(nvars) if i not in pivots]
     return _core(system.generators, rows, pivots, free), len(free)
 

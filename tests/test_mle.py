@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -7,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from toricgm import mle
+from toricgm import mle, models
 from toricgm.cli import main
 from toricgm.graphs import build_graph_matrix
 from toricgm.jsonio import write_matrix
+from toricgm.linalg import reduced_echelon
 from toricgm.mle import (ISOLATION_WIDTH, CountTable, _echelonize,
                          _reduced_basis, assemble_mle_system, ips_fit,
                          isolate_positive_roots, rational_root_check,
@@ -202,6 +204,25 @@ def test_mle_system_rejects_a_basis_of_another_matrix():
         dataclasses.replace(sys_, basis=compute_toric_basis(other))
     with pytest.raises(ValueError):
         dataclasses.replace(sys_, basis=sys_.binomials)
+
+
+def test_mle_system_rejects_margins_or_cells_of_another_count():
+    # twelve of the fifteen margins once solved to the same psi, the three
+    # rows dropped unseen; eleven, or a short `active`, ended in a
+    # misleading NotTriangular
+    sys_ = assemble_mle_system(four_cycle_matrix(), CountTable(FOUR_CYCLE_COUNTS))
+    assert (len(sys_.margins), len(sys_.active)) == (15, 12)
+    for count in (12, 11):
+        with pytest.raises(ValueError,
+                           match=f"^{count} margins for the 15 rows of the "
+                                 "reduced matrix$"):
+            dataclasses.replace(sys_, margins=sys_.margins[:count])
+    with pytest.raises(ValueError, match="^16 margins for the 15 rows"):
+        dataclasses.replace(sys_, margins=sys_.margins + (1,))
+    with pytest.raises(ValueError,
+                       match="^11 active cells for the 12 columns of the "
+                             "reduced matrix$"):
+        dataclasses.replace(sys_, active=sys_.active[:11])
 
 
 def test_mle_system_rejects_generators_outside_its_basis():
@@ -710,7 +731,7 @@ def test_nine_cell_table_with_a_pivot_as_last_cell():
     counts = CountTable([1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0])
     sys_ = assemble_mle_system(A, counts)
     nvars = len(sys_.active)
-    _, pivots = _echelonize(sys_.matrix.rows, sys_.margins, nvars)
+    _, pivots = _echelonize(sys_.matrix, sys_.margins)
     assert pivots == [0, 1, 2, 3, 4, 6, 8]
     res = solve_mle_exact(sys_)
     assert res.psi == (-4, 3, 1)
@@ -742,7 +763,7 @@ def test_psi_lives_in_the_last_free_cell_when_the_last_cell_is_a_pivot(
     A = four_cycle_matrix()
     sys_ = assemble_mle_system(A, CountTable(counts))
     nvars = len(sys_.active)
-    _, pivots = _echelonize(sys_.matrix.rows, sys_.margins, nvars)
+    _, pivots = _echelonize(sys_.matrix, sys_.margins)
     assert nvars - 1 in pivots
     res = solve_mle_exact(sys_)
     assert res.psi_variable == max(set(range(nvars)) - set(pivots))
@@ -773,7 +794,7 @@ def test_nine_cell_sample_has_both_kinds_of_last_cell():
     kinds = set()
     for counts in NINE_CELL_TABLES:
         sys_ = assemble_mle_system(A, CountTable(counts))
-        _, pivots = _echelonize(sys_.matrix.rows, sys_.margins, 9)
+        _, pivots = _echelonize(sys_.matrix, sys_.margins)
         kinds.add(8 in pivots)
     assert kinds == {True, False}
 
@@ -822,7 +843,7 @@ def test_direct_lex_sample_has_a_pivot_as_last_cell():
             + [PIVOT_LAST_TABLE]:
         sys_ = assemble_mle_system(A, CountTable(counts))
         nvars = len(sys_.active)
-        _, pivots = _echelonize(sys_.matrix.rows, sys_.margins, nvars)
+        _, pivots = _echelonize(sys_.matrix, sys_.margins)
         last_is_pivot.add(nvars - 1 in pivots)
     assert last_is_pivot == {True, False}
 
@@ -1198,3 +1219,178 @@ def test_rational_root_check_reuses_the_solve_isolation(monkeypatch):
     assert rational_root_check(res.psi) == []
     assert isolate_positive_roots(res.psi)
     assert len(chains) == 1
+
+
+# --- the exact-MLE answers, pinned by digest ---------------------------------
+
+# the benchmark's three table kinds, the nine-cell tables and the paper table
+DIGEST_POOL = (zeroed_tables(1, 8, 40) + zeroed_tables(2, 10, 80)
+               + zeroed_tables(3, 12, 40, zeroed=1) + NINE_CELL_TABLES
+               + [FOUR_CYCLE_COUNTS])
+DIGEST = "31d0cfbe4ad296474dee09b47c00f62bb8e768f868fceddc991b276caab39504"
+
+
+def _canonical(x):
+    """Text naming x exactly: each type tagged, a float by float.hex, a
+    Fraction by its numerator and denominator, a Polynomial by its terms."""
+    if isinstance(x, bool):
+        return f"b{int(x)}"
+    if isinstance(x, int):
+        return f"i{x}"
+    if isinstance(x, Fraction):
+        return f"q{x.numerator}/{x.denominator}"
+    if isinstance(x, float):
+        return f"f{x.hex()}"
+    if isinstance(x, Polynomial):
+        return f"P{x.nvars}{_canonical(x.terms)}"
+    if isinstance(x, (tuple, list)):
+        return "(" + ",".join(map(_canonical, x)) + ")"
+    raise TypeError(f"no canonical text for {type(x).__name__}")
+
+
+def _answers_digest(tables):
+    """SHA-256 over every MleExactResult field (`triangular` read), the
+    rational roots of psi and the IPS fit of each table, in order."""
+    A = four_cycle_matrix()
+    h = hashlib.sha256()
+    for counts in tables:
+        res = solve_mle_exact(assemble_mle_system(A, CountTable(counts)))
+        fields = [getattr(res, f.name) for f in dataclasses.fields(res)]
+        fit = ips_fit(A, CountTable(counts), tol=1e-10)
+        h.update(_canonical((*fields, res.triangular,
+                             rational_root_check(res.psi),
+                             fit.values)).encode())
+        h.update(b";")
+    return h.hexdigest()
+
+
+def test_the_exact_mle_answers_are_pinned_by_digest():
+    assert _answers_digest(DIGEST_POOL) == DIGEST
+
+
+# --- the per-matrix constants against the per-table work they replace --------
+
+def _echelon_reference(matrix, margins):
+    """Gauss-Jordan on the rows (A_i, -b_i) of the marginal equations: how
+    `_echelonize` reduced every table before the echelon transform."""
+    nvars = matrix.ncols
+    rows, pivots = reduced_echelon(
+        [[*row, -rhs] for row, rhs in zip(matrix.rows, margins)], nvars)
+    if any(row[nvars] for row in rows[len(pivots):]):
+        raise ValueError("inconsistent marginal equations")
+    return rows[:len(pivots)], pivots
+
+
+def test_echelonize_is_gauss_jordan_on_every_zero_pattern_of_the_pool():
+    A = four_cycle_matrix()
+    patterns = set()
+    for counts in DIGEST_POOL:
+        sys_ = assemble_mle_system(A, CountTable(counts))
+        assert _echelonize(sys_.matrix, sys_.margins) == \
+            _echelon_reference(sys_.matrix, sys_.margins)
+        patterns.add(sys_.matrix)
+    assert len(patterns) == 86
+    # general models, with entries other than 0/1 and dependent rows
+    for B, counts in random_model_tables(5, 40):
+        active, red = reduce_zero_cells(B, counts)
+        margins = red.apply([counts[j] for j in active])
+        assert _echelonize(red, margins) == _echelon_reference(red, margins)
+
+
+def test_margins_off_the_column_space_are_inconsistent():
+    # A x = b is solvable only for b in the column space of A; the
+    # four-cycle's rows are dependent (the margins of each clique add up to
+    # the sample size), so one margin raised by one leaves it
+    A = four_cycle_matrix()
+    sys_ = assemble_mle_system(A, CountTable(FOUR_CYCLE_COUNTS))
+    assert sys_.matrix.echelon_transform()[3]  # the rows are dependent
+    _echelonize(sys_.matrix, sys_.margins)
+    margins = (sys_.margins[0] + 1,) + sys_.margins[1:]
+    for echelonize in (_echelonize, _echelon_reference):
+        with pytest.raises(ValueError, match="^inconsistent marginal equations$"):
+            echelonize(sys_.matrix, margins)
+    with pytest.raises(ValueError, match="^inconsistent marginal equations$"):
+        solve_mle_exact(dataclasses.replace(sys_, margins=margins))
+
+
+def test_the_echelon_transform_is_computed_once_per_matrix(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return transform(rows)
+
+    transform = models.echelon_transform
+    monkeypatch.setattr(models, "echelon_transform", counting)
+    mle._zero_reduction.cache_clear()
+    A = four_cycle_matrix()
+    tables = zeroed_tables(1, 8, 40)
+    for counts in tables:
+        solve_mle_exact(assemble_mle_system(A, CountTable(counts)))
+    patterns = {tuple(c == 0 for c in counts) for counts in tables}
+    assert len(calls) == len(patterns) < 40
+
+
+def _ips_reference(A, n, tol, max_cycles=10 ** 5):
+    """IPS scaling row by row with float copies of the rows: `ips_fit` as
+    it was before the row supports were kept with the matrix."""
+    n = CountTable(n)
+    active, red = reduce_zero_cells(A, n)
+    observed = [float(x) for x in red.apply([n.values[j] for j in active])]
+    cells = [n.total / len(active)] * len(active)
+    rows = [[float(x) for x in row] for row in red.rows]
+    supports = [[j for j, e in enumerate(row) if e] for row in red.rows]
+    for cycle in range(1, max_cycles + 1):
+        for i, row in enumerate(rows):
+            current = sum(row[j] * cells[j] for j in supports[i])
+            if current <= 0:
+                raise ArithmeticError("fitted margin collapsed to zero")
+            ratio = observed[i] / current
+            try:
+                for j in supports[i]:
+                    e = row[j]
+                    cells[j] *= ratio if e == 1 else ratio ** e
+            except OverflowError:
+                raise ArithmeticError(
+                    f"ips_fit: the margin ratio {ratio!r} raised to an entry "
+                    f"of row {red.row_labels[i]} overflows a float in cycle "
+                    f"{cycle}; scaling by entries other than 0/1 need not "
+                    "converge") from None
+        err = max(abs(sum(row[j] * cells[j] for j in supports[i]) - observed[i])
+                  for i, row in enumerate(rows))
+        if err <= tol:
+            break
+    else:
+        raise ArithmeticError(f"IPS did not converge in {max_cycles} cycles")
+    full = [0.0] * A.ncols
+    for pos, j in enumerate(active):
+        full[j] = cells[pos]
+    return full
+
+
+def _outcome(fit):
+    """The values fit() returns, as float.hex, or the error it raises."""
+    try:
+        return [x.hex() for x in fit()]
+    except ArithmeticError as e:
+        return type(e), str(e)
+
+
+def test_ips_fit_is_the_row_by_row_loop_bit_for_bit():
+    A = four_cycle_matrix()
+    for counts in DIGEST_POOL + four_cycle_tables(4, 20, 1):
+        assert [x.hex() for x in ips_fit(A, counts, tol=1e-10).values] == \
+            [x.hex() for x in _ips_reference(A, counts, 1e-10)]
+    # entries other than 0/1 (the general path), on general models whose
+    # fits converge, overflow, collapse or run out of cycles
+    kinds = set()
+    for B, counts in random_model_tables(5, 40):
+        new = _outcome(lambda: ips_fit(B, counts, 1e-10, 2000).values)
+        assert new == _outcome(lambda: _ips_reference(B, counts, 1e-10, 2000))
+        kinds.add(new[0] if isinstance(new, tuple) else list)
+    assert kinds == {list, ArithmeticError}
+    # a row of one column, which its itemgetter picks as a one-element list
+    B = ModelMatrix([[1, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 1]])
+    assert any(len(cols) == 1 for cols, _, _ in B.row_supports())
+    assert [x.hex() for x in ips_fit(B, [1, 2, 3], 1e-12).values] == \
+        [x.hex() for x in _ips_reference(B, [1, 2, 3], 1e-12)]
